@@ -18,9 +18,9 @@ from .imaging import (DenoiseConfig, Image, KhatMap, ScaleEstimate,
 from .levels import (Levels, PairLevels, levels_asymptotic, levels_exact_mean,
                      levels_mc, normal_abs_moment, pair_levels_asymptotic,
                      pair_levels_exact_mean, pair_levels_mc,
-                     simulate_window_estimates)
+                     simulate_window_estimates, target_density)
 from .losses import (LocationResult, LossKind, betweenness_holds, influence,
-                     locate, locate_rows)
+                     locate, locate_rows, window_estimates)
 from .noise import (NoiseKind, RngStream, abs_diff_median, cdf, density,
                     density_at_zero, quantile_point, sample_noise)
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
@@ -28,8 +28,7 @@ from .selector import (CriticalValues, OracleInfo, SelectionTrace, TestRecord,
                        base_estimates, oracle_index, propagation_bound,
                        propagation_gap, select_lepski, select_lepski_batch,
                        select_ring, select_ring_batch)
-from .windows import (RingDecomposition, WindowFamily, benchmark_counts,
-                      build_family_1d, build_family_2d, default_disc_radii,
-                      equidistant_design, ring_decomposition, ring_indices)
+from .windows import (WindowFamily, benchmark_counts, build_family_1d,
+                      build_family_2d, default_disc_radii, equidistant_design)
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .errors import CalibrationError, ValidationError
 from .levels import Levels, PairLevels, simulate_window_estimates
 from .losses import LossKind
 from .noise import NoiseKind
-from .selector import CriticalValues
+from .selector import CriticalValues, threshold_table
 from .windows import WindowFamily, build_family_1d, build_family_2d, equidistant_design
 
 __all__ = [
@@ -123,11 +123,12 @@ class _SelectionStats:
     """Fixed replicate set reused across threshold candidates.
 
     weights[i, j] = |base_j|^r for replicate i. raw[i, j, l] is the step-j
-    statistic against window l (l <= j; -inf above the diagonal). scale[j, l]
-    is the error level multiplying z_l; additive[j] the level multiplying the
-    step's closing value z_{j+1} (zero for the classical rule, which has no
-    additive term). Passing bare=True drops the additive term from the
-    rejection events.
+    statistic |nxt_j - base_l| against window l (l <= j; -inf above the
+    diagonal), with nxt the ring estimates for the ring rule and the next
+    window estimates for the classical rule. scale[j, l] is the error level
+    multiplying z_l; additive[j] the level multiplying the step's closing
+    value z_{j+1} (zero for the classical rule, which has no additive term).
+    Passing bare=True drops the additive term from the rejection events.
     """
 
     def __init__(self, config: CalibConfig, levels: Levels,
@@ -143,44 +144,36 @@ class _SelectionStats:
                 raise ValidationError("pair levels do not match the family")
         bases, rings = simulate_window_estimates(
             family, loss, config.noise, config.runs, seed, config.workers)
+        if config.rule == "ring":
+            nxt, self.scale, self.additive = rings, levels.s_ring, levels.s[1:]
+        else:
+            nxt, self.scale, self.additive = bases[:, 1:], pair.s_pair[1:, :K], 0.0
         self.K = K
         self.runs = config.runs
         self.weights = np.abs(bases[:, :K]) ** config.r
         self.raw = np.full((config.runs, K, K), -np.inf)
-        self.scale = np.full((K, K), np.nan)
         for j in range(K):
-            if config.rule == "ring":
-                self.raw[:, j, : j + 1] = np.abs(rings[:, j, None] - bases[:, : j + 1])
-                self.scale[j, : j + 1] = levels.s_ring[j, : j + 1]
-            else:
-                self.raw[:, j, : j + 1] = np.abs(bases[:, j + 1, None] - bases[:, : j + 1])
-                self.scale[j, : j + 1] = pair.s_pair[j + 1, : j + 1]
-        if config.rule == "ring":
-            self.additive = levels.s[1:].copy()  # additive[j] = s[j+1]
-        else:
-            self.additive = np.zeros(K)
+            self.raw[:, j, : j + 1] = np.abs(nxt[:, j, None] - bases[:, : j + 1])
 
-    def _thresholds(self, z: np.ndarray, j: int, bare: bool) -> np.ndarray:
-        thr = z[: j + 1] * self.scale[j, : j + 1]
-        if bare:
-            return thr
-        zf = np.append(z, 1.0)
-        return thr + zf[j + 1] * self.additive[j]
+    def _thresholds(self, z: np.ndarray, bare: bool) -> np.ndarray:
+        return threshold_table(np.append(z, 1.0), self.scale,
+                               0.0 if bare else self.additive)
 
     def objective(self, z: np.ndarray, bare: bool = False) -> float:
         """Budget left-hand side for thresholds built from z on this replicate set."""
+        thr = self._thresholds(z, bare)
         total = np.zeros(self.runs)
         for j in range(self.K):
-            thr = self._thresholds(z, j, bare)
-            rejected = (self.raw[:, j, : j + 1] > thr).any(axis=1)
+            rejected = (self.raw[:, j, : j + 1] > thr[j, : j + 1]).any(axis=1)
             total += self.weights[:, j] * rejected
         return float(total.mean())
 
     def shares(self, z: np.ndarray, bare: bool = False) -> np.ndarray:
         """Budget split by the first rejecting window index; sums to objective(z)."""
+        thr = self._thresholds(z, bare)
         out = np.zeros(self.K)
         for j in range(self.K):
-            rej = self.raw[:, j, : j + 1] > self._thresholds(z, j, bare)
+            rej = self.raw[:, j, : j + 1] > thr[j, : j + 1]
             any_rej = rej.any(axis=1)
             first = rej.argmax(axis=1)
             np.add.at(out, first[any_rej], self.weights[any_rej, j])
@@ -432,26 +425,50 @@ def _artifact_lines(art: CalibArtifact) -> list[str]:
     return lines
 
 
+def _digest(body: str) -> str:
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def save_artifact(path, art: CalibArtifact) -> None:
-    lines = _artifact_lines(art)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    body = "\n".join(_artifact_lines(art))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"config_hash: {digest}\n")
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"config_hash: {_digest(body)}\n")
+        fh.write(body + "\n")
 
 
 def load_artifact(path) -> CalibArtifact:
+    """Read an artifact written by save_artifact.
+
+    The config hash on the first line is recomputed over the lines after it,
+    so any edit is caught. A missing or mismatched hash, a missing field or
+    an unparsable value raises ValidationError.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("ascii", errors="replace")
+    head, _, body = text.partition("\n")
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition(":")
-            fields[key.strip()] = val.strip()
+    for raw in body.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition(":")
+        fields[key.strip()] = val.strip()
     if fields.get("format") != FORMAT_TAG:
         raise ValidationError(f"not a calibration artifact: {path}")
+    key, _, digest = head.partition(":")
+    if key.strip() != "config_hash":
+        raise ValidationError(f"calibration artifact has no config_hash line: {path}")
+    if digest.strip() != _digest(body.removesuffix("\n")):
+        raise ValidationError(f"calibration artifact does not match its config_hash: {path}")
+    try:
+        return _artifact_from_fields(fields, digest.strip())
+    except KeyError as exc:
+        raise ValidationError(f"calibration artifact lacks the field {exc}: {path}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed calibration artifact {path}: {exc}") from exc
 
+
+def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArtifact:
     def opt_float(key: str) -> float | None:
         return None if fields[key] == "-" else float(fields[key])
 
@@ -501,4 +518,4 @@ def load_artifact(path) -> CalibArtifact:
         achieved_lhs=float(fields["achieved_lhs"]), budget=float(fields["budget"]),
         per_k_error_share=np.array([float(v) for v in fields["per_k_error_share"].split()]),
         family_kind=fields["family_kind"], family_meta=meta,
-        config_hash=fields.get("config_hash", ""))
+        config_hash=config_hash)

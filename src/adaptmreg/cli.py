@@ -24,9 +24,10 @@ from .experiments import (METHODS, ExperimentSpec, median_moment_study, run_benc
                           tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
-                     pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc)
+                     pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc,
+                     target_density)
 from .losses import LossKind
-from .noise import RngStream, density, parse_noise, quantile_point, sample_noise
+from .noise import RngStream, parse_noise, sample_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
 from .selector import base_estimates, select_lepski, select_ring
 from .windows import (benchmark_counts, build_family_1d, build_family_2d,
@@ -195,11 +196,9 @@ def _levels_for_calibrate(args, family, loss, noise):
     if choice == "exact":
         return levels_exact_mean(family, args.r)
     if choice == "asymptotic":
-        alpha = 0.5 if loss.kind == "median" else loss.alpha
         if loss.kind == "mean" or loss.kind == "huber":
             raise ValidationError("asymptotic levels need a median or quantile loss")
-        f0 = density(noise, quantile_point(noise, alpha))
-        return levels_asymptotic(family, loss, f0, args.r)
+        return levels_asymptotic(family, loss, target_density(noise, loss), args.r)
     runs = args.levels_runs or args.runs
     return levels_mc(family, loss, noise, runs, args.r,
                      seed=args.seed + 1, workers=args.workers)
@@ -219,9 +218,7 @@ def _cmd_calibrate(args) -> int:
         if choice == "exact":
             pair = pair_levels_exact_mean(family, args.r)
         elif choice == "asymptotic":
-            alpha = 0.5 if loss.kind == "median" else loss.alpha
-            f0 = density(noise, quantile_point(noise, alpha))
-            pair = pair_levels_asymptotic(family, loss, f0, args.r)
+            pair = pair_levels_asymptotic(family, loss, target_density(noise, loss), args.r)
         else:
             pair = pair_levels_mc(family, loss, noise, args.pair_runs or args.runs,
                                   args.r, seed=args.seed + 2, workers=args.workers)

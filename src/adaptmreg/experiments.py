@@ -20,7 +20,7 @@ import numpy as np
 from .calibration import CalibArtifact
 from .errors import ValidationError
 from .levels import normal_abs_moment
-from .losses import LossKind, locate_rows
+from .losses import LossKind, locate_rows, window_estimates
 from .noise import NoiseKind, RngStream, cdf, density, density_at_zero, sample_noise
 from .parallel import run_chunks
 from .selector import select_lepski_batch, select_ring_batch
@@ -170,7 +170,6 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     theta = float(spec.signal_fn()(np.zeros(1))[0])
     oracle_idx = np.flatnonzero(np.abs(xs) <= spec.oracle_hw() + 1e-12)
     order = family.order
-    K = family.K
 
     need_mean = any(m.startswith("mean") for m in spec.methods)
     need_median = any(m.startswith("median") and m != "median_oracle"
@@ -178,21 +177,14 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     errors = {m: np.empty(spec.runs) for m in spec.methods}
 
     def task(lo: int, hi: int) -> None:
-        m = hi - lo
-        y = np.empty((m, spec.n))
+        y = np.empty((hi - lo, spec.n))
         for i in range(lo, hi):
             y[i - lo] = g + sample_noise(spec.noise, spec.n, RngStream(spec.seed, i))
         yw = y[:, order]
         for loss_name, want in (("mean", need_mean), ("median", need_median)):
             if not want:
                 continue
-            loss = LossKind(loss_name)
-            bases = np.empty((m, K + 1))
-            rings = np.empty((m, K))
-            for k in range(K + 1):
-                bases[:, k] = locate_rows(yw[:, : counts[k]], loss)
-            for k in range(K):
-                rings[:, k] = locate_rows(yw[:, counts[k]: counts[k + 1]], loss)
+            bases, rings = window_estimates(yw, counts, LossKind(loss_name))
             for method in spec.methods:
                 if not method.startswith(loss_name) or method == "median_oracle":
                     continue

@@ -3,13 +3,15 @@
 Every pixel gets the full ring-rule treatment: nested disc windows, window
 and ring estimates, sequential testing, and the last accepted window as the
 output. Windows are clipped at the borders (never padded, which would break
-the noise model); each distinct clipped geometry gets its own cached error
-levels. The noise scale enters only as a linear factor on the levels, so one
+the noise model); each distinct clipped geometry gets its own error levels.
+The noise scale enters only as a linear factor on the levels, so one
 unit-scale calibration serves all images of a given noise law.
 
 Interior pixels (where no window clips) are handled by 2d rank filters,
-which keeps the per-pixel cost constant; the thin border band falls back to
-an explicit per-pixel path with the exact same conventions.
+which keeps the per-pixel cost constant. Border pixels are grouped by clip
+geometry: each group builds its clipped family once, gathers every pixel's
+values in the family's nearest-first order, and runs the same window
+estimates and stopping loop as the 1d code, one batch per group.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from scipy import ndimage
 
 from .calibration import CalibArtifact
 from .errors import ValidationError
-from .levels import Levels, levels_asymptotic, levels_exact_mean
-from .losses import LossKind, _quantile_bracket, locate
-from .noise import NoiseKind, abs_diff_median, density, quantile_point
+from .levels import Levels, levels_asymptotic, levels_exact_mean, target_density
+from .losses import LossKind, _quantile_bracket, window_estimates
+from .noise import NoiseKind, abs_diff_median
 from .parallel import run_chunks
-from .selector import CriticalValues
+from .selector import CriticalValues, first_rejection, ring_thresholds
 from .windows import WindowFamily, build_family_2d
 
 __all__ = [
@@ -148,37 +150,9 @@ def _levels_for_family(family: WindowFamily, config: DenoiseConfig) -> Levels:
     if config.levels_method == "exact_mean":
         return levels_exact_mean(family, config.r)
     if config.loss.kind in ("median", "quantile"):
-        alpha = 0.5 if config.loss.kind == "median" else config.loss.alpha
-        f0 = density(config.noise, quantile_point(config.noise, alpha))
-        return levels_asymptotic(family, config.loss, f0, config.r)
+        return levels_asymptotic(family, config.loss,
+                                 target_density(config.noise, config.loss), config.r)
     raise ValidationError(f"no closed-form levels for loss {config.loss.kind!r}")
-
-
-def _ring_thresholds(levels: Levels, crit: CriticalValues, sigma: float) -> np.ndarray:
-    """Selection thresholds scaled to the noise level; lower triangular in (k, j)."""
-    K = levels.K
-    zf = crit.full(K)
-    thr = np.full((K, K), np.nan)
-    for k in range(K):
-        thr[k, : k + 1] = (zf[: k + 1] * levels.s_ring[k, : k + 1]
-                           + zf[k + 1] * levels.s[k + 1])
-    return thr * sigma
-
-
-def _select_with_thresholds(bases: np.ndarray, rings: np.ndarray,
-                            thr: np.ndarray) -> np.ndarray:
-    """Batch ring-rule stopping loop against precomputed thresholds."""
-    K = thr.shape[0]
-    k_hat = np.full(bases.shape[0], K, dtype=np.int64)
-    undecided = np.ones(bases.shape[0], dtype=bool)
-    for k in range(K):
-        stat = np.abs(rings[:, k, None] - bases[:, : k + 1])
-        reject = (stat > thr[k, : k + 1]).any(axis=1)
-        k_hat[undecided & reject] = k
-        undecided &= ~reject
-        if not undecided.any():
-            break
-    return k_hat
 
 
 def _crit_subset(crit: CriticalValues, kept: np.ndarray) -> CriticalValues:
@@ -220,8 +194,7 @@ def _interior_estimates(img: np.ndarray, family: WindowFamily, loss: LossKind,
         n = int(fp.sum())
         if loss.kind == "mean":
             return ndimage.correlate(img, fp / n, mode="nearest")
-        alpha = 0.5 if loss.kind == "median" else loss.alpha
-        i, j = _quantile_bracket(n, alpha)
+        i, j = _quantile_bracket(n, loss.level)
         low = ndimage.rank_filter(img, i, footprint=fp, mode="nearest")
         if i == j:
             return low
@@ -270,68 +243,43 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     xi0, xi1 = reach, w - reach  # half-open pixel ranges
     yi0, yi1 = reach, h - reach
     if xi1 > xi0 and yi1 > yi0:
-        levels = _levels_for_family(interior_family, config)
-        thr = _ring_thresholds(levels, config.crit, sigma)
+        thr = ring_thresholds(_levels_for_family(interior_family, config), config.crit)
         bases, rings = _interior_estimates(img, interior_family, config.loss, reach)
         sel_bases = bases[:, yi0:yi1, xi0:xi1].reshape(K + 1, -1).T.copy()
         sel_rings = rings[:, yi0:yi1, xi0:xi1].reshape(K, -1).T.copy()
-        kh = _select_with_thresholds(sel_bases, sel_rings, thr)
+        kh = first_rejection(sel_bases, sel_rings, thr * sigma)
         theta = np.take_along_axis(sel_bases, kh[:, None], axis=1)[:, 0]
         out[yi0:yi1, xi0:xi1] = theta.reshape(yi1 - yi0, xi1 - xi0)
         k_hat[yi0:yi1, xi0:xi1] = kh.reshape(yi1 - yi0, xi1 - xi0)
 
-    # border band: explicit per-pixel windows, cached per clip shape
-    border = [(x, y) for y in range(h) for x in range(w)
-              if not (xi0 <= x < xi1 and yi0 <= y < yi1)]
-    cache: dict[tuple[int, int, int, int], tuple] = {}
+    # border band: one batch per clip geometry (left, right, top, bottom reach)
+    inside = np.zeros((h, w), dtype=bool)
+    inside[yi0:yi1, xi0:xi1] = True
+    py, px = np.nonzero(~inside)
+    keys = np.stack([np.minimum(px, reach), np.minimum(w - 1 - px, reach),
+                     np.minimum(py, reach), np.minimum(h - 1 - py, reach)], axis=1)
+    clips, group = np.unique(keys, axis=0, return_inverse=True)
+    group = group.ravel()
 
-    def geometry(x: int, y: int) -> tuple:
-        key = (min(x, reach), min(w - 1 - x, reach),
-               min(y, reach), min(h - 1 - y, reach))
-        if key not in cache:
-            left, right, top, bottom = key
-            fam = build_family_2d(left + right + 1, top + bottom + 1,
-                                  (left, top), radii)
+    def do_groups(lo: int, hi: int) -> None:
+        for g in range(lo, hi):
+            left, right, top, bottom = (int(v) for v in clips[g])
+            fam = build_family_2d(left + right + 1, top + bottom + 1, (left, top), radii)
             kept = np.asarray(
                 [lvl for lvl in range(len(radii)) if lvl not in fam.dropped_levels],
                 dtype=int)
             crit = (config.crit if kept.size == len(radii)
                     else _crit_subset(config.crit, kept))
-            lv = _levels_for_family(fam, config)
-            thr = _ring_thresholds(lv, crit, sigma)
-            patch_w = left + right + 1
-            mem_off = [(fam.members(k) // patch_w - top, fam.members(k) % patch_w - left)
-                       for k in range(fam.K + 1)]
-            ring_off = [(fam.ring(k) // patch_w - top, fam.ring(k) % patch_w - left)
-                        for k in range(fam.K)]
-            cache[key] = (fam.K, kept, thr, mem_off, ring_off)
-        return cache[key]
+            thr = ring_thresholds(_levels_for_family(fam, config), crit)
+            dy, dx = np.divmod(fam.order[: fam.counts[-1]], left + right + 1)
+            gy, gx = py[group == g], px[group == g]
+            rows = img[gy[:, None] + dy - top, gx[:, None] + dx - left]
+            bases, rings = window_estimates(rows, fam.counts, config.loss)
+            sel = first_rejection(bases, rings, thr * sigma)
+            out[gy, gx] = bases[np.arange(sel.size), sel]
+            k_hat[gy, gx] = kept[sel]
 
-    loss = config.loss
-
-    def do_border(lo: int, hi: int) -> None:
-        for idx in range(lo, hi):
-            x, y = border[idx]
-            Kg, kept, thr, mem_off, ring_off = geometry(x, y)
-            base = np.empty(Kg + 1)
-            for k, (dy, dx) in enumerate(mem_off):
-                base[k] = locate(img[y + dy, x + dx], loss).value
-            sel = Kg
-            for k in range(Kg):
-                dy, dx = ring_off[k]
-                ring_val = locate(img[y + dy, x + dx], loss).value
-                if np.any(np.abs(ring_val - base[: k + 1]) > thr[k, : k + 1]):
-                    sel = k
-                    break
-            out[y, x] = base[sel]
-            k_hat[y, x] = kept[sel]
-
-    if border:
-        # geometries touched by several chunks are built once up front so the
-        # cache is read-only during the parallel phase
-        for x, y in border:
-            geometry(x, y)
-        run_chunks(do_border, len(border), config.workers, chunk=256)
+    run_chunks(do_groups, len(clips), config.workers, chunk=1)
 
     return (Image(width=w, height=h, intensities=out),
             KhatMap(width=w, height=h, k_hat=k_hat, n_levels=K))

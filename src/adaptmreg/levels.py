@@ -16,8 +16,8 @@ import numpy as np
 from scipy import special
 
 from .errors import ValidationError
-from .losses import LossKind, locate_rows
-from .noise import NoiseKind, RngStream, quantile_point, sample_noise
+from .losses import LossKind, window_estimates
+from .noise import NoiseKind, RngStream, density, quantile_point, sample_noise
 from .parallel import run_chunks
 from .windows import WindowFamily
 
@@ -25,6 +25,7 @@ __all__ = [
     "Levels",
     "PairLevels",
     "normal_abs_moment",
+    "target_density",
     "levels_exact_mean",
     "levels_asymptotic",
     "levels_mc",
@@ -121,6 +122,11 @@ def normal_abs_moment(r: float) -> float:
     return float(2.0 ** (r / 2.0) * special.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi))
 
 
+def target_density(noise: NoiseKind, loss: LossKind) -> float:
+    """Standardized noise density at the loss's target quantile (f0 of the asymptotics)."""
+    return density(noise, quantile_point(noise, loss.level))
+
+
 def _ring_sizes(family: WindowFamily) -> np.ndarray:
     return np.diff(family.counts)
 
@@ -157,9 +163,8 @@ def levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
         raise ValidationError("asymptotic levels apply to median and quantile losses")
     if not f0 > 0:
         raise ValidationError("density at the target quantile must be positive")
-    alpha = 0.5 if loss.kind == "median" else loss.alpha
     c_r = normal_abs_moment(r) ** (1.0 / r)
-    sd0 = math.sqrt(alpha * (1.0 - alpha)) / f0
+    sd0 = math.sqrt(loss.level * (1.0 - loss.level)) / f0
     n = family.counts.astype(float)
     m = _ring_sizes(family).astype(float)
     K = family.K
@@ -190,7 +195,6 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
         shift = quantile_point(kind, loss.alpha) * kind.scale
     bases = np.empty((runs, K + 1))
     rings = np.empty((runs, K))
-    counts = family.counts
 
     def task(lo: int, hi: int) -> None:
         block = np.empty((hi - lo, n_max))
@@ -198,10 +202,7 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
             block[i - lo] = sample_noise(kind, n_max, RngStream(seed, i))
         if shift:
             block -= shift
-        for k in range(K + 1):
-            bases[lo:hi, k] = locate_rows(block[:, : counts[k]], loss)
-        for k in range(K):
-            rings[lo:hi, k] = locate_rows(block[:, counts[k]: counts[k + 1]], loss)
+        bases[lo:hi], rings[lo:hi] = window_estimates(block, family.counts, loss)
 
     run_chunks(task, runs, workers)
     return bases, rings
@@ -256,9 +257,8 @@ def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
         raise ValidationError("asymptotic pair levels apply to median and quantile losses")
     if not f0 > 0:
         raise ValidationError("density at the target quantile must be positive")
-    alpha = 0.5 if loss.kind == "median" else loss.alpha
     c_r = normal_abs_moment(r) ** (1.0 / r)
-    sd0 = math.sqrt(alpha * (1.0 - alpha)) / f0
+    sd0 = math.sqrt(loss.level * (1.0 - loss.level)) / f0
     n = family.counts.astype(float)
     K = family.K
     sp = np.full((K + 1, K + 1), np.nan)

@@ -24,6 +24,7 @@ __all__ = [
     "LocationResult",
     "locate",
     "locate_rows",
+    "window_estimates",
     "influence",
     "betweenness_holds",
 ]
@@ -82,6 +83,15 @@ class LossKind:
         if self.kind == "huber":
             return f"huber:{self.kink!r}"
         return self.kind
+
+    @property
+    def level(self) -> float:
+        """Target quantile level: 1/2 for the median, alpha for a quantile loss."""
+        if self.kind == "median":
+            return 0.5
+        if self.kind == "quantile":
+            return self.alpha
+        raise ValidationError(f"the {self.kind} loss has no target quantile level")
 
     def rho(self, x):
         """Loss value rho(x), vectorized. rho(0) = 0 for every variant."""
@@ -185,9 +195,8 @@ def locate(values: Sequence[float], loss: LossKind) -> LocationResult:
         v = float(y.mean())
         return LocationResult(v, v, v)
     if loss.kind in ("median", "quantile"):
-        alpha = 0.5 if loss.kind == "median" else loss.alpha
         ys = np.sort(y)
-        i, j = _quantile_bracket(y.size, alpha)
+        i, j = _quantile_bracket(y.size, loss.level)
         lo, hi = float(ys[i]), float(ys[j])
         return LocationResult(0.5 * (lo + hi), lo, hi)
     left, right = _huber_edges(y[None, :], loss.kink)
@@ -203,14 +212,31 @@ def locate_rows(values: np.ndarray, loss: LossKind) -> np.ndarray:
     if loss.kind == "mean":
         return rows.mean(axis=1)
     if loss.kind in ("median", "quantile"):
-        alpha = 0.5 if loss.kind == "median" else loss.alpha
-        i, j = _quantile_bracket(rows.shape[1], alpha)
+        i, j = _quantile_bracket(rows.shape[1], loss.level)
         ys = np.sort(rows, axis=1)
         if i == j:
             return ys[:, i].copy()
         return 0.5 * (ys[:, i] + ys[:, j])
     left, right = _huber_edges(rows, loss.kink)
     return 0.5 * (left + right)
+
+
+def window_estimates(rows: np.ndarray, counts, loss: LossKind
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates over every window and every ring of a nested family, row-wise.
+
+    Each row holds one point's values in nearest-first order, so window k is
+    the prefix [:counts[k]] and ring k the slice [counts[k]:counts[k+1]].
+    Returns bases of shape (rows, K+1) and rings of shape (rows, K).
+    """
+    K = len(counts) - 1
+    bases = np.empty((rows.shape[0], K + 1))
+    rings = np.empty((rows.shape[0], K))
+    for k in range(K + 1):
+        bases[:, k] = locate_rows(rows[:, : counts[k]], loss)
+    for k in range(K):
+        rings[:, k] = locate_rows(rows[:, counts[k]: counts[k + 1]], loss)
+    return bases, rings
 
 
 def influence(loss: LossKind, residual: float):

@@ -32,6 +32,9 @@ __all__ = [
     "SelectionTrace",
     "OracleInfo",
     "base_estimates",
+    "threshold_table",
+    "ring_thresholds",
+    "first_rejection",
     "select_ring",
     "select_ring_batch",
     "select_lepski",
@@ -154,22 +157,48 @@ def base_estimates(values, family: WindowFamily, loss: LossKind
     return base, rings
 
 
-def _ring_thresholds(levels: Levels, crit: CriticalValues) -> np.ndarray:
-    K = levels.K
-    zf = crit.full(K)
-    thr = np.full((K, K), np.nan)
-    for k in range(K):
-        thr[k, : k + 1] = zf[: k + 1] * levels.s_ring[k, : k + 1] + zf[k + 1] * levels.s[k + 1]
+def threshold_table(zf: np.ndarray, scale: np.ndarray, additive) -> np.ndarray:
+    """Test thresholds thr[k, j] = zf[j] * scale[k, j] + zf[k+1] * additive[k].
+
+    zf holds the K+1 critical values (the last one closes the final step),
+    scale the (K, K) error levels of the step-k statistic against window j,
+    additive the level of the step's closing term (0 for the classical rule).
+    Entries above the diagonal (j > k) are NaN.
+    """
+    K = scale.shape[0]
+    thr = zf[None, :K] * scale + (zf[1: K + 1] * additive)[:, None]
+    thr[~np.tri(K, dtype=bool)] = np.nan
     return thr
+
+
+def ring_thresholds(levels: Levels, crit: CriticalValues) -> np.ndarray:
+    """Ring-rule thresholds z_j * s_ring[k, j] + z_{k+1} * s[k+1]."""
+    return threshold_table(crit.full(levels.K), levels.s_ring, levels.s[1:])
 
 
 def _pair_thresholds(pair: PairLevels, crit: CriticalValues) -> np.ndarray:
-    K = pair.K
-    zf = crit.full(K)
-    thr = np.full((K, K), np.nan)
+    """Classical-rule thresholds z_j * s_pair[k+1, j]."""
+    return threshold_table(crit.full(pair.K), pair.s_pair[1:, : pair.K], 0.0)
+
+
+def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Batched stopping loop: the first step k with a rejected test, K if none.
+
+    Row i rejects at step k when |nxt[i, k] - bases[i, j]| > thr[k, j] for
+    some j <= k. The ring rule passes the ring estimates as nxt, the
+    classical rule the next window estimates bases[:, 1:].
+    """
+    K = thr.shape[0]
+    k_hat = np.full(bases.shape[0], K, dtype=np.int64)
+    undecided = np.ones(bases.shape[0], dtype=bool)
     for k in range(K):
-        thr[k, : k + 1] = zf[: k + 1] * pair.s_pair[k + 1, : k + 1]
-    return thr
+        stat = np.abs(nxt[:, k, None] - bases[:, : k + 1])
+        reject = (stat > thr[k, : k + 1]).any(axis=1)
+        k_hat[undecided & reject] = k
+        undecided &= ~reject
+        if not undecided.any():
+            break
+    return k_hat
 
 
 def _select_scalar(stats: np.ndarray, thr: np.ndarray
@@ -214,8 +243,7 @@ def select_ring(base, rings, levels: Levels, crit: CriticalValues) -> SelectionT
     if crit.zeta is not None:
         crit.check_risk_hypothesis(levels)
     stats = np.abs(rings[:, None] - base[None, :K])
-    thr = _ring_thresholds(levels, crit)
-    k_hat, tests = _select_scalar(stats, thr)
+    k_hat, tests = _select_scalar(stats, ring_thresholds(levels, crit))
     return SelectionTrace(base=base, rings=rings, k_hat=k_hat,
                           theta_hat=float(base[k_hat]), tests=tests)
 
@@ -229,17 +257,7 @@ def select_ring_batch(bases: np.ndarray, rings: np.ndarray, levels: Levels,
         raise ValidationError("estimate arrays do not match the level table")
     if crit.zeta is not None:
         crit.check_risk_hypothesis(levels)
-    thr = _ring_thresholds(levels, crit)
-    k_hat = np.full(R, K, dtype=np.int64)
-    undecided = np.ones(R, dtype=bool)
-    for k in range(K):
-        stat = np.abs(rings[:, k, None] - bases[:, : k + 1])
-        reject = (stat > thr[k, : k + 1]).any(axis=1)
-        k_hat[undecided & reject] = k
-        undecided &= ~reject
-        if not undecided.any():
-            break
-    return k_hat
+    return first_rejection(bases, rings, ring_thresholds(levels, crit))
 
 
 def select_lepski(base, pair: PairLevels, crit: CriticalValues) -> SelectionTrace:
@@ -254,8 +272,7 @@ def select_lepski(base, pair: PairLevels, crit: CriticalValues) -> SelectionTrac
     if base.shape != (K + 1,):
         raise ValidationError("estimate array does not match the pair table")
     stats = np.abs(base[1:, None] - base[None, :K])
-    thr = _pair_thresholds(pair, crit)
-    k_hat, tests = _select_scalar(stats, thr)
+    k_hat, tests = _select_scalar(stats, _pair_thresholds(pair, crit))
     return SelectionTrace(base=base, rings=None, k_hat=k_hat,
                           theta_hat=float(base[k_hat]), tests=tests)
 
@@ -266,17 +283,7 @@ def select_lepski_batch(bases: np.ndarray, pair: PairLevels,
     K = pair.K
     if bases.shape != (R, K + 1):
         raise ValidationError("estimate array does not match the pair table")
-    thr = _pair_thresholds(pair, crit)
-    k_hat = np.full(R, K, dtype=np.int64)
-    undecided = np.ones(R, dtype=bool)
-    for k in range(K):
-        stat = np.abs(bases[:, k + 1, None] - bases[:, : k + 1])
-        reject = (stat > thr[k, : k + 1]).any(axis=1)
-        k_hat[undecided & reject] = k
-        undecided &= ~reject
-        if not undecided.any():
-            break
-    return k_hat
+    return first_rejection(bases, bases[:, 1:], _pair_thresholds(pair, crit))
 
 
 def oracle_index(g_values, family: WindowFamily, crit: CriticalValues,

@@ -7,7 +7,7 @@ every ring (the increment between consecutive windows) is a contiguous slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,14 +15,11 @@ from .errors import ValidationError
 
 __all__ = [
     "WindowFamily",
-    "RingDecomposition",
     "benchmark_counts",
     "equidistant_design",
     "build_family_1d",
     "build_family_2d",
     "default_disc_radii",
-    "ring_indices",
-    "ring_decomposition",
 ]
 
 # declared geometric-growth targets for the benchmark count sequence
@@ -77,10 +74,6 @@ class WindowFamily:
     def K(self) -> int:
         return int(self.counts.size - 1)
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.counts.copy()
-
     def members(self, k: int) -> np.ndarray:
         """Sorted design indices of window k."""
         if not 0 <= k <= self.K:
@@ -92,14 +85,6 @@ class WindowFamily:
         if not 0 <= k < self.K:
             raise ValidationError(f"ring index {k} outside 0..{self.K - 1}")
         return self.order[self.counts[k]: self.counts[k + 1]].copy()
-
-
-@dataclass(frozen=True)
-class RingDecomposition:
-    """Base window plus the disjoint rings that rebuild every larger window."""
-
-    base: np.ndarray
-    rings: tuple[np.ndarray, ...] = field(default=())
 
 
 def benchmark_counts(n_levels: int = 17, variant: str = "standard") -> np.ndarray:
@@ -211,16 +196,4 @@ def build_family_2d(width: int, height: int, center: tuple[int, int], radii,
         growth_hi=growth[1],
         growth_violations=_growth_violations(counts, *growth),
         dropped_levels=tuple(dropped),
-    )
-
-
-def ring_indices(family: WindowFamily, k: int) -> np.ndarray:
-    """Indices in window k+1 but not in window k."""
-    return family.ring(k)
-
-
-def ring_decomposition(family: WindowFamily) -> RingDecomposition:
-    return RingDecomposition(
-        base=family.members(0),
-        rings=tuple(family.ring(k) for k in range(family.K)),
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,41 @@ def test_verify_runs(workdir, capsys):
     out = capsys.readouterr().out
     assert out.startswith("ratio: ")
     float(out.split(":")[1])
+
+
+def _rehashed(lines):
+    """Artifact text with a config hash recomputed over the given body lines."""
+    body = "\n".join(lines)
+    return f"config_hash: {hashlib.sha256(body.encode()).hexdigest()}\n{body}\n"
+
+
+def test_verify_rejects_damaged_artifacts(workdir, capsys):
+    """Damaged artifacts are validation errors (exit 1), never runtime errors."""
+    lines = (workdir / "med.cal").read_text().splitlines()
+    assert lines[0].startswith("config_hash: ")
+    body = lines[1:]
+    cut = next(i for i, x in enumerate(lines) if x.startswith("s_ring[3]"))
+    z = next(i for i, x in enumerate(lines) if x.startswith("z: "))
+    z_values = [float(v) for v in lines[z].split()[1:]]
+    z_values[0] *= 1.01  # still non-increasing, so only the hash can notice
+    edited = lines[:z] + ["z: " + " ".join(map(repr, z_values))] + lines[z + 1:]
+    cases = {
+        "truncated": "\n".join(lines[:cut]) + "\n",
+        "edited_z": "\n".join(edited) + "\n",
+        "no_hash": "\n".join(body) + "\n",
+        # the hash matches, but a field is missing or unparsable
+        "missing_key": _rehashed([x for x in body if not x.startswith("s_ring[3]")]),
+        "bad_number": _rehashed(["K: sixteen" if x.startswith("K: ") else x for x in body]),
+    }
+    for name, text in cases.items():
+        path = workdir / f"damaged_{name}.cal"
+        path.write_text(text)
+        rc = run("verify", "--calib", path, "--seed", "99", "--runs", "1000")
+        err = capsys.readouterr().err
+        assert rc == 1, (name, err)
+        assert err.startswith("error: validation: "), (name, err)
+        if name == "missing_key":
+            assert "s_ring[3]" in err
 
 
 def test_bench_partial_methods(workdir):

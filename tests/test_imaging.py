@@ -5,7 +5,7 @@ import adaptmreg as am
 from adaptmreg import (DenoiseConfig, Image, NoiseKind, RngStream, denoise_image,
                        estimate_noise_scale, read_grid, read_pgm, sample_noise,
                        write_grid, write_pgm)
-from adaptmreg.imaging import KhatMap
+from adaptmreg.imaging import KhatMap, _crit_subset
 
 
 def two_region(width, height, contrast=4.0):
@@ -87,6 +87,43 @@ def test_worker_count_invariance(disc_artifact):
         Image.from_array(img), DenoiseConfig.from_artifact(disc_artifact, workers=4))
     assert np.array_equal(out1.intensities, out4.intensities)
     assert np.array_equal(khat1.k_hat, khat4.k_hat)
+
+
+def test_border_pixels_match_scalar_reference(disc_artifact):
+    """Every border pixel equals the one-pixel scalar path on its clipped family.
+
+    The 23x17 image has interior and border pixels; in the 23x3 strip every
+    pixel is a border pixel and the flattened discs drop levels.
+    """
+    config = DenoiseConfig.from_artifact(disc_artifact, noise_scale=1.0)
+    radii = np.asarray(config.radii)
+    reach = int(np.floor(radii[-1]))
+    f0 = am.target_density(config.noise, config.loss)
+    subsets = 0
+    for h, w in ((17, 23), (3, 23)):
+        noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(56, h))
+        img = two_region(w, h) + noise.reshape(h, w)
+        out, khat = denoise_image(Image.from_array(img), config)
+        for y in range(h):
+            for x in range(w):
+                if reach <= x < w - reach and reach <= y < h - reach:
+                    continue
+                left, right = min(x, reach), min(w - 1 - x, reach)
+                top, bottom = min(y, reach), min(h - 1 - y, reach)
+                patch = img[y - top: y + bottom + 1, x - left: x + right + 1]
+                fam = am.build_family_2d(left + right + 1, top + bottom + 1,
+                                         (left, top), radii)
+                kept = [lvl for lvl in range(len(radii)) if lvl not in fam.dropped_levels]
+                crit = config.crit
+                if fam.dropped_levels:
+                    crit = _crit_subset(config.crit, np.asarray(kept))
+                    subsets += 1
+                base, rings = am.base_estimates(patch.ravel(), fam, config.loss)
+                trace = am.select_ring(base, rings,
+                                       am.levels_asymptotic(fam, config.loss, f0), crit)
+                assert out.intensities[y, x] == trace.theta_hat, (w, h, x, y)
+                assert khat.k_hat[y, x] == kept[trace.k_hat], (w, h, x, y)
+    assert subsets > 0
 
 
 def test_denoise_reduces_mse_small(disc_artifact):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptmreg as am
 from adaptmreg import LossKind, betweenness_holds, influence, locate
-from adaptmreg.losses import locate_rows
+from adaptmreg.losses import locate_rows, window_estimates
 
 from oracle_locate import brute_locate, grid_locate
 
@@ -199,3 +201,41 @@ def test_errors():
         betweenness_holds([1, 2, 3], [[0, 1], [1, 2]], LossKind.median())
     with pytest.raises(ValueError):
         betweenness_holds([1, 2, 3], [[0, 1, 2], []], LossKind.median())
+
+
+# quarter-integers make ties (flat argmin stretches) common; floats cover the rest
+_VALUES = st.one_of(st.integers(-8, 8).map(lambda v: v / 4.0),
+                    st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       n_rows=st.integers(1, 4), loss=st.sampled_from(ALL_LOSSES), data=st.data())
+def test_window_estimates_match_scalar_locate(sizes, n_rows, loss, data):
+    """Every prefix and ring estimate equals locate() on that slice of the row."""
+    counts = np.cumsum(sizes)
+    flat = data.draw(st.lists(_VALUES, min_size=n_rows * int(counts[-1]),
+                              max_size=n_rows * int(counts[-1])))
+    rows = np.asarray(flat, dtype=float).reshape(n_rows, -1)
+    bases, rings = window_estimates(rows, counts, loss)
+    assert bases.shape == (n_rows, counts.size) and rings.shape == (n_rows, counts.size - 1)
+    want_bases = [[locate(row[:c], loss).value for c in counts] for row in rows]
+    want_rings = [[locate(row[a:b], loss).value for a, b in zip(counts[:-1], counts[1:])]
+                  for row in rows]
+    if loss.kind in ("median", "quantile"):
+        assert np.array_equal(bases, np.reshape(want_bases, bases.shape))
+        assert np.array_equal(rings, np.reshape(want_rings, rings.shape))
+        return
+    # Huber: a batched bisection keeps halving until its slowest row converges,
+    # so rows agree with locate() to the bisection tolerance 1e-12 (1 + range)
+    tol = 1e-12 if loss.kind == "mean" else 1e-12 * (1.0 + np.ptp(rows, axis=1))[:, None]
+    assert np.all(np.abs(bases - np.reshape(want_bases, bases.shape)) <= tol)
+    assert np.all(np.abs(rings - np.reshape(want_rings, rings.shape)) <= tol)
+
+
+def test_loss_level():
+    assert LossKind.median().level == 0.5
+    assert LossKind.quantile(0.3).level == 0.3
+    for loss in (LossKind.mean(), LossKind.huber(1.0)):
+        with pytest.raises(ValueError):
+            loss.level

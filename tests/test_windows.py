@@ -5,7 +5,7 @@ import pytest
 
 import adaptmreg as am
 from adaptmreg import (benchmark_counts, build_family_1d, build_family_2d,
-                       equidistant_design, ring_decomposition, ring_indices)
+                       equidistant_design)
 
 # floor(5^(k+1) / 4^k) for k = 0..16, computed exactly
 BENCH_COUNTS = (5, 6, 7, 9, 12, 15, 19, 23, 29, 37, 46, 58, 72, 90, 113, 142, 177)
@@ -53,12 +53,11 @@ def test_build_1d_nearest():
 def test_build_1d_nesting_and_partition_identity():
     xs = np.sort(np.random.default_rng(2).uniform(-1, 1, size=60))
     fam = build_family_1d(xs, 0.1, [3, 5, 9, 14])
-    dec = ring_decomposition(fam)
-    acc = set(dec.base.tolist())
+    acc = set(fam.members(0).tolist())
     for k in range(fam.K):
         members_k1 = set(fam.members(k + 1).tolist())
         assert set(fam.members(k).tolist()) < members_k1
-        acc |= set(dec.rings[k].tolist())
+        acc |= set(fam.ring(k).tolist())
         assert acc == members_k1
         assert len(acc) == fam.counts[k + 1]
 
@@ -78,12 +77,12 @@ def test_build_1d_symmetric_2_4():
 
 def test_ring_indices_bench():
     fam = build_family_1d(equidistant_design(200), 0.0, benchmark_counts())
-    assert ring_indices(fam, 0).size == 1  # sixth nearest point
-    assert ring_indices(fam, fam.K - 1).size == 177 - 142
+    assert fam.ring(0).size == 1  # sixth nearest point
+    assert fam.ring(fam.K - 1).size == 177 - 142
     with pytest.raises(ValueError):
-        ring_indices(fam, fam.K)
+        fam.ring(fam.K)
     with pytest.raises(ValueError):
-        ring_indices(fam, -1)
+        fam.ring(-1)
 
 
 def test_build_1d_errors():
