@@ -7,11 +7,11 @@ the noise model); each distinct clipped geometry gets its own error levels.
 The noise scale enters only as a linear factor on the levels, so one
 unit-scale calibration serves all images of a given noise law.
 
-Interior pixels (where no window clips) are handled by 2d rank filters,
-which keeps the per-pixel cost constant. Border pixels are grouped by clip
-geometry: each group builds its clipped family once, gathers every pixel's
-values in the family's nearest-first order, and runs the same window
-estimates and stopping loop as the 1d code, one batch per group.
+Pixels are grouped by clip geometry, the unclipped interior being one more
+group: each group builds its family, levels and thresholds once, then, in
+fixed chunks of pixels, gathers every pixel's values in the family's
+nearest-first order and runs the same window estimates and stopping loop as
+the 1d code.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage  # noqa: F401  unused; benchmarks/tracing.py proxies imaging.ndimage
 
 from .calibration import CalibArtifact
 from .errors import ValidationError
 from .levels import Levels, levels_asymptotic, levels_exact_mean, target_density
-from .losses import LossKind, _quantile_bracket, window_estimates
+from .losses import LossKind, window_estimates
 from .noise import NoiseKind, abs_diff_median
-from .parallel import run_chunks
+from .parallel import chunk_ranges, run_chunks
 from .selector import CriticalValues, first_rejection, ring_thresholds
 from .windows import WindowFamily, build_family_2d
 
@@ -170,44 +170,6 @@ def _crit_subset(crit: CriticalValues, kept: np.ndarray) -> CriticalValues:
     return CriticalValues(z=z, alpha=crit.alpha, r=crit.r, zeta=None)
 
 
-def _interior_estimates(img: np.ndarray, family: WindowFamily, loss: LossKind,
-                        reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window and ring estimates at every pixel via 2d rank filters.
-
-    Only pixels at distance >= reach from every border see unclipped
-    windows; callers must ignore the rest. Odd-count footprints take the
-    middle rank; even counts average the two middle ranks, matching the
-    midpoint convention of locate().
-    """
-    K = family.K
-    side = 2 * reach + 1
-    h, w = img.shape
-    bases = np.empty((K + 1, h, w))
-    rings = np.empty((K, h, w))
-
-    def footprint(indices: np.ndarray) -> np.ndarray:
-        fp = np.zeros(side * side, dtype=bool)
-        fp[indices] = True
-        return fp.reshape(side, side)
-
-    def filtered(fp: np.ndarray) -> np.ndarray:
-        n = int(fp.sum())
-        if loss.kind == "mean":
-            return ndimage.correlate(img, fp / n, mode="nearest")
-        i, j = _quantile_bracket(n, loss.level)
-        low = ndimage.rank_filter(img, i, footprint=fp, mode="nearest")
-        if i == j:
-            return low
-        high = ndimage.rank_filter(img, j, footprint=fp, mode="nearest")
-        return 0.5 * (low + high)
-
-    for k in range(K + 1):
-        bases[k] = filtered(footprint(family.members(k)))
-    for k in range(K):
-        rings[k] = filtered(footprint(family.ring(k)))
-    return bases, rings
-
-
 def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     """Adaptive denoising; returns the estimate image and the window-size map.
 
@@ -236,50 +198,45 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     if K != config.crit.K:
         raise ValidationError("calibration artifact does not match the radii")
 
-    out = np.empty((h, w))
-    k_hat = np.empty((h, w), dtype=np.int16)
+    # one batch per clip geometry (left, right, top, bottom reach); the
+    # unclipped interior is the group (reach, reach, reach, reach)
+    clip_shape = (reach + 1,) * 4
+    py, px = np.divmod(np.arange(h * w), w)
+    code = np.ravel_multi_index(
+        (np.minimum(px, reach), np.minimum(w - 1 - px, reach),
+         np.minimum(py, reach), np.minimum(h - 1 - py, reach)), clip_shape)
+    clips, sizes = np.unique(code, return_counts=True)
+    pixels = np.argsort(code, kind="stable")  # each group's pixels, row-major
+    starts = np.concatenate(([0], np.cumsum(sizes)))
 
-    # interior pixels: every window fits without clipping
-    xi0, xi1 = reach, w - reach  # half-open pixel ranges
-    yi0, yi1 = reach, h - reach
-    if xi1 > xi0 and yi1 > yi0:
-        thr = ring_thresholds(_levels_for_family(interior_family, config), config.crit)
-        bases, rings = _interior_estimates(img, interior_family, config.loss, reach)
-        sel_bases = bases[:, yi0:yi1, xi0:xi1].reshape(K + 1, -1).T.copy()
-        sel_rings = rings[:, yi0:yi1, xi0:xi1].reshape(K, -1).T.copy()
-        kh = first_rejection(sel_bases, sel_rings, thr * sigma)
-        theta = np.take_along_axis(sel_bases, kh[:, None], axis=1)[:, 0]
-        out[yi0:yi1, xi0:xi1] = theta.reshape(yi1 - yi0, xi1 - xi0)
-        k_hat[yi0:yi1, xi0:xi1] = kh.reshape(yi1 - yi0, xi1 - xi0)
+    def setup(clip: int):
+        left, right, top, bottom = (int(v) for v in np.unravel_index(clip, clip_shape))
+        fam = build_family_2d(left + right + 1, top + bottom + 1, (left, top), radii)
+        kept = np.asarray(
+            [lvl for lvl in range(len(radii)) if lvl not in fam.dropped_levels], dtype=int)
+        crit = config.crit if kept.size == len(radii) else _crit_subset(config.crit, kept)
+        thr = ring_thresholds(_levels_for_family(fam, config), crit)
+        dy, dx = np.divmod(fam.order[: fam.counts[-1]], left + right + 1)
+        return fam.counts, kept, thr * sigma, (dy - top) * w + (dx - left)
 
-    # border band: one batch per clip geometry (left, right, top, bottom reach)
-    inside = np.zeros((h, w), dtype=bool)
-    inside[yi0:yi1, xi0:xi1] = True
-    py, px = np.nonzero(~inside)
-    keys = np.stack([np.minimum(px, reach), np.minimum(w - 1 - px, reach),
-                     np.minimum(py, reach), np.minimum(h - 1 - py, reach)], axis=1)
-    clips, group = np.unique(keys, axis=0, return_inverse=True)
-    group = group.ravel()
+    setups = [setup(int(clip)) for clip in clips]
+    tasks = [(g, starts[g] + lo, starts[g] + hi)
+             for g in range(len(clips)) for lo, hi in chunk_ranges(int(sizes[g]))]
+    flat = np.ascontiguousarray(img).ravel()
+    out = np.empty(h * w)
+    k_hat = np.empty(h * w, dtype=np.int16)
 
-    def do_groups(lo: int, hi: int) -> None:
-        for g in range(lo, hi):
-            left, right, top, bottom = (int(v) for v in clips[g])
-            fam = build_family_2d(left + right + 1, top + bottom + 1, (left, top), radii)
-            kept = np.asarray(
-                [lvl for lvl in range(len(radii)) if lvl not in fam.dropped_levels],
-                dtype=int)
-            crit = (config.crit if kept.size == len(radii)
-                    else _crit_subset(config.crit, kept))
-            thr = ring_thresholds(_levels_for_family(fam, config), crit)
-            dy, dx = np.divmod(fam.order[: fam.counts[-1]], left + right + 1)
-            gy, gx = py[group == g], px[group == g]
-            rows = img[gy[:, None] + dy - top, gx[:, None] + dx - left]
-            bases, rings = window_estimates(rows, fam.counts, config.loss)
-            sel = first_rejection(bases, rings, thr * sigma)
-            out[gy, gx] = bases[np.arange(sel.size), sel]
-            k_hat[gy, gx] = kept[sel]
+    def do_tasks(lo: int, hi: int) -> None:
+        for g, a, b in tasks[lo:hi]:
+            counts, kept, thr, offsets = setups[g]
+            pix = pixels[a:b]
+            bases, rings = window_estimates(flat[pix[:, None] + offsets], counts,
+                                            config.loss)
+            sel = first_rejection(bases, rings, thr)
+            out[pix] = bases[np.arange(sel.size), sel]
+            k_hat[pix] = kept[sel]
 
-    run_chunks(do_groups, len(clips), config.workers, chunk=1)
+    run_chunks(do_tasks, len(tasks), config.workers, chunk=1)
 
-    return (Image(width=w, height=h, intensities=out),
-            KhatMap(width=w, height=h, k_hat=k_hat, n_levels=K))
+    return (Image(width=w, height=h, intensities=out.reshape(h, w)),
+            KhatMap(width=w, height=h, k_hat=k_hat.reshape(h, w), n_levels=K))

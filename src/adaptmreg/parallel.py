@@ -1,8 +1,10 @@
 """Deterministic work splitting.
 
-Replicate loops are cut into a fixed chunk grid so that results depend only
-on the grid and on per-replicate substreams, never on how many workers
-happened to execute the chunks.
+Replicate loops and the denoiser's pixel groups are cut into a fixed chunk
+grid, so results depend only on the grid (and, for Monte Carlo, on
+per-replicate substreams), never on how many workers happened to execute
+the chunks. Threads help only where a chunk's time goes to numpy calls that
+release the GIL, such as the denoiser's gathers and sorts.
 """
 
 from __future__ import annotations
