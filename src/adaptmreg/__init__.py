@@ -22,7 +22,7 @@ from .levels import (Levels, PairLevels, levels_asymptotic, levels_exact_mean,
 from .losses import (LocationResult, LossKind, betweenness_holds, influence,
                      locate, locate_rows, window_estimates)
 from .noise import (NoiseKind, RngStream, abs_diff_median, cdf, density,
-                    density_at_zero, quantile_point, sample_noise)
+                    density_at_zero, quantile_point, sample_noise, sample_rows)
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
 from .selector import (CriticalValues, OracleInfo, SelectionTrace, TestRecord,
                        base_estimates, oracle_index, propagation_bound,

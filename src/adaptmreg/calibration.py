@@ -122,13 +122,15 @@ class CalibResult:
 class _SelectionStats:
     """Fixed replicate set reused across threshold candidates.
 
-    weights[i, j] = |base_j|^r for replicate i. raw[i, j, l] is the step-j
-    statistic |nxt_j - base_l| against window l (l <= j; -inf above the
-    diagonal), with nxt the ring estimates for the ring rule and the next
-    window estimates for the classical rule. scale[j, l] is the error level
-    multiplying z_l; additive[j] the level multiplying the step's closing
-    value z_{j+1} (zero for the classical rule, which has no additive term).
-    Passing bare=True drops the additive term from the rejection events.
+    weights[i, j] = |base_j|^r for replicate i. The step-j statistics
+    |nxt_j - base_l| against windows l = 0..j are stored packed: raw[i, p]
+    with p = start[j] + l and start[j] = j (j + 1) / 2, so raw has shape
+    (runs, K (K + 1) / 2) and its columns follow np.tril_indices(K). nxt
+    holds the ring estimates for the ring rule and the next window estimates
+    for the classical rule. scale[j, l] is the error level multiplying z_l;
+    additive[j] the level multiplying the step's closing value z_{j+1} (zero
+    for the classical rule, which has no additive term). Passing bare=True
+    drops the additive term from the rejection events.
     """
 
     def __init__(self, config: CalibConfig, levels: Levels,
@@ -151,29 +153,37 @@ class _SelectionStats:
         self.K = K
         self.runs = config.runs
         self.weights = np.abs(bases[:, :K]) ** config.r
-        self.raw = np.full((config.runs, K, K), -np.inf)
-        for j in range(K):
-            self.raw[:, j, : j + 1] = np.abs(nxt[:, j, None] - bases[:, : j + 1])
+        self.start = np.arange(K) * (np.arange(K) + 1) // 2
+        self.raw = np.empty((config.runs, K * (K + 1) // 2))
+        for j, p in enumerate(self.start):
+            cols = self.raw[:, p: p + j + 1]
+            np.subtract(nxt[:, j, None], bases[:, : j + 1], out=cols)
+            np.abs(cols, out=cols)
 
-    def _thresholds(self, z: np.ndarray, bare: bool) -> np.ndarray:
-        return threshold_table(np.append(z, 1.0), self.scale,
-                               0.0 if bare else self.additive)
+    def column(self, l: int) -> np.ndarray:
+        """Statistics against window l at steps l..K-1, shape (runs, K - l)."""
+        return self.raw[:, self.start[l:] + l]
+
+    def _exceed(self, z: np.ndarray, bare: bool) -> np.ndarray:
+        """raw > packed thresholds built from z."""
+        thr = threshold_table(np.append(z, 1.0), self.scale,
+                              0.0 if bare else self.additive)
+        return self.raw > thr[np.tril_indices(self.K)]
 
     def objective(self, z: np.ndarray, bare: bool = False) -> float:
         """Budget left-hand side for thresholds built from z on this replicate set."""
-        thr = self._thresholds(z, bare)
+        rejected = np.logical_or.reduceat(self._exceed(z, bare), self.start, axis=1)
         total = np.zeros(self.runs)
         for j in range(self.K):
-            rejected = (self.raw[:, j, : j + 1] > thr[j, : j + 1]).any(axis=1)
-            total += self.weights[:, j] * rejected
+            total += self.weights[:, j] * rejected[:, j]
         return float(total.mean())
 
     def shares(self, z: np.ndarray, bare: bool = False) -> np.ndarray:
         """Budget split by the first rejecting window index; sums to objective(z)."""
-        thr = self._thresholds(z, bare)
+        exceed = self._exceed(z, bare)
         out = np.zeros(self.K)
-        for j in range(self.K):
-            rej = self.raw[:, j, : j + 1] > thr[j, : j + 1]
+        for j, p in enumerate(self.start):
+            rej = exceed[:, p: p + j + 1]
             any_rej = rej.any(axis=1)
             first = rej.argmax(axis=1)
             np.add.at(out, first[any_rej], self.weights[any_rej, j])
@@ -260,7 +270,7 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
     # acc[i, j]: step j accepted against every window before the current k
     acc = np.ones((config.runs, K), dtype=bool)
     for k in range(K):
-        raw_k = stats.raw[:, k:, k]
+        raw_k = stats.column(k)
         scale_k = stats.scale[k:, k]
         live = acc[:, k:]
         w_k = stats.weights[:, k:]
@@ -287,7 +297,7 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
                 else:
                     lo = mid
             z[k] = hi
-        acc[:, k:] &= stats.raw[:, k:, k] <= z[k] * stats.scale[k:, k]
+        acc[:, k:] &= raw_k <= z[k] * scale_k
     crit = CriticalValues(z=z, alpha=config.alpha, r=config.r, zeta=None)
     shares = stats.shares(z, bare=True)
     return CalibResult(crit=crit, per_k_error_share=shares,

@@ -21,7 +21,7 @@ from .calibration import CalibArtifact
 from .errors import ValidationError
 from .levels import normal_abs_moment
 from .losses import LossKind, locate_rows, window_estimates
-from .noise import NoiseKind, RngStream, cdf, density, density_at_zero, sample_noise
+from .noise import NoiseKind, cdf, density, density_at_zero, sample_rows
 from .parallel import run_chunks
 from .selector import select_lepski_batch, select_ring_batch
 from .windows import build_family_1d, equidistant_design
@@ -177,9 +177,7 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     errors = {m: np.empty(spec.runs) for m in spec.methods}
 
     def task(lo: int, hi: int) -> None:
-        y = np.empty((hi - lo, spec.n))
-        for i in range(lo, hi):
-            y[i - lo] = g + sample_noise(spec.noise, spec.n, RngStream(spec.seed, i))
+        y = g + sample_rows(spec.noise, spec.n, spec.seed, lo, hi)
         yw = y[:, order]
         for loss_name, want in (("mean", need_mean), ("median", need_median)):
             if not want:
@@ -272,10 +270,7 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
     stat_l = np.empty(runs)
 
     def task(lo: int, hi: int) -> None:
-        m = hi - lo
-        block = np.empty((m, 2 * n))
-        for i in range(lo, hi):
-            block[i - lo] = sample_noise(kind, 2 * n, RngStream(seed, i))
+        block = sample_rows(kind, 2 * n, seed, lo, hi)
         block[:, n:] += delta
         med1 = locate_rows(block[:, :n], med)
         med2 = locate_rows(block[:, n:], med)
@@ -330,10 +325,7 @@ def _median_samples(kind: NoiseKind, n: int, runs: int, seed: int,
     out = np.empty(runs)
 
     def task(lo: int, hi: int) -> None:
-        block = np.empty((hi - lo, n))
-        for i in range(lo, hi):
-            block[i - lo] = sample_noise(kind, n, RngStream(seed, i))
-        out[lo:hi] = locate_rows(block, med)
+        out[lo:hi] = locate_rows(sample_rows(kind, n, seed, lo, hi), med)
 
     run_chunks(task, runs, workers)
     return out

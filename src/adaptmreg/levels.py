@@ -17,7 +17,7 @@ from scipy import special
 
 from .errors import ValidationError
 from .losses import LossKind, window_estimates
-from .noise import NoiseKind, RngStream, density, quantile_point, sample_noise
+from .noise import NoiseKind, density, quantile_point, sample_rows
 from .parallel import run_chunks
 from .windows import WindowFamily
 
@@ -197,9 +197,7 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     rings = np.empty((runs, K))
 
     def task(lo: int, hi: int) -> None:
-        block = np.empty((hi - lo, n_max))
-        for i in range(lo, hi):
-            block[i - lo] = sample_noise(kind, n_max, RngStream(seed, i))
+        block = sample_rows(kind, n_max, seed, lo, hi)
         if shift:
             block -= shift
         bases[lo:hi], rings[lo:hi] = window_estimates(block, family.counts, loss)

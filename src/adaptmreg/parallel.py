@@ -4,7 +4,11 @@ Replicate loops and the denoiser's pixel groups are cut into a fixed chunk
 grid, so results depend only on the grid (and, for Monte Carlo, on
 per-replicate substreams), never on how many workers happened to execute
 the chunks. Threads help only where a chunk's time goes to numpy calls that
-release the GIL, such as the denoiser's gathers and sorts.
+release the GIL, such as the denoiser's gathers and sorts. Monte Carlo
+chunks seed their substreams in bulk (noise.sample_rows), so their time too
+now goes mostly to numpy draws and row sorts, but each row is a separate
+short call; a second worker gains them little (between none and about 1.2x
+for the 1d table on two CPUs).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import adaptmreg as am
 from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        calibrate_sequential, calibrate_zeta, load_artifact,
                        save_artifact, verify_calibration)
-from adaptmreg.calibration import _SelectionStats, ZETA_MIN
+from adaptmreg.calibration import SEARCH_TOL, Z_MAX, ZETA_MIN, _SelectionStats
 from adaptmreg.errors import CalibrationError
 from adaptmreg.levels import Levels, simulate_window_estimates
 
@@ -133,6 +133,117 @@ def test_sequential_k1_matches_bruteforce():
             break
     assert best is not None
     assert res.crit.z[0] == pytest.approx(best, abs=2e-3)
+
+
+class _DenseStats:
+    """Brute-force reference: dense (runs, K, K) statistics, scalar thresholds."""
+
+    def __init__(self, config, levels, pair):
+        K = config.family.K
+        bases, rings = simulate_window_estimates(
+            config.family, config.loss, config.noise, config.runs, config.seed)
+        if config.rule == "ring":
+            self.nxt, self.scale, self.additive = rings, levels.s_ring, levels.s[1:]
+        else:
+            self.nxt = bases[:, 1:]
+            self.scale, self.additive = pair.s_pair[1:, :K], np.zeros(K)
+        self.K, self.runs = K, config.runs
+        self.weights = np.abs(bases[:, :K]) ** config.r
+        self.raw = np.full((config.runs, K, K), -np.inf)
+        for j in range(K):
+            for l in range(j + 1):
+                self.raw[:, j, l] = np.abs(self.nxt[:, j] - bases[:, l])
+
+    def rejections(self, z, bare):
+        """rej[i, j, l]: step j of replicate i rejects against window l."""
+        zf = np.append(z, 1.0)
+        rej = np.zeros(self.raw.shape, dtype=bool)
+        for j in range(self.K):
+            for l in range(j + 1):
+                extra = 0.0 if bare else zf[j + 1] * self.additive[j]
+                rej[:, j, l] = self.raw[:, j, l] > zf[l] * self.scale[j, l] + extra
+        return rej
+
+    def objective(self, z, bare=False):
+        rejected = self.rejections(z, bare).any(axis=2)
+        total = np.zeros(self.runs)
+        for j in range(self.K):
+            total += self.weights[:, j] * rejected[:, j]
+        return float(total.mean())
+
+    def shares(self, z, bare=False):
+        rej = self.rejections(z, bare)
+        out = np.zeros(self.K)
+        for j in range(self.K):
+            for i in range(self.runs):
+                hits = np.flatnonzero(rej[i, j])
+                if hits.size:
+                    out[hits[0]] += self.weights[i, j]
+        return out / self.runs
+
+
+def _lepski_setup(small_setup):
+    family, levels, config = small_setup
+    f0 = am.density_at_zero(NoiseKind.laplace())
+    pair = am.pair_levels_asymptotic(family, LossKind.median(), f0)
+    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
+                      runs=config.runs, seed=config.seed, rule="lepski")
+    return cfg, pair
+
+
+@pytest.mark.parametrize("rule", ["ring", "lepski"])
+def test_packed_statistics_match_dense_reference(small_setup, rule):
+    """Packed objective and shares equal a dense brute force exactly."""
+    family, levels, config = small_setup
+    pair = None
+    if rule == "lepski":
+        config, pair = _lepski_setup(small_setup)
+    assert levels.K >= 4
+    packed = _SelectionStats(config, levels, pair, config.seed)
+    dense = _DenseStats(config, levels, pair)
+    rng = np.random.default_rng(2024)
+    for scale in (0.5, 1.5, 3.0):
+        z = scale * rng.uniform(0.5, 2.0, levels.K)
+        for bare in (False, True):
+            assert packed.objective(z, bare) == dense.objective(z, bare)
+            assert np.array_equal(packed.shares(z, bare), dense.shares(z, bare))
+
+
+def _dense_sequential(config, levels, dense):
+    """calibrate_sequential's search, written over the dense statistics."""
+    K = dense.K
+    per_step = config.alpha * float(levels.s[-1]) ** config.r / K
+    z = np.empty(K)
+    acc = np.ones((config.runs, K), dtype=bool)
+    for k in range(K):
+        def share(zk):
+            hit = acc[:, k:] & (dense.raw[:, k:, k] > zk * dense.scale[k:, k])
+            return float((dense.weights[:, k:] * hit).sum(axis=1).mean())
+
+        if share(ZETA_MIN) <= per_step:
+            z[k] = ZETA_MIN
+        else:
+            lo, hi = ZETA_MIN, 1.0
+            while share(hi) > per_step:
+                lo, hi = hi, 2.0 * hi
+                assert hi <= Z_MAX
+            while hi - lo > SEARCH_TOL:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if share(mid) <= per_step else (mid, hi)
+            z[k] = hi
+        acc[:, k:] &= dense.raw[:, k:, k] <= z[k] * dense.scale[k:, k]
+    return z
+
+
+def test_sequential_matches_dense_reference(small_setup):
+    family, levels, config = small_setup
+    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
+                      runs=config.runs, seed=config.seed, mode="sequential")
+    res = calibrate_sequential(cfg, levels)
+    dense = _DenseStats(cfg, levels, None)
+    z = _dense_sequential(cfg, levels, dense)
+    assert np.array_equal(res.crit.z, z)
+    assert np.array_equal(res.per_k_error_share, dense.shares(z, bare=True))
 
 
 def test_verify_extreme_thresholds(small_setup):

@@ -5,6 +5,7 @@ import pytest
 
 import adaptmreg as am
 from adaptmreg.cli import parse_loss, run_cli
+from adaptmreg.parallel import CHUNK
 from adaptmreg.pgmio import read_pgm, write_pgm
 
 
@@ -137,13 +138,29 @@ def test_csv_determinism(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_flag_does_not_change_results(workdir):
-    a, b = workdir / "w1.csv", workdir / "w3.csv"
-    assert run("moments", "--noise", "gaussian", "--n-points", "101",
-               "--runs", "3000", "--seed", "5", "--workers", "1", "--out", a) == 0
-    assert run("moments", "--noise", "gaussian", "--n-points", "101",
-               "--runs", "3000", "--seed", "5", "--workers", "3", "--out", b) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_worker_flag_does_not_change_results(workdir, capsys):
+    """moments, verify and a bench row are byte-identical for 1, 2 and 3 workers.
+
+    Each run count exceeds two chunks, so every worker count splits the work.
+    """
+    runs = str(2 * CHUNK + 52)
+    outputs = []
+    for workers in ("1", "2", "3"):
+        moments, bench = workdir / f"m{workers}.csv", workdir / f"b{workers}.csv"
+        assert run("moments", "--noise", "gaussian", "--n-points", "101",
+                   "--runs", "3000", "--seed", "5", "--workers", workers,
+                   "--out", moments) == 0
+        capsys.readouterr()
+        assert run("verify", "--calib", workdir / "med.cal", "--seed", "99",
+                   "--runs", runs, "--workers", workers) == 0
+        ratio = capsys.readouterr().out
+        assert run("bench", "--example", "1", "--noise", "student_t", "--runs", runs,
+                   "--methods", "median_ring,median_oracle",
+                   "--calib", f"median_ring={workdir / 'med.cal'}", "--seed", "7",
+                   "--workers", workers, "--out", bench) == 0
+        outputs.append((moments.read_bytes(), ratio, bench.read_bytes()))
+    assert outputs[0][1].startswith("ratio: ")
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_calibrate_mc_levels_and_mc_pairs(tmp_path):

@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +11,12 @@ from scipy import stats
 
 import adaptmreg as am
 from adaptmreg import NoiseKind, RngStream, density_at_zero, sample_noise
-from adaptmreg.noise import abs_diff_median, cdf, density, parse_noise, quantile_point
+from adaptmreg.noise import (abs_diff_median, cdf, density, parse_noise, quantile_point,
+                             sample_rows)
+from adaptmreg.parallel import CHUNK
 
 KINDS = [NoiseKind.laplace(), NoiseKind.gaussian(), NoiseKind.student_t(3)]
+SRC = pathlib.Path(am.__file__).resolve().parent.parent
 
 
 def test_empty_draw():
@@ -116,3 +124,53 @@ def test_parse_noise():
     assert parse_noise("student_t5") == NoiseKind.student_t(5)
     with pytest.raises(ValueError):
         parse_noise("uniform")
+
+
+@pytest.mark.parametrize("kind", KINDS + [NoiseKind.laplace(scale=2.5)],
+                         ids=lambda k: f"{k.label}-{k.scale}")
+@pytest.mark.parametrize("seed", [0, -5, 2 ** 32 + 5, 2 ** 63 + 17])
+@pytest.mark.parametrize("lo,hi", [(0, 9), (2 ** 32 - 3, 2 ** 32 + 3), (7, 7)])
+def test_sample_rows_matches_substreams(kind, seed, lo, hi):
+    """Bulk seeding reproduces every stacked per-stream draw byte for byte."""
+    n = 13
+    got = sample_rows(kind, n, seed, lo, hi)
+    want = np.array([sample_noise(kind, n, RngStream(seed, i))
+                     for i in range(lo, hi)]).reshape(hi - lo, n)
+    assert got.shape == (hi - lo, n)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sample_rows_validation():
+    with pytest.raises(ValueError):
+        sample_rows(NoiseKind.laplace(), -1, 0, 0, 3)
+    with pytest.raises(ValueError):
+        sample_rows(NoiseKind.laplace(), 5, 0, 3, 2)
+    with pytest.raises(ValueError):
+        sample_rows(NoiseKind.laplace(), 5, 0, -1, 2)
+
+
+# SHA-256 of simulate_window_estimates (bench1d family, median, Laplace,
+# runs = 2 * CHUNK + 7, seed 11): bases then rings, float64 bytes. It pins
+# the substream layout, which the reproducibility contract covers.
+SIMULATE_DIGEST = "1eafc0ae07a5edfc36e8f9c2b5a9c1ca881f013f0435d51f11ef7fb2dc886e02"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_stream_layout_is_pinned(workers):
+    family = am.build_family_1d(am.equidistant_design(200), 0.0, am.benchmark_counts())
+    bases, rings = am.simulate_window_estimates(
+        family, am.LossKind.median(), NoiseKind.laplace(), 2 * CHUNK + 7, 11,
+        workers=workers)
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(bases).tobytes())
+    digest.update(np.ascontiguousarray(rings).tobytes())
+    assert digest.hexdigest() == SIMULATE_DIGEST
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    """scipy.stats costs about half a second to import and only Student t needs it."""
+    code = "import sys, adaptmreg.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert out.stdout.strip() == "False"
