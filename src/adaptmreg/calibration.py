@@ -211,6 +211,15 @@ def _runs_warnings(config: CalibConfig) -> tuple[str, ...]:
 def calibrate_zeta(config: CalibConfig, levels: Levels,
                    pair: PairLevels | None = None) -> CalibResult:
     """Smallest zeta on the bisection grid whose thresholds meet the budget."""
+    rises = np.flatnonzero(np.diff(levels.s[:levels.K]) > 0)
+    if rises.size:
+        # z_k grows with s_k, and the family must give non-increasing z
+        k = int(rises[0]) + 1
+        raise ValidationError(
+            f"Monte Carlo levels are non-monotone at window {k} "
+            f"(s[{k}] = {float(levels.s[k])!r} > s[{k - 1}] = {float(levels.s[k - 1])!r}), "
+            "so the zeta family would give increasing critical values; "
+            "use --levels asymptotic or --mode sequential")
     stats = _SelectionStats(config, levels, pair, config.seed)
     budget = _budget(config, levels)
 
@@ -336,6 +345,11 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
 # ----------------------------------------------------------------------------
 
 FORMAT_TAG = "amreg-calib-v1"
+# Version of the location estimators behind an artifact's numbers. Version 2
+# solves Huber exactly; version 1 used a bisection, and artifacts without an
+# estimator line are version 1.
+ESTIMATOR_VERSION = 2
+ESTIMATOR_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -360,6 +374,7 @@ class CalibArtifact:
     family_kind: str
     family_meta: dict = field(default_factory=dict)
     config_hash: str = ""
+    estimator: int = ESTIMATOR_VERSION
 
     @property
     def counts(self) -> np.ndarray:
@@ -391,6 +406,7 @@ def _opt(x) -> str:
 def _artifact_lines(art: CalibArtifact) -> list[str]:
     lines = [
         f"format: {FORMAT_TAG}",
+        f"estimator: {art.estimator}",
         f"rule: {art.rule}",
         f"mode: {art.mode}",
         f"loss: {art.loss.kind}",
@@ -450,11 +466,17 @@ def load_artifact(path) -> CalibArtifact:
     """Read an artifact written by save_artifact.
 
     The config hash on the first line is recomputed over the lines after it,
-    so any edit is caught. A missing or mismatched hash, a missing field or
-    an unparsable value raises ValidationError.
+    so any edit is caught. An unreadable file, a missing or mismatched hash,
+    a missing field, an unparsable value or an estimator version outside
+    ESTIMATOR_VERSIONS raises ValidationError. A missing estimator line
+    reads as version 1.
     """
-    with open(path, "rb") as fh:
-        text = fh.read().decode("ascii", errors="replace")
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii", errors="replace")
+    except OSError as exc:
+        raise ValidationError(f"cannot read calibration artifact {path}: "
+                              f"{exc.strerror or exc}") from exc
     head, _, body = text.partition("\n")
     fields: dict[str, str] = {}
     for raw in body.splitlines():
@@ -470,6 +492,10 @@ def load_artifact(path) -> CalibArtifact:
         raise ValidationError(f"calibration artifact has no config_hash line: {path}")
     if digest.strip() != _digest(body.removesuffix("\n")):
         raise ValidationError(f"calibration artifact does not match its config_hash: {path}")
+    estimator = fields.setdefault("estimator", "1")
+    if estimator not in [str(v) for v in ESTIMATOR_VERSIONS]:
+        raise ValidationError(f"calibration artifact has estimator version {estimator!r}, "
+                              f"this program reads {ESTIMATOR_VERSIONS}: {path}")
     try:
         return _artifact_from_fields(fields, digest.strip())
     except KeyError as exc:
@@ -528,4 +554,4 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
         achieved_lhs=float(fields["achieved_lhs"]), budget=float(fields["budget"]),
         per_k_error_share=np.array([float(v) for v in fields["per_k_error_share"].split()]),
         family_kind=fields["family_kind"], family_meta=meta,
-        config_hash=config_hash)
+        config_hash=config_hash, estimator=int(fields["estimator"]))

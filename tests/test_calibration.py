@@ -305,6 +305,12 @@ def test_artifact_roundtrip(tmp_path, small_setup):
     rebuilt = loaded.build_family()
     assert np.array_equal(rebuilt.counts, family.counts)
     assert loaded.config_hash
+    # the estimator version follows the format line and survives a round trip
+    assert path.read_text().splitlines()[1:3] == ["format: amreg-calib-v1", "estimator: 2"]
+    assert loaded.estimator == 2
+    again = tmp_path / "again.cal"
+    save_artifact(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_artifact_rejects_other_files(tmp_path):

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,53 @@ def test_verify_rejects_damaged_artifacts(workdir, capsys):
         assert err.startswith("error: validation: "), (name, err)
         if name == "missing_key":
             assert "s_ring[3]" in err
+
+
+def test_artifact_estimator_versions(workdir, capsys):
+    """No estimator line reads as version 1; only versions 1 and 2 load."""
+    body = (workdir / "med.cal").read_text().splitlines()[1:]
+    assert body[1] == "estimator: 2"
+    old = workdir / "estimator1.cal"
+    old.write_text(_rehashed(body[:1] + body[2:]))
+    assert am.load_artifact(old).estimator == 1
+    assert run("verify", "--calib", old, "--seed", "99", "--runs", "1000") == 0
+    for bad in ("3", "0", "two"):
+        path = workdir / f"estimator_{bad}.cal"
+        path.write_text(_rehashed([body[0], f"estimator: {bad}"] + body[2:]))
+        capsys.readouterr()
+        rc = run("verify", "--calib", path, "--seed", "99", "--runs", "1000")
+        err = capsys.readouterr().err
+        assert rc == 1, (bad, err)
+        assert err.startswith("error: validation: ") and f"estimator version '{bad}'" in err
+
+
+def test_quantile_mc_levels_name_the_way_out(tmp_path, capsys):
+    """Non-monotone Monte Carlo levels stop the zeta search with the cause."""
+    rc = run("calibrate", "--family", "bench1d", "--loss", "quantile:0.3",
+             "--levels", "mc", "--runs", "2000", "--seed", "5",
+             "--out", tmp_path / "q.cal")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: validation: Monte Carlo levels are non-monotone at window ")
+    assert "--levels asymptotic" in err and "--mode sequential" in err
+    assert not (tmp_path / "q.cal").exists()
+
+
+def test_module_entry_point(tmp_path):
+    """python -m adaptmreg.cli runs the command line."""
+    src = str(Path(am.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "adaptmreg.cli", *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    shown = module("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: adaptmreg")
+    missing = module("verify", "--calib", tmp_path / "none.cal", "--seed", "1")
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error: validation: cannot read calibration artifact")
 
 
 def test_bench_partial_methods(workdir):
@@ -272,5 +323,5 @@ def test_validation_exit_codes(tmp_path):
     assert run("calibrate", "--out", tmp_path / "x.cal") == 1  # missing seed
     assert run("bench", "--bogus") == 1  # unknown flag
     assert run("nosuchcommand") == 1
-    # runtime failure: artifact file does not exist
-    assert run("verify", "--calib", tmp_path / "none.cal", "--seed", "1") == 2
+    # an artifact file that does not exist is a bad input
+    assert run("verify", "--calib", tmp_path / "none.cal", "--seed", "1") == 1

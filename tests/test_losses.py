@@ -70,8 +70,7 @@ def test_locate_matches_bruteforce_small_multisets():
     from oracle_locate import multisets
     sets = multisets(5, [0.0, 1.0, 2.0, 3.0])
     for loss in ALL_LOSSES:
-        exact = loss.kind in ("median", "quantile")
-        tol = 1e-12 if exact else 1e-6
+        tol = 1e-6 if loss.kind == "mean" else 1e-12
         for vals in sets:
             got = locate(vals, loss).value
             want = brute_locate(vals, loss)
@@ -222,15 +221,58 @@ def test_window_estimates_match_scalar_locate(sizes, n_rows, loss, data):
     want_bases = [[locate(row[:c], loss).value for c in counts] for row in rows]
     want_rings = [[locate(row[a:b], loss).value for a, b in zip(counts[:-1], counts[1:])]
                   for row in rows]
-    if loss.kind in ("median", "quantile"):
+    if loss.kind != "mean":
         assert np.array_equal(bases, np.reshape(want_bases, bases.shape))
         assert np.array_equal(rings, np.reshape(want_rings, rings.shape))
         return
-    # Huber: a batched bisection keeps halving until its slowest row converges,
-    # so rows agree with locate() to the bisection tolerance 1e-12 (1 + range)
-    tol = 1e-12 if loss.kind == "mean" else 1e-12 * (1.0 + np.ptp(rows, axis=1))[:, None]
-    assert np.all(np.abs(bases - np.reshape(want_bases, bases.shape)) <= tol)
-    assert np.all(np.abs(rings - np.reshape(want_rings, rings.shape)) <= tol)
+    assert np.all(np.abs(bases - np.reshape(want_bases, bases.shape)) <= 1e-12)
+    assert np.all(np.abs(rings - np.reshape(want_rings, rings.shape)) <= 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 9), n_rows=st.integers(1, 5), n_other=st.integers(0, 6),
+       loss=st.sampled_from([lk for lk in ALL_LOSSES if lk.kind != "mean"]),
+       data=st.data())
+def test_locate_rows_bitwise_independent_of_batch(n, n_rows, n_other, loss, data):
+    """A row's estimate is the same bits alone, in its batch and in another batch."""
+    def draw_rows(count):
+        flat = data.draw(st.lists(_VALUES, min_size=count * n, max_size=count * n))
+        return np.asarray(flat, dtype=float).reshape(count, n)
+
+    rows, others = draw_rows(n_rows), draw_rows(n_other)
+    got = locate_rows(rows, loss)
+    alone = np.array([locate(row, loss).value for row in rows])
+    assert np.array_equal(got, alone)
+    at = data.draw(st.integers(0, n_other))
+    mixed = np.concatenate([others[:at], rows, others[at:]])
+    assert np.array_equal(locate_rows(mixed, loss)[at: at + n_rows], got)
+
+
+def test_huber_blocks_of_rows_match_scalar():
+    # 177 values per row are solved 92 rows at a time, so 400 rows span 5 blocks
+    rows = np.random.default_rng(8).laplace(size=(400, 177))
+    loss = LossKind.huber(1.345)
+    got = locate_rows(rows, loss)
+    assert np.array_equal(got, [locate(row, loss).value for row in rows])
+    assert np.array_equal(locate_rows(rows[::-1], loss), got[::-1])
+
+
+def test_huber_flat_stretch_ends_are_exact():
+    # psi = -2 + 2 = 0 for every mu in [0 + 1, 10 - 1]
+    res = locate([0, 0, 10, 10], LossKind.huber(1.0))
+    assert (res.value, res.minimizer_lo, res.minimizer_hi) == (5.0, 1.0, 9.0)
+    res = locate([10, -2.5, 0.5, 7], LossKind.huber(0.75))
+    assert (res.minimizer_lo, res.minimizer_hi) == (0.5 + 0.75, 7 - 0.75)
+    # the middle gap equal to 2 kink leaves a single root
+    res = locate([0, 2], LossKind.huber(1.0))
+    assert (res.value, res.minimizer_lo, res.minimizer_hi) == (1.0, 1.0, 1.0)
+
+
+def test_huber_single_value_is_returned():
+    for y in (3.5, -1e-300, 0.1, 1e12):
+        for kink in (1e-3, 1.345, 50.0):
+            res = locate([y], LossKind.huber(kink))
+            assert (res.value, res.minimizer_lo, res.minimizer_hi) == (y, y, y)
 
 
 def test_loss_level():
