@@ -12,6 +12,7 @@ failure; failures print one machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -332,10 +333,14 @@ def _cmd_tails(args) -> int:
 
 
 def _read_image(path: str) -> tuple[Image, int | None]:
-    if path.endswith(".pgm"):
-        arr, maxval = read_pgm(path)
-        return Image.from_array(arr), maxval
-    return Image.from_array(read_grid(path)), None
+    try:
+        if path.endswith(".pgm"):
+            arr, maxval = read_pgm(path)
+            return Image.from_array(arr), maxval
+        return Image.from_array(read_grid(path)), None
+    except OSError as exc:
+        raise ValidationError(f"cannot read input image {path}: "
+                              f"{exc.strerror or exc}") from exc
 
 
 def _write_image(path: str, image: Image, maxval: int | None) -> None:
@@ -350,13 +355,14 @@ def _cmd_denoise(args) -> int:
     sigma = "auto" if args.sigma == "auto" else float(args.sigma)
     config = DenoiseConfig.from_artifact(art, noise_scale=sigma, workers=args.workers)
     image, maxval = _read_image(args.infile)
+    if sigma == "auto":
+        sigma = estimate_noise_scale(image, config.noise).sigma
+        config = dataclasses.replace(config, noise_scale=sigma)
     denoised, khat = denoise_image(image, config)
     _write_image(args.out, denoised, maxval)
     if args.khat:
         write_pgm(args.khat, khat.k_hat, max(khat.n_levels, 1))
-    used = (estimate_noise_scale(image, config.noise).sigma
-            if sigma == "auto" else sigma)
-    print(f"denoise {image.width}x{image.height} sigma={used!r} -> {args.out}")
+    print(f"denoise {image.width}x{image.height} sigma={sigma!r} -> {args.out}")
     return 0
 
 

@@ -2,16 +2,22 @@
 
 Every pixel gets the full ring-rule treatment: nested disc windows, window
 and ring estimates, sequential testing, and the last accepted window as the
-output. Windows are clipped at the borders (never padded, which would break
-the noise model); each distinct clipped geometry gets its own error levels.
-The noise scale enters only as a linear factor on the levels, so one
-unit-scale calibration serves all images of a given noise law.
+output. Windows are clipped at the borders, never padded with made-up
+values, which would break the noise model; each clip geometry gets its own
+error levels. The noise scale enters only as a linear factor on the levels,
+so one unit-scale calibration serves all images of a given noise law.
 
-Pixels are grouped by clip geometry, the unclipped interior being one more
-group: each group builds its family, levels and thresholds once, then, in
-fixed chunks of pixels, gathers every pixel's values in the family's
-nearest-first order and runs the same window estimates and stopping loop as
-the 1d code.
+There are no per-geometry code paths. Every pixel, border or interior,
+gathers the unclipped disc family's offsets from a copy of the image
+padded with NaN, so out-of-image samples are marked missing; a clipped
+family's nearest-first order is the unclipped order with those samples
+removed. window_estimates skips them, and an empty ring (a level that
+clipping collapsed) never rejects. The clip geometries only index small
+tables, built for all of them at once: the in-image sample count of each
+window, the reported level, and the thresholds. Chunks of pixels, the
+interior first, run through the same window estimates and stopping loop
+as the 1d code; a chunk of interior pixels misses no sample and shares one
+threshold table.
 """
 
 from __future__ import annotations
@@ -23,12 +29,12 @@ from scipy import ndimage  # noqa: F401  unused; benchmarks/tracing.py proxies i
 
 from .calibration import CalibArtifact
 from .errors import ValidationError
-from .levels import Levels, levels_asymptotic, levels_exact_mean, target_density
+from .levels import asymptotic_scale, closed_form, target_density
 from .losses import LossKind, window_estimates
 from .noise import NoiseKind, abs_diff_median
-from .parallel import chunk_ranges, run_chunks
-from .selector import CriticalValues, first_rejection, ring_thresholds
-from .windows import WindowFamily, build_family_2d
+from .parallel import run_chunks
+from .selector import CriticalValues, first_rejection, threshold_table
+from .windows import build_family_2d
 
 __all__ = [
     "Image",
@@ -146,28 +152,90 @@ class DenoiseConfig:
                    r=art.r, alpha=art.alpha, noise_scale=noise_scale, workers=workers)
 
 
-def _levels_for_family(family: WindowFamily, config: DenoiseConfig) -> Levels:
+def _levels_scale(config: DenoiseConfig) -> float:
+    """The constant c of the clipped families' closed-form levels (levels.closed_form)."""
     if config.levels_method == "exact_mean":
-        return levels_exact_mean(family, config.r)
+        if config.r != 2.0:
+            raise ValidationError("exact mean levels are only available for r = 2")
+        return 1.0
     if config.loss.kind in ("median", "quantile"):
-        return levels_asymptotic(family, config.loss,
-                                 target_density(config.noise, config.loss), config.r)
+        return asymptotic_scale(config.loss, target_density(config.noise, config.loss),
+                                config.r)
     raise ValidationError(f"no closed-form levels for loss {config.loss.kind!r}")
 
 
-def _crit_subset(crit: CriticalValues, kept: np.ndarray) -> CriticalValues:
-    """Critical values for a clipped family that dropped duplicate levels.
+def _axis_clips(size: int, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clip class of every coordinate along one axis.
 
-    kept maps local level index to the original one. Each surviving test
-    step reuses the original critical value of its level; the last kept
-    level takes over the role of the final window with its value pinned to
-    1. A running minimum keeps the sequence non-increasing after subsetting.
+    A class is the pair of reaches (before, after) that stay inside the
+    image, each capped at reach. Returns the class id of every coordinate
+    and the (classes, 2) reaches.
     """
-    if kept.size < 2:
+    pos = np.arange(size)
+    code = np.minimum(pos, reach) * (reach + 1) + np.minimum(size - 1 - pos, reach)
+    codes, ids = np.unique(code, return_inverse=True)
+    return ids, np.stack(np.divmod(codes, reach + 1), axis=1)
+
+
+def _geometry_tables(dx: np.ndarray, dy: np.ndarray, x_clips: np.ndarray,
+                     y_clips: np.ndarray, counts: np.ndarray, zf: np.ndarray,
+                     scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of every clip geometry, geometry id = y class * x classes + x class.
+
+    Returns the in-image counts of the K+1 windows, the level each stopping
+    step reports, and the (K, K) unit-noise ring thresholds. Clipping drops
+    a level whose window gains no in-image sample; the step into it has an
+    empty ring and +inf thresholds, and a step reports the last kept level
+    at or below it. A geometry that drops levels tests its kept steps with
+    the critical values of their original levels, made non-increasing by a
+    running minimum (floored at 1e-12), with the last kept level's pinned
+    to 1.
+    """
+    in_x = (dx >= -x_clips[:, :1]) & (dx <= x_clips[:, 1:])
+    in_y = (dy >= -y_clips[:, :1]) & (dy <= y_clips[:, 1:])
+    inside = (in_y[:, None, :] & in_x[None, :, :]).reshape(-1, dx.size)
+    valid = np.cumsum(inside, axis=1)[:, counts - 1]
+    kept = np.diff(valid, axis=1, prepend=0) > 0
+    if np.any(kept.sum(axis=1) < 2):
         raise ValidationError("clipped family collapsed to a single window")
-    z = crit.full(crit.K)[kept[:-1]]
-    z = np.maximum(np.minimum.accumulate(z), 1e-12)
-    return CriticalValues(z=z, alpha=crit.alpha, r=crit.r, zeta=None)
+    levels = np.arange(counts.size)
+    reported = np.maximum.accumulate(np.where(kept, levels, 0), axis=1)
+    z = np.tile(zf, (valid.shape[0], 1))
+    drops = ~kept.all(axis=1)
+    zd = np.minimum.accumulate(np.where(kept[drops], zf, np.inf), axis=1)
+    zd = np.maximum(zd, 1e-12)
+    zd[levels >= reported[drops, -1:]] = 1.0
+    z[drops] = zd
+    s, s_ring = closed_form(valid, scale)
+    thr = threshold_table(z, s_ring, s[:, 1:])
+    return valid, reported, thr
+
+
+def _interior_first(pos: np.ndarray, h: int, w: int, reach: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (y, x) of the pixels at positions pos of the interior-first order.
+
+    The order runs over the unclipped interior in raster order, then over
+    the border band in raster order, so a chunk of interior pixels has one
+    geometry and no missing samples.
+    """
+    inner_w, inner_h = max(w - 2 * reach, 0), max(h - 2 * reach, 0)
+    n_inner = inner_w * inner_h
+    y, x = np.divmod(pos, max(inner_w, 1))
+    y += reach
+    x += reach
+    border = pos >= n_inner
+    if border.any():
+        band = np.full(h, w)  # border pixels per row
+        if n_inner:
+            band[reach: h - reach] = 2 * reach
+        ends = np.cumsum(band)
+        b = pos[border] - n_inner
+        row = np.searchsorted(ends, b, side="right")
+        col = b - (ends[row] - band[row])
+        y[border] = row
+        x[border] = np.where((band[row] < w) & (col >= reach), col + inner_w, col)
+    return y, x
 
 
 def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
@@ -179,7 +247,6 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     """
     if config.loss.kind == "huber":
         raise ValidationError("huber loss has no closed-form levels for imaging")
-    img = image.intensities
     h, w = image.height, image.width
 
     if isinstance(config.noise_scale, str):
@@ -190,53 +257,45 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     radii = np.asarray(config.radii, dtype=float)
     reach = int(np.floor(radii[-1]))
     side = 2 * reach + 1
-    interior_family = build_family_2d(side, side, (reach, reach), radii)
-    if interior_family.dropped_levels:
+    family = build_family_2d(side, side, (reach, reach), radii)
+    if family.dropped_levels:
         raise ValidationError(
             "radii produce duplicate interior windows; calibrate on deduplicated radii")
-    K = interior_family.K
+    K = family.K
     if K != config.crit.K:
         raise ValidationError("calibration artifact does not match the radii")
+    counts = family.counts
+    dy, dx = (d - reach for d in np.divmod(family.order[: counts[-1]], side))
 
-    # one batch per clip geometry (left, right, top, bottom reach); the
-    # unclipped interior is the group (reach, reach, reach, reach)
-    clip_shape = (reach + 1,) * 4
-    py, px = np.divmod(np.arange(h * w), w)
-    code = np.ravel_multi_index(
-        (np.minimum(px, reach), np.minimum(w - 1 - px, reach),
-         np.minimum(py, reach), np.minimum(h - 1 - py, reach)), clip_shape)
-    clips, sizes = np.unique(code, return_counts=True)
-    pixels = np.argsort(code, kind="stable")  # each group's pixels, row-major
-    starts = np.concatenate(([0], np.cumsum(sizes)))
+    x_class, x_clips = _axis_clips(w, reach)
+    y_class, y_clips = _axis_clips(h, reach)
+    valid, reported, thr = _geometry_tables(dx, dy, x_clips, y_clips, counts,
+                                            config.crit.full(K), _levels_scale(config))
+    with np.errstate(invalid="ignore"):  # inf * 0 on empty rings if sigma is 0
+        thr = thr * sigma
+    thr[np.diff(valid, axis=1) == 0] = np.inf
 
-    def setup(clip: int):
-        left, right, top, bottom = (int(v) for v in np.unravel_index(clip, clip_shape))
-        fam = build_family_2d(left + right + 1, top + bottom + 1, (left, top), radii)
-        kept = np.asarray(
-            [lvl for lvl in range(len(radii)) if lvl not in fam.dropped_levels], dtype=int)
-        crit = config.crit if kept.size == len(radii) else _crit_subset(config.crit, kept)
-        thr = ring_thresholds(_levels_for_family(fam, config), crit)
-        dy, dx = np.divmod(fam.order[: fam.counts[-1]], left + right + 1)
-        return fam.counts, kept, thr * sigma, (dy - top) * w + (dx - left)
-
-    setups = [setup(int(clip)) for clip in clips]
-    tasks = [(g, starts[g] + lo, starts[g] + hi)
-             for g in range(len(clips)) for lo, hi in chunk_ranges(int(sizes[g]))]
-    flat = np.ascontiguousarray(img).ravel()
+    padded_w = w + 2 * reach
+    padded = np.full((h + 2 * reach, padded_w), np.nan)
+    padded[reach: reach + h, reach: reach + w] = image.intensities
+    flat = padded.ravel()
+    offsets = (dy + reach) * padded_w + (dx + reach)
+    n_x = len(x_clips)
     out = np.empty(h * w)
     k_hat = np.empty(h * w, dtype=np.int16)
 
-    def do_tasks(lo: int, hi: int) -> None:
-        for g, a, b in tasks[lo:hi]:
-            counts, kept, thr, offsets = setups[g]
-            pix = pixels[a:b]
-            bases, rings = window_estimates(flat[pix[:, None] + offsets], counts,
-                                            config.loss)
-            sel = first_rejection(bases, rings, thr)
-            out[pix] = bases[np.arange(sel.size), sel]
-            k_hat[pix] = kept[sel]
+    def task(lo: int, hi: int) -> None:
+        y, x = _interior_first(np.arange(lo, hi), h, w, reach)
+        geometry = y_class[y] * n_x + x_class[x]
+        bases, rings = window_estimates(flat[(y * padded_w + x)[:, None] + offsets],
+                                        counts, config.loss, valid[geometry])
+        one = (geometry == geometry[0]).all()
+        sel = first_rejection(bases, rings, thr[geometry[0]] if one else thr[geometry])
+        pixels = y * w + x
+        out[pixels] = bases[np.arange(hi - lo), sel]
+        k_hat[pixels] = reported[geometry, sel]
 
-    run_chunks(do_tasks, len(tasks), config.workers, chunk=1)
+    run_chunks(task, h * w, config.workers)
 
     return (Image(width=w, height=h, intensities=out.reshape(h, w)),
             KhatMap(width=w, height=h, k_hat=k_hat.reshape(h, w), n_levels=K))

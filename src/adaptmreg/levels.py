@@ -26,6 +26,8 @@ __all__ = [
     "PairLevels",
     "normal_abs_moment",
     "target_density",
+    "closed_form",
+    "asymptotic_scale",
     "levels_exact_mean",
     "levels_asymptotic",
     "levels_mc",
@@ -127,8 +129,51 @@ def target_density(noise: NoiseKind, loss: LossKind) -> float:
     return density(noise, quantile_point(noise, loss.level))
 
 
-def _ring_sizes(family: WindowFamily) -> np.ndarray:
-    return np.diff(family.counts)
+def closed_form(counts, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form levels c N_j^(-1/2) and c (1/M_k + 1/N_j)^(1/2) from window sizes.
+
+    counts holds the K+1 window sizes N_j, along the last axis of any number
+    of families; M_k = N_{k+1} - N_k is the ring size. Returns s (..., K+1)
+    and s_ring (..., K, K), NaN above the diagonal, +inf on an empty ring.
+    """
+    n = np.asarray(counts, dtype=float)
+    K = n.shape[-1] - 1
+    s = c / np.sqrt(n)
+    with np.errstate(divide="ignore"):
+        s_ring = c * np.sqrt(1.0 / np.diff(n, axis=-1)[..., :, None] + 1.0 / n[..., None, :K])
+    s_ring[..., ~np.tri(K, dtype=bool)] = np.nan
+    return s, s_ring
+
+
+def _pair_closed_form(counts, c: float) -> np.ndarray:
+    """Closed-form difference levels c (1/N_l - 1/N_m)^(1/2), for l < m only."""
+    n = np.asarray(counts, dtype=float)
+    with np.errstate(invalid="ignore"):
+        sp = c * np.sqrt(1.0 / n[None, :] - 1.0 / n[:, None])
+    sp[~np.tri(n.size, k=-1, dtype=bool)] = np.nan
+    return sp
+
+
+def asymptotic_scale(loss: LossKind, f0: float, r: float = 2.0) -> float:
+    """c_r * sd0: the normal-limit level of a single observation.
+
+    The sample alpha-quantile over N points is asymptotically normal with
+    variance alpha * (1 - alpha) / (f0^2 N), f0 the density at the target
+    quantile, so sd0 = (alpha * (1 - alpha))^(1/2) / f0. The r-th moment
+    scale multiplies the standard deviation by c_r = (E|Z|^r)^(1/r).
+    """
+    if loss.kind not in ("median", "quantile"):
+        raise ValidationError("asymptotic levels apply to median and quantile losses")
+    if not f0 > 0:
+        raise ValidationError("density at the target quantile must be positive")
+    c_r = normal_abs_moment(r) ** (1.0 / r)
+    sd0 = math.sqrt(loss.level * (1.0 - loss.level)) / f0
+    return c_r * sd0
+
+
+def _require_r2(r: float, what: str) -> None:
+    if r != 2.0:
+        raise ValidationError(f"exact mean {what} are only available for r = 2")
 
 
 def levels_exact_mean(family: WindowFamily, r: float = 2.0) -> Levels:
@@ -138,15 +183,8 @@ def levels_exact_mean(family: WindowFamily, r: float = 2.0) -> Levels:
     add: s[j] = N_j^(-1/2) and s_ring[k, j] = (1/M_k + 1/N_j)^(1/2) with M_k
     the ring size.
     """
-    if r != 2.0:
-        raise ValidationError("exact mean levels are only available for r = 2")
-    n = family.counts.astype(float)
-    m = _ring_sizes(family).astype(float)
-    K = family.K
-    s = 1.0 / np.sqrt(n)
-    s_ring = np.full((K, K), np.nan)
-    for k in range(K):
-        s_ring[k, : k + 1] = np.sqrt(1.0 / m[k] + 1.0 / n[: k + 1])
+    _require_r2(r, "levels")
+    s, s_ring = closed_form(family.counts, 1.0)
     return Levels(r=2.0, s=s, s_ring=s_ring, method="exact_mean")
 
 
@@ -154,24 +192,10 @@ def levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
                       r: float = 2.0) -> Levels:
     """Normal-limit levels for median or quantile estimates.
 
-    The sample alpha-quantile over N points is asymptotically normal with
-    variance alpha * (1 - alpha) / (f0^2 N), f0 the density at the target
-    quantile. The r-th moment scale multiplies the standard deviation by
-    c_r = (E|Z|^r)^(1/r); differences combine by independence.
+    The exact-mean levels times asymptotic_scale; differences combine by
+    independence.
     """
-    if loss.kind not in ("median", "quantile"):
-        raise ValidationError("asymptotic levels apply to median and quantile losses")
-    if not f0 > 0:
-        raise ValidationError("density at the target quantile must be positive")
-    c_r = normal_abs_moment(r) ** (1.0 / r)
-    sd0 = math.sqrt(loss.level * (1.0 - loss.level)) / f0
-    n = family.counts.astype(float)
-    m = _ring_sizes(family).astype(float)
-    K = family.K
-    s = c_r * sd0 / np.sqrt(n)
-    s_ring = np.full((K, K), np.nan)
-    for k in range(K):
-        s_ring[k, : k + 1] = c_r * sd0 * np.sqrt(1.0 / m[k] + 1.0 / n[: k + 1])
+    s, s_ring = closed_form(family.counts, asymptotic_scale(loss, f0, r))
     return Levels(r=float(r), s=s, s_ring=s_ring, method="asymptotic")
 
 
@@ -231,14 +255,9 @@ def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
 
 def pair_levels_exact_mean(family: WindowFamily, r: float = 2.0) -> PairLevels:
     """Exact difference levels for nested sample means: sqrt(1/N_l - 1/N_m)."""
-    if r != 2.0:
-        raise ValidationError("exact mean pair levels are only available for r = 2")
-    n = family.counts.astype(float)
-    K = family.K
-    sp = np.full((K + 1, K + 1), np.nan)
-    for m in range(1, K + 1):
-        sp[m, :m] = np.sqrt(1.0 / n[:m] - 1.0 / n[m])
-    return PairLevels(r=2.0, s_pair=sp, method="exact_mean")
+    _require_r2(r, "pair levels")
+    return PairLevels(r=2.0, s_pair=_pair_closed_form(family.counts, 1.0),
+                      method="exact_mean")
 
 
 def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
@@ -251,17 +270,7 @@ def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
     variance alpha * (1 - alpha) / f0^2 * (1/N_l - 1/N_m), exactly the shape
     of the sample-mean case.
     """
-    if loss.kind not in ("median", "quantile"):
-        raise ValidationError("asymptotic pair levels apply to median and quantile losses")
-    if not f0 > 0:
-        raise ValidationError("density at the target quantile must be positive")
-    c_r = normal_abs_moment(r) ** (1.0 / r)
-    sd0 = math.sqrt(loss.level * (1.0 - loss.level)) / f0
-    n = family.counts.astype(float)
-    K = family.K
-    sp = np.full((K + 1, K + 1), np.nan)
-    for m in range(1, K + 1):
-        sp[m, :m] = c_r * sd0 * np.sqrt(1.0 / n[:m] - 1.0 / n[m])
+    sp = _pair_closed_form(family.counts, asymptotic_scale(loss, f0, r))
     return PairLevels(r=float(r), s_pair=sp, method="asymptotic")
 
 

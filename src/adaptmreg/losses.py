@@ -253,22 +253,58 @@ def locate_rows(values: np.ndarray, loss: LossKind) -> np.ndarray:
     return 0.5 * (left + right)
 
 
-def window_estimates(rows: np.ndarray, counts, loss: LossKind
+def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates over every window and every ring of a nested family, row-wise.
 
     Each row holds one point's values in nearest-first order, so window k is
     the prefix [:counts[k]] and ring k the slice [counts[k]:counts[k+1]].
     Returns bases of shape (rows, K+1) and rings of shape (rows, K).
+
+    With valid, rows mark missing values with NaN and valid[i, k] counts the
+    values row i has in window k. Each estimate then uses only those values,
+    exactly as if the missing ones had been removed: NaN sorts last, so the
+    order statistics sit at per-row positions. A ring with no values gets
+    NaN. Missing values need the mean, median or quantile loss.
     """
     K = len(counts) - 1
-    bases = np.empty((rows.shape[0], K + 1))
-    rings = np.empty((rows.shape[0], K))
-    for k in range(K + 1):
-        bases[:, k] = locate_rows(rows[:, : counts[k]], loss)
-    for k in range(K):
-        rings[:, k] = locate_rows(rows[:, counts[k]: counts[k + 1]], loss)
-    return bases, rings
+    n_rows = rows.shape[0]
+    spans = ([(0, counts[k]) for k in range(K + 1)]
+             + [(counts[k], counts[k + 1]) for k in range(K)])
+    est = np.empty((n_rows, 2 * K + 1))
+    if valid is None or (valid[:, -1] == counts[-1]).all():
+        for c, (a, b) in enumerate(spans):
+            est[:, c] = locate_rows(rows[:, a:b], loss)
+        return est[:, : K + 1], est[:, K + 1:]
+    sizes = np.concatenate([valid, np.diff(valid, axis=1)], axis=1)
+    if loss.kind == "mean":
+        filled = np.where(np.isnan(rows), 0.0, rows)
+        for c, (a, b) in enumerate(spans):
+            est[:, c] = filled[:, a:b].sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            est /= sizes
+    elif loss.kind in ("median", "quantile"):
+        brackets = np.array([(0, 0)] + [_quantile_bracket(n, loss.level)
+                                        for n in range(1, counts[-1] + 1)])
+        lo, hi = brackets[sizes, 0], brackets[sizes, 1]
+        single = lo == hi
+        row = np.arange(n_rows)
+        # one sort buffer for every span: a fresh array per span made the
+        # allocator return and refault its pages on every chunk
+        work = np.empty(rows.size)
+        for c, (a, b) in enumerate(spans):
+            ys = work[: n_rows * (b - a)].reshape(n_rows, b - a)
+            ys[...] = rows[:, a:b]
+            ys.sort(axis=1)
+            first = work[row * (b - a) + lo[:, c]]
+            if single[:, c].all():
+                est[:, c] = first
+            else:
+                second = work[row * (b - a) + hi[:, c]]
+                est[:, c] = np.where(single[:, c], first, 0.5 * (first + second))
+    else:
+        raise ValidationError(f"the {loss.kind} loss does not take missing values")
+    return est[:, : K + 1], est[:, K + 1:]
 
 
 def influence(loss: LossKind, residual: float):

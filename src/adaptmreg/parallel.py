@@ -1,8 +1,8 @@
 """Deterministic work splitting.
 
-Replicate loops and the denoiser's pixel groups are cut into a fixed chunk
-grid, so results depend only on the grid (and, for Monte Carlo, on
-per-replicate substreams), never on how many workers happened to execute
+Replicate loops and the denoiser's pixels are cut into a fixed chunk grid,
+so results depend only on the grid (and, for Monte Carlo, on per-replicate
+substreams), never on how many workers happened to execute
 the chunks. Threads help only where a chunk's time goes to numpy calls that
 release the GIL, such as the denoiser's gathers and sorts. Monte Carlo
 chunks seed their substreams in bulk (noise.sample_rows), so their time too

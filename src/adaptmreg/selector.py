@@ -163,11 +163,12 @@ def threshold_table(zf: np.ndarray, scale: np.ndarray, additive) -> np.ndarray:
     zf holds the K+1 critical values (the last one closes the final step),
     scale the (K, K) error levels of the step-k statistic against window j,
     additive the level of the step's closing term (0 for the classical rule).
-    Entries above the diagonal (j > k) are NaN.
+    Leading axes hold one table per family. Entries above the diagonal
+    (j > k) are NaN.
     """
-    K = scale.shape[0]
-    thr = zf[None, :K] * scale + (zf[1: K + 1] * additive)[:, None]
-    thr[~np.tri(K, dtype=bool)] = np.nan
+    K = scale.shape[-1]
+    thr = zf[..., None, :K] * scale + (zf[..., 1: K + 1] * additive)[..., :, None]
+    thr[..., ~np.tri(K, dtype=bool)] = np.nan
     return thr
 
 
@@ -185,15 +186,16 @@ def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.n
     """Batched stopping loop: the first step k with a rejected test, K if none.
 
     Row i rejects at step k when |nxt[i, k] - bases[i, j]| > thr[k, j] for
-    some j <= k. The ring rule passes the ring estimates as nxt, the
-    classical rule the next window estimates bases[:, 1:].
+    some j <= k; a (rows, K, K) thr gives every row its own table. The ring
+    rule passes the ring estimates as nxt, the classical rule the next
+    window estimates bases[:, 1:]. A NaN statistic never rejects.
     """
-    K = thr.shape[0]
+    K = thr.shape[-1]
     k_hat = np.full(bases.shape[0], K, dtype=np.int64)
     undecided = np.ones(bases.shape[0], dtype=bool)
     for k in range(K):
         stat = np.abs(nxt[:, k, None] - bases[:, : k + 1])
-        reject = (stat > thr[k, : k + 1]).any(axis=1)
+        reject = (stat > thr[..., k, : k + 1]).any(axis=1)
         k_hat[undecided & reject] = k
         undecided &= ~reject
         if not undecided.any():

@@ -319,9 +319,19 @@ def test_config_file_unknown_key(tmp_path):
                "--out", tmp_path / "x.csv") == 1
 
 
-def test_validation_exit_codes(tmp_path):
+def test_validation_exit_codes(tmp_path, capsys):
     assert run("calibrate", "--out", tmp_path / "x.cal") == 1  # missing seed
     assert run("bench", "--bogus") == 1  # unknown flag
     assert run("nosuchcommand") == 1
     # an artifact file that does not exist is a bad input
     assert run("verify", "--calib", tmp_path / "none.cal", "--seed", "1") == 1
+    # and so is an input image that does not exist, PGM or grid
+    cal = tmp_path / "d2.cal"
+    assert run("calibrate", "--family", "disc2d", "--radius-levels", "3",
+               "--runs", "2000", "--seed", "21", "--out", cal) == 0
+    for name in ("missing.pgm", "missing.grid"):
+        capsys.readouterr()
+        assert run("denoise", "--in", tmp_path / name, "--calib", cal,
+                   "--out", tmp_path / "x.pgm") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ") and name in err

@@ -5,8 +5,10 @@ import adaptmreg as am
 from adaptmreg import (DenoiseConfig, Image, NoiseKind, RngStream, denoise_image,
                        estimate_noise_scale, read_grid, read_pgm, sample_noise,
                        write_grid, write_pgm)
-from adaptmreg.imaging import KhatMap, _crit_subset
-from adaptmreg.parallel import CHUNK
+from adaptmreg.errors import ValidationError
+from adaptmreg.imaging import KhatMap, _interior_first
+from adaptmreg.parallel import chunk_ranges
+from adaptmreg.selector import CriticalValues
 
 
 def two_region(width, height, contrast=4.0):
@@ -80,11 +82,18 @@ def test_subrectangle_reproduces_pixels(disc_artifact):
 
 
 def test_worker_count_invariance(disc_artifact):
-    """Results do not depend on the worker count, also when a group spans chunks."""
+    """Results do not depend on the worker count, also in a chunk of mixed pixels."""
     noise = sample_noise(NoiseKind.laplace(), 48 * 48, RngStream(54, 0))
     img = two_region(48, 48) + noise.reshape(48, 48)
     reach = int(np.floor(max(disc_artifact.family_meta["radii"])))
-    assert (48 - 2 * reach) ** 2 > CHUNK  # interior spans two chunks
+    chunks = chunk_ranges(48 * 48)
+    assert len(chunks) >= 2
+    mixed = 0
+    for lo, hi in chunks:
+        y, x = _interior_first(np.arange(lo, hi), 48, 48, reach)
+        inner = np.minimum(np.minimum(y, 47 - y), np.minimum(x, 47 - x)) >= reach
+        mixed += bool(inner.any() and not inner.all())
+    assert mixed >= 1  # one chunk holds border and interior pixels
     out1, khat1 = denoise_image(
         Image.from_array(img), DenoiseConfig.from_artifact(disc_artifact, workers=1))
     for workers in (2, 3):
@@ -94,27 +103,49 @@ def test_worker_count_invariance(disc_artifact):
         assert np.array_equal(khat1.k_hat, khat.k_hat)
 
 
+def _crit_subset(crit: CriticalValues, kept: np.ndarray) -> CriticalValues:
+    """Critical values for a clipped family that dropped duplicate levels.
+
+    kept maps local level index to the original one. Each surviving test
+    step reuses the original critical value of its level; the last kept
+    level takes over the role of the final window with its value pinned to
+    1. A running minimum keeps the sequence non-increasing after subsetting.
+    """
+    if kept.size < 2:
+        raise ValidationError("clipped family collapsed to a single window")
+    z = crit.full(crit.K)[kept[:-1]]
+    z = np.maximum(np.minimum.accumulate(z), 1e-12)
+    return CriticalValues(z=z, alpha=crit.alpha, r=crit.r, zeta=None)
+
+
 def test_every_pixel_matches_scalar_reference(disc_artifact):
     """Every pixel equals the one-pixel scalar path on its clipped family.
 
     The 23x17 image has interior and border pixels; in the 23x3 strip every
-    pixel is a border pixel and the flattened discs drop levels. Median
-    outputs match exactly; mean outputs sum in another order, so they match
-    to rounding, with the same selected windows.
+    pixel is a border pixel and the flattened discs drop levels. The third
+    configuration's critical values zigzag, so a clipped family's running
+    minimum differs from its raw values. Median outputs match exactly; mean
+    outputs sum in another order, so they match to rounding, with the same
+    selected windows.
     """
     median = DenoiseConfig.from_artifact(disc_artifact, noise_scale=1.0)
     mean = DenoiseConfig(loss=am.LossKind.mean(), radii=median.radii, noise=median.noise,
                          crit=median.crit, levels_method="exact_mean", r=median.r,
                          alpha=median.alpha, noise_scale=1.0)
+    z = median.crit.z * np.where(np.arange(median.crit.K) % 2, 1.4, 0.6)
+    zigzag = DenoiseConfig(loss=median.loss, radii=median.radii, noise=median.noise,
+                           crit=CriticalValues(z=z, alpha=median.crit.alpha, r=median.r),
+                           levels_method="asymptotic", r=median.r, alpha=median.alpha,
+                           noise_scale=1.0)
     radii = np.asarray(median.radii)
     reach = int(np.floor(radii[-1]))
     f0 = am.target_density(median.noise, median.loss)
     subsets = interior = 0
-    for config in (median, mean):
+    for config in (median, mean, zigzag):
         for h, w in ((17, 23), (3, 23)):
             noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(56, h))
             img = two_region(w, h) + noise.reshape(h, w)
-            tol = 0.0 if config is median else 1e-12 * (1 + np.abs(img).max())
+            tol = 1e-12 * (1 + np.abs(img).max()) if config is mean else 0.0
             out, khat = denoise_image(Image.from_array(img), config)
             for y in range(h):
                 for x in range(w):
@@ -130,13 +161,61 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
                     if fam.dropped_levels:
                         crit = _crit_subset(config.crit, np.asarray(kept))
                         subsets += 1
-                    levels = (am.levels_asymptotic(fam, config.loss, f0)
-                              if config is median else am.levels_exact_mean(fam, config.r))
+                    levels = (am.levels_exact_mean(fam, config.r) if config is mean
+                              else am.levels_asymptotic(fam, config.loss, f0))
                     base, rings = am.base_estimates(patch.ravel(), fam, config.loss)
                     trace = am.select_ring(base, rings, levels, crit)
                     assert abs(out.intensities[y, x] - trace.theta_hat) <= tol, (w, h, x, y)
                     assert khat.k_hat[y, x] == kept[trace.k_hat], (w, h, x, y)
     assert subsets > 0 and interior > 0
+
+
+def two_edge(width, height):
+    img = two_region(width, height)
+    img[height // 2:, :] += 2.5
+    return img
+
+
+PINNED_IMAGES = {"tile64": (64, 64), "strip23x3": (3, 23), "flat40x12": (12, 40)}
+
+# SHA-256 of the output intensities (float64) and k_hat (int16) bytes, taken
+# from the per-clip-geometry denoiser that the masked gather replaced
+PINNED_DIGESTS = {
+    "tile64/median": ("67877e35222cc6acfabf98e58239a98bc51921b412a3b53d74ba189f0220551a",
+                     "d955a0aa02caf2ab705b2a246a6250845ab1d6ca76a336d8b3716b1d04bcd393"),
+    "tile64/quantile0.3": ("ff7654eecd7f1e28a1a8cdf5dd9986d80a913583f8f6d12d567bdeb6e7c5cdf9",
+                          "affb4fc1fa7b10711f605492c1e1630a45bd9feb3fb358634d2d3ddf255cd16a"),
+    "strip23x3/median": ("0472ace9bb1af01a4e84476ebce17d2f54ac3cc8900a5f1e5ffe02994048880d",
+                        "66275dc344a88f15116552ecd6396bbcab1f921465156112976bbeb4660f6537"),
+    "strip23x3/quantile0.3": ("b203011ff4b7423e9e8564bc88dd0a816aefb925c37838e0ba6c9e76bda5f1a5",
+                             "924f98ea59c14d47d640ca44c3ca59a1949ec5879f839404e930ccf13bf350a2"),
+    "flat40x12/median": ("555f553244cbb6ea2b6104ab1639728c86d260d09d11da3a83aeb4c02be38158",
+                        "6c125e264863e402612f4e853aa9561d84c275035b604a6aedf0274171188500"),
+    "flat40x12/quantile0.3": ("4c8ff70e7136432c719f55175eb25faf7dddd567e718478af72143706f516602",
+                             "3be68ea2aea7576adc1512353489d4d85fb583b03d4645133c360d52e88f87dc"),
+}
+
+
+def test_denoise_outputs_are_pinned(disc_artifact):
+    """Median and 0.3-quantile outputs stay bit for bit what they were.
+
+    The 64x64 tile has two edges, every pixel of the 23x3 strip drops levels,
+    and the 40x12 image has no interior pixel at all.
+    """
+    import hashlib
+    median = DenoiseConfig.from_artifact(disc_artifact)
+    quantile = DenoiseConfig(loss=am.LossKind.quantile(0.3), radii=median.radii,
+                             noise=median.noise, crit=median.crit,
+                             levels_method="asymptotic", r=median.r, alpha=median.alpha)
+    seen = {}
+    for name, (h, w) in PINNED_IMAGES.items():
+        noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(57, h * 100 + w))
+        image = Image.from_array(two_edge(w, h) + noise.reshape(h, w))
+        for label, config in (("median", median), ("quantile0.3", quantile)):
+            out, khat = denoise_image(image, config)
+            seen[f"{name}/{label}"] = (hashlib.sha256(out.intensities.tobytes()).hexdigest(),
+                                       hashlib.sha256(khat.k_hat.tobytes()).hexdigest())
+    assert seen == PINNED_DIGESTS
 
 
 def test_denoise_reduces_mse_small(disc_artifact):
