@@ -25,7 +25,7 @@ from .noise import (NoiseKind, RngStream, abs_diff_median, cdf, density,
                     density_at_zero, quantile_point, sample_noise, sample_rows)
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
 from .selector import (CriticalValues, OracleInfo, SelectionTrace, TestRecord,
-                       base_estimates, oracle_index, propagation_bound,
+                       oracle_index, propagation_bound,
                        propagation_gap, select_lepski, select_lepski_batch,
                        select_ring, select_ring_batch)
 from .windows import (WindowFamily, benchmark_counts, build_family_1d,

@@ -32,7 +32,7 @@ selection-form budget, the guarantee that matters for the running rule.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import CalibrationError, ValidationError
 from .levels import Levels, PairLevels, simulate_window_estimates
 from .losses import LossKind
 from .noise import NoiseKind
-from .selector import CriticalValues, threshold_table
+from .selector import CriticalValues, _rule_terms, threshold_table
 from .windows import WindowFamily, build_family_1d, build_family_2d, equidistant_design
 
 __all__ = [
@@ -126,30 +126,18 @@ class _SelectionStats:
     |nxt_j - base_l| against windows l = 0..j are stored packed: raw[i, p]
     with p = start[j] + l and start[j] = j (j + 1) / 2, so raw has shape
     (runs, K (K + 1) / 2) and its columns follow np.tril_indices(K). nxt
-    holds the ring estimates for the ring rule and the next window estimates
-    for the classical rule. scale[j, l] is the error level multiplying z_l;
-    additive[j] the level multiplying the step's closing value z_{j+1} (zero
-    for the classical rule, which has no additive term). Passing bare=True
-    drops the additive term from the rejection events.
+    and scale and additive come from the rule (selector._rule_terms):
+    scale[j, l] is the error level multiplying z_l, additive[j] the level
+    multiplying the step's closing value z_{j+1}. Passing bare=True drops the
+    additive term from the rejection events.
     """
 
     def __init__(self, config: CalibConfig, levels: Levels,
                  pair: PairLevels | None, seed: int) -> None:
-        family, loss = config.family, config.loss
-        K = family.K
-        if levels.K != K:
-            raise ValidationError("levels do not match the family")
-        if config.rule == "lepski":
-            if pair is None:
-                raise ValidationError("the classical rule needs pair levels")
-            if pair.K != K:
-                raise ValidationError("pair levels do not match the family")
+        K = config.family.K
         bases, rings = simulate_window_estimates(
-            family, loss, config.noise, config.runs, seed, config.workers)
-        if config.rule == "ring":
-            nxt, self.scale, self.additive = rings, levels.s_ring, levels.s[1:]
-        else:
-            nxt, self.scale, self.additive = bases[:, 1:], pair.s_pair[1:, :K], 0.0
+            config.family, config.loss, config.noise, config.runs, seed, config.workers)
+        nxt, self.scale, self.additive = _rule_terms(config.rule, bases, rings, levels, pair)
         self.K = K
         self.runs = config.runs
         self.weights = np.abs(bases[:, :K]) ** config.r
@@ -208,6 +196,30 @@ def _runs_warnings(config: CalibConfig) -> tuple[str, ...]:
     return ()
 
 
+def _smallest_passing(value, target: float, cap: float, unattainable) -> float:
+    """Smallest x on the search grid with value(x) <= target, value non-increasing.
+
+    Returns ZETA_MIN when that already passes. Otherwise doubles from 1 until
+    value passes, raising CalibrationError(unattainable()) past cap, then
+    bisects to SEARCH_TOL and keeps the end known to pass.
+    """
+    if value(ZETA_MIN) <= target:
+        return ZETA_MIN
+    lo, hi = ZETA_MIN, 1.0
+    while value(hi) > target:
+        lo = hi
+        hi *= 2.0
+        if hi > cap:
+            raise CalibrationError(unattainable())
+    while hi - lo > SEARCH_TOL:
+        mid = 0.5 * (lo + hi)
+        if value(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def calibrate_zeta(config: CalibConfig, levels: Levels,
                    pair: PairLevels | None = None) -> CalibResult:
     """Smallest zeta on the bisection grid whose thresholds meet the budget."""
@@ -226,24 +238,10 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
     def lhs(zeta: float) -> float:
         return stats.objective(_zeta_to_z(zeta, levels, config.alpha, config.r))
 
-    if lhs(ZETA_MIN) <= budget:
-        zeta = ZETA_MIN  # budget already slack at the grid minimum
-    else:
-        lo, hi = ZETA_MIN, 1.0
-        while lhs(hi) > budget:
-            lo = hi
-            hi *= 2.0
-            if hi > ZETA_MAX:
-                raise CalibrationError(
-                    f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: "
-                    f"lhs at the cap is {lhs(ZETA_MAX)!r}")
-        while hi - lo > SEARCH_TOL:
-            mid = 0.5 * (lo + hi)
-            if lhs(mid) <= budget:
-                hi = mid
-            else:
-                lo = mid
-        zeta = hi  # keep the endpoint known to satisfy the budget
+    zeta = _smallest_passing(
+        lhs, budget, ZETA_MAX,
+        lambda: (f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: "
+                 f"lhs at the cap is {lhs(ZETA_MAX)!r}"))
     z = _zeta_to_z(zeta, levels, config.alpha, config.r)
     crit = CriticalValues(z=z, alpha=config.alpha, r=config.r, zeta=zeta)
     warnings = _runs_warnings(config)
@@ -251,7 +249,7 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
         crit.check_risk_hypothesis(levels)
     except ValidationError:
         # degenerate budgets (huge alpha) can push z below the fixed final
-        # value; the selection rule refuses such values, see select_ring
+        # value; the selection rule refuses such values, see select_ring_batch
         warnings = warnings + ("z_k * s_k is not non-increasing; "
                                "the ring rule will reject these values",)
     shares = stats.shares(z)
@@ -288,24 +286,9 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
             hit = live & (raw_k > zk * scale_k)
             return float((w_k * hit).sum(axis=1).mean())
 
-        if share(ZETA_MIN) <= per_step:
-            z[k] = ZETA_MIN
-        else:
-            lo, hi = ZETA_MIN, 1.0
-            while share(hi) > per_step:
-                lo = hi
-                hi *= 2.0
-                if hi > Z_MAX:
-                    raise CalibrationError(
-                        f"per-step budget {per_step!r} unattainable at "
-                        f"step {k} with z <= {Z_MAX}")
-            while hi - lo > SEARCH_TOL:
-                mid = 0.5 * (lo + hi)
-                if share(mid) <= per_step:
-                    hi = mid
-                else:
-                    lo = mid
-            z[k] = hi
+        z[k] = _smallest_passing(
+            share, per_step, Z_MAX,
+            lambda: f"per-step budget {per_step!r} unattainable at step {k} with z <= {Z_MAX}")
         acc[:, k:] &= raw_k <= z[k] * scale_k
     crit = CriticalValues(z=z, alpha=config.alpha, r=config.r, zeta=None)
     shares = stats.shares(z, bare=True)
@@ -332,10 +315,7 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     """
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
-    cfg = config if runs is None else CalibConfig(
-        family=config.family, loss=config.loss, noise=config.noise, r=config.r,
-        alpha=config.alpha, runs=runs, seed=config.seed, mode=config.mode,
-        rule=config.rule, workers=config.workers)
+    cfg = config if runs is None else replace(config, runs=runs)
     stats = _SelectionStats(cfg, levels, pair, seed)
     return stats.objective(crit.full(levels.K)[:-1]) / _budget(cfg, levels)
 
@@ -375,6 +355,19 @@ class CalibArtifact:
     family_meta: dict = field(default_factory=dict)
     config_hash: str = ""
     estimator: int = ESTIMATOR_VERSION
+
+    @classmethod
+    def from_result(cls, config: CalibConfig, result: CalibResult, levels: Levels,
+                    pair: PairLevels | None, family_kind: str,
+                    family_meta: dict) -> CalibArtifact:
+        """The artifact of one calibrate(config, levels, pair) run."""
+        return cls(rule=config.rule, mode=config.mode, loss=config.loss,
+                   noise=config.noise, r=config.r, alpha=config.alpha,
+                   runs=config.runs, seed=config.seed, zeta=result.crit.zeta,
+                   crit=result.crit, levels=levels, pair=pair,
+                   achieved_lhs=result.achieved_lhs, budget=result.budget,
+                   per_k_error_share=result.per_k_error_share,
+                   family_kind=family_kind, family_meta=family_meta)
 
     @property
     def counts(self) -> np.ndarray:

@@ -21,16 +21,16 @@ import numpy as np
 from .calibration import (CalibArtifact, CalibConfig, calibrate, load_artifact,
                           save_artifact, verify_calibration)
 from .errors import CalibrationError, ValidationError
-from .experiments import (METHODS, ExperimentSpec, median_moment_study, run_benchmark,
-                          tail_study, two_sample_study)
+from .experiments import (METHODS, ExperimentSpec, median_moment_study,
+                          replicate_rows, run_benchmark, tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
                      pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc,
                      target_density)
-from .losses import LossKind
-from .noise import RngStream, parse_noise, sample_noise
+from .losses import LossKind, window_estimates
+from .noise import parse_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
-from .selector import base_estimates, select_lepski, select_ring
+from .selector import select_lepski, select_ring
 from .windows import (benchmark_counts, build_family_1d, build_family_2d,
                       default_disc_radii, equidistant_design)
 
@@ -59,8 +59,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict[str, str]:
     """key = value lines; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: "
+                              f"{exc.strerror or exc}") from exc
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -182,10 +187,7 @@ def _family_for_calibrate(args):
     reach = int(np.floor(radii[-1]))
     side = 2 * reach + 1
     fam = build_family_2d(side, side, (reach, reach), radii)
-    kept_radii = [float(radii[lvl]) for lvl in range(len(radii))
-                  if lvl not in fam.dropped_levels]
-    fam = build_family_2d(side, side, (reach, reach), kept_radii)
-    meta = {"counts": [int(c) for c in fam.counts], "radii": kept_radii}
+    meta = {"counts": [int(c) for c in fam.counts], "radii": [float(r) for r in radii]}
     return fam, "disc2d", meta
 
 
@@ -227,14 +229,8 @@ def _cmd_calibrate(args) -> int:
                          alpha=args.alpha, runs=args.runs, seed=args.seed,
                          mode=args.mode, rule=args.rule, workers=args.workers)
     result = calibrate(config, levels, pair)
-    art = CalibArtifact(
-        rule=args.rule, mode=args.mode, loss=loss, noise=noise, r=args.r,
-        alpha=args.alpha, runs=args.runs, seed=args.seed, zeta=result.crit.zeta,
-        crit=result.crit, levels=levels, pair=pair,
-        achieved_lhs=result.achieved_lhs, budget=result.budget,
-        per_k_error_share=result.per_k_error_share,
-        family_kind=kind_tag, family_meta=meta)
-    save_artifact(args.out, art)
+    save_artifact(args.out, CalibArtifact.from_result(config, result, levels, pair,
+                                                      kind_tag, meta))
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"calibrated {args.rule}/{args.mode} loss={loss.label} "
@@ -289,19 +285,17 @@ def _cmd_bench(args) -> int:
 
 
 def _write_bench_trace(args, spec: ExperimentSpec, artifacts) -> None:
-    """Selection trace of replicate 0 for each method, for debugging."""
+    """Selection trace of replicate 0 for each method, as bench computes it."""
     xs = equidistant_design(spec.n)
-    g = spec.signal_fn()(xs)
-    y = g + sample_noise(spec.noise, spec.n, RngStream(spec.seed, 0))
+    y = replicate_rows(spec, spec.signal_fn()(xs), 0, 1)
     parts = []
     for method, art in sorted(artifacts.items()):
         family = build_family_1d(xs, 0.0, art.counts)
-        loss = LossKind(art.loss.kind, alpha=art.loss.alpha, kink=art.loss.kink)
-        base, rings = base_estimates(y, family, loss)
+        bases, rings = window_estimates(y[:, family.order], family.counts, art.loss)
         if art.rule == "lepski":
-            trace = select_lepski(base, art.pair, art.crit)
+            trace = select_lepski(bases[0], art.pair, art.crit)
         else:
-            trace = select_ring(base, rings, art.levels, art.crit)
+            trace = select_ring(bases[0], rings[0], art.levels, art.crit)
         parts.append(f"# method {method} k_hat {trace.k_hat}\n" + trace.format_rows())
     Path(args.trace).write_text("".join(parts))
 
@@ -367,11 +361,11 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .experiments import SIGNALS
-    noise = parse_noise(args.noise)
+    spec = ExperimentSpec(example=args.example, noise=parse_noise(args.noise),
+                          n=args.n, seed=args.seed)
     xs = equidistant_design(args.n)
-    g = SIGNALS[args.example](xs)
-    y = g + sample_noise(noise, args.n, RngStream(args.seed, 0))
+    g = spec.signal_fn()(xs)
+    y = replicate_rows(spec, g, 0, 1)[0]
     lines = ["i,x,g,y"]
     for i in range(args.n):
         lines.append(f"{i},{float(xs[i])!r},{float(g[i])!r},{float(y[i])!r}")

@@ -33,6 +33,7 @@ __all__ = [
     "ExperimentSpec",
     "BenchRow",
     "BenchmarkReport",
+    "replicate_rows",
     "run_benchmark",
     "TwoSampleReport",
     "two_sample_study",
@@ -160,6 +161,15 @@ def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     return counts
 
 
+def replicate_rows(spec: ExperimentSpec, g: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Replicates lo..hi-1 of spec, one row each: the signal g plus noise substream i.
+
+    The benchmark, its trace and the simulate command all draw here, so
+    replicate i holds the same data wherever it appears.
+    """
+    return g + sample_rows(spec.noise, spec.n, spec.seed, lo, hi)
+
+
 def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
                   ) -> BenchmarkReport:
     """Monte Carlo median absolute error at x = 0 for each requested method."""
@@ -177,7 +187,7 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     errors = {m: np.empty(spec.runs) for m in spec.methods}
 
     def task(lo: int, hi: int) -> None:
-        y = g + sample_rows(spec.noise, spec.n, spec.seed, lo, hi)
+        y = replicate_rows(spec, g, lo, hi)
         yw = y[:, order]
         for loss_name, want in (("mean", need_mean), ("median", need_median)):
             if not want:

@@ -9,9 +9,12 @@ to 1 so that bias and noise balance at the last step. The classical rule
 earlier window estimates with thresholds z_l * s_pair[k+1, l].
 
 Both rules stop at the first rejected step and keep the last accepted
-window. Selection is deterministic given the inputs, and because the
-location estimators satisfy partition betweenness, the extra error from
-stopping late is bounded per realization (see propagation_gap).
+window. _rule_terms is the one place that says which statistic a rule tests
+against which thresholds; the batched selectors and the calibration build on
+it, and select_ring / select_lepski trace one row through the batched path.
+Selection is deterministic given the inputs, and because the location
+estimators satisfy partition betweenness, the extra error from stopping late
+is bounded per realization (see propagation_gap).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .levels import Levels, PairLevels
-from .losses import LossKind, locate
 from .windows import WindowFamily
 
 __all__ = [
@@ -31,9 +33,7 @@ __all__ = [
     "TestRecord",
     "SelectionTrace",
     "OracleInfo",
-    "base_estimates",
     "threshold_table",
-    "ring_thresholds",
     "first_rejection",
     "select_ring",
     "select_ring_batch",
@@ -139,24 +139,6 @@ class OracleInfo:
     variations: np.ndarray
 
 
-def base_estimates(values, family: WindowFamily, loss: LossKind
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """All window estimates and all ring estimates for one data vector."""
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1:
-        raise ValidationError("values must be 1-d")
-    if int(family.order.max()) >= y.size:
-        raise ValidationError("family indices exceed the data length")
-    K = family.K
-    base = np.empty(K + 1)
-    rings = np.empty(K)
-    for k in range(K + 1):
-        base[k] = locate(y[family.members(k)], loss).value
-    for k in range(K):
-        rings[k] = locate(y[family.ring(k)], loss).value
-    return base, rings
-
-
 def threshold_table(zf: np.ndarray, scale: np.ndarray, additive) -> np.ndarray:
     """Test thresholds thr[k, j] = zf[j] * scale[k, j] + zf[k+1] * additive[k].
 
@@ -172,14 +154,29 @@ def threshold_table(zf: np.ndarray, scale: np.ndarray, additive) -> np.ndarray:
     return thr
 
 
-def ring_thresholds(levels: Levels, crit: CriticalValues) -> np.ndarray:
-    """Ring-rule thresholds z_j * s_ring[k, j] + z_{k+1} * s[k+1]."""
-    return threshold_table(crit.full(levels.K), levels.s_ring, levels.s[1:])
+def _rule_terms(rule: str, bases: np.ndarray, rings: np.ndarray | None,
+                levels: Levels | None, pair: PairLevels | None):
+    """What a rule tests: (nxt, scale, additive) for threshold_table.
 
-
-def _pair_thresholds(pair: PairLevels, crit: CriticalValues) -> np.ndarray:
-    """Classical-rule thresholds z_j * s_pair[k+1, j]."""
-    return threshold_table(crit.full(pair.K), pair.s_pair[1:, : pair.K], 0.0)
+    Step k compares nxt[:, k] with every window estimate bases[:, j], j <= k.
+    The ring rule tests the ring estimates against s_ring[k, j] and closes
+    the step with s[k+1]; the classical rule ("lepski") tests the next window
+    estimate against s_pair[k+1, j], with no closing term. bases holds one
+    row of K+1 window estimates per realization; the classical rule may pass
+    levels=None.
+    """
+    K = bases.shape[-1] - 1
+    if bases.ndim != 2 or (levels is not None and levels.K != K):
+        raise ValidationError("estimate arrays do not match the level table")
+    if rule == "ring":
+        if rings.shape != (bases.shape[0], K):
+            raise ValidationError("estimate arrays do not match the level table")
+        return rings, levels.s_ring, levels.s[1:]
+    if pair is None:
+        raise ValidationError("the classical rule needs pair levels")
+    if pair.K != K:
+        raise ValidationError("estimate array does not match the pair table")
+    return bases[:, 1:], pair.s_pair[1:, :K], 0.0
 
 
 def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -203,89 +200,71 @@ def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.n
     return k_hat
 
 
-def _select_scalar(stats: np.ndarray, thr: np.ndarray
-                   ) -> tuple[int, tuple[TestRecord, ...]]:
-    """Shared stopping loop; stats[k, j] is the step-k statistic against window j.
-
-    Within a step the tests run from j = k down to 0 (the most recent window
-    gives the most powerful test); the order only affects which comparison is
-    recorded as the trigger, never the selected index.
-    """
-    K = thr.shape[0]
-    tests: list[TestRecord] = []
-    k_hat = K
-    for k in range(K):
-        rejected = False
-        for j in range(k, -1, -1):
-            stat = float(stats[k, j])
-            threshold = float(thr[k, j])
-            margin = stat - threshold
-            tests.append(TestRecord(k, j, stat, threshold, margin))
-            if margin > 0.0:
-                rejected = True
-                break
-        if rejected:
-            k_hat = k
-            break
-    return k_hat, tuple(tests)
-
-
-def select_ring(base, rings, levels: Levels, crit: CriticalValues) -> SelectionTrace:
-    """Ring-rule selection for one data realization.
+def select_ring_batch(bases: np.ndarray, rings: np.ndarray, levels: Levels,
+                      crit: CriticalValues) -> np.ndarray:
+    """Ring-rule selected indices for many realizations (rows are replicates).
 
     Accept step k when |ring_k - base_j| <= z_j s_ring[k, j] + z_{k+1} s[k+1]
     for every j <= k; stop at the first rejection and keep the last accepted
     window, capping the index at K.
     """
-    base = np.asarray(base, dtype=float)
-    rings = np.asarray(rings, dtype=float)
-    K = levels.K
-    if base.shape != (K + 1,) or rings.shape != (K,):
-        raise ValidationError("estimate arrays do not match the level table")
+    nxt, scale, additive = _rule_terms("ring", bases, rings, levels, None)
     if crit.zeta is not None:
         crit.check_risk_hypothesis(levels)
-    stats = np.abs(rings[:, None] - base[None, :K])
-    k_hat, tests = _select_scalar(stats, ring_thresholds(levels, crit))
-    return SelectionTrace(base=base, rings=rings, k_hat=k_hat,
-                          theta_hat=float(base[k_hat]), tests=tests)
+    return first_rejection(bases, nxt, threshold_table(crit.full(levels.K), scale, additive))
 
 
-def select_ring_batch(bases: np.ndarray, rings: np.ndarray, levels: Levels,
-                      crit: CriticalValues) -> np.ndarray:
-    """Selected indices for many realizations at once (rows are replicates)."""
-    R = bases.shape[0]
-    K = levels.K
-    if bases.shape != (R, K + 1) or rings.shape != (R, K):
-        raise ValidationError("estimate arrays do not match the level table")
-    if crit.zeta is not None:
-        crit.check_risk_hypothesis(levels)
-    return first_rejection(bases, rings, ring_thresholds(levels, crit))
-
-
-def select_lepski(base, pair: PairLevels, crit: CriticalValues) -> SelectionTrace:
-    """Classical selection: compare the next window estimate with all earlier ones.
+def select_lepski_batch(bases: np.ndarray, pair: PairLevels,
+                        crit: CriticalValues) -> np.ndarray:
+    """Classical-rule selected indices: compare the next window estimate with all earlier ones.
 
     Accept step k when |base_{k+1} - base_l| <= z_l * s_pair[k+1, l] for all
     l <= k. With a single growth step (K = 1) this reduces to a two-sample
     location test on |base_1 - base_0|.
     """
-    base = np.asarray(base, dtype=float)
-    K = pair.K
-    if base.shape != (K + 1,):
-        raise ValidationError("estimate array does not match the pair table")
-    stats = np.abs(base[1:, None] - base[None, :K])
-    k_hat, tests = _select_scalar(stats, _pair_thresholds(pair, crit))
-    return SelectionTrace(base=base, rings=None, k_hat=k_hat,
+    nxt, scale, additive = _rule_terms("lepski", bases, None, None, pair)
+    return first_rejection(bases, nxt, threshold_table(crit.full(pair.K), scale, additive))
+
+
+def _one_row(rule: str, base: np.ndarray, rings: np.ndarray | None, k_hat: int,
+             levels: Levels | None, pair: PairLevels | None,
+             crit: CriticalValues) -> SelectionTrace:
+    """The trace of one row that select_*_batch assigned k_hat.
+
+    Within a step the tests run from j = k down to 0 (the most recent window
+    gives the most powerful test). The records hold every test of the steps
+    before k_hat, then those of step k_hat up to the first one rejecting.
+    """
+    nxt, scale, additive = _rule_terms(rule, base[None], None if rings is None
+                                       else rings[None], levels, pair)
+    K = scale.shape[0]
+    thr = threshold_table(crit.full(K), scale, additive)
+    stats = np.abs(nxt[0, :, None] - base[None, :K])
+    step, j = np.tril_indices(K)
+    j = step - j
+    margin = stats[step, j] - thr[step, j]
+    n = k_hat * (k_hat + 1) // 2
+    if k_hat < K:
+        n += int(np.argmax(margin[n: n + k_hat + 1] > 0.0)) + 1
+    tests = tuple(TestRecord(int(a), int(b), float(stats[a, b]), float(thr[a, b]), float(m))
+                  for a, b, m in zip(step[:n], j[:n], margin[:n]))
+    return SelectionTrace(base=base, rings=rings, k_hat=k_hat,
                           theta_hat=float(base[k_hat]), tests=tests)
 
 
-def select_lepski_batch(bases: np.ndarray, pair: PairLevels,
-                        crit: CriticalValues) -> np.ndarray:
-    R = bases.shape[0]
-    K = pair.K
-    if bases.shape != (R, K + 1):
-        raise ValidationError("estimate array does not match the pair table")
-    return first_rejection(bases, bases[:, 1:], _pair_thresholds(pair, crit))
+def select_ring(base, rings, levels: Levels, crit: CriticalValues) -> SelectionTrace:
+    """Ring-rule selection for one data realization: select_ring_batch on one row."""
+    base = np.asarray(base, dtype=float)
+    rings = np.asarray(rings, dtype=float)
+    k_hat = int(select_ring_batch(base[None], rings[None], levels, crit)[0])
+    return _one_row("ring", base, rings, k_hat, levels, None, crit)
+
+
+def select_lepski(base, pair: PairLevels, crit: CriticalValues) -> SelectionTrace:
+    """Classical selection for one data realization: select_lepski_batch on one row."""
+    base = np.asarray(base, dtype=float)
+    k_hat = int(select_lepski_batch(base[None], pair, crit)[0])
+    return _one_row("lepski", base, None, k_hat, None, pair, crit)
 
 
 def oracle_index(g_values, family: WindowFamily, crit: CriticalValues,
@@ -294,18 +273,13 @@ def oracle_index(g_values, family: WindowFamily, crit: CriticalValues,
     g = np.asarray(g_values, dtype=float)
     if int(family.order.max()) >= g.size:
         raise ValidationError("family indices exceed the signal length")
-    K = family.K
-    zf = crit.full(K)
-    variations = np.empty(K + 1)
-    for k in range(K + 1):
-        vals = g[family.members(k)]
-        variations[k] = float(vals.max() - vals.min())
-    k_star = K
-    for k in range(K):
-        if variations[k + 1] > zf[k + 1] * levels.s[k + 1]:
-            k_star = k
-            break
-    return OracleInfo(k_star=k_star, variations=variations)
+    # windows are prefixes of the nearest-first ordering
+    vals = g[family.order]
+    spread = np.maximum.accumulate(vals) - np.minimum.accumulate(vals)
+    variations = spread[family.counts - 1]
+    over = np.flatnonzero(variations[1:] > crit.full(family.K)[1:] * levels.s[1:])
+    return OracleInfo(k_star=int(over[0]) if over.size else family.K,
+                      variations=variations)
 
 
 def propagation_bound(levels: Levels, crit: CriticalValues, k: int) -> float:

@@ -147,10 +147,17 @@ def build_family_1d(design_xs, center: float, counts,
 def default_disc_radii(n_levels: int = DEFAULT_DISC_LEVELS,
                        base: float = DEFAULT_DISC_BASE,
                        growth: float = DEFAULT_DISC_GROWTH) -> np.ndarray:
-    """Geometrically growing disc radii for the 2d family."""
+    """Geometrically growing disc radii for the 2d family.
+
+    Radii whose unclipped disc holds no more pixels than the previous one
+    are left out, so every returned radius adds a ring.
+    """
     if n_levels < 1 or base <= 0 or growth <= 1:
         raise ValidationError("need n_levels >= 1, base > 0, growth > 1")
-    return base * growth ** np.arange(n_levels)
+    radii = base * growth ** np.arange(n_levels)
+    reach = int(np.floor(radii[-1]))
+    side = 2 * reach + 1
+    return np.delete(radii, build_family_2d(side, side, (reach, reach), radii).dropped_levels)
 
 
 def build_family_2d(width: int, height: int, center: tuple[int, int], radii,

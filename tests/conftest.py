@@ -24,14 +24,9 @@ def bench_family():
 def _line_artifact(family, loss, levels, rule, pair, seed):
     cfg = am.CalibConfig(family=family, loss=loss, noise=am.NoiseKind.laplace(),
                          runs=BENCH_RUNS, seed=seed, rule=rule, mode="zeta")
-    res = am.calibrate(cfg, levels, pair)
     meta = {"counts": [int(c) for c in family.counts], "n": 200, "center": 0.0}
-    return CalibArtifact(
-        rule=rule, mode="zeta", loss=loss, noise=cfg.noise, r=2.0, alpha=1.0,
-        runs=BENCH_RUNS, seed=seed, zeta=res.crit.zeta, crit=res.crit,
-        levels=levels, pair=pair, achieved_lhs=res.achieved_lhs, budget=res.budget,
-        per_k_error_share=res.per_k_error_share, family_kind="line1d",
-        family_meta=meta)
+    return CalibArtifact.from_result(cfg, am.calibrate(cfg, levels, pair), levels,
+                                     pair, "line1d", meta)
 
 
 @pytest.fixture(scope="session")
@@ -62,19 +57,11 @@ def disc_artifact():
     radii = am.default_disc_radii()
     reach = int(np.floor(radii[-1]))
     side = 2 * reach + 1
-    probe = am.build_family_2d(side, side, (reach, reach), radii)
-    kept = [float(radii[lvl]) for lvl in range(len(radii))
-            if lvl not in probe.dropped_levels]
-    family = am.build_family_2d(side, side, (reach, reach), kept)
+    family = am.build_family_2d(side, side, (reach, reach), radii)
     med = am.LossKind.median()
     lap = am.NoiseKind.laplace()
     lv = am.levels_asymptotic(family, med, am.density_at_zero(lap))
     cfg = am.CalibConfig(family=family, loss=med, noise=lap, runs=BENCH_RUNS,
                          seed=21, rule="ring", mode="zeta")
-    res = am.calibrate(cfg, lv)
-    return CalibArtifact(
-        rule="ring", mode="zeta", loss=med, noise=lap, r=2.0, alpha=1.0,
-        runs=BENCH_RUNS, seed=21, zeta=res.crit.zeta, crit=res.crit, levels=lv,
-        pair=None, achieved_lhs=res.achieved_lhs, budget=res.budget,
-        per_k_error_share=res.per_k_error_share, family_kind="disc2d",
-        family_meta={"counts": [int(c) for c in family.counts], "radii": kept})
+    meta = {"counts": [int(c) for c in family.counts], "radii": [float(r) for r in radii]}
+    return CalibArtifact.from_result(cfg, am.calibrate(cfg, lv), lv, None, "disc2d", meta)

@@ -1,0 +1,86 @@
+"""Scalar reference for window estimates and the sequential selection rules.
+
+Independent of the library's batched path: every window and ring estimate is
+a separate scalar locate() over the window's sorted indices, and both rules
+run the stopping loop one test at a time with thresholds written out from
+the levels. The library must agree with it bit for bit on the selected
+index and the test records, except that mean estimates may differ by
+rounding, because they sum in another order.
+"""
+
+import numpy as np
+
+from adaptmreg.errors import ValidationError
+from adaptmreg.losses import LossKind, locate
+from adaptmreg.selector import TestRecord
+from adaptmreg.windows import WindowFamily
+
+
+def base_estimates(values, family: WindowFamily, loss: LossKind
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """All window estimates and all ring estimates for one data vector."""
+    y = np.asarray(values, dtype=float)
+    if y.ndim != 1:
+        raise ValidationError("values must be 1-d")
+    if int(family.order.max()) >= y.size:
+        raise ValidationError("family indices exceed the data length")
+    K = family.K
+    base = np.empty(K + 1)
+    rings = np.empty(K)
+    for k in range(K + 1):
+        base[k] = locate(y[family.members(k)], loss).value
+    for k in range(K):
+        rings[k] = locate(y[family.ring(k)], loss).value
+    return base, rings
+
+
+def select_scalar(stats: np.ndarray, thr: np.ndarray
+                  ) -> tuple[int, tuple[TestRecord, ...]]:
+    """Shared stopping loop; stats[k, j] is the step-k statistic against window j.
+
+    Within a step the tests run from j = k down to 0 (the most recent window
+    gives the most powerful test); the order only affects which comparison is
+    recorded as the trigger, never the selected index.
+    """
+    K = thr.shape[0]
+    tests: list[TestRecord] = []
+    k_hat = K
+    for k in range(K):
+        rejected = False
+        for j in range(k, -1, -1):
+            stat = float(stats[k, j])
+            threshold = float(thr[k, j])
+            margin = stat - threshold
+            tests.append(TestRecord(k, j, stat, threshold, margin))
+            if margin > 0.0:
+                rejected = True
+                break
+        if rejected:
+            k_hat = k
+            break
+    return k_hat, tuple(tests)
+
+
+def ring_reference(base, rings, levels, crit) -> tuple[int, tuple[TestRecord, ...]]:
+    """Ring rule: |ring_k - base_j| against z_j s_ring[k, j] + z_{k+1} s[k+1]."""
+    K = levels.K
+    z = list(crit.z) + [1.0]
+    stats = np.full((K, K), np.nan)
+    thr = np.full((K, K), np.nan)
+    for k in range(K):
+        for j in range(k + 1):
+            stats[k, j] = abs(rings[k] - base[j])
+            thr[k, j] = z[j] * levels.s_ring[k, j] + z[k + 1] * levels.s[k + 1]
+    return select_scalar(stats, thr)
+
+
+def lepski_reference(base, pair, crit) -> tuple[int, tuple[TestRecord, ...]]:
+    """Classical rule: |base_{k+1} - base_j| against z_j s_pair[k+1, j]."""
+    K = pair.K
+    stats = np.full((K, K), np.nan)
+    thr = np.full((K, K), np.nan)
+    for k in range(K):
+        for j in range(k + 1):
+            stats[k, j] = abs(base[k + 1] - base[j])
+            thr[k, j] = crit.z[j] * pair.s_pair[k + 1, j]
+    return select_scalar(stats, thr)

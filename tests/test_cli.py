@@ -166,6 +166,35 @@ def test_bench_trace_dump(workdir):
     assert "k j statistic threshold margin" in text
 
 
+def test_bench_trace_is_replicate_zero(tmp_path):
+    """The mean ring-rule trace reports the statistics bench computed on replicate 0.
+
+    They equal |ring_k - base_j| bit for bit, with the estimates taken by
+    window_estimates on the nearest-first row, and k_hat is bench's choice.
+    """
+    cal = tmp_path / "mean_ring.cal"
+    assert run("calibrate", "--family", "bench1d", "--loss", "mean", "--runs", "2000",
+               "--seed", "12", "--out", cal) == 0
+    trace = tmp_path / "trace.txt"
+    assert run("bench", "--example", "1", "--runs", "20", "--seed", "7",
+               "--methods", "mean_ring", "--calib", f"mean_ring={cal}",
+               "--trace", trace, "--out", tmp_path / "row.csv") == 0
+    header, columns, *records = trace.read_text().splitlines()
+    assert columns == "k j statistic threshold margin"
+
+    art = am.load_artifact(cal)
+    xs = am.equidistant_design(200)
+    family = am.build_family_1d(xs, 0.0, art.counts)
+    y = am.signal_step(xs) + am.sample_rows(am.NoiseKind.laplace(), 200, 7, 0, 1)
+    bases, rings = am.window_estimates(y[:, family.order], family.counts, am.LossKind.mean())
+    k_hat = int(am.select_ring_batch(bases, rings, art.levels, art.crit)[0])
+    assert header == f"# method mean_ring k_hat {k_hat}"
+    assert len(records) >= k_hat * (k_hat + 1) // 2
+    for line in records:
+        k, j, statistic = line.split()[:3]
+        assert float(statistic) == abs(rings[0, int(k)] - bases[0, int(j)]), line
+
+
 def test_prop1_and_studies(workdir):
     p = workdir / "p.csv"
     assert run("prop1", "--noise", "laplace", "--delta", "0.2", "--n", "200",
@@ -325,6 +354,12 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run("nosuchcommand") == 1
     # an artifact file that does not exist is a bad input
     assert run("verify", "--calib", tmp_path / "none.cal", "--seed", "1") == 1
+    # so is a config file that does not exist
+    capsys.readouterr()
+    assert run("moments", "--config", tmp_path / "nope.cfg", "--seed", "1",
+               "--out", tmp_path / "x.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: cannot read config file") and "nope.cfg" in err
     # and so is an input image that does not exist, PGM or grid
     cal = tmp_path / "d2.cal"
     assert run("calibrate", "--family", "disc2d", "--radius-levels", "3",

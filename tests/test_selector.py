@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import adaptmreg as am
 from adaptmreg import (CriticalValues, LossKind, NoiseKind, RngStream,
-                       base_estimates, oracle_index, propagation_gap,
-                       sample_noise, select_lepski, select_lepski_batch,
-                       select_ring, select_ring_batch, signal_step)
+                       oracle_index, propagation_gap, sample_noise, select_lepski,
+                       select_lepski_batch, select_ring, select_ring_batch,
+                       signal_step, window_estimates)
+from oracle_select import lepski_reference, ring_reference
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +25,16 @@ def flat_crit(levels, value):
     return CriticalValues(z=np.full(levels.K, value), alpha=1.0, r=2.0)
 
 
+def row_estimates(y, family, loss):
+    """Window and ring estimates of one data vector, through the batched path."""
+    bases, rings = window_estimates(np.asarray(y, dtype=float)[None, family.order],
+                                    family.counts, loss)
+    return bases[0], rings[0]
+
+
 def test_base_estimates_constant(setup):
     xs, family, levels = setup
-    base, rings = base_estimates(np.full(200, 3.7), family, LossKind.median())
+    base, rings = row_estimates(np.full(200, 3.7), family, LossKind.median())
     assert np.all(base == 3.7) and np.all(rings == 3.7)
 
 
@@ -31,7 +42,7 @@ def test_base_estimates_median_smallest_window(setup):
     xs, family, _ = setup
     rng = np.random.default_rng(0)
     y = rng.normal(size=200)
-    base, _ = base_estimates(y, family, LossKind.median())
+    base, _ = row_estimates(y, family, LossKind.median())
     assert base[0] == np.sort(y[family.members(0)])[2]  # third order statistic of five
 
 
@@ -39,7 +50,7 @@ def test_noiseless_step_ring_jump(setup):
     """The first ring reaching past the flat part lands on the outer plateau."""
     xs, family, _ = setup
     g = signal_step(xs)
-    base, rings = base_estimates(g, family, LossKind.median())
+    base, rings = row_estimates(g, family, LossKind.median())
     first_mixed = min(k for k in range(family.K)
                       if np.any(np.abs(xs[family.ring(k)]) > 0.2))
     assert first_mixed == 9
@@ -78,7 +89,7 @@ def test_noiseless_step_selects_largest_inside_window(setup, z):
     # holds for z up to ~5; far larger values exceed the detectable jump
     xs, family, levels = setup
     g = signal_step(xs)
-    base, rings = base_estimates(g, family, LossKind.median())
+    base, rings = row_estimates(g, family, LossKind.median())
     trace = select_ring(base, rings, levels, flat_crit(levels, z))
     largest_inside = max(
         k for k in range(family.K + 1)
@@ -92,7 +103,7 @@ def test_trace_margin_invariants(setup):
     rng = np.random.default_rng(5)
     for _ in range(25):
         y = rng.laplace(0, 2 ** -0.5, size=200) + signal_step(am.equidistant_design(200))
-        base, rings = base_estimates(y, family, LossKind.median())
+        base, rings = row_estimates(y, family, LossKind.median())
         trace = select_ring(base, rings, levels, crit)
         assert 0 <= trace.k_hat <= family.K
         assert trace.theta_hat == base[trace.k_hat]
@@ -110,8 +121,9 @@ def test_select_ring_batch_matches_scalar(setup):
     bases = rng.normal(size=(40, family.K + 1)) * 0.3
     rings = rng.normal(size=(40, family.K)) * 0.3
     got = select_ring_batch(bases, rings, levels, crit)
-    want = [select_ring(bases[i], rings[i], levels, crit).k_hat for i in range(40)]
+    want = [ring_reference(bases[i], rings[i], levels, crit)[0] for i in range(40)]
     assert got.tolist() == want
+    assert len(set(want)) > 3
 
 
 def test_select_lepski_constant_and_batch(setup):
@@ -125,7 +137,7 @@ def test_select_lepski_constant_and_batch(setup):
     rng = np.random.default_rng(3)
     bases = rng.normal(size=(30, family.K + 1)) * 0.2
     got = select_lepski_batch(bases, pair, crit)
-    want = [select_lepski(bases[i], pair, crit).k_hat for i in range(30)]
+    want = [lepski_reference(bases[i], pair, crit)[0] for i in range(30)]
     assert got.tolist() == want
 
 
@@ -136,10 +148,10 @@ def test_lepski_two_sample_structure():
     pair = am.pair_levels_exact_mean(family)
     crit = CriticalValues(z=np.array([2.0]), alpha=1.0, r=2.0)
     y = np.zeros(40)
-    base, _ = base_estimates(y, family, LossKind.mean())
+    base, _ = row_estimates(y, family, LossKind.mean())
     assert select_lepski(base, pair, crit).k_hat == 1
     y[family.ring(0)] = 5.0  # second half shifted far away
-    base, _ = base_estimates(y, family, LossKind.mean())
+    base, _ = row_estimates(y, family, LossKind.mean())
     trace = select_lepski(base, pair, crit)
     assert trace.k_hat == 0
     assert abs(trace.tests[0].statistic - abs(base[1] - base[0])) < 1e-15
@@ -150,7 +162,7 @@ def test_mean_ring_statistic_is_multiple_of_difference(setup):
     xs, family, _ = setup
     rng = np.random.default_rng(12)
     y = rng.normal(size=200)
-    base, rings = base_estimates(y, family, LossKind.mean())
+    base, rings = row_estimates(y, family, LossKind.mean())
     n = family.counts.astype(float)
     for k in range(family.K):
         factor = n[k + 1] / (n[k + 1] - n[k])
@@ -163,9 +175,9 @@ def test_translation_equivariance_of_selection(setup):
     crit = flat_crit(levels, 1.5)
     rng = np.random.default_rng(21)
     y = rng.laplace(size=200)
-    base, rings = base_estimates(y, family, LossKind.median())
+    base, rings = row_estimates(y, family, LossKind.median())
     t0 = select_ring(base, rings, levels, crit)
-    base2, rings2 = base_estimates(y + 11.5, family, LossKind.median())
+    base2, rings2 = row_estimates(y + 11.5, family, LossKind.median())
     t1 = select_ring(base2, rings2, levels, crit)
     assert t1.k_hat == t0.k_hat
     assert t1.theta_hat == pytest.approx(t0.theta_hat + 11.5, abs=1e-9)
@@ -210,7 +222,7 @@ def test_propagation_never_violated_small_mc(setup):
     rng_seed = 33
     for i in range(300):
         y = g + sample_noise(NoiseKind.laplace(), 200, RngStream(rng_seed, i))
-        base, rings = base_estimates(y, family, LossKind.median())
+        base, rings = row_estimates(y, family, LossKind.median())
         trace = select_ring(base, rings, levels, crit)
         for k in range(trace.k_hat):
             lhs, rhs = propagation_gap(trace, k, crit, levels)
@@ -233,6 +245,36 @@ def test_risk_hypothesis_gate(setup):
 def test_all_equal_observations_select_full_window(setup):
     _, family, levels = setup
     y = np.full(200, -2.25)
-    base, rings = base_estimates(y, family, LossKind.median())
+    base, rings = row_estimates(y, family, LossKind.median())
     trace = select_ring(base, rings, levels, flat_crit(levels, 0.7))
     assert trace.k_hat == family.K
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_row_view_matches_scalar_reference(setup, data):
+    """Batched indices and one-row test records equal the scalar stopping loop."""
+    _, family, levels = setup
+    K = family.K
+    rule = data.draw(st.sampled_from(["ring", "lepski"]))
+    rows = data.draw(st.integers(1, 6))
+    spread = data.draw(st.floats(1e-3, 3.0))
+    values = st.floats(-1.0, 1.0, allow_subnormal=False)
+    bases = spread * data.draw(arrays(float, (rows, K + 1), elements=values))
+    rings = spread * data.draw(arrays(float, (rows, K), elements=values))
+    z = data.draw(arrays(float, K, elements=st.floats(0.05, 5.0)))
+    crit = CriticalValues(z=z, alpha=1.0, r=2.0)
+    if rule == "ring":
+        got = select_ring_batch(bases, rings, levels, crit)
+        views = [select_ring(bases[i], rings[i], levels, crit) for i in range(rows)]
+        refs = [ring_reference(bases[i], rings[i], levels, crit) for i in range(rows)]
+    else:
+        pair = am.pair_levels_exact_mean(family)
+        got = select_lepski_batch(bases, pair, crit)
+        views = [select_lepski(bases[i], pair, crit) for i in range(rows)]
+        refs = [lepski_reference(bases[i], pair, crit) for i in range(rows)]
+    assert got.tolist() == [k for k, _ in refs]
+    for i, (view, (k_hat, tests)) in enumerate(zip(views, refs)):
+        assert view.k_hat == k_hat
+        assert view.theta_hat == bases[i, k_hat]
+        assert view.tests == tests

@@ -152,9 +152,14 @@ def test_2d_center_outside_error():
 
 
 def test_default_disc_radii_growth():
+    """Geometric radii, less those whose disc adds no pixel (1.5 and 1.77 both hold 9)."""
     radii = am.default_disc_radii()
+    steps = np.log(radii / 1.5) / np.log(1.4 ** 0.5)
     assert radii[0] == 1.5
-    assert np.allclose(radii[1:] / radii[:-1], 1.4 ** 0.5)
+    assert np.allclose(steps, np.rint(steps))
+    assert np.rint(steps).astype(int).tolist() == [0, 2, 3, 4, 5, 6, 7, 8, 9]
+    counts = [lattice_count(r) for r in radii]
+    assert np.all(np.diff(counts) > 0)
 
 
 def test_equidistant_design():
