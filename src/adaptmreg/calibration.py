@@ -120,29 +120,31 @@ class CalibResult:
 
 
 class _SelectionStats:
-    """Fixed replicate set reused across threshold candidates.
+    """Selection statistics of a given set of pure-noise replicates.
 
-    weights[i, j] = |base_j|^r for replicate i. The step-j statistics
-    |nxt_j - base_l| against windows l = 0..j are stored packed: raw[i, p]
-    with p = start[j] + l and start[j] = j (j + 1) / 2, so raw has shape
-    (runs, K (K + 1) / 2) and its columns follow np.tril_indices(K). nxt
-    and scale and additive come from the rule (selector._rule_terms):
-    scale[j, l] is the error level multiplying z_l, additive[j] the level
-    multiplying the step's closing value z_{j+1}. Passing bare=True drops the
-    additive term from the rejection events.
+    bases and rings are the (runs, K+1) window and (runs, K) ring estimates
+    of simulate_window_estimates: the calibration's whole fixed replicate set
+    (common random numbers, reused across threshold candidates), or one chunk
+    of verify_calibration's fresh replicates. weights[i, j] = |base_j|^r for
+    replicate i. The step-j statistics |nxt_j - base_l| against windows
+    l = 0..j are stored packed: raw[i, p] with p = start[j] + l and
+    start[j] = j (j + 1) / 2, so raw has shape (runs, K (K + 1) / 2) and its
+    columns follow np.tril_indices(K). nxt and scale and additive come from
+    the rule (selector._rule_terms): scale[j, l] is the error level
+    multiplying z_l, additive[j] the level multiplying the step's closing
+    value z_{j+1}. Passing bare=True drops the additive term from the
+    rejection events.
     """
 
-    def __init__(self, config: CalibConfig, levels: Levels,
-                 pair: PairLevels | None, seed: int) -> None:
+    def __init__(self, config: CalibConfig, levels: Levels, pair: PairLevels | None,
+                 bases: np.ndarray, rings: np.ndarray) -> None:
         K = config.family.K
-        bases, rings = simulate_window_estimates(
-            config.family, config.loss, config.noise, config.runs, seed, config.workers)
         nxt, self.scale, self.additive = _rule_terms(config.rule, bases, rings, levels, pair)
         self.K = K
-        self.runs = config.runs
+        self.runs = bases.shape[0]
         self.weights = np.abs(bases[:, :K]) ** config.r
         self.start = np.arange(K) * (np.arange(K) + 1) // 2
-        self.raw = np.empty((config.runs, K * (K + 1) // 2))
+        self.raw = np.empty((self.runs, K * (K + 1) // 2))
         for j, p in enumerate(self.start):
             cols = self.raw[:, p: p + j + 1]
             np.subtract(nxt[:, j, None], bases[:, : j + 1], out=cols)
@@ -158,13 +160,17 @@ class _SelectionStats:
                               0.0 if bare else self.additive)
         return self.raw > thr[np.tril_indices(self.K)]
 
-    def objective(self, z: np.ndarray, bare: bool = False) -> float:
-        """Budget left-hand side for thresholds built from z on this replicate set."""
+    def row_totals(self, z: np.ndarray, bare: bool = False) -> np.ndarray:
+        """Per-replicate sum over steps j of |base_j|^r * 1{step j rejects}."""
         rejected = np.logical_or.reduceat(self._exceed(z, bare), self.start, axis=1)
         total = np.zeros(self.runs)
         for j in range(self.K):
             total += self.weights[:, j] * rejected[:, j]
-        return float(total.mean())
+        return total
+
+    def objective(self, z: np.ndarray, bare: bool = False) -> float:
+        """Budget left-hand side for thresholds built from z on this replicate set."""
+        return float(self.row_totals(z, bare).mean())
 
     def shares(self, z: np.ndarray, bare: bool = False) -> np.ndarray:
         """Budget split by the first rejecting window index; sums to objective(z)."""
@@ -176,6 +182,14 @@ class _SelectionStats:
             first = rej.argmax(axis=1)
             np.add.at(out, first[any_rej], self.weights[any_rej, j])
         return out / self.runs
+
+
+def _calibration_stats(config: CalibConfig, levels: Levels,
+                       pair: PairLevels | None) -> _SelectionStats:
+    """Statistics of the whole replicate set drawn from the calibration seed."""
+    bases, rings = simulate_window_estimates(
+        config.family, config.loss, config.noise, config.runs, config.seed, config.workers)
+    return _SelectionStats(config, levels, pair, bases, rings)
 
 
 def _zeta_to_z(zeta: float, levels: Levels, alpha: float, r: float) -> np.ndarray:
@@ -232,7 +246,7 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
             f"(s[{k}] = {float(levels.s[k])!r} > s[{k - 1}] = {float(levels.s[k - 1])!r}), "
             "so the zeta family would give increasing critical values; "
             "use --levels asymptotic or --mode sequential")
-    stats = _SelectionStats(config, levels, pair, config.seed)
+    stats = _calibration_stats(config, levels, pair)
     budget = _budget(config, levels)
 
     def lhs(zeta: float) -> float:
@@ -269,7 +283,7 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
     depend on later values, and the selection rule's extra closing term only
     shrinks events, so the resulting thresholds stay on the safe side.
     """
-    stats = _SelectionStats(config, levels, pair, config.seed)
+    stats = _calibration_stats(config, levels, pair)
     K = stats.K
     budget = _budget(config, levels)
     per_step = budget / K
@@ -311,13 +325,24 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     """Out-of-sample budget ratio achieved_lhs / budget on fresh replicates.
 
     The seed must differ from the calibration seed, otherwise the check would
-    just reread the replicates the thresholds were fitted to.
+    just reread the replicates the thresholds were fitted to. The replicates
+    are streamed: each chunk of simulate_window_estimates builds its own
+    _SelectionStats and stores only its row totals, so memory stays at one
+    chunk's statistics per worker plus one float per replicate, and the
+    ratio equals the objective over the whole set bit for bit.
     """
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
     cfg = config if runs is None else replace(config, runs=runs)
-    stats = _SelectionStats(cfg, levels, pair, seed)
-    return stats.objective(crit.full(levels.K)[:-1]) / _budget(cfg, levels)
+    z = crit.full(levels.K)[:-1]
+    total = np.empty(cfg.runs)
+
+    def consume(lo: int, hi: int, bases: np.ndarray, rings: np.ndarray) -> None:
+        total[lo:hi] = _SelectionStats(cfg, levels, pair, bases, rings).row_totals(z)
+
+    simulate_window_estimates(cfg.family, cfg.loss, cfg.noise, cfg.runs, seed,
+                              cfg.workers, consume)
+    return float(total.mean()) / _budget(cfg, levels)
 
 
 # ----------------------------------------------------------------------------

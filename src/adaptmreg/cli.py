@@ -266,7 +266,11 @@ def _load_bench_artifacts(spec_methods, arg: str) -> dict[str, CalibArtifact]:
         if not sep:
             raise ValidationError(
                 "--calib must be a directory or method=path[,method=path...]")
-        out[name.strip()] = load_artifact(p.strip())
+        name = name.strip()
+        if name == "median_oracle" or name not in spec_methods:
+            raise ValidationError(f"--calib entry {part.strip()!r} names no method "
+                                  "of --methods that takes an artifact")
+        out[name] = load_artifact(p.strip())
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -200,8 +201,9 @@ def levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
 
 
 def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseKind,
-                              runs: int, seed: int, workers: int | None = None
-                              ) -> tuple[np.ndarray, np.ndarray]:
+                              runs: int, seed: int, workers: int | None = None,
+                              consume: Callable[[int, int, np.ndarray, np.ndarray], None]
+                              | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Pure-noise window and ring estimates, one row per replicate.
 
     Replicate i draws its noise from substream i of seed, so the output is
@@ -209,6 +211,12 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     exchangeable, hence draws are laid out directly in nearest-first window
     order. For a quantile loss the draws are shifted so that the target
     quantile of the noise sits at zero, matching the location model.
+
+    Without consume, returns the stacked (bases, rings) of shapes (runs, K+1)
+    and (runs, K). With it, nothing is stacked: each chunk of the fixed grid
+    calls consume(lo, hi, bases, rings) with the estimates of replicates
+    lo..hi-1, on whichever worker ran the chunk, and the function returns
+    None. The consumer must write only into slots lo..hi-1 of its outputs.
     """
     if runs < 1:
         raise ValidationError("runs must be positive")
@@ -217,14 +225,21 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     shift = 0.0
     if loss.kind == "quantile":
         shift = quantile_point(kind, loss.alpha) * kind.scale
+
+    def estimates(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        block = sample_rows(kind, n_max, seed, lo, hi)
+        if shift:
+            block -= shift
+        return window_estimates(block, family.counts, loss)
+
+    if consume is not None:
+        run_chunks(lambda lo, hi: consume(lo, hi, *estimates(lo, hi)), runs, workers)
+        return None
     bases = np.empty((runs, K + 1))
     rings = np.empty((runs, K))
 
     def task(lo: int, hi: int) -> None:
-        block = sample_rows(kind, n_max, seed, lo, hi)
-        if shift:
-            block -= shift
-        bases[lo:hi], rings[lo:hi] = window_estimates(block, family.counts, loss)
+        bases[lo:hi], rings[lo:hi] = estimates(lo, hi)
 
     run_chunks(task, runs, workers)
     return bases, rings

@@ -35,6 +35,18 @@ def _pgm_tokens(data: bytes):
         yield data[start:i], i
 
 
+def _header_int(token: bytes, what: str) -> int:
+    """A header field written as unsigned ASCII decimal digits.
+
+    More than 20 digits is refused too: int() rejects very long digit
+    strings, and no raster is that large.
+    """
+    if not token.isdigit() or len(token) > 20:
+        raise ValidationError(f"{what} must be a decimal integer of at most 20 digits, "
+                              f"got {token[:32]!r}")
+    return int(token)
+
+
 def read_pgm(path) -> tuple[np.ndarray, int]:
     """Read a binary PGM; returns (float array of shape (height, width), maxval)."""
     with open(path, "rb") as fh:
@@ -43,10 +55,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     magic, _ = next(tokens)
     if magic != b"P5":
         raise ValidationError(f"unsupported PGM magic {magic!r} (binary P5 only)")
-    width, _ = next(tokens)
-    height, _ = next(tokens)
-    maxval, end = next(tokens)
-    width, height, maxval = int(width), int(height), int(maxval)
+    width = _header_int(next(tokens)[0], "PGM width")
+    height = _header_int(next(tokens)[0], "PGM height")
+    token, end = next(tokens)
+    maxval = _header_int(token, "PGM maxval")
     if not (0 < maxval < 65536):
         raise ValidationError(f"invalid PGM maxval {maxval}")
     # exactly one whitespace byte separates the header from the raster
@@ -82,11 +94,13 @@ def read_grid(path) -> np.ndarray:
         dims = fh.readline().split()
         if len(dims) != 2:
             raise ValidationError("grid header must be 'width height'")
-        width, height = int(dims[0]), int(dims[1])
-        raw = fh.read(width * height * 8)
-    if len(raw) != width * height * 8:
+        width = _header_int(dims[0], "grid width")
+        height = _header_int(dims[1], "grid height")
+        # read what is there: a huge declared size must not size the buffer
+        raw = fh.read()
+    if len(raw) < width * height * 8:
         raise ValidationError("truncated grid payload")
-    return np.frombuffer(raw, dtype="<f8").reshape(height, width).copy()
+    return np.frombuffer(raw, dtype="<f8", count=width * height).reshape(height, width).copy()
 
 
 def write_grid(path, array: np.ndarray) -> None:

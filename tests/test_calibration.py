@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,11 @@ import adaptmreg as am
 from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        calibrate_sequential, calibrate_zeta, load_artifact,
                        save_artifact, verify_calibration)
-from adaptmreg.calibration import SEARCH_TOL, Z_MAX, ZETA_MIN, _SelectionStats
+from adaptmreg.calibration import (SEARCH_TOL, Z_MAX, ZETA_MIN, _calibration_stats,
+                                   _SelectionStats)
 from adaptmreg.errors import CalibrationError
 from adaptmreg.levels import Levels, simulate_window_estimates
+from adaptmreg.parallel import CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +63,7 @@ def test_huge_alpha_hits_grid_minimum(small_setup):
 
 def test_objective_monotone_in_thresholds(small_setup):
     family, levels, config = small_setup
-    stats = _SelectionStats(config, levels, None, config.seed)
+    stats = _calibration_stats(config, levels, None)
     res = calibrate_zeta(config, levels)
     z = res.crit.z
     assert stats.objective(1.5 * z) <= stats.objective(z) <= stats.objective(0.5 * z)
@@ -91,7 +96,7 @@ def test_sequential_vs_zeta_profiles(small_setup):
     assert res_s.achieved_lhs <= res_s.budget * (1 + 1e-9)
     # bare events contain the selection-form events, so the sequential values
     # also satisfy the selection-form budget
-    stats = _SelectionStats(cfg, levels, None, cfg.seed)
+    stats = _calibration_stats(cfg, levels, None)
     assert stats.objective(res_s.crit.z) <= res_s.budget * (1 + 1e-9)
 
 
@@ -199,7 +204,7 @@ def test_packed_statistics_match_dense_reference(small_setup, rule):
     if rule == "lepski":
         config, pair = _lepski_setup(small_setup)
     assert levels.K >= 4
-    packed = _SelectionStats(config, levels, pair, config.seed)
+    packed = _calibration_stats(config, levels, pair)
     dense = _DenseStats(config, levels, pair)
     rng = np.random.default_rng(2024)
     for scale in (0.5, 1.5, 3.0):
@@ -260,6 +265,51 @@ def test_verify_requires_fresh_seed(small_setup):
     res = calibrate(config, levels)
     with pytest.raises(ValueError):
         verify_calibration(config, res.crit, levels, seed=config.seed)
+
+
+@pytest.mark.parametrize("loss", ["mean", "median"])
+@pytest.mark.parametrize("rule", ["ring", "lepski"])
+def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule):
+    """The streamed ratio equals the objective over all replicates at once, bit for bit."""
+    family, _, config = small_setup
+    loss = LossKind(loss)
+    if loss.kind == "mean":
+        levels, pair = am.levels_exact_mean(family), am.pair_levels_exact_mean(family)
+    else:
+        f0 = am.density_at_zero(NoiseKind.laplace())
+        levels = am.levels_asymptotic(family, loss, f0)
+        pair = am.pair_levels_asymptotic(family, loss, f0)
+    runs = 2 * CHUNK + 7  # the last chunk is partial
+    cfg = CalibConfig(family=family, loss=loss, noise=config.noise, runs=runs,
+                      seed=config.seed, rule=rule)
+    crit = am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K), alpha=1.0, r=2.0)
+    bases, rings = simulate_window_estimates(family, loss, cfg.noise, runs, 77)
+    whole = _SelectionStats(cfg, levels, pair, bases, rings)
+    want = whole.objective(crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)
+    assert want > 0.0
+    for workers in (1, 2, 3):
+        got = verify_calibration(replace(cfg, workers=workers), crit, levels, pair, seed=77)
+        assert got == want
+
+
+def test_verify_never_holds_the_packed_statistics():
+    """Verify's memory peak stays far below the (runs, K (K + 1) / 2) float64 array."""
+    counts = am.benchmark_counts()
+    family = am.build_family_1d(am.equidistant_design(200), 0.0, counts)
+    loss = LossKind.median()
+    levels = am.levels_asymptotic(family, loss, am.density_at_zero(NoiseKind.laplace()))
+    runs = 50_000
+    cfg = CalibConfig(family=family, loss=loss, noise=NoiseKind.laplace(), seed=1,
+                      workers=2)
+    crit = am.CriticalValues(z=np.full(levels.K, 1.2), alpha=1.0, r=2.0)
+    packed_bytes = runs * levels.K * (levels.K + 1) // 2 * 8
+    tracemalloc.start()
+    try:
+        verify_calibration(cfg, crit, levels, seed=2, runs=runs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < packed_bytes / 4
 
 
 def test_calibration_failure_diagnostics(small_setup):

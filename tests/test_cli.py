@@ -370,3 +370,21 @@ def test_validation_exit_codes(tmp_path, capsys):
                    "--out", tmp_path / "x.pgm") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: validation: ") and name in err
+    # a bench --calib entry that no method of --methods uses is refused
+    # before anything is written
+    capsys.readouterr()
+    assert run("bench", "--example", "1", "--runs", "10", "--seed", "7",
+               "--methods", "median_oracle", "--calib", f"foo={cal}",
+               "--trace", tmp_path / "t.txt", "--out", tmp_path / "b.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: --calib entry") and "foo=" in err
+    assert not (tmp_path / "t.txt").exists() and not (tmp_path / "b.csv").exists()
+    # so are malformed PGM and grid headers
+    for name, data in (("w.pgm", b"P5\nab 4\n255\n" + bytes(16)),
+                       ("m.pgm", b"P5\n4 4\n2x5\n" + bytes(16)),
+                       ("h.grid", b"AMRGRID1\nx 2\n" + bytes(16))):
+        (tmp_path / name).write_bytes(data)
+        capsys.readouterr()
+        assert run("denoise", "--in", tmp_path / name, "--calib", cal,
+                   "--out", tmp_path / "x.pgm") == 1
+        assert capsys.readouterr().err.startswith("error: validation: ")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptmreg as am
 from adaptmreg import (DenoiseConfig, Image, NoiseKind, RngStream, denoise_image,
@@ -300,3 +302,40 @@ def test_grid_roundtrip(tmp_path):
     bad.write_bytes(b"NOTAGRID\n2 2\n")
     with pytest.raises(ValueError):
         read_grid(bad)
+
+
+# a header field replaced by junk: a decimal too large for any raster, one
+# too long for int(), or a short token without whitespace or '#' (a leading
+# '#' starts a comment)
+_JUNK = st.one_of(st.integers(7, 10 ** 15).map(str), st.just("9" * 5000),
+                  st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                                        blacklist_characters="#"),
+                          min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=st.booleans(), dims=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       maxval=st.sampled_from([0, 1, 255, 256, 65535, 65536]),
+       junk=st.one_of(st.none(), st.tuples(st.integers(0, 2), _JUNK)),
+       sep=st.sampled_from([" ", "\n", "\t", "\n# c\n"]), cut=st.integers(0, 400))
+def test_header_fuzz_reads_declared_shape_or_refuses(tmp_path_factory, grid, dims,
+                                                     maxval, junk, sep, cut):
+    """Random headers and truncated files: the declared shape or a ValidationError."""
+    fields = [str(dims[0]), str(dims[1]), str(maxval)]
+    if junk is not None:
+        fields[junk[0]] = junk[1]
+    if grid:
+        head, itemsize = "AMRGRID1\n" + " ".join(fields[:2]) + "\n", 8
+        reader = read_grid
+    else:
+        head = "P5" + "".join(sep + f for f in fields) + "\n"
+        itemsize = 2 if maxval > 255 else 1
+        reader = lambda p: read_pgm(p)[0]  # noqa: E731
+    raster = bytes(i * 37 % 256 for i in range(dims[0] * dims[1] * itemsize))
+    path = tmp_path_factory.getbasetemp() / "fuzz.img"
+    path.write_bytes((head.encode("ascii") + raster)[:cut])
+    try:
+        arr = reader(path)
+    except ValidationError:
+        return
+    assert arr.shape == (int(fields[1]), int(fields[0]))
