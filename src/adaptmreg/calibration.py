@@ -41,7 +41,7 @@ from .levels import Levels, PairLevels, simulate_window_estimates
 from .losses import LossKind
 from .noise import NoiseKind
 from .selector import CriticalValues, _rule_terms, threshold_table
-from .windows import WindowFamily, build_family_1d, build_family_2d, equidistant_design
+from .windows import WindowFamily, build_family_1d, disc_family, equidistant_design
 
 __all__ = [
     "CalibConfig",
@@ -403,10 +403,7 @@ class CalibArtifact:
         if self.family_kind == "line1d":
             xs = equidistant_design(int(self.family_meta["n"]))
             return build_family_1d(xs, float(self.family_meta["center"]), self.counts)
-        radii = np.asarray(self.family_meta["radii"], dtype=float)
-        reach = int(np.floor(radii[-1]))
-        side = 2 * reach + 1
-        return build_family_2d(side, side, (reach, reach), radii)
+        return disc_family(self.family_meta["radii"])
 
 
 def _fmt(x) -> str:

@@ -16,8 +16,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .calibration import (CalibArtifact, CalibConfig, calibrate, load_artifact,
                           save_artifact, verify_calibration)
 from .errors import CalibrationError, ValidationError
@@ -27,12 +25,11 @@ from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
                      pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc,
                      target_density)
-from .losses import LossKind, window_estimates
+from .losses import LossKind
 from .noise import parse_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
-from .selector import select_lepski, select_ring
-from .windows import (benchmark_counts, build_family_1d, build_family_2d,
-                      default_disc_radii, equidistant_design)
+from .windows import (benchmark_counts, build_family_1d, default_disc_radii, disc_family,
+                      equidistant_design)
 
 __all__ = ["run_cli", "main"]
 
@@ -184,27 +181,28 @@ def _family_for_calibrate(args):
         n_levels=args.radius_levels or 10,
         base=args.radius0 or 1.5,
         growth=args.radius_growth or 1.4 ** 0.5)
-    reach = int(np.floor(radii[-1]))
-    side = 2 * reach + 1
-    fam = build_family_2d(side, side, (reach, reach), radii)
+    fam = disc_family(radii)
     meta = {"counts": [int(c) for c in fam.counts], "radii": [float(r) for r in radii]}
     return fam, "disc2d", meta
 
 
-def _levels_for_calibrate(args, family, loss, noise):
-    choice = args.levels
+def _levels_for_calibrate(args, family, loss, noise, pair=False):
+    """The window levels (--levels) or, with pair, the pair levels (--pair)."""
+    choice = args.pair if pair else args.levels
     if choice == "auto":
         choice = {"mean": "exact", "median": "asymptotic",
                   "quantile": "asymptotic"}.get(loss.kind, "mc")
     if choice == "exact":
-        return levels_exact_mean(family, args.r)
+        return (pair_levels_exact_mean if pair else levels_exact_mean)(family, args.r)
     if choice == "asymptotic":
-        if loss.kind == "mean" or loss.kind == "huber":
+        if not pair and loss.kind in ("mean", "huber"):
             raise ValidationError("asymptotic levels need a median or quantile loss")
-        return levels_asymptotic(family, loss, target_density(noise, loss), args.r)
-    runs = args.levels_runs or args.runs
-    return levels_mc(family, loss, noise, runs, args.r,
-                     seed=args.seed + 1, workers=args.workers)
+        return (pair_levels_asymptotic if pair else levels_asymptotic)(
+            family, loss, target_density(noise, loss), args.r)
+    runs = (args.pair_runs if pair else args.levels_runs) or args.runs
+    return (pair_levels_mc if pair else levels_mc)(
+        family, loss, noise, runs, args.r, seed=args.seed + (2 if pair else 1),
+        workers=args.workers)
 
 
 def _cmd_calibrate(args) -> int:
@@ -212,19 +210,8 @@ def _cmd_calibrate(args) -> int:
     noise = parse_noise(args.noise)
     family, kind_tag, meta = _family_for_calibrate(args)
     levels = _levels_for_calibrate(args, family, loss, noise)
-    pair = None
-    if args.rule == "lepski":
-        choice = args.pair
-        if choice == "auto":
-            choice = {"mean": "exact", "median": "asymptotic",
-                      "quantile": "asymptotic"}.get(loss.kind, "mc")
-        if choice == "exact":
-            pair = pair_levels_exact_mean(family, args.r)
-        elif choice == "asymptotic":
-            pair = pair_levels_asymptotic(family, loss, target_density(noise, loss), args.r)
-        else:
-            pair = pair_levels_mc(family, loss, noise, args.pair_runs or args.runs,
-                                  args.r, seed=args.seed + 2, workers=args.workers)
+    pair = (_levels_for_calibrate(args, family, loss, noise, pair=True)
+            if args.rule == "lepski" else None)
     config = CalibConfig(family=family, loss=loss, noise=noise, r=args.r,
                          alpha=args.alpha, runs=args.runs, seed=args.seed,
                          mode=args.mode, rule=args.rule, workers=args.workers)
@@ -283,25 +270,11 @@ def _cmd_bench(args) -> int:
     report = run_benchmark(spec, artifacts)
     Path(args.out).write_text(report.to_csv())
     if args.trace:
-        _write_bench_trace(args, spec, artifacts)
+        Path(args.trace).write_text("".join(
+            f"# method {m} k_hat {t.k_hat}\n" + t.format_rows()
+            for m, t in sorted(report.traces.items())))
     print(f"bench example={args.example} noise={spec.noise.label} -> {args.out}")
     return 0
-
-
-def _write_bench_trace(args, spec: ExperimentSpec, artifacts) -> None:
-    """Selection trace of replicate 0 for each method, as bench computes it."""
-    xs = equidistant_design(spec.n)
-    y = replicate_rows(spec, spec.signal_fn()(xs), 0, 1)
-    parts = []
-    for method, art in sorted(artifacts.items()):
-        family = build_family_1d(xs, 0.0, art.counts)
-        bases, rings = window_estimates(y[:, family.order], family.counts, art.loss)
-        if art.rule == "lepski":
-            trace = select_lepski(bases[0], art.pair, art.crit)
-        else:
-            trace = select_ring(bases[0], rings[0], art.levels, art.crit)
-        parts.append(f"# method {method} k_hat {trace.k_hat}\n" + trace.format_rows())
-    Path(args.trace).write_text("".join(parts))
 
 
 def _cmd_prop1(args) -> int:

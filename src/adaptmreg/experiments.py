@@ -23,8 +23,9 @@ from .levels import normal_abs_moment
 from .losses import LossKind, locate_rows, window_estimates
 from .noise import NoiseKind, cdf, density, density_at_zero, sample_rows
 from .parallel import run_chunks
-from .selector import select_lepski_batch, select_ring_batch
-from .windows import build_family_1d, equidistant_design
+from .selector import (SelectionTrace, select_lepski, select_lepski_batch, select_ring,
+                       select_ring_batch)
+from .windows import benchmark_counts, build_family_1d, equidistant_design
 
 __all__ = [
     "METHODS",
@@ -74,8 +75,6 @@ class ExperimentSpec:
     runs: int = 1000
     methods: tuple[str, ...] = METHODS
     seed: int = 0
-    signal: Callable[[np.ndarray], np.ndarray] | None = None
-    oracle_halfwidth: float | None = None
     workers: int | None = None
 
     def __post_init__(self) -> None:
@@ -84,20 +83,13 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}")
-        if self.signal is None and self.example not in SIGNALS:
-            raise ValidationError("example must be 1 or 2, or pass a custom signal")
+        if self.example not in SIGNALS:
+            raise ValidationError("example must be 1 or 2")
         if self.runs < 1:
             raise ValidationError("runs must be positive")
 
     def signal_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.signal if self.signal is not None else SIGNALS[self.example]
-
-    def oracle_hw(self) -> float:
-        if self.oracle_halfwidth is not None:
-            return self.oracle_halfwidth
-        if self.signal is not None or self.example not in ORACLE_HALFWIDTH:
-            raise ValidationError("custom signals need an explicit oracle_halfwidth")
-        return ORACLE_HALFWIDTH[self.example]
+        return SIGNALS[self.example]
 
 
 @dataclass(frozen=True)
@@ -112,15 +104,12 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class BenchmarkReport:
+    """The benchmark rows, plus each calibrated method's selection trace of replicate 0."""
+
     rows: tuple[BenchRow, ...]
+    traces: Mapping[str, SelectionTrace]
 
     CSV_HEADER = "example,noise,method,mc_median_abs_error,runs,seed"
-
-    def value(self, method: str) -> float:
-        for row in self.rows:
-            if row.method == method:
-                return row.mc_median_abs_error
-        raise KeyError(method)
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -130,18 +119,24 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
+def _loss_rule(method: str) -> tuple[str, str]:
+    """A method's (loss, rule); the fixed-window median_oracle has rule "oracle"."""
+    loss, _, rule = method.partition("_")
+    return loss, rule
+
+
 def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
-                     ) -> np.ndarray:
-    needed = [m for m in spec.methods if m != "median_oracle"]
+                     ) -> tuple[np.ndarray, dict[str, tuple[str, str]]]:
+    """The artifacts' window sizes, and the (loss, rule) of each method that needs one."""
+    rules = {m: _loss_rule(m) for m in spec.methods}
+    needed = {m: lr for m, lr in rules.items() if lr[1] != "oracle"}
     missing = [m for m in needed if m not in calib]
     if missing:
         raise ValidationError(f"missing calibration artifacts for {missing}")
     counts = None
-    for m in needed:
+    for m, loss_rule in needed.items():
         art = calib[m]
-        want_loss = "mean" if m.startswith("mean") else "median"
-        want_rule = "lepski" if m.endswith("lepski") else "ring"
-        if art.loss.kind != want_loss or art.rule != want_rule:
+        if (art.loss.kind, art.rule) != loss_rule:
             raise ValidationError(f"artifact for {m} was calibrated as "
                                   f"{art.loss.kind}/{art.rule}")
         if art.rule == "lepski" and art.pair is None:
@@ -154,66 +149,67 @@ def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
             raise ValidationError("calibration artifacts use different window families")
     if counts is None:
         # oracle-only run; any valid family works, use the benchmark default
-        from .windows import benchmark_counts
         counts = benchmark_counts()
     if counts[-1] > spec.n:
         raise ValidationError("window family larger than the design")
-    return counts
+    return counts, needed
 
 
 def replicate_rows(spec: ExperimentSpec, g: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Replicates lo..hi-1 of spec, one row each: the signal g plus noise substream i.
 
-    The benchmark, its trace and the simulate command all draw here, so
-    replicate i holds the same data wherever it appears.
+    The benchmark and the simulate command both draw here, so replicate i
+    holds the same data wherever it appears.
     """
     return g + sample_rows(spec.noise, spec.n, spec.seed, lo, hi)
 
 
 def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
                   ) -> BenchmarkReport:
-    """Monte Carlo median absolute error at x = 0 for each requested method."""
-    counts = _check_artifacts(spec, calib)
+    """Monte Carlo median absolute error at x = 0 for each requested method.
+
+    The chunk holding replicate 0 also traces each calibrated method's
+    selection on that replicate, from the very estimates it selected on.
+    """
+    counts, calibrated = _check_artifacts(spec, calib)
     xs = equidistant_design(spec.n)
     family = build_family_1d(xs, 0.0, counts)
     g = spec.signal_fn()(xs)
     theta = float(spec.signal_fn()(np.zeros(1))[0])
-    oracle_idx = np.flatnonzero(np.abs(xs) <= spec.oracle_hw() + 1e-12)
+    oracle_idx = np.flatnonzero(np.abs(xs) <= ORACLE_HALFWIDTH[spec.example] + 1e-12)
     order = family.order
 
-    need_mean = any(m.startswith("mean") for m in spec.methods)
-    need_median = any(m.startswith("median") and m != "median_oracle"
-                      for m in spec.methods)
+    losses = sorted({loss for loss, _ in calibrated.values()})
     errors = {m: np.empty(spec.runs) for m in spec.methods}
+    traces: dict[str, SelectionTrace] = {}
 
     def task(lo: int, hi: int) -> None:
         y = replicate_rows(spec, g, lo, hi)
         yw = y[:, order]
-        for loss_name, want in (("mean", need_mean), ("median", need_median)):
-            if not want:
-                continue
-            bases, rings = window_estimates(yw, counts, LossKind(loss_name))
-            for method in spec.methods:
-                if not method.startswith(loss_name) or method == "median_oracle":
-                    continue
-                art = calib[method]
-                if method.endswith("lepski"):
-                    k_hat = select_lepski_batch(bases, art.pair, art.crit)
-                else:
-                    k_hat = select_ring_batch(bases, rings, art.levels, art.crit)
-                theta_hat = np.take_along_axis(bases, k_hat[:, None], axis=1)[:, 0]
-                errors[method][lo:hi] = np.abs(theta_hat - theta)
+        estimates = {loss: window_estimates(yw, counts, LossKind(loss)) for loss in losses}
+        for method, (loss, rule) in calibrated.items():
+            bases, rings = estimates[loss]
+            art = calib[method]
+            if rule == "lepski":
+                k_hat = select_lepski_batch(bases, art.pair, art.crit)
+            else:
+                k_hat = select_ring_batch(bases, rings, art.levels, art.crit)
+            theta_hat = np.take_along_axis(bases, k_hat[:, None], axis=1)[:, 0]
+            errors[method][lo:hi] = np.abs(theta_hat - theta)
+            if lo == 0:
+                traces[method] = (
+                    select_lepski(bases[0], art.pair, art.crit) if rule == "lepski"
+                    else select_ring(bases[0], rings[0], art.levels, art.crit))
         if "median_oracle" in spec.methods:
             est = locate_rows(y[:, oracle_idx], LossKind.median())
             errors["median_oracle"][lo:hi] = np.abs(est - theta)
 
     run_chunks(task, spec.runs, spec.workers)
-    example_label = str(spec.example) if spec.signal is None else "custom"
     rows = tuple(
-        BenchRow(example_label, spec.noise.label, m,
+        BenchRow(str(spec.example), spec.noise.label, m,
                  float(np.median(errors[m])), spec.runs, spec.seed)
         for m in METHODS if m in spec.methods)
-    return BenchmarkReport(rows=rows)
+    return BenchmarkReport(rows=rows, traces=traces)
 
 
 # ----------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .losses import LossKind, window_estimates
 from .noise import NoiseKind, abs_diff_median
 from .parallel import run_chunks
 from .selector import CriticalValues, first_rejection, threshold_table
-from .windows import build_family_2d
+from .windows import disc_family
 
 __all__ = [
     "Image",
@@ -127,7 +127,6 @@ class DenoiseConfig:
     crit: CriticalValues
     levels_method: str
     r: float
-    alpha: float
     noise_scale: float | str = "auto"
     workers: int | None = None
 
@@ -149,7 +148,7 @@ class DenoiseConfig:
             raise ValidationError("denoising needs a disc2d calibration artifact")
         return cls(loss=art.loss, radii=tuple(art.family_meta["radii"]),
                    noise=art.noise, crit=art.crit, levels_method=art.levels.method,
-                   r=art.r, alpha=art.alpha, noise_scale=noise_scale, workers=workers)
+                   r=art.r, noise_scale=noise_scale, workers=workers)
 
 
 def _levels_scale(config: DenoiseConfig) -> float:
@@ -254,10 +253,7 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     else:
         sigma = float(config.noise_scale)
 
-    radii = np.asarray(config.radii, dtype=float)
-    reach = int(np.floor(radii[-1]))
-    side = 2 * reach + 1
-    family = build_family_2d(side, side, (reach, reach), radii)
+    family = disc_family(config.radii)
     if family.dropped_levels:
         raise ValidationError(
             "radii produce duplicate interior windows; calibrate on deduplicated radii")
@@ -265,7 +261,8 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     if K != config.crit.K:
         raise ValidationError("calibration artifact does not match the radii")
     counts = family.counts
-    dy, dx = (d - reach for d in np.divmod(family.order[: counts[-1]], side))
+    reach = int(np.floor(config.radii[-1]))
+    dy, dx = (d - reach for d in np.divmod(family.order[: counts[-1]], 2 * reach + 1))
 
     x_class, x_clips = _axis_clips(w, reach)
     y_class, y_clips = _axis_clips(h, reach)

@@ -47,7 +47,7 @@ class Levels:
 
     s has one entry per window (K+1 values); s_ring is lower triangular with
     entry [k, j] for j <= k <= K-1 and NaN above the diagonal. Levels scale
-    linearly in the noise scale, see scaled().
+    linearly in the noise scale.
     """
 
     r: float
@@ -81,13 +81,6 @@ class Levels:
     @property
     def K(self) -> int:
         return int(self.s.size - 1)
-
-    def scaled(self, factor: float) -> "Levels":
-        """Levels for noise scale multiplied by factor (locations are equivariant)."""
-        if factor < 0:
-            raise ValidationError("scale factor must be nonnegative")
-        return Levels(self.r, self.s * factor, self.s_ring * factor, self.method,
-                      self.runs, self.seed, self.warnings)
 
 
 @dataclass(frozen=True)

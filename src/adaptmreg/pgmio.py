@@ -62,6 +62,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if not (0 < maxval < 65536):
         raise ValidationError(f"invalid PGM maxval {maxval}")
     # exactly one whitespace byte separates the header from the raster
+    if end == len(data):
+        raise ValidationError("truncated PGM header")
     raster = data[end + 1:]
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     need = width * height * dtype.itemsize
@@ -91,9 +93,10 @@ def read_grid(path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != GRID_MAGIC:
             raise ValidationError(f"not a grid file: magic {magic!r}")
-        dims = fh.readline().split()
-        if len(dims) != 2:
-            raise ValidationError("grid header must be 'width height'")
+        line = fh.readline()
+        dims = line.split()
+        if len(dims) != 2 or not line.endswith(b"\n"):
+            raise ValidationError("grid header must be one complete 'width height' line")
         width = _header_int(dims[0], "grid width")
         height = _header_int(dims[1], "grid height")
         # read what is there: a huge declared size must not size the buffer

@@ -19,13 +19,9 @@ __all__ = [
     "equidistant_design",
     "build_family_1d",
     "build_family_2d",
+    "disc_family",
     "default_disc_radii",
 ]
-
-# declared geometric-growth targets for the benchmark count sequence
-BENCH_GROWTH = (1.15, 1.35)
-# 2d lattice discs grow less regularly; targets are correspondingly looser
-DISC_GROWTH = (1.1, 1.7)
 
 DEFAULT_DISC_BASE = 1.5
 # squared ratio ~ 1.4 so ring pixel counts grow roughly geometrically
@@ -39,19 +35,13 @@ class WindowFamily:
 
     order holds design indices sorted by distance to the centre (ties broken
     towards the smaller index), counts holds the strictly increasing window
-    sizes. growth_lo/growth_hi are the declared geometric targets for
-    consecutive size ratios; levels where discreteness breaks them are
-    recorded in growth_violations. 2d construction may drop radii whose
-    clipped pixel count duplicates the previous level; the dropped level
-    positions are kept in dropped_levels.
+    sizes. 2d construction may drop radii whose clipped pixel count
+    duplicates the previous level; the dropped level positions are kept in
+    dropped_levels.
     """
 
-    center: tuple[float, ...] | float
     order: np.ndarray
     counts: np.ndarray
-    growth_lo: float = BENCH_GROWTH[0]
-    growth_hi: float = BENCH_GROWTH[1]
-    growth_violations: tuple[int, ...] = ()
     dropped_levels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -67,8 +57,6 @@ class WindowFamily:
             raise ValidationError("ordering shorter than the largest window")
         if np.unique(order[: counts[-1]]).size != counts[-1]:
             raise ValidationError("window ordering contains duplicate indices")
-        if not (self.growth_lo > 1.0 and self.growth_hi >= self.growth_lo):
-            raise ValidationError("growth targets need 1 < growth_lo <= growth_hi")
 
     @property
     def K(self) -> int:
@@ -104,21 +92,14 @@ def benchmark_counts(n_levels: int = 17, variant: str = "standard") -> np.ndarra
     return np.asarray(vals, dtype=int)
 
 
-def equidistant_design(n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """n equidistant design points including both endpoints."""
+def equidistant_design(n: int) -> np.ndarray:
+    """n equidistant design points on [-1, 1], including both endpoints."""
     if n < 2:
         raise ValidationError("design needs at least two points")
-    return np.linspace(lo, hi, n)
+    return np.linspace(-1.0, 1.0, n)
 
 
-def _growth_violations(counts: np.ndarray, lo: float, hi: float) -> tuple[int, ...]:
-    ratios = counts[1:] / counts[:-1]
-    bad = np.flatnonzero((ratios < lo - 1e-12) | (ratios > hi + 1e-12))
-    return tuple(int(k) for k in bad)
-
-
-def build_family_1d(design_xs, center: float, counts,
-                    growth: tuple[float, float] = BENCH_GROWTH) -> WindowFamily:
+def build_family_1d(design_xs, center: float, counts) -> WindowFamily:
     """Windows of the given sizes over the design points nearest to center.
 
     Distance ties are broken towards the smaller index, so the construction
@@ -134,14 +115,7 @@ def build_family_1d(design_xs, center: float, counts,
         raise ValidationError(
             f"largest window ({int(counts[-1])}) exceeds the design size ({xs.size})")
     order = np.argsort(np.abs(xs - center), kind="stable")[: counts[-1]]
-    return WindowFamily(
-        center=float(center),
-        order=order,
-        counts=counts,
-        growth_lo=growth[0],
-        growth_hi=growth[1],
-        growth_violations=_growth_violations(counts, *growth),
-    )
+    return WindowFamily(order=order, counts=counts)
 
 
 def default_disc_radii(n_levels: int = DEFAULT_DISC_LEVELS,
@@ -155,13 +129,21 @@ def default_disc_radii(n_levels: int = DEFAULT_DISC_LEVELS,
     if n_levels < 1 or base <= 0 or growth <= 1:
         raise ValidationError("need n_levels >= 1, base > 0, growth > 1")
     radii = base * growth ** np.arange(n_levels)
-    reach = int(np.floor(radii[-1]))
+    return np.delete(radii, disc_family(radii).dropped_levels)
+
+
+def disc_family(radii) -> WindowFamily:
+    """Unclipped discs of the given radii in a square of side 2 reach + 1.
+
+    reach = floor(largest radius); index i of the order is the pixel at
+    (row, column) offset divmod(i, side) - reach from the centre.
+    """
+    reach = int(np.floor(np.asarray(radii, dtype=float)[-1]))
     side = 2 * reach + 1
-    return np.delete(radii, build_family_2d(side, side, (reach, reach), radii).dropped_levels)
+    return build_family_2d(side, side, (reach, reach), radii)
 
 
-def build_family_2d(width: int, height: int, center: tuple[int, int], radii,
-                    growth: tuple[float, float] = DISC_GROWTH) -> WindowFamily:
+def build_family_2d(width: int, height: int, center: tuple[int, int], radii) -> WindowFamily:
     """Discs of the given radii around a pixel, clipped at the image borders.
 
     Pixels are ordered by (squared distance, flat row-major index). Radii
@@ -194,13 +176,5 @@ def build_family_2d(width: int, height: int, center: tuple[int, int], radii,
             dropped.append(lvl)
         else:
             counts.append(int(c))
-    counts = np.asarray(counts, dtype=int)
-    return WindowFamily(
-        center=(cx, cy),
-        order=order,
-        counts=counts,
-        growth_lo=growth[0],
-        growth_hi=growth[1],
-        growth_violations=_growth_violations(counts, *growth),
-        dropped_levels=tuple(dropped),
-    )
+    return WindowFamily(order=order, counts=np.asarray(counts, dtype=int),
+                        dropped_levels=tuple(dropped))

@@ -1,7 +1,6 @@
 import pathlib
 import sys
 
-import numpy as np
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -55,9 +54,7 @@ def bench_artifacts(bench_family):
 def disc_artifact():
     """2d calibration artifact: median loss, Laplace, default disc radii."""
     radii = am.default_disc_radii()
-    reach = int(np.floor(radii[-1]))
-    side = 2 * reach + 1
-    family = am.build_family_2d(side, side, (reach, reach), radii)
+    family = am.disc_family(radii)
     med = am.LossKind.median()
     lap = am.NoiseKind.laplace()
     lv = am.levels_asymptotic(family, med, am.density_at_zero(lap))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adaptmreg as am
@@ -134,12 +134,11 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
     median = DenoiseConfig.from_artifact(disc_artifact, noise_scale=1.0)
     mean = DenoiseConfig(loss=am.LossKind.mean(), radii=median.radii, noise=median.noise,
                          crit=median.crit, levels_method="exact_mean", r=median.r,
-                         alpha=median.alpha, noise_scale=1.0)
+                         noise_scale=1.0)
     z = median.crit.z * np.where(np.arange(median.crit.K) % 2, 1.4, 0.6)
     zigzag = DenoiseConfig(loss=median.loss, radii=median.radii, noise=median.noise,
                            crit=CriticalValues(z=z, alpha=median.crit.alpha, r=median.r),
-                           levels_method="asymptotic", r=median.r, alpha=median.alpha,
-                           noise_scale=1.0)
+                           levels_method="asymptotic", r=median.r, noise_scale=1.0)
     radii = np.asarray(median.radii)
     reach = int(np.floor(radii[-1]))
     f0 = am.target_density(median.noise, median.loss)
@@ -209,7 +208,7 @@ def test_denoise_outputs_are_pinned(disc_artifact):
     median = DenoiseConfig.from_artifact(disc_artifact)
     quantile = DenoiseConfig(loss=am.LossKind.quantile(0.3), radii=median.radii,
                              noise=median.noise, crit=median.crit,
-                             levels_method="asymptotic", r=median.r, alpha=median.alpha)
+                             levels_method="asymptotic", r=median.r)
     seen = {}
     for name, (h, w) in PINNED_IMAGES.items():
         noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(57, h * 100 + w))
@@ -237,10 +236,10 @@ def test_rejects_incompatible_configs(disc_artifact):
     with pytest.raises(ValueError):
         DenoiseConfig(loss=am.LossKind.huber(1.0), radii=config.radii,
                       noise=config.noise, crit=config.crit,
-                      levels_method="monte_carlo", r=2.0, alpha=1.0)
+                      levels_method="monte_carlo", r=2.0)
     bad = DenoiseConfig(loss=config.loss, radii=config.radii[:-2],
                         noise=config.noise, crit=config.crit,
-                        levels_method="asymptotic", r=2.0, alpha=1.0)
+                        levels_method="asymptotic", r=2.0)
     with pytest.raises(ValueError):
         denoise_image(Image.from_array(np.zeros((30, 30))), bad)
 
@@ -291,6 +290,10 @@ def test_pgm_comment_and_errors(tmp_path):
     trunc.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(ValueError):
         read_pgm(trunc)
+    # the file ends right after maxval: no separator byte, so no header end
+    trunc.write_bytes(b"P5 0 4 25")
+    with pytest.raises(ValidationError, match="truncated PGM header"):
+        read_pgm(trunc)
 
 
 def test_grid_roundtrip(tmp_path):
@@ -301,6 +304,10 @@ def test_grid_roundtrip(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOTAGRID\n2 2\n")
     with pytest.raises(ValueError):
+        read_grid(bad)
+    # the dimension line lost its end: it declared "0 999..." before the cut
+    bad.write_bytes(b"AMRGRID1\n0 9")
+    with pytest.raises(ValidationError, match="one complete 'width height' line"):
         read_grid(bad)
 
 
@@ -314,6 +321,7 @@ _JUNK = st.one_of(st.integers(7, 10 ** 15).map(str), st.just("9" * 5000),
 
 
 @settings(max_examples=300, deadline=None)
+@example(grid=True, dims=(0, 0), maxval=255, junk=(1, "9" * 5000), sep=" ", cut=12)
 @given(grid=st.booleans(), dims=st.tuples(st.integers(0, 6), st.integers(0, 6)),
        maxval=st.sampled_from([0, 1, 255, 256, 65535, 65536]),
        junk=st.one_of(st.none(), st.tuples(st.integers(0, 2), _JUNK)),

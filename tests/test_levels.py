@@ -143,14 +143,6 @@ def test_pair_asymptotic_median_shape(small_family):
         pair_levels_asymptotic(small_family, LossKind.mean(), f0)
 
 
-def test_levels_scaled(small_family):
-    lv = levels_exact_mean(small_family)
-    scaled = lv.scaled(2.0)
-    assert np.allclose(scaled.s, 2.0 * lv.s)
-    with pytest.raises(ValueError):
-        lv.scaled(-1.0)
-
-
 def test_levels_validation():
     with pytest.raises(ValueError):
         Levels(r=2.0, s=np.array([0.1, 0.2]), s_ring=np.full((1, 1), 0.1),

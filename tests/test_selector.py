@@ -185,6 +185,42 @@ def test_translation_equivariance_of_selection(setup):
         assert a.margin == pytest.approx(b.margin, abs=1e-9)
 
 
+_DYADIC = st.integers(-32, 32).map(lambda v: v / 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_selection_invariant_under_shift_and_dyadic_scale(data):
+    """Both rules keep every k_hat when an integer is added to all estimates, or
+    when estimates and levels are multiplied by 2^m.
+
+    The estimates are small dyadic rationals, so both operations are exact in
+    floating point: statistics shift away and scale with the thresholds.
+    """
+    K = data.draw(st.integers(1, 6))
+    counts = np.cumsum(data.draw(st.lists(st.integers(1, 12), min_size=K + 1,
+                                          max_size=K + 1)))
+    family = am.WindowFamily(order=np.arange(counts[-1]), counts=counts)
+    levels, pair = am.levels_exact_mean(family), am.pair_levels_exact_mean(family)
+    rows = data.draw(st.integers(1, 8))
+    bases = data.draw(arrays(float, (rows, K + 1), elements=_DYADIC))
+    rings = data.draw(arrays(float, (rows, K), elements=_DYADIC))
+    z = data.draw(arrays(float, K, elements=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0])))
+    crit = CriticalValues(z=z, alpha=1.0, r=2.0)
+    shift = data.draw(st.integers(-1000, 1000))
+    f = 2.0 ** data.draw(st.integers(-12, 12))
+    f_levels = am.Levels(r=2.0, s=f * levels.s, s_ring=f * levels.s_ring,
+                         method=levels.method)
+    f_pair = am.PairLevels(r=2.0, s_pair=f * pair.s_pair, method=pair.method)
+
+    ring = select_ring_batch(bases, rings, levels, crit)
+    assert np.array_equal(select_ring_batch(bases + shift, rings + shift, levels, crit), ring)
+    assert np.array_equal(select_ring_batch(f * bases, f * rings, f_levels, crit), ring)
+    lepski = select_lepski_batch(bases, pair, crit)
+    assert np.array_equal(select_lepski_batch(bases + shift, pair, crit), lepski)
+    assert np.array_equal(select_lepski_batch(f * bases, f_pair, crit), lepski)
+
+
 def test_oracle_index(setup):
     xs, family, levels = setup
     crit_synth = CriticalValues(z=0.5 / levels.s[:family.K], alpha=1.0, r=2.0)

@@ -28,7 +28,6 @@ def test_benchmark_counts_alt_variant():
 def test_bench_growth_within_declared_targets():
     fam = build_family_1d(equidistant_design(200), 0.0, benchmark_counts())
     ratios = fam.counts[1:] / fam.counts[:-1]
-    assert fam.growth_violations == ()
     assert np.all(ratios >= 1.15) and np.all(ratios <= 1.35)
 
 
