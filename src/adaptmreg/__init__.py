@@ -19,8 +19,8 @@ from .levels import (Levels, PairLevels, levels_asymptotic, levels_exact_mean,
                      levels_mc, normal_abs_moment, pair_levels_asymptotic,
                      pair_levels_exact_mean, pair_levels_mc,
                      simulate_window_estimates, target_density)
-from .losses import (LocationResult, LossKind, betweenness_holds, influence,
-                     locate, locate_rows, window_estimates)
+from .losses import (LocationResult, LossKind, betweenness_holds, locate,
+                     locate_rows, window_estimates)
 from .noise import (NoiseKind, RngStream, abs_diff_median, cdf, density,
                     density_at_zero, quantile_point, sample_noise, sample_rows)
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm

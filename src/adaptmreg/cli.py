@@ -28,7 +28,8 @@ from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
 from .losses import LossKind
 from .noise import parse_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
-from .windows import (benchmark_counts, build_family_1d, default_disc_radii, disc_family,
+from .windows import (DEFAULT_DISC_BASE, DEFAULT_DISC_GROWTH, DEFAULT_DISC_LEVELS,
+                      benchmark_counts, build_family_1d, default_disc_radii, disc_family,
                       equidistant_design)
 
 __all__ = ["run_cli", "main"]
@@ -178,9 +179,9 @@ def _family_for_calibrate(args):
         meta = {"counts": [int(c) for c in counts], "n": args.n, "center": 0.0}
         return family, "line1d", meta
     radii = default_disc_radii(
-        n_levels=args.radius_levels or 10,
-        base=args.radius0 or 1.5,
-        growth=args.radius_growth or 1.4 ** 0.5)
+        n_levels=DEFAULT_DISC_LEVELS if args.radius_levels is None else args.radius_levels,
+        base=DEFAULT_DISC_BASE if args.radius0 is None else args.radius0,
+        growth=DEFAULT_DISC_GROWTH if args.radius_growth is None else args.radius_growth)
     fam = disc_family(radii)
     meta = {"counts": [int(c) for c in fam.counts], "radii": [float(r) for r in radii]}
     return fam, "disc2d", meta

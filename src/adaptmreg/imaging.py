@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage  # noqa: F401  unused; benchmarks/tracing.py proxies imaging.ndimage
 
 from .calibration import CalibArtifact
 from .errors import ValidationError
@@ -44,6 +43,18 @@ __all__ = [
     "estimate_noise_scale",
     "denoise_image",
 ]
+
+
+def __getattr__(name: str):
+    """Import scipy.ndimage only when imaging.ndimage is asked for.
+
+    Nothing here uses it; benchmarks/tracing.py still reads it to install a
+    proxy. ROADMAP item 1 deletes both this shim and that proxy.
+    """
+    if name == "ndimage":
+        from scipy import ndimage
+        return ndimage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

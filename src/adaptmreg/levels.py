@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .losses import LossKind, window_estimates
@@ -112,10 +111,16 @@ class PairLevels:
 
 
 def normal_abs_moment(r: float) -> float:
-    """E|Z|^r for a standard normal Z."""
+    """E|Z|^r for a standard normal Z.
+
+    2^(r/2) Gamma((r + 1)/2) / sqrt(pi) in general, and exactly the double
+    factorial (r - 1)!! for even integer r, so the default r = 2 gives 1.0.
+    """
     if r < 0:
         raise ValidationError("moment order must be nonnegative")
-    return float(2.0 ** (r / 2.0) * special.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi))
+    if float(r).is_integer() and int(r) % 2 == 0:
+        return float(math.prod(range(int(r) - 1, 0, -2)))
+    return 2.0 ** (r / 2.0) * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
 def target_density(noise: NoiseKind, loss: LossKind) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "locate",
     "locate_rows",
     "window_estimates",
-    "influence",
     "betweenness_holds",
 ]
 
@@ -106,18 +105,6 @@ class LossKind:
         if self.kind == "quantile":
             return self.alpha
         raise ValidationError(f"the {self.kind} loss has no target quantile level")
-
-    def rho(self, x):
-        """Loss value rho(x), vectorized. rho(0) = 0 for every variant."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "mean":
-            return 0.5 * x * x
-        if self.kind == "median":
-            return np.abs(x)
-        if self.kind == "quantile":
-            return np.abs(x) + (2.0 * self.alpha - 1.0) * x
-        k = self.kink
-        return np.where(np.abs(x) <= k, 0.5 * x * x, k * np.abs(x) - 0.5 * k * k)
 
 
 @dataclass(frozen=True)
@@ -311,27 +298,6 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
     else:
         raise ValidationError(f"the {loss.kind} loss does not take missing values")
     return est[:, : K + 1], est[:, K + 1:]
-
-
-def influence(loss: LossKind, residual: float):
-    """Derivative rho'(residual) with a fixed subgradient choice at kinks.
-
-    Median uses sign (0 at the kink); quantile uses the branch midpoint
-    2*alpha - 1 at zero; huber clips the identity; mean is the identity
-    (rho(x) = x^2 / 2, so the constant factor is 1).
-    """
-    x = np.asarray(residual, dtype=float)
-    if loss.kind == "mean":
-        out = x
-    elif loss.kind == "median":
-        out = np.sign(x)
-    elif loss.kind == "quantile":
-        out = np.sign(x) + (2.0 * loss.alpha - 1.0)
-    else:
-        out = np.clip(x, -loss.kink, loss.kink)
-    if np.isscalar(residual) or np.ndim(residual) == 0:
-        return float(out)
-    return out
 
 
 def betweenness_holds(values, partition, loss: LossKind, rtol: float = 1e-12) -> bool:

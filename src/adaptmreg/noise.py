@@ -3,16 +3,21 @@
 Every variant is scaled to mean 0 and variance 1 (before the optional scale
 factor), and is symmetric about 0: Laplace with scale 1/sqrt(2), the standard
 normal, and Student t with dof >= 3 divided by sqrt(dof / (dof - 2)).
+
+Laplace and Gaussian noise need only numpy and the standard library, so
+importing this module loads no scipy. Only the Student t branches import
+scipy, when first called: `scipy.stats` in density, cdf and quantile_point,
+and `scipy.integrate` plus `scipy.optimize` in abs_diff_median.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import ValidationError
 
@@ -248,7 +253,9 @@ def cdf(kind: NoiseKind, x: float) -> float:
             return float(0.5 * np.exp(x / LAPLACE_SCALE))
         return float(1.0 - 0.5 * np.exp(-x / LAPLACE_SCALE))
     if kind.kind == "gaussian":
-        return float(special.ndtr(x))
+        # erfc keeps full relative accuracy in the left tail, where 1 + erf(x)
+        # (NormalDist.cdf) cancels to 0
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
     from scipy import stats
     return float(stats.t.cdf(x * _student_sd(kind.dof), kind.dof))
 
@@ -262,14 +269,35 @@ def quantile_point(kind: NoiseKind, alpha: float) -> float:
             return float(LAPLACE_SCALE * math.log(2.0 * alpha))
         return float(-LAPLACE_SCALE * math.log(2.0 * (1.0 - alpha)))
     if kind.kind == "gaussian":
-        return float(special.ndtri(alpha))
+        return statistics.NormalDist().inv_cdf(alpha)
     from scipy import stats
     return float(stats.t.ppf(alpha, kind.dof) / _student_sd(kind.dof))
+
+
+def _laplace_abs_diff_median() -> float:
+    """u with P(|X - X'| > u b) = (1 + u/2) e^-u = 1/2 for Laplace scale b = 1.
+
+    Newton's method from u = 1. The tail (1 + u/2) e^-u is convex and
+    decreasing, so the iterates increase monotonically to the root.
+    """
+    u = 1.0
+    for _ in range(50):
+        step = ((1.0 + 0.5 * u) * math.exp(-u) - 0.5) / (-0.5 * (1.0 + u) * math.exp(-u))
+        if u - step == u:
+            break
+        u -= step
+    return u
 
 
 @functools.lru_cache(maxsize=None)
 def _abs_diff_median_cached(kind_key: tuple) -> float:
     kind = NoiseKind(*kind_key)
+    if kind.kind == "laplace":
+        return _laplace_abs_diff_median() * LAPLACE_SCALE
+    if kind.kind == "gaussian":
+        # X - X' is normal with variance 2
+        return math.sqrt(2.0) * statistics.NormalDist().inv_cdf(0.75)
+    from scipy import integrate, optimize
 
     def prob_within(c: float) -> float:
         val, _ = integrate.quad(
@@ -283,8 +311,9 @@ def _abs_diff_median_cached(kind_key: tuple) -> float:
 def abs_diff_median(kind: NoiseKind) -> float:
     """Median of |X - X'| for two independent standardized draws.
 
-    Computed once per kind by quadrature plus root finding and cached; used
-    to turn a median absolute first difference into a noise scale estimate.
+    Closed forms for Laplace and Gaussian noise; Student t by quadrature plus
+    root finding. Cached per kind; used to turn a median absolute first
+    difference into a noise scale estimate.
     """
     return _abs_diff_median_cached((kind.kind, kind.dof, 1.0))
 

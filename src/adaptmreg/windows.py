@@ -33,9 +33,9 @@ DEFAULT_DISC_LEVELS = 10
 class WindowFamily:
     """Nested index windows U_0 c U_1 c ... c U_K around a centre.
 
-    order holds design indices sorted by distance to the centre (ties broken
-    towards the smaller index), counts holds the strictly increasing window
-    sizes. 2d construction may drop radii whose clipped pixel count
+    order holds design indices sorted nearest first (see the builders for
+    how each breaks distance ties), counts holds the strictly increasing
+    window sizes. 2d construction may drop radii whose clipped pixel count
     duplicates the previous level; the dropped level positions are kept in
     dropped_levels.
     """
@@ -102,8 +102,11 @@ def equidistant_design(n: int) -> np.ndarray:
 def build_family_1d(design_xs, center: float, counts) -> WindowFamily:
     """Windows of the given sizes over the design points nearest to center.
 
-    Distance ties are broken towards the smaller index, so the construction
-    is deterministic on equidistant grids. Nesting holds by construction.
+    Points are ordered by a stable argsort of the floating-point distances
+    |x - center|. Equal computed distances keep the smaller index first, but
+    two points at the same true distance can get distances that differ in
+    the last bit, and then the rounding decides. The order is deterministic
+    either way; nesting holds by construction.
     """
     xs = np.asarray(design_xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or not np.all(np.isfinite(xs)):

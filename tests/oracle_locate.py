@@ -12,8 +12,21 @@ matching the library's tie convention.
 import numpy as np
 
 
+def rho(loss, x):
+    """Loss value rho(x), vectorized. rho(0) = 0 for every variant."""
+    x = np.asarray(x, dtype=float)
+    if loss.kind == "mean":
+        return 0.5 * x * x
+    if loss.kind == "median":
+        return np.abs(x)
+    if loss.kind == "quantile":
+        return np.abs(x) + (2.0 * loss.alpha - 1.0) * x
+    k = loss.kink
+    return np.where(np.abs(x) <= k, 0.5 * x * x, k * np.abs(x) - 0.5 * k * k)
+
+
 def _objective(values, loss, mu):
-    return float(np.sum(loss.rho(np.asarray(values, dtype=float) - mu)))
+    return float(np.sum(rho(loss, np.asarray(values, dtype=float) - mu)))
 
 
 def brute_piecewise_linear(values, loss):

@@ -390,3 +390,10 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert run("denoise", "--in", tmp_path / name, "--calib", cal,
                    "--out", tmp_path / "x.pgm") == 1
         assert capsys.readouterr().err.startswith("error: validation: ")
+    # zero disc arguments are refused, not replaced by the defaults
+    for flag in ("--radius0", "--radius-levels", "--radius-growth"):
+        capsys.readouterr()
+        assert run("calibrate", "--family", "disc2d", flag, "0", "--runs", "2000",
+                   "--seed", "21", "--out", tmp_path / "z.cal") == 1
+        assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not (tmp_path / "z.cal").exists()

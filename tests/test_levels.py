@@ -20,6 +20,13 @@ def test_normal_abs_moment():
     assert normal_abs_moment(2.0) == pytest.approx(1.0, abs=1e-12)
     assert normal_abs_moment(1.0) == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
     assert normal_abs_moment(4.0) == pytest.approx(3.0, abs=1e-10)
+    # (r - 1)!! exactly for even r; the gamma formula within 2 ulp of scipy's otherwise
+    from scipy import special
+    for r, want in ((2, 1.0), (4, 3.0), (6, 15.0)):
+        assert normal_abs_moment(float(r)) == want
+    for r in (1.0, 1.5, 3.0):
+        ref = 2.0 ** (r / 2.0) * special.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
+        assert abs(normal_abs_moment(r) - ref) <= 2 * math.ulp(ref)
 
 
 def test_exact_mean_formulas():

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, special, stats
 
 import adaptmreg as am
 from adaptmreg import NoiseKind, RngStream, density_at_zero, sample_noise
@@ -83,13 +83,52 @@ def test_abs_diff_median_laplace_closed_form():
     # P(|X - X'| <= c) = 1/2 reduces to (2 + u) e^-u = 1 with u = c / b
     from scipy.optimize import brentq
     u = brentq(lambda t: (2.0 + t) * math.exp(-t) - 1.0, 0.1, 5.0, xtol=1e-12)
-    assert abs_diff_median(NoiseKind.laplace()) == pytest.approx(u * 2 ** -0.5, abs=1e-9)
+    m = abs_diff_median(NoiseKind.laplace())
+    assert m == pytest.approx(u * 2 ** -0.5, abs=1e-9)
+    # and the closed-form tail P(|X - X'| > m) = (1 + u/2) e^-u is 1/2 to the last bits
+    u = m / 2 ** -0.5
+    assert abs(1.0 - (1.0 + 0.5 * u) * math.exp(-u) - 0.5) <= 1e-15
 
 
 def test_abs_diff_median_gaussian_closed_form():
     from scipy.special import ndtri
     assert abs_diff_median(NoiseKind.gaussian()) == pytest.approx(
         math.sqrt(2.0) * ndtri(0.75), abs=1e-9)
+
+
+@pytest.mark.parametrize("kind,law", [(NoiseKind.laplace(), stats.laplace(scale=2 ** -0.5)),
+                                      (NoiseKind.gaussian(), stats.norm())],
+                         ids=["laplace", "gaussian"])
+def test_abs_diff_median_matches_quadrature(kind, law):
+    """The closed forms agree with P(|X - X'| <= c) = 1/2 solved by quadrature."""
+    def prob_within(c):
+        val, _ = integrate.quad(lambda x: law.pdf(x) * (law.cdf(x + c) - law.cdf(x - c)),
+                                -np.inf, np.inf, limit=200)
+        return val
+
+    want = optimize.brentq(lambda c: prob_within(c) - 0.5, 1e-9, 20.0, xtol=1e-12)
+    assert abs_diff_median(kind) == pytest.approx(want, rel=1e-9)
+
+
+def test_gaussian_cdf_against_ndtr():
+    """Relative accuracy deep in the left tail, where 1 + erf(x) cancels.
+
+    Rounding x / sqrt(2) alone moves Phi(x) by a relative x^2 2^-53 or so,
+    in ndtr as well (1.5e-13 from the exact value at x = -28.3), so the
+    tolerance grows with x^2. A 1 + erf(x) form is off by 4e-11 at x = -5
+    and 2 % at x = -8, and returns 0 below x = -8.37.
+    """
+    kind = NoiseKind.gaussian()
+    for x in np.linspace(-30.0, 8.0, 3801):
+        want = special.ndtr(x)
+        assert abs(cdf(kind, float(x)) - want) <= (1e-13 + 4 * x * x * 2.0 ** -53) * want
+
+
+def test_gaussian_quantile_against_ndtri():
+    kind = NoiseKind.gaussian()
+    for a in np.linspace(0.001, 0.999, 999):
+        assert abs(quantile_point(kind, float(a)) - special.ndtri(a)) <= 1e-15
+    assert quantile_point(kind, 0.5) == 0.0
 
 
 def test_abs_diff_median_student_mc():
@@ -168,9 +207,16 @@ def test_simulate_stream_layout_is_pinned(workers):
     assert digest.hexdigest() == SIMULATE_DIGEST
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    """scipy.stats costs about half a second to import and only Student t needs it."""
-    code = "import sys, adaptmreg.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_loads_no_scipy():
+    """Laplace and Gaussian noise need no scipy, so the CLI does not import it.
+
+    imaging.ndimage still resolves, lazily, because the benchmark tracer
+    proxies it.
+    """
+    code = ("import sys, adaptmreg.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from adaptmreg import imaging\n"
+            "print(imaging.ndimage.__name__, callable(imaging.ndimage.rank_filter))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "scipy.ndimage True"]
