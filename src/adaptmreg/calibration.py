@@ -355,6 +355,12 @@ FORMAT_TAG = "amreg-calib-v1"
 # estimator line are version 1.
 ESTIMATOR_VERSION = 2
 ESTIMATOR_VERSIONS = (1, 2)
+# Version of the Monte Carlo noise layout (noise.sample_rows). Version 2
+# draws each chunk of replicates as one block from the chunk's substream;
+# version 1 drew one substream per replicate, and artifacts without a stream
+# line are version 1.
+STREAM_VERSION = 2
+STREAM_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -380,6 +386,7 @@ class CalibArtifact:
     family_meta: dict = field(default_factory=dict)
     config_hash: str = ""
     estimator: int = ESTIMATOR_VERSION
+    stream: int = STREAM_VERSION
 
     @classmethod
     def from_result(cls, config: CalibConfig, result: CalibResult, levels: Levels,
@@ -422,6 +429,7 @@ def _artifact_lines(art: CalibArtifact) -> list[str]:
     lines = [
         f"format: {FORMAT_TAG}",
         f"estimator: {art.estimator}",
+        f"stream: {art.stream}",
         f"rule: {art.rule}",
         f"mode: {art.mode}",
         f"loss: {art.loss.kind}",
@@ -482,9 +490,9 @@ def load_artifact(path) -> CalibArtifact:
 
     The config hash on the first line is recomputed over the lines after it,
     so any edit is caught. An unreadable file, a missing or mismatched hash,
-    a missing field, an unparsable value or an estimator version outside
-    ESTIMATOR_VERSIONS raises ValidationError. A missing estimator line
-    reads as version 1.
+    a missing field, an unparsable value, or an estimator or stream version
+    outside ESTIMATOR_VERSIONS or STREAM_VERSIONS raises ValidationError. A
+    missing estimator or stream line reads as version 1.
     """
     try:
         with open(path, "rb") as fh:
@@ -507,10 +515,11 @@ def load_artifact(path) -> CalibArtifact:
         raise ValidationError(f"calibration artifact has no config_hash line: {path}")
     if digest.strip() != _digest(body.removesuffix("\n")):
         raise ValidationError(f"calibration artifact does not match its config_hash: {path}")
-    estimator = fields.setdefault("estimator", "1")
-    if estimator not in [str(v) for v in ESTIMATOR_VERSIONS]:
-        raise ValidationError(f"calibration artifact has estimator version {estimator!r}, "
-                              f"this program reads {ESTIMATOR_VERSIONS}: {path}")
+    for name, known in (("estimator", ESTIMATOR_VERSIONS), ("stream", STREAM_VERSIONS)):
+        version = fields.setdefault(name, "1")
+        if version not in [str(v) for v in known]:
+            raise ValidationError(f"calibration artifact has {name} version {version!r}, "
+                                  f"this program reads {known}: {path}")
     try:
         return _artifact_from_fields(fields, digest.strip())
     except KeyError as exc:
@@ -569,4 +578,5 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
         achieved_lhs=float(fields["achieved_lhs"]), budget=float(fields["budget"]),
         per_k_error_share=np.array([float(v) for v in fields["per_k_error_share"].split()]),
         family_kind=fields["family_kind"], family_meta=meta,
-        config_hash=config_hash, estimator=int(fields["estimator"]))
+        config_hash=config_hash, estimator=int(fields["estimator"]),
+        stream=int(fields["stream"]))

@@ -156,7 +156,7 @@ def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
 
 
 def replicate_rows(spec: ExperimentSpec, g: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Replicates lo..hi-1 of spec, one row each: the signal g plus noise substream i.
+    """Replicates lo..hi-1 of spec, one row each: the signal g plus noise.sample_rows.
 
     The benchmark and the simulate command both draw here, so replicate i
     holds the same data wherever it appears.
@@ -185,7 +185,9 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
 
     def task(lo: int, hi: int) -> None:
         y = replicate_rows(spec, g, lo, hi)
-        yw = y[:, order]
+        # np.take gathers in C order (y[:, order] is column-major), so that a
+        # mean row sums as locate() sums it alone
+        yw = np.take(y, order, axis=1)
         estimates = {loss: window_estimates(yw, counts, LossKind(loss)) for loss in losses}
         for method, (loss, rule) in calibrated.items():
             bases, rings = estimates[loss]

@@ -204,10 +204,10 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
                               | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Pure-noise window and ring estimates, one row per replicate.
 
-    Replicate i draws its noise from substream i of seed, so the output is
-    reproducible and independent of worker scheduling. Pure noise is
-    exchangeable, hence draws are laid out directly in nearest-first window
-    order. For a quantile loss the draws are shifted so that the target
+    Replicate i draws its noise through noise.sample_rows, from the
+    substream of its chunk of seed, so the output is reproducible and
+    independent of worker scheduling. Pure noise is exchangeable, hence
+    draws are laid out directly in nearest-first window order. For a quantile loss the draws are shifted so that the target
     quantile of the noise sits at zero, matching the location model.
 
     Without consume, returns the stacked (bases, rings) of shapes (runs, K+1)

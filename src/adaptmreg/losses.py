@@ -4,9 +4,10 @@ Median, quantile and Huber estimates are computed in closed form, with no
 iteration: order statistics for the first two, and for Huber the root of a
 piecewise-linear score. Each row of a batch is solved on its own, so for
 these losses locate_rows gives a row bit for bit the value that locate
-gives it, whatever the rest of the batch. The mean is not batch-independent:
-numpy sums the rows of a column-major batch (such as y[:, order]) in
-another order than a single row, so its last bit can depend on the batch.
+gives it, whatever the rest of the batch. The mean is too, as long as each
+row is contiguous in memory: numpy sums the rows of a column-major batch
+(such as y[:, order]) in another order than a single row, so callers that
+gather columns gather them in C order, with np.take(y, order, axis=1).
 
 All estimators share one tie convention: when the objective has a flat
 stretch of minimizers, the midpoint of the argmin interval is returned.
@@ -228,8 +229,9 @@ def locate(values: Sequence[float], loss: LossKind) -> LocationResult:
 def locate_rows(values: np.ndarray, loss: LossKind) -> np.ndarray:
     """Row-wise locate() values for a 2-d array, same tie conventions.
 
-    Bit for bit those of locate(), except that a mean row can differ in its
-    last bit, depending on the batch's memory layout and row count.
+    Bit for bit those of locate(). For the mean this needs each row to be
+    contiguous in memory; on a column-major batch a mean row can differ in
+    its last bit.
     """
     rows = np.asarray(values, dtype=float)
     if rows.ndim != 2 or rows.shape[1] == 0:

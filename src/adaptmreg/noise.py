@@ -4,6 +4,12 @@ Every variant is scaled to mean 0 and variance 1 (before the optional scale
 factor), and is symmetric about 0: Laplace with scale 1/sqrt(2), the standard
 normal, and Student t with dof >= 3 divided by sqrt(dof / (dof - 2)).
 
+Monte Carlo replicates draw through sample_rows: each chunk of the fixed
+parallel.CHUNK grid is one row-major block from its own RngStream, drawn in
+a single numpy call that releases the GIL, so workers draw chunks at the
+same time (the parallel module gives the measured speedup). Artifacts record
+this layout as noise stream version 2 (calibration.STREAM_VERSION).
+
 Laplace and Gaussian noise need only numpy and the standard library, so
 importing this module loads no scipy. Only the Student t branches import
 scipy, when first called: `scipy.stats` in density, cdf and quantile_point,
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .parallel import CHUNK
 
 __all__ = [
     "NoiseKind",
@@ -81,7 +88,8 @@ class RngStream:
 
     Distinct stream ids give statistically independent streams; the output is
     fully determined by (master_seed, stream_id, draw index). The stream id is
-    mixed into the seed material by numpy's SeedSequence, so parallel
+    mixed into the seed material by numpy's SeedSequence. sample_rows gives
+    each chunk of the replicate grid its own stream id, so parallel
     replicates reproduce regardless of scheduling.
     """
 
@@ -100,134 +108,46 @@ def _student_sd(dof: int) -> float:
     return math.sqrt(dof / (dof - 2.0))
 
 
-def _draw(kind: NoiseKind, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of the standardized law, before the scale factor."""
-    if kind.kind == "laplace":
-        return rng.laplace(0.0, LAPLACE_SCALE, n)
-    if kind.kind == "gaussian":
-        return rng.standard_normal(n)
-    return rng.standard_t(kind.dof, n) / _student_sd(kind.dof)
-
-
 def sample_noise(kind: NoiseKind, n: int, stream: RngStream) -> np.ndarray:
     """n i.i.d. draws of the standardized law times kind.scale."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    out = _draw(kind, n, stream.generator())
+    rng = stream.generator()
+    if kind.kind == "laplace":
+        out = rng.laplace(0.0, LAPLACE_SCALE, n)
+    elif kind.kind == "gaussian":
+        out = rng.standard_normal(n)
+    else:
+        out = rng.standard_t(kind.dof, n) / _student_sd(kind.dof)
     if kind.scale != 1.0:
-        out = out * kind.scale
-    return out
-
-
-# numpy's SeedSequence hash (pool size 4, 32-bit words) and PCG64 seeding
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_POOL = 4
-
-
-def _hash(v: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One SeedSequence hash step; returns the hashed words and the next constant.
-
-    The running constant does not depend on the data, so one step hashes a
-    whole column of streams at once.
-    """
-    nxt = (const * mult) & _MASK32
-    v = (v ^ np.uint32(const)) * np.uint32(nxt)
-    return v ^ (v >> np.uint32(16)), nxt
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """generate_state(4, uint64) of SeedSequence(entropy words), per row.
-
-    entropy is (m, L) uint32 with L >= 4, the assembled entropy of m
-    sequences; the result is (m, 4) uint64.
-    """
-    const = _INIT_A
-
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        nonlocal const
-        v, const = _hash(v, const, _MULT_A)
-        return v
-
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, entropy.shape[1]):
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
-    words = np.empty((entropy.shape[0], 2 * _POOL), dtype=np.uint32)
-    const = _INIT_B
-    for i in range(2 * _POOL):
-        words[:, i], const = _hash(pool[i % _POOL], const, _MULT_B)
-    return words[:, 0::2].astype(np.uint64) | (words[:, 1::2].astype(np.uint64) << np.uint64(32))
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's coercion of a nonnegative int: 32-bit words, low first."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _pcg_states(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of RngStream(seed, i).generator() for lo <= i < hi."""
-    run = _uint32_words(seed & (2 ** 64 - 1))
-    run += [0] * (_POOL - len(run))
-    out: list[tuple[int, int]] = []
-    # stream ids below 2^32 contribute one entropy word, larger ids two
-    for a, b, n_words in ((lo, min(hi, 2 ** 32), 1), (max(lo, 2 ** 32), hi, 2)):
-        if a >= b:
-            continue
-        ids = np.arange(a, b, dtype=np.uint64)
-        entropy = np.empty((b - a, len(run) + n_words), dtype=np.uint32)
-        entropy[:, : len(run)] = run
-        entropy[:, len(run)] = ids & np.uint64(_MASK32)
-        if n_words == 2:
-            entropy[:, len(run) + 1] = ids >> np.uint64(32)
-        # PCG64 seeding: inc = 2 (w2:w3) + 1; from state 0, one LCG step,
-        # add the initial state w0:w1, one more step
-        for w0, w1, w2, w3 in _seed_words(entropy).tolist():
-            inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
-            state = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-            out.append((state, inc))
+        out *= kind.scale
     return out
 
 
 def sample_rows(kind: NoiseKind, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of n draws each, row i - lo from substream i of seed.
+    """Replicates lo..hi-1 of n draws each, one row per replicate.
 
-    Byte-identical to stacking sample_noise(kind, n, RngStream(seed, i)),
-    but seeds the substreams in bulk: every stream's SeedSequence state is
-    hashed at once, and one generator is reseeded per row.
+    Chunk c of the fixed parallel.CHUNK grid is one row-major block drawn
+    from substream c of seed: sample_noise(kind, m * n, RngStream(seed, c))
+    reshaped to (m, n), and replicate i is row i - c * CHUNK of it. A
+    substream yields its draws in order, so a block cut short at hi holds the
+    first rows of the full one: rows never depend on hi (prefix stability),
+    nor on the worker count. A range inside one chunk is a view of its block,
+    with no second copy.
     """
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    if not 0 <= lo <= hi <= 2 ** 64:
-        raise ValidationError("stream ids must satisfy 0 <= lo <= hi <= 2^64")
-    out = np.empty((hi - lo, n))
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for row, (state, inc) in enumerate(_pcg_states(seed, lo, hi)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        out[row] = _draw(kind, n, rng)
-    if kind.scale != 1.0:
-        out *= kind.scale
-    return out
+    if not 0 <= lo <= hi:
+        raise ValidationError("replicate ranges must satisfy 0 <= lo <= hi")
+    blocks = []
+    for c in range(lo // CHUNK, -(-hi // CHUNK)):
+        start = c * CHUNK
+        m = min(hi, start + CHUNK) - start
+        block = sample_noise(kind, m * n, RngStream(seed, c)).reshape(m, n)
+        blocks.append(block[max(lo - start, 0):])
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate(blocks) if blocks else np.empty((0, n))
 
 
 def density_at_zero(kind: NoiseKind) -> float:

@@ -1,16 +1,21 @@
+import hashlib
+import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptmreg as am
 from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        calibrate_sequential, calibrate_zeta, load_artifact,
                        save_artifact, verify_calibration)
-from adaptmreg.calibration import (SEARCH_TOL, Z_MAX, ZETA_MIN, _calibration_stats,
-                                   _SelectionStats)
-from adaptmreg.errors import CalibrationError
+from adaptmreg.calibration import (ESTIMATOR_VERSIONS, SEARCH_TOL, STREAM_VERSIONS, Z_MAX,
+                                   ZETA_MIN, _calibration_stats, _SelectionStats)
+from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import Levels, simulate_window_estimates
 from adaptmreg.parallel import CHUNK
 
@@ -355,12 +360,112 @@ def test_artifact_roundtrip(tmp_path, small_setup):
     rebuilt = loaded.build_family()
     assert np.array_equal(rebuilt.counts, family.counts)
     assert loaded.config_hash
-    # the estimator version follows the format line and survives a round trip
-    assert path.read_text().splitlines()[1:3] == ["format: amreg-calib-v1", "estimator: 2"]
-    assert loaded.estimator == 2
+    # the estimator and stream versions follow the format line and survive a round trip
+    assert path.read_text().splitlines()[1:4] == ["format: amreg-calib-v1", "estimator: 2",
+                                                  "stream: 2"]
+    assert (loaded.estimator, loaded.stream) == (2, 2)
     again = tmp_path / "again.cal"
     save_artifact(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _positive(lo=1e-6, hi=1e6):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+_opt_int = st.none() | st.integers(min_value=0, max_value=2 ** 40)
+
+
+@st.composite
+def _artifacts(draw):
+    """Artifacts with every saved field drawn; levels stay non-increasing."""
+    K = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.sampled_from([1.0, 2.0, 2.5]))
+    alpha = draw(_positive(1e-3, 10.0))
+
+    def positives(size):
+        return np.array(draw(st.lists(_positive(), min_size=size, max_size=size)))
+
+    def lower_triangle(size, k):
+        out = np.full((size, size), np.nan)
+        tril = np.tril_indices(size, k=k)
+        out[tril] = positives(len(tril[0]))
+        return out
+
+    levels = Levels(r=r, s=np.sort(positives(K + 1))[::-1], s_ring=lower_triangle(K, 0),
+                    method=draw(st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"])),
+                    runs=draw(_opt_int), seed=draw(_opt_int))
+    pair = draw(st.none() | st.builds(
+        lambda method, runs, seed: am.PairLevels(r=r, s_pair=lower_triangle(K + 1, -1),
+                                                 method=method, runs=runs, seed=seed),
+        st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"]), _opt_int, _opt_int))
+    zeta = draw(st.none() | _positive())
+    crit = am.CriticalValues(z=np.sort(positives(K))[::-1], alpha=alpha, r=r, zeta=zeta)
+    loss = draw(st.sampled_from([LossKind.mean(), LossKind.median()])
+                | st.builds(LossKind.quantile, _positive(1e-3, 0.999))
+                | st.builds(LossKind.huber, _positive()))
+    noise = draw(st.sampled_from(["laplace", "gaussian", "student_t"]).flatmap(
+        lambda kind: st.builds(NoiseKind, st.just(kind),
+                               st.integers(3, 30) if kind == "student_t" else st.none(),
+                               _positive(0.0, 1e3))))
+    counts = np.cumsum(draw(st.lists(st.integers(1, 50), min_size=K + 1, max_size=K + 1)))
+    meta = {"counts": [int(c) for c in counts]}
+    family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
+    if family_kind == "line1d":
+        meta.update(n=draw(st.integers(1, 10 ** 6)), center=draw(_reals))
+    else:
+        meta["radii"] = [float(v) for v in positives(K + 1)]
+    return am.CalibArtifact(
+        rule=draw(st.sampled_from(["ring", "lepski"])),
+        mode=draw(st.sampled_from(["zeta", "sequential"])), loss=loss, noise=noise,
+        r=r, alpha=alpha, runs=draw(st.integers(1000, 10 ** 9)),
+        seed=draw(st.integers(-(2 ** 63), 2 ** 63)), zeta=zeta, crit=crit, levels=levels,
+        pair=pair, achieved_lhs=draw(_reals), budget=draw(_reals),
+        per_k_error_share=np.array(draw(st.lists(_reals, min_size=K, max_size=K))),
+        family_kind=family_kind, family_meta=meta,
+        estimator=draw(st.sampled_from(ESTIMATOR_VERSIONS)),
+        stream=draw(st.sampled_from(STREAM_VERSIONS)))
+
+
+def _same(a, b) -> bool:
+    """Field-by-field equality; arrays compare with NaN equal to NaN."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_artifacts())
+def test_artifact_roundtrip_keeps_every_field(art):
+    """Every saved field survives save and load; stream lines other than 1 or 2 fail."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.cal"
+        save_artifact(path, art)
+        loaded = load_artifact(path)
+        assert _same(replace(loaded, config_hash=""), art)
+        assert path.read_text().startswith(f"config_hash: {loaded.config_hash}\n")
+        body = path.read_text().splitlines()[1:]
+        assert f"stream: {art.stream}" in body
+        # a missing stream line reads as version 1
+        old = Path(tmp) / "old.cal"
+        old.write_text(_rehashed([x for x in body if not x.startswith("stream: ")]))
+        assert _same(replace(load_artifact(old), config_hash=""), replace(art, stream=1))
+        bad = Path(tmp) / "bad.cal"
+        bad.write_text(_rehashed([x if not x.startswith("stream: ") else "stream: 3"
+                                  for x in body]))
+        with pytest.raises(ValidationError, match="stream version '3'"):
+            load_artifact(bad)
+
+
+def _rehashed(lines):
+    body = "\n".join(lines)
+    return f"config_hash: {hashlib.sha256(body.encode()).hexdigest()}\n{body}\n"
 
 
 def test_artifact_rejects_other_files(tmp_path):

@@ -106,6 +106,24 @@ def test_artifact_estimator_versions(workdir, capsys):
         assert err.startswith("error: validation: ") and f"estimator version '{bad}'" in err
 
 
+def test_artifact_stream_versions(workdir, capsys):
+    """No stream line reads as version 1; verify refuses other versions with exit 1."""
+    body = (workdir / "med.cal").read_text().splitlines()[1:]
+    assert body[2] == "stream: 2"
+    old = workdir / "stream1.cal"
+    old.write_text(_rehashed(body[:2] + body[3:]))
+    assert am.load_artifact(old).stream == 1
+    assert run("verify", "--calib", old, "--seed", "99", "--runs", "1000") == 0
+    for bad in ("3", "0", "two"):
+        path = workdir / f"stream_{bad}.cal"
+        path.write_text(_rehashed(body[:2] + [f"stream: {bad}"] + body[3:]))
+        capsys.readouterr()
+        rc = run("verify", "--calib", path, "--seed", "99", "--runs", "1000")
+        err = capsys.readouterr().err
+        assert rc == 1, (bad, err)
+        assert err.startswith("error: validation: ") and f"stream version '{bad}'" in err
+
+
 def test_quantile_mc_levels_name_the_way_out(tmp_path, capsys):
     """Non-monotone Monte Carlo levels stop the zeta search with the cause."""
     rc = run("calibrate", "--family", "bench1d", "--loss", "quantile:0.3",
@@ -170,9 +188,9 @@ def test_bench_trace_is_replicate_zero(tmp_path):
     """The mean ring-rule trace reports the statistics bench computed on replicate 0.
 
     They equal |ring_k - base_j| bit for bit, with the estimates taken by
-    window_estimates over bench's whole 20-row chunk in nearest-first order
-    (mean estimates of a one-row batch can round differently), and k_hat is
-    bench's choice.
+    window_estimates on replicate 0 alone in nearest-first order: bench
+    averages C-ordered rows, so a mean row does not depend on its batch. And
+    k_hat is bench's choice.
     """
     cal = tmp_path / "mean_ring.cal"
     assert run("calibrate", "--family", "bench1d", "--loss", "mean", "--runs", "2000",
@@ -187,7 +205,7 @@ def test_bench_trace_is_replicate_zero(tmp_path):
     art = am.load_artifact(cal)
     xs = am.equidistant_design(200)
     family = am.build_family_1d(xs, 0.0, art.counts)
-    y = am.signal_step(xs) + am.sample_rows(am.NoiseKind.laplace(), 200, 7, 0, 20)
+    y = am.signal_step(xs) + am.sample_rows(am.NoiseKind.laplace(), 200, 7, 0, 1)
     bases, rings = am.window_estimates(y[:, family.order], family.counts, am.LossKind.mean())
     k_hat = int(am.select_ring_batch(bases, rings, art.levels, art.crit)[0])
     assert header == f"# method mean_ring k_hat {k_hat}"

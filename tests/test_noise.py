@@ -165,19 +165,48 @@ def test_parse_noise():
         parse_noise("uniform")
 
 
-@pytest.mark.parametrize("kind", KINDS + [NoiseKind.laplace(scale=2.5)],
-                         ids=lambda k: f"{k.label}-{k.scale}")
+ROW_KINDS = KINDS + [NoiseKind.laplace(scale=2.5)]
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS, ids=lambda k: f"{k.label}-{k.scale}")
 @pytest.mark.parametrize("seed", [0, -5, 2 ** 32 + 5, 2 ** 63 + 17])
 @pytest.mark.parametrize("lo,hi", [(0, 9), (2 ** 32 - 3, 2 ** 32 + 3), (7, 7)])
 def test_sample_rows_matches_substreams(kind, seed, lo, hi):
-    """Bulk seeding reproduces every stacked per-stream draw byte for byte."""
+    """Replicate i is row i mod CHUNK of the full block of substream i // CHUNK.
+
+    sample_rows draws each block only up to the rows the range needs; the
+    middle range straddles a chunk boundary.
+    """
     n = 13
     got = sample_rows(kind, n, seed, lo, hi)
-    want = np.array([sample_noise(kind, n, RngStream(seed, i))
-                     for i in range(lo, hi)]).reshape(hi - lo, n)
+    blocks = {c: sample_noise(kind, CHUNK * n, RngStream(seed, c)).reshape(CHUNK, n)
+              for c in {i // CHUNK for i in range(lo, hi)}}
+    want = np.array([blocks[i // CHUNK][i % CHUNK] for i in range(lo, hi)]).reshape(hi - lo, n)
     assert got.shape == (hi - lo, n)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS, ids=lambda k: f"{k.label}-{k.scale}")
+def test_sample_rows_is_prefix_stable(kind):
+    """Rows never depend on how many replicates are drawn, nor on where a range starts."""
+    n, total = 7, 3 * CHUNK + 50  # the last chunk is partial
+    full = sample_rows(kind, n, 3, 0, total)
+    ranges = [(0, 1), (0, 500), (5, 9), (CHUNK - 3, CHUNK + 3), (CHUNK, 2 * CHUNK),
+              (10, 2 * CHUNK + 1), (2 * CHUNK + 7, total), (3 * CHUNK, total),
+              (total - 1, total), (0, 0), (CHUNK, CHUNK), (total, total)]
+    for lo, hi in ranges:
+        assert sample_rows(kind, n, 3, lo, hi).tobytes() == full[lo:hi].tobytes(), (lo, hi)
+    assert sample_rows(kind, n, 3, 0, 0).shape == (0, n)
+    # a different seed moves every row
+    assert not np.any(sample_rows(kind, n, 4, 0, 9) == full[:9])
+
+
+def test_sample_rows_inside_one_chunk_is_a_view():
+    """A range inside one chunk is a C-ordered view of its block, not a copy."""
+    rows = sample_rows(NoiseKind.laplace(), 11, 5, 3, 40)
+    assert rows.base is not None and rows.flags.c_contiguous
+    assert sample_rows(NoiseKind.laplace(), 11, 5, CHUNK - 1, CHUNK + 1).base is None
 
 
 def test_sample_rows_validation():
@@ -191,8 +220,9 @@ def test_sample_rows_validation():
 
 # SHA-256 of simulate_window_estimates (bench1d family, median, Laplace,
 # runs = 2 * CHUNK + 7, seed 11): bases then rings, float64 bytes. It pins
-# the substream layout, which the reproducibility contract covers.
-SIMULATE_DIGEST = "1eafc0ae07a5edfc36e8f9c2b5a9c1ca881f013f0435d51f11ef7fb2dc886e02"
+# the substream layout (stream version 2: one block per chunk), which the
+# reproducibility contract covers.
+SIMULATE_DIGEST = "3e1eec19e7d7d67efd25491c8128cb29b7862a4b72ce90ac24a08b4c65d1f1a2"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
