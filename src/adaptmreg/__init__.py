@@ -29,7 +29,6 @@ from .selector import (CriticalValues, OracleInfo, SelectionTrace, TestRecord,
                        propagation_gap, select_lepski, select_lepski_batch,
                        select_ring, select_ring_batch)
 from .windows import (WindowFamily, benchmark_counts, build_family_1d,
-                      build_family_2d, default_disc_radii, disc_family,
-                      equidistant_design)
+                      build_family_2d, default_disc_radii, equidistant_design)
 
 __version__ = "0.1.0"

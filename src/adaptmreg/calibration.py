@@ -37,11 +37,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CalibrationError, ValidationError
-from .levels import Levels, PairLevels, simulate_window_estimates
+from .levels import (MC_MIN_RUNS, MC_WARN_RUNS, Levels, PairLevels,
+                     simulate_window_estimates)
 from .losses import LossKind
 from .noise import NoiseKind
 from .selector import CriticalValues, _rule_terms, threshold_table
-from .windows import WindowFamily, build_family_1d, disc_family, equidistant_design
+from .windows import WindowFamily, build_family_1d, build_family_2d, equidistant_design
 
 __all__ = [
     "CalibConfig",
@@ -51,6 +52,7 @@ __all__ = [
     "calibrate_sequential",
     "verify_calibration",
     "CalibArtifact",
+    "build_family",
     "save_artifact",
     "load_artifact",
 ]
@@ -59,7 +61,6 @@ ZETA_MIN = 1e-6
 ZETA_MAX = 100.0
 Z_MAX = 100.0
 SEARCH_TOL = 1e-3
-RUNS_WARN = 10000
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ class CalibConfig:
             raise ValidationError("alpha must be positive")
         if self.r < 1:
             raise ValidationError("moment order r must be >= 1")
-        if self.runs < 1000:
-            raise ValidationError("calibration needs at least 1000 runs")
+        if self.runs < MC_MIN_RUNS:
+            raise ValidationError(f"calibration needs at least {MC_MIN_RUNS} runs")
         if self.mode not in ("zeta", "sequential"):
             raise ValidationError(f"unknown calibration mode {self.mode!r}")
         if self.rule not in ("ring", "lepski"):
@@ -109,9 +110,6 @@ class CalibResult:
     per_k_error_share: np.ndarray
     achieved_lhs: float
     budget: float
-    runs: int
-    seed: int
-    mode: str
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -205,7 +203,7 @@ def _budget(config: CalibConfig, levels: Levels) -> float:
 
 
 def _runs_warnings(config: CalibConfig) -> tuple[str, ...]:
-    if config.runs < RUNS_WARN:
+    if config.runs < MC_WARN_RUNS:
         return (f"only {config.runs} calibration runs; thresholds may be rough",)
     return ()
 
@@ -269,7 +267,6 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
     shares = stats.shares(z)
     return CalibResult(crit=crit, per_k_error_share=shares,
                        achieved_lhs=float(shares.sum()), budget=budget,
-                       runs=config.runs, seed=config.seed, mode="zeta",
                        warnings=warnings)
 
 
@@ -308,7 +305,6 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
     shares = stats.shares(z, bare=True)
     return CalibResult(crit=crit, per_k_error_share=shares,
                        achieved_lhs=float(shares.sum()), budget=budget,
-                       runs=config.runs, seed=config.seed, mode="sequential",
                        warnings=_runs_warnings(config))
 
 
@@ -375,7 +371,6 @@ class CalibArtifact:
     alpha: float
     runs: int
     seed: int
-    zeta: float | None
     crit: CriticalValues
     levels: Levels
     pair: PairLevels | None
@@ -395,9 +390,8 @@ class CalibArtifact:
         """The artifact of one calibrate(config, levels, pair) run."""
         return cls(rule=config.rule, mode=config.mode, loss=config.loss,
                    noise=config.noise, r=config.r, alpha=config.alpha,
-                   runs=config.runs, seed=config.seed, zeta=result.crit.zeta,
-                   crit=result.crit, levels=levels, pair=pair,
-                   achieved_lhs=result.achieved_lhs, budget=result.budget,
+                   runs=config.runs, seed=config.seed, crit=result.crit, levels=levels,
+                   pair=pair, achieved_lhs=result.achieved_lhs, budget=result.budget,
                    per_k_error_share=result.per_k_error_share,
                    family_kind=family_kind, family_meta=family_meta)
 
@@ -407,10 +401,15 @@ class CalibArtifact:
 
     def build_family(self) -> WindowFamily:
         """Reconstruct the window family the artifact was calibrated for."""
-        if self.family_kind == "line1d":
-            xs = equidistant_design(int(self.family_meta["n"]))
-            return build_family_1d(xs, float(self.family_meta["center"]), self.counts)
-        return disc_family(self.family_meta["radii"])
+        return build_family(self.family_kind, self.family_meta)
+
+
+def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
+    """The window family of a saved description (an artifact's family_kind and _meta)."""
+    if family_kind == "line1d":
+        xs = equidistant_design(int(family_meta["n"]))
+        return build_family_1d(xs, float(family_meta["center"]), family_meta["counts"])
+    return build_family_2d(family_meta["radii"])
 
 
 def _fmt(x) -> str:
@@ -441,7 +440,7 @@ def _artifact_lines(art: CalibArtifact) -> list[str]:
         f"alpha: {_fmt(art.alpha)}",
         f"runs: {art.runs}",
         f"seed: {art.seed}",
-        f"zeta: {_opt(art.zeta)}",
+        f"zeta: {_opt(art.crit.zeta)}",
         f"achieved_lhs: {_fmt(art.achieved_lhs)}",
         f"budget: {_fmt(art.budget)}",
         f"per_k_error_share: {_fmt_arr(art.per_k_error_share)}",
@@ -561,9 +560,8 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
             sp[m, :m] = [float(v) for v in fields[f"pair[{m}]"].split()]
         pair = PairLevels(r=r, s_pair=sp, method=fields["pair_method"],
                           runs=opt_int("pair_runs"), seed=opt_int("pair_seed"))
-    zeta = opt_float("zeta")
     crit = CriticalValues(z=np.array([float(v) for v in fields["z"].split()]),
-                          alpha=float(fields["alpha"]), r=r, zeta=zeta)
+                          alpha=float(fields["alpha"]), r=r, zeta=opt_float("zeta"))
     counts = [int(v) for v in fields["counts"].split()]
     meta: dict = {"counts": counts}
     if fields["family_kind"] == "line1d":
@@ -574,7 +572,7 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
     return CalibArtifact(
         rule=fields["rule"], mode=fields["mode"], loss=loss, noise=noise,
         r=r, alpha=float(fields["alpha"]), runs=int(fields["runs"]),
-        seed=int(fields["seed"]), zeta=zeta, crit=crit, levels=levels, pair=pair,
+        seed=int(fields["seed"]), crit=crit, levels=levels, pair=pair,
         achieved_lhs=float(fields["achieved_lhs"]), budget=float(fields["budget"]),
         per_k_error_share=np.array([float(v) for v in fields["per_k_error_share"].split()]),
         family_kind=fields["family_kind"], family_meta=meta,

@@ -16,11 +16,12 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .calibration import (CalibArtifact, CalibConfig, calibrate, load_artifact,
-                          save_artifact, verify_calibration)
+from .calibration import (CalibArtifact, CalibConfig, build_family, calibrate,
+                          load_artifact, save_artifact, verify_calibration)
 from .errors import CalibrationError, ValidationError
-from .experiments import (METHODS, ExperimentSpec, median_moment_study,
-                          replicate_rows, run_benchmark, tail_study, two_sample_study)
+from .experiments import (METHODS, BenchRow, ExperimentSpec, MomentRow, SampleRow, TailRow,
+                          TwoSampleReport, csv_text, median_moment_study, replicate_rows,
+                          run_benchmark, tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
                      pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc,
@@ -29,8 +30,7 @@ from .losses import LossKind
 from .noise import parse_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
 from .windows import (DEFAULT_DISC_BASE, DEFAULT_DISC_GROWTH, DEFAULT_DISC_LEVELS,
-                      benchmark_counts, build_family_1d, default_disc_radii, disc_family,
-                      equidistant_design)
+                      benchmark_counts, default_disc_radii, equidistant_design)
 
 __all__ = ["run_cli", "main"]
 
@@ -172,19 +172,19 @@ def _build_parser() -> _Parser:
 
 
 def _family_for_calibrate(args):
+    """The family's saved description (kind, meta) and the family built from it."""
     if args.family == "bench1d":
-        counts = benchmark_counts(args.count_levels, args.counts)
-        xs = equidistant_design(args.n)
-        family = build_family_1d(xs, 0.0, counts)
-        meta = {"counts": [int(c) for c in counts], "n": args.n, "center": 0.0}
-        return family, "line1d", meta
-    radii = default_disc_radii(
-        n_levels=DEFAULT_DISC_LEVELS if args.radius_levels is None else args.radius_levels,
-        base=DEFAULT_DISC_BASE if args.radius0 is None else args.radius0,
-        growth=DEFAULT_DISC_GROWTH if args.radius_growth is None else args.radius_growth)
-    fam = disc_family(radii)
-    meta = {"counts": [int(c) for c in fam.counts], "radii": [float(r) for r in radii]}
-    return fam, "disc2d", meta
+        kind, meta = "line1d", {"n": args.n, "center": 0.0,
+                                "counts": benchmark_counts(args.count_levels, args.counts)}
+    else:
+        radii = default_disc_radii(
+            n_levels=DEFAULT_DISC_LEVELS if args.radius_levels is None else args.radius_levels,
+            base=DEFAULT_DISC_BASE if args.radius0 is None else args.radius0,
+            growth=DEFAULT_DISC_GROWTH if args.radius_growth is None else args.radius_growth)
+        kind, meta = "disc2d", {"radii": [float(r) for r in radii]}
+    family = build_family(kind, meta)
+    meta["counts"] = [int(c) for c in family.counts]
+    return family, kind, meta
 
 
 def _levels_for_calibrate(args, family, loss, noise, pair=False):
@@ -219,7 +219,8 @@ def _cmd_calibrate(args) -> int:
     result = calibrate(config, levels, pair)
     save_artifact(args.out, CalibArtifact.from_result(config, result, levels, pair,
                                                       kind_tag, meta))
-    for w in result.warnings:
+    warnings = levels.warnings + (pair.warnings if pair else ()) + result.warnings
+    for w in dict.fromkeys(warnings):
         print(f"warning: {w}", file=sys.stderr)
     print(f"calibrated {args.rule}/{args.mode} loss={loss.label} "
           f"achieved={result.achieved_lhs!r} budget={result.budget!r} -> {args.out}")
@@ -269,7 +270,7 @@ def _cmd_bench(args) -> int:
                           seed=args.seed, workers=args.workers)
     artifacts = _load_bench_artifacts(methods, args.calib)
     report = run_benchmark(spec, artifacts)
-    Path(args.out).write_text(report.to_csv())
+    Path(args.out).write_text(csv_text(BenchRow, report.rows))
     if args.trace:
         Path(args.trace).write_text("".join(
             f"# method {m} k_hat {t.k_hat}\n" + t.format_rows()
@@ -281,25 +282,25 @@ def _cmd_bench(args) -> int:
 def _cmd_prop1(args) -> int:
     report = two_sample_study(parse_noise(args.noise), args.delta, args.n,
                               args.runs, args.seed, args.workers)
-    Path(args.out).write_text(report.to_csv())
+    Path(args.out).write_text(csv_text(TwoSampleReport, [report]))
     print(f"prop1 -> {args.out}")
     return 0
 
 
 def _cmd_moments(args) -> int:
     ns = [int(v) for v in args.n_points.split(",") if v.strip()]
-    report = median_moment_study(parse_noise(args.noise), ns, args.r,
-                                 args.runs, args.seed, args.workers)
-    Path(args.out).write_text(report.to_csv())
+    rows = median_moment_study(parse_noise(args.noise), ns, args.r,
+                               args.runs, args.seed, args.workers)
+    Path(args.out).write_text(csv_text(MomentRow, rows))
     print(f"moments -> {args.out}")
     return 0
 
 
 def _cmd_tails(args) -> int:
     taus = [float(v) for v in args.taus.split(",") if v.strip()]
-    report = tail_study(parse_noise(args.noise), args.n_points, taus,
-                        args.runs, args.seed, args.workers)
-    Path(args.out).write_text(report.to_csv())
+    rows = tail_study(parse_noise(args.noise), args.n_points, taus,
+                      args.runs, args.seed, args.workers)
+    Path(args.out).write_text(csv_text(TailRow, rows))
     print(f"tails -> {args.out}")
     return 0
 
@@ -344,10 +345,8 @@ def _cmd_simulate(args) -> int:
     xs = equidistant_design(args.n)
     g = spec.signal_fn()(xs)
     y = replicate_rows(spec, g, 0, 1)[0]
-    lines = ["i,x,g,y"]
-    for i in range(args.n):
-        lines.append(f"{i},{float(xs[i])!r},{float(g[i])!r},{float(y[i])!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    Path(args.out).write_text(csv_text(SampleRow, [SampleRow(i, xs[i], g[i], y[i])
+                                                   for i in range(args.n)]))
     print(f"simulate -> {args.out}")
     return 0
 

@@ -12,7 +12,7 @@ point the benchmark is after.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,17 +32,17 @@ __all__ = [
     "signal_step",
     "signal_smooth",
     "ExperimentSpec",
+    "csv_text",
     "BenchRow",
     "BenchmarkReport",
     "replicate_rows",
     "run_benchmark",
+    "SampleRow",
     "TwoSampleReport",
     "two_sample_study",
     "MomentRow",
-    "MomentReport",
     "median_moment_study",
     "TailRow",
-    "TailReport",
     "tail_study",
 ]
 
@@ -92,6 +92,20 @@ class ExperimentSpec:
         return SIGNALS[self.example]
 
 
+def csv_text(row_type: type, rows: Sequence) -> str:
+    """CSV of rows of a dataclass: its field names as the header, then one line each.
+
+    Floats print as repr(float(v)), which reads back exactly; the rest with str.
+    """
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    for row in rows:
+        values = (getattr(row, name) for name in names)
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class BenchRow:
     example: str
@@ -108,15 +122,6 @@ class BenchmarkReport:
 
     rows: tuple[BenchRow, ...]
     traces: Mapping[str, SelectionTrace]
-
-    CSV_HEADER = "example,noise,method,mc_median_abs_error,runs,seed"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.example},{r.noise},{r.method},"
-                         f"{r.mc_median_abs_error!r},{r.runs},{r.seed}")
-        return "\n".join(lines) + "\n"
 
 
 def _loss_rule(method: str) -> tuple[str, str]:
@@ -162,6 +167,16 @@ def replicate_rows(spec: ExperimentSpec, g: np.ndarray, lo: int, hi: int) -> np.
     holds the same data wherever it appears.
     """
     return g + sample_rows(spec.noise, spec.n, spec.seed, lo, hi)
+
+
+@dataclass(frozen=True)
+class SampleRow:
+    """One design point of a simulated replicate: index, location, signal, observation."""
+
+    i: int
+    x: float
+    g: float
+    y: float
 
 
 def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
@@ -240,15 +255,6 @@ class TwoSampleReport:
     var_w_formula: float
     var_l_formula: float
 
-    CSV_HEADER = ("kind,delta,n,runs,seed,var_w_mc,var_l_mc,"
-                  "var_w_formula,var_l_formula")
-
-    def to_csv(self) -> str:
-        return (self.CSV_HEADER + "\n" +
-                f"{self.kind},{self.delta!r},{self.n},{self.runs},{self.seed},"
-                f"{self.var_w_mc!r},{self.var_l_mc!r},"
-                f"{self.var_w_formula!r},{self.var_l_formula!r}\n")
-
 
 def pooled_variance_formula(kind: NoiseKind, delta: float) -> float:
     """Limit variance of the pooled two-sample median statistic at shift delta."""
@@ -304,27 +310,13 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
 
 @dataclass(frozen=True)
 class MomentRow:
-    n_points: int
-    raw_moment: float
-    normalized_moment: float
-
-
-@dataclass(frozen=True)
-class MomentReport:
     kind: str
     r: float
+    n_points: int
     runs: int
     seed: int
-    rows: tuple[MomentRow, ...]
-
-    CSV_HEADER = "kind,r,n_points,runs,seed,raw_moment,normalized_moment"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(f"{self.kind},{self.r!r},{row.n_points},{self.runs},"
-                         f"{self.seed},{row.raw_moment!r},{row.normalized_moment!r}")
-        return "\n".join(lines) + "\n"
+    raw_moment: float
+    normalized_moment: float
 
 
 def _median_samples(kind: NoiseKind, n: int, runs: int, seed: int,
@@ -340,7 +332,7 @@ def _median_samples(kind: NoiseKind, n: int, runs: int, seed: int,
 
 
 def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,
-                        seed: int, workers: int | None = None) -> MomentReport:
+                        seed: int, workers: int | None = None) -> tuple[MomentRow, ...]:
     """Normalized r-th moments of the sample median over pure noise.
 
     For each odd N the raw moment E|med|^r is scaled by (2 f(0) sqrt(N))^r
@@ -358,38 +350,23 @@ def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,
         med = _median_samples(kind, int(n), runs, seed, workers)
         raw = float(np.mean(np.abs(med) ** r))
         normalized = raw * (2.0 * f0 * math.sqrt(n)) ** r / ez
-        rows.append(MomentRow(int(n), raw, normalized))
-    return MomentReport(kind=kind.label, r=float(r), runs=runs, seed=seed,
-                        rows=tuple(rows))
+        rows.append(MomentRow(kind.label, float(r), int(n), runs, seed, raw, normalized))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class TailRow:
+    kind: str
+    n_points: int
     tau: float
+    runs: int
+    seed: int
     exceedance: float
     bound: float
 
 
-@dataclass(frozen=True)
-class TailReport:
-    kind: str
-    n_points: int
-    runs: int
-    seed: int
-    rows: tuple[TailRow, ...]
-
-    CSV_HEADER = "kind,n_points,tau,runs,seed,exceedance,bound"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(f"{self.kind},{self.n_points},{row.tau!r},{self.runs},"
-                         f"{self.seed},{row.exceedance!r},{row.bound!r}")
-        return "\n".join(lines) + "\n"
-
-
 def tail_study(kind: NoiseKind, n: int, taus: Sequence[float], runs: int,
-               seed: int, workers: int | None = None) -> TailReport:
+               seed: int, workers: int | None = None) -> tuple[TailRow, ...]:
     """Exceedance of the scaled sample median versus the 2 exp(-tau^2 / 8) cap."""
     if n % 2 == 0 or n < 1:
         raise ValidationError("sample size must be odd and positive")
@@ -398,7 +375,7 @@ def tail_study(kind: NoiseKind, n: int, taus: Sequence[float], runs: int,
         raise ValidationError("need 0 <= tau <= sqrt(N) / 2")
     med = _median_samples(kind, n, runs, seed, workers)
     scaled = 2.0 * math.sqrt(n) * density_at_zero(kind) * np.abs(med)
-    rows = tuple(
-        TailRow(t, float(np.mean(scaled > t)), float(2.0 * math.exp(-t * t / 8.0)))
+    return tuple(
+        TailRow(kind.label, n, t, runs, seed, float(np.mean(scaled > t)),
+                float(2.0 * math.exp(-t * t / 8.0)))
         for t in taus)
-    return TailReport(kind=kind.label, n_points=n, runs=runs, seed=seed, rows=rows)

@@ -33,7 +33,7 @@ from .losses import LossKind, window_estimates
 from .noise import NoiseKind, abs_diff_median
 from .parallel import run_chunks
 from .selector import CriticalValues, first_rejection, threshold_table
-from .windows import disc_family
+from .windows import build_family_2d
 
 __all__ = [
     "Image",
@@ -157,6 +157,9 @@ class DenoiseConfig:
                       workers: int | None = None) -> "DenoiseConfig":
         if art.family_kind != "disc2d":
             raise ValidationError("denoising needs a disc2d calibration artifact")
+        if art.rule != "ring":
+            raise ValidationError(f"denoising runs the ring rule, but the artifact was "
+                                  f"calibrated for the {art.rule} rule")
         return cls(loss=art.loss, radii=tuple(art.family_meta["radii"]),
                    noise=art.noise, crit=art.crit, levels_method=art.levels.method,
                    r=art.r, noise_scale=noise_scale, workers=workers)
@@ -264,7 +267,7 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     else:
         sigma = float(config.noise_scale)
 
-    family = disc_family(config.radii)
+    family = build_family_2d(config.radii)
     if family.dropped_levels:
         raise ValidationError(
             "radii produce duplicate interior windows; calibrate on deduplicated radii")

@@ -37,6 +37,8 @@ __all__ = [
     "simulate_window_estimates",
 ]
 
+# run counts below which Monte Carlo levels and calibrations fail or warn
+MC_MIN_RUNS = 1000
 MC_WARN_RUNS = 10000
 
 
@@ -87,7 +89,8 @@ class PairLevels:
     """Error levels of differences between two window estimates.
 
     s_pair[m, l] is the scale of estimate_m - estimate_l under pure noise,
-    defined for l < m; NaN elsewhere.
+    defined for l < m; NaN elsewhere. warnings holds the notes of a Monte
+    Carlo estimate, as for Levels.
     """
 
     r: float
@@ -95,6 +98,7 @@ class PairLevels:
     method: str
     runs: int | None = None
     seed: int | None = None
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         sp = np.asarray(self.s_pair, dtype=float)
@@ -244,8 +248,8 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
 
 
 def _mc_runs_check(runs: int) -> tuple[str, ...]:
-    if runs < 1000:
-        raise ValidationError("monte carlo levels need at least 1000 runs")
+    if runs < MC_MIN_RUNS:
+        raise ValidationError(f"monte carlo levels need at least {MC_MIN_RUNS} runs")
     if runs < MC_WARN_RUNS:
         return (f"only {runs} monte carlo runs; estimates may be rough",)
     return ()
@@ -294,11 +298,12 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     Nested estimates are dependent, so no independence shortcut applies; the
     moments are taken over joint pure-noise replicates.
     """
-    _mc_runs_check(runs)
+    warnings = _mc_runs_check(runs)
     bases, _ = simulate_window_estimates(family, loss, kind, runs, seed, workers)
     K = family.K
     sp = np.full((K + 1, K + 1), np.nan)
     for m in range(1, K + 1):
         diffs = np.abs(bases[:, m, None] - bases[:, :m])
         sp[m, :m] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
-    return PairLevels(r=float(r), s_pair=sp, method="monte_carlo", runs=runs, seed=seed)
+    return PairLevels(r=float(r), s_pair=sp, method="monte_carlo", runs=runs, seed=seed,
+                      warnings=warnings)

@@ -19,7 +19,6 @@ __all__ = [
     "equidistant_design",
     "build_family_1d",
     "build_family_2d",
-    "disc_family",
     "default_disc_radii",
 ]
 
@@ -35,8 +34,8 @@ class WindowFamily:
 
     order holds design indices sorted nearest first (see the builders for
     how each breaks distance ties), counts holds the strictly increasing
-    window sizes. 2d construction may drop radii whose clipped pixel count
-    duplicates the previous level; the dropped level positions are kept in
+    window sizes. build_family_2d drops radii whose disc holds no more
+    pixels than the previous one; the dropped level positions are kept in
     dropped_levels.
     """
 
@@ -132,52 +131,26 @@ def default_disc_radii(n_levels: int = DEFAULT_DISC_LEVELS,
     if n_levels < 1 or base <= 0 or growth <= 1:
         raise ValidationError("need n_levels >= 1, base > 0, growth > 1")
     radii = base * growth ** np.arange(n_levels)
-    return np.delete(radii, disc_family(radii).dropped_levels)
+    return np.delete(radii, build_family_2d(radii).dropped_levels)
 
 
-def disc_family(radii) -> WindowFamily:
+def build_family_2d(radii) -> WindowFamily:
     """Unclipped discs of the given radii in a square of side 2 reach + 1.
 
     reach = floor(largest radius); index i of the order is the pixel at
-    (row, column) offset divmod(i, side) - reach from the centre.
+    (row, column) offset divmod(i, side) - reach from the centre. Pixels are
+    ordered by (squared distance, index). Radii whose disc holds no more
+    pixels than the previous one are dropped and recorded.
     """
-    reach = int(np.floor(np.asarray(radii, dtype=float)[-1]))
-    side = 2 * reach + 1
-    return build_family_2d(side, side, (reach, reach), radii)
-
-
-def build_family_2d(width: int, height: int, center: tuple[int, int], radii) -> WindowFamily:
-    """Discs of the given radii around a pixel, clipped at the image borders.
-
-    Pixels are ordered by (squared distance, flat row-major index). Radii
-    whose clipped pixel count repeats the previous level are dropped and
-    recorded, which repairs monotonicity near borders.
-    """
-    cx, cy = int(center[0]), int(center[1])
-    if not (0 <= cx < width and 0 <= cy < height):
-        raise ValidationError("center must lie inside the image")
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValidationError("radii must be positive and strictly increasing")
-
     reach = int(np.floor(radii[-1]))
-    x0, x1 = max(0, cx - reach), min(width - 1, cx + reach)
-    y0, y1 = max(0, cy - reach), min(height - 1, cy + reach)
-    gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-    gx, gy = gx.ravel(), gy.ravel()
-    dist2 = (gx - cx) ** 2 + (gy - cy) ** 2
-    flat = gy * width + gx
-    keep = dist2 <= radii[-1] ** 2 + 1e-9
-    dist2, flat = dist2[keep], flat[keep]
-    perm = np.lexsort((flat, dist2))
-    dist2, order = dist2[perm], flat[perm]
-
-    raw_counts = np.searchsorted(dist2, radii ** 2 + 1e-9, side="right")
-    counts, dropped = [], []
-    for lvl, c in enumerate(raw_counts):
-        if counts and c <= counts[-1]:
-            dropped.append(lvl)
-        else:
-            counts.append(int(c))
-    return WindowFamily(order=order, counts=np.asarray(counts, dtype=int),
-                        dropped_levels=tuple(dropped))
+    offsets = np.arange(-reach, reach + 1)
+    dist2 = (offsets[:, None] ** 2 + offsets[None, :] ** 2).ravel()
+    inside = np.flatnonzero(dist2 <= radii[-1] ** 2 + 1e-9)
+    order = inside[np.argsort(dist2[inside], kind="stable")]
+    raw_counts = np.searchsorted(dist2[order], radii ** 2 + 1e-9, side="right")
+    kept = np.diff(raw_counts, prepend=0) > 0
+    return WindowFamily(order=order, counts=raw_counts[kept],
+                        dropped_levels=tuple(np.flatnonzero(~kept).tolist()))

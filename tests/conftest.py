@@ -54,7 +54,7 @@ def bench_artifacts(bench_family):
 def disc_artifact():
     """2d calibration artifact: median loss, Laplace, default disc radii."""
     radii = am.default_disc_radii()
-    family = am.disc_family(radii)
+    family = am.build_family_2d(radii)
     med = am.LossKind.median()
     lap = am.NoiseKind.laplace()
     lv = am.levels_asymptotic(family, med, am.density_at_zero(lap))

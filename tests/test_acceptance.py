@@ -156,7 +156,7 @@ MOMENT_RUNS = 10 ** 5
 def moment_ratios():
     moments = am.median_moment_study(NoiseKind.laplace(), [101, 401, 1601],
                                      r=2.0, runs=MOMENT_RUNS, seed=61)
-    return {row.n_points: row.normalized_moment for row in moments.rows}
+    return {row.n_points: row.normalized_moment for row in moments}
 
 
 def test_criterion_5_median_moments_and_tails(moment_ratios):
@@ -168,7 +168,7 @@ def test_criterion_5_median_moments_and_tails(moment_ratios):
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert abs(slope) <= 0.05
     tails = am.tail_study(NoiseKind.laplace(), 1001, [3.0], runs=10 ** 5, seed=62)
-    exceed = tails.rows[0].exceedance
+    exceed = tails[0].exceedance
     assert exceed <= 2.2 * math.exp(-9.0 / 8.0)
     print(f"\nACCEPTANCE 5 (median moments and tails): PASS "
           f"ratios={ {k: round(v, 4) for k, v in moment_ratios.items()} } "

@@ -342,7 +342,7 @@ def test_artifact_roundtrip(tmp_path, small_setup):
     art = CalibArtifact(
         rule="ring", mode="zeta", loss=config.loss, noise=config.noise,
         r=config.r, alpha=config.alpha, runs=config.runs, seed=config.seed,
-        zeta=res.crit.zeta, crit=res.crit, levels=levels, pair=None,
+        crit=res.crit, levels=levels, pair=None,
         achieved_lhs=res.achieved_lhs, budget=res.budget,
         per_k_error_share=res.per_k_error_share, family_kind="line1d",
         family_meta={"counts": [int(c) for c in family.counts],
@@ -351,7 +351,7 @@ def test_artifact_roundtrip(tmp_path, small_setup):
     save_artifact(path, art)
     loaded = load_artifact(path)
     assert loaded.rule == "ring"
-    assert loaded.zeta == art.zeta
+    assert loaded.crit.zeta == art.crit.zeta
     assert np.array_equal(loaded.crit.z, art.crit.z)
     assert np.array_equal(loaded.levels.s, levels.s)
     tril = np.tril_indices(levels.K)
@@ -420,7 +420,7 @@ def _artifacts(draw):
         rule=draw(st.sampled_from(["ring", "lepski"])),
         mode=draw(st.sampled_from(["zeta", "sequential"])), loss=loss, noise=noise,
         r=r, alpha=alpha, runs=draw(st.integers(1000, 10 ** 9)),
-        seed=draw(st.integers(-(2 ** 63), 2 ** 63)), zeta=zeta, crit=crit, levels=levels,
+        seed=draw(st.integers(-(2 ** 63), 2 ** 63)), crit=crit, levels=levels,
         pair=pair, achieved_lhs=draw(_reals), budget=draw(_reals),
         per_k_error_share=np.array(draw(st.lists(_reals, min_size=K, max_size=K))),
         family_kind=family_kind, family_meta=meta,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import adaptmreg as am
+from adaptmreg.calibration import save_artifact
 from adaptmreg.cli import parse_loss, run_cli
 from adaptmreg.parallel import CHUNK
 from adaptmreg.pgmio import read_pgm, write_pgm
@@ -285,7 +286,72 @@ def test_calibrate_mc_levels_and_mc_pairs(tmp_path):
              "--noise", "laplace", "--runs", "1500", "--mode", "sequential",
              "--seed", "11", "--out", out3)
     assert rc == 0
-    assert load_artifact(out3).zeta is None
+    assert load_artifact(out3).crit.zeta is None
+
+
+def test_calibrate_prints_level_warnings(tmp_path, capsys):
+    """Monte Carlo level and pair level warnings reach stderr; stdout keeps one line."""
+    rc = run("calibrate", "--family", "bench1d", "--loss", "median", "--rule", "lepski",
+             "--levels", "mc", "--levels-runs", "1500", "--pair", "mc",
+             "--pair-runs", "1200", "--runs", "1500", "--seed", "11",
+             "--out", tmp_path / "w.cal")
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err.splitlines() == [
+        "warning: only 1500 monte carlo runs; estimates may be rough",
+        "warning: only 1200 monte carlo runs; estimates may be rough",
+        "warning: only 1500 calibration runs; thresholds may be rough"]
+    assert out.startswith("calibrated lepski/zeta loss=median ") and out.count("\n") == 1
+
+
+# small study commands and the exact CSV text the hand-written writers gave them
+CSV_PINS = {
+    "bench": (("bench", "--example", "2", "--noise", "gaussian", "--runs", "30",
+               "--seed", "5"),
+              "example,noise,method,mc_median_abs_error,runs,seed\n"
+              "2,gaussian,mean_lepski,0.20685062818811584,30,5\n"
+              "2,gaussian,mean_ring,0.1887358956413543,30,5\n"
+              "2,gaussian,median_lepski,0.3034343301277409,30,5\n"
+              "2,gaussian,median_ring,0.1218377763227124,30,5\n"
+              "2,gaussian,median_oracle,0.12657453242556943,30,5\n"),
+    "prop1": (("prop1", "--delta", "0.2", "--n", "51", "--runs", "40", "--seed", "3"),
+              "kind,delta,n,runs,seed,var_w_mc,var_l_mc,var_w_formula,var_l_formula\n"
+              "laplace,0.2,51,40,3,1.6866448836196026,1.9188182498525224,"
+              "1.0000000000000002,1.303819820337818\n"),
+    "moments": (("moments", "--n-points", "11,21", "--r", "1.5", "--runs", "40",
+                 "--seed", "3"),
+                "kind,r,n_points,runs,seed,raw_moment,normalized_moment\n"
+                "laplace,1.5,11,40,3,0.0872721378894048,1.030798983072202\n"
+                "laplace,1.5,21,40,3,0.06239326189783913,1.196894895110534\n"),
+    "tails": (("tails", "--n-points", "21", "--taus", "0,0.5,2", "--runs", "40",
+               "--seed", "3"),
+              "kind,n_points,tau,runs,seed,exceedance,bound\n"
+              "laplace,21,0.0,40,3,1.0,2.0\n"
+              "laplace,21,0.5,40,3,0.65,1.9384664689526883\n"
+              "laplace,21,2.0,40,3,0.1,1.2130613194252668\n"),
+    # an empty study writes the header alone
+    "no_taus": (("tails", "--n-points", "21", "--taus", ",", "--runs", "40", "--seed", "3"),
+                "kind,n_points,tau,runs,seed,exceedance,bound\n"),
+    "simulate": (("simulate", "--example", "2", "--n", "6", "--seed", "3"),
+                 "i,x,g,y\n"
+                 "0,-1.0,-0.0,0.06106825107791198\n"
+                 "1,-0.6,-0.48,-0.6765197724961325\n"
+                 "2,-0.19999999999999996,-0.31999999999999995,0.8150796376006068\n"
+                 "3,0.20000000000000018,0.4800000000000005,0.6688252978311662\n"
+                 "4,0.6000000000000001,1.9200000000000004,1.399123293604672\n"
+                 "5,1.0,4.0,3.8078073825298366\n"),
+}
+
+
+def test_csv_outputs_pinned(bench_artifacts, tmp_path):
+    """Every CSV command goes through one writer and keeps its exact text."""
+    for method, art in bench_artifacts.items():
+        save_artifact(tmp_path / f"{method}.cal", art)
+    for name, (argv, text) in CSV_PINS.items():
+        extra = ("--calib", tmp_path) if name == "bench" else ()
+        out = tmp_path / f"{name}.csv"
+        assert run(*argv, *extra, "--out", out) == 0, name
+        assert out.read_text() == text, name
 
 
 def test_simulate(workdir):
@@ -390,6 +456,17 @@ def test_validation_exit_codes(tmp_path, capsys):
                    "--out", tmp_path / "x.pgm") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: validation: ") and name in err
+    # the denoiser runs the ring rule, so a classical-rule artifact is refused
+    lepski = tmp_path / "lepski.cal"
+    assert run("calibrate", "--family", "disc2d", "--radius-levels", "3", "--rule", "lepski",
+               "--runs", "2000", "--seed", "21", "--out", lepski) == 0
+    write_pgm(tmp_path / "flat.pgm", np.full((12, 12), 90.0), maxval=255)
+    capsys.readouterr()
+    assert run("denoise", "--in", tmp_path / "flat.pgm", "--calib", lepski,
+               "--out", tmp_path / "x.pgm") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and "lepski rule" in err
+    assert not (tmp_path / "x.pgm").exists()
     # a bench --calib entry that no method of --methods uses is refused
     # before anything is written
     capsys.readouterr()

@@ -6,7 +6,8 @@ import pytest
 import adaptmreg as am
 from adaptmreg import (ExperimentSpec, LossKind, NoiseKind, median_moment_study,
                        run_benchmark, tail_study, two_sample_study)
-from adaptmreg.experiments import METHODS, pooled_variance_formula
+from adaptmreg.experiments import (METHODS, BenchRow, TwoSampleReport, csv_text,
+                                   pooled_variance_formula)
 from adaptmreg.noise import density_at_zero
 
 
@@ -20,15 +21,15 @@ def test_benchmark_determinism(bench_artifacts):
     spec = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=60, seed=4)
     a = run_benchmark(spec, bench_artifacts)
     b = run_benchmark(spec, bench_artifacts)
-    assert a.to_csv() == b.to_csv()
+    assert csv_text(BenchRow, a.rows) == csv_text(BenchRow, b.rows)
 
 
 def test_benchmark_worker_invariance(bench_artifacts):
     base = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=60, seed=4)
     multi = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=60, seed=4,
                            workers=3)
-    assert run_benchmark(base, bench_artifacts).to_csv() == \
-        run_benchmark(multi, bench_artifacts).to_csv()
+    assert csv_text(BenchRow, run_benchmark(base, bench_artifacts).rows) == \
+        csv_text(BenchRow, run_benchmark(multi, bench_artifacts).rows)
 
 
 def test_zero_noise_gives_zero_error(bench_artifacts):
@@ -41,7 +42,7 @@ def test_zero_noise_gives_zero_error(bench_artifacts):
 
 def test_benchmark_csv_shape(bench_artifacts):
     spec = ExperimentSpec(example=2, noise=NoiseKind.gaussian(), runs=15, seed=3)
-    text = run_benchmark(spec, bench_artifacts).to_csv()
+    text = csv_text(BenchRow, run_benchmark(spec, bench_artifacts).rows)
     lines = text.strip().split("\n")
     assert lines[0] == "example,noise,method,mc_median_abs_error,runs,seed"
     assert len(lines) == 1 + len(METHODS)
@@ -120,7 +121,7 @@ def test_two_sample_mc_quick():
     # Laplace medians carry noticeable finite-n variance inflation at n=400
     assert report.var_w_mc == pytest.approx(1.0, rel=0.15)
     assert report.var_l_mc == pytest.approx(1.0, rel=0.20)
-    text = report.to_csv()
+    text = csv_text(TwoSampleReport, [report])
     assert text.startswith("kind,delta,n,runs,seed,")
 
 
@@ -132,34 +133,34 @@ def test_two_sample_validation():
 
 
 def test_moment_study_quick():
-    report = median_moment_study(NoiseKind.gaussian(), [101], r=2.0,
-                                 runs=20000, seed=17)
-    assert report.rows[0].normalized_moment == pytest.approx(1.0, rel=0.1)
+    rows = median_moment_study(NoiseKind.gaussian(), [101], r=2.0,
+                               runs=20000, seed=17)
+    assert rows[0].normalized_moment == pytest.approx(1.0, rel=0.1)
     with pytest.raises(ValueError):
         median_moment_study(NoiseKind.gaussian(), [100], r=2.0, runs=1000, seed=1)
 
 
 def test_moment_window_gaussian_n1001():
     # the normal case has no density kink, so the limit is tight already
-    report = median_moment_study(NoiseKind.gaussian(), [1001], r=2.0,
-                                 runs=20000, seed=19)
-    assert 0.9 <= report.rows[0].normalized_moment <= 1.1
+    rows = median_moment_study(NoiseKind.gaussian(), [1001], r=2.0,
+                               runs=20000, seed=19)
+    assert 0.9 <= rows[0].normalized_moment <= 1.1
 
 
 def test_moment_study_r1():
     # first absolute moment, same normalization recipe
-    report = median_moment_study(NoiseKind.laplace(), [401], r=1.0,
-                                 runs=20000, seed=20)
-    assert 0.9 <= report.rows[0].normalized_moment <= 1.15
+    rows = median_moment_study(NoiseKind.laplace(), [401], r=1.0,
+                               runs=20000, seed=20)
+    assert 0.9 <= rows[0].normalized_moment <= 1.15
 
 
 def test_tail_study_quick():
-    report = tail_study(NoiseKind.gaussian(), 101, [0.0, 1.0, 2.0],
-                        runs=20000, seed=18)
-    ex = [row.exceedance for row in report.rows]
+    rows = tail_study(NoiseKind.gaussian(), 101, [0.0, 1.0, 2.0],
+                      runs=20000, seed=18)
+    ex = [row.exceedance for row in rows]
     assert ex[0] == 1.0 <= 2.0
     assert ex == sorted(ex, reverse=True)
-    for row in report.rows:
+    for row in rows:
         assert row.bound == pytest.approx(2.0 * math.exp(-row.tau ** 2 / 8.0))
     with pytest.raises(ValueError):
         tail_study(NoiseKind.gaussian(), 101, [90.0], runs=1000, seed=1)

@@ -12,6 +12,7 @@ from adaptmreg.imaging import KhatMap, _interior_first
 from adaptmreg.parallel import chunk_ranges
 from adaptmreg.selector import CriticalValues
 from oracle_select import base_estimates, ring_reference
+from oracle_windows import clipped_family_2d
 
 
 def two_region(width, height, contrast=4.0):
@@ -155,8 +156,8 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
                     top, bottom = min(y, reach), min(h - 1 - y, reach)
                     interior += min(left, right, top, bottom) == reach
                     patch = img[y - top: y + bottom + 1, x - left: x + right + 1]
-                    fam = am.build_family_2d(left + right + 1, top + bottom + 1,
-                                             (left, top), radii)
+                    fam = clipped_family_2d(left + right + 1, top + bottom + 1,
+                                            (left, top), radii)
                     kept = [lvl for lvl in range(len(radii))
                             if lvl not in fam.dropped_levels]
                     crit = config.crit

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaptmreg as am
 from adaptmreg import (Levels, LossKind, NoiseKind, levels_asymptotic,
                        levels_exact_mean, levels_mc, normal_abs_moment,
                        pair_levels_asymptotic, pair_levels_exact_mean,
-                       pair_levels_mc)
+                       pair_levels_mc, simulate_window_estimates)
+from adaptmreg.parallel import CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +160,23 @@ def test_levels_validation():
     with pytest.raises(ValueError):
         Levels(r=0.5, s=np.array([0.2, 0.1]), s_ring=np.full((1, 1), 0.1),
                method="exact_mean")
+
+
+@settings(max_examples=8, deadline=None)
+@given(runs=st.integers(CHUNK + 1, 3 * CHUNK - 1).filter(lambda n: n % CHUNK),
+       loss=st.sampled_from([LossKind.mean(), LossKind.median(), LossKind.huber(1.0)]))
+def test_simulate_window_estimates_worker_invariant(runs, loss):
+    """1, 2 and 3 workers give the same rows when the run count ends mid-chunk."""
+    family = am.build_family_1d(am.equidistant_design(40), 0.0, [3, 5, 9, 14])
+    noise = NoiseKind.laplace()
+    bases, rings = simulate_window_estimates(family, loss, noise, runs, 4, workers=1)
+    for workers in (2, 3):
+        b, r = simulate_window_estimates(family, loss, noise, runs, 4, workers=workers)
+        assert np.array_equal(b, bases) and np.array_equal(r, rings)
+        streamed = np.empty_like(bases)
+
+        def consume(lo, hi, chunk_bases, chunk_rings):
+            streamed[lo:hi] = chunk_bases
+
+        simulate_window_estimates(family, loss, noise, runs, 4, workers, consume)
+        assert np.array_equal(streamed, bases)

@@ -259,3 +259,31 @@ def test_loss_level():
     for loss in (LossKind.mean(), LossKind.huber(1.0)):
         with pytest.raises(ValueError):
             loss.level
+
+
+_SAMPLES = st.lists(_VALUES, min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_SAMPLES, loss=st.sampled_from(ALL_LOSSES))
+def test_locate_returns_midpoint_of_minimizers(values, loss):
+    """The value is the midpoint of [minimizer_lo, minimizer_hi], both minimizers."""
+    res = locate(values, loss)
+    assert res.minimizer_lo <= res.minimizer_hi
+    assert res.value == 0.5 * (res.minimizer_lo + res.minimizer_hi)
+    objective = [float(np.sum(rho(loss, np.asarray(values) - mu)))
+                 for mu in (res.minimizer_lo, res.value, res.minimizer_hi)]
+    assert max(objective) - min(objective) <= 1e-9 * (1.0 + min(objective))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_SAMPLES, loss=st.sampled_from([lk for lk in ALL_LOSSES
+                                              if lk.kind in ("mean", "median", "huber")]))
+def test_locate_sign_flip_symmetry(values, loss):
+    """locate(-y) = -locate(y): exactly for mean and median, to rounding for Huber."""
+    y = np.asarray(values, dtype=float)
+    flipped, value = locate(-y, loss).value, locate(y, loss).value
+    if loss.kind == "huber":
+        assert abs(flipped + value) <= 1e-12 * (1.0 + np.abs(y).max())
+    else:
+        assert flipped == -value

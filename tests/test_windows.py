@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import adaptmreg as am
 from adaptmreg import (benchmark_counts, build_family_1d, build_family_2d,
                        equidistant_design)
+from oracle_windows import clipped_family_2d
 
 # floor(5^(k+1) / 4^k) for k = 0..16, computed exactly
 BENCH_COUNTS = (5, 6, 7, 9, 12, 15, 19, 23, 29, 37, 46, 58, 72, 90, 113, 142, 177)
@@ -108,25 +110,25 @@ def lattice_count(radius, cx=0, cy=0, width=None, height=None):
 
 
 def test_2d_small_radii():
-    fam = build_family_2d(9, 9, (4, 4), [0.5])
+    fam = clipped_family_2d(9, 9, (4, 4), [0.5])
     assert fam.counts.tolist() == [1]
     assert fam.members(0).tolist() == [4 * 9 + 4]
 
 
 def test_2d_interior_counts_match_enumeration():
-    fam = build_family_2d(21, 21, (10, 10), [1.5, 2.5, 3.5])
+    fam = clipped_family_2d(21, 21, (10, 10), [1.5, 2.5, 3.5])
     assert fam.counts.tolist() == [lattice_count(r) for r in (1.5, 2.5, 3.5)]
     assert fam.counts[0] == 9
 
 
 def test_2d_corner_clipping():
-    fam = build_family_2d(16, 16, (0, 0), [1.5])
+    fam = clipped_family_2d(16, 16, (0, 0), [1.5])
     assert fam.counts.tolist() == [lattice_count(1.5, 0, 0, 16, 16)]
     assert fam.counts[0] == 4
 
 
 def test_2d_dihedral_symmetry():
-    fam = build_family_2d(31, 31, (15, 15), [2.5, 4.2])
+    fam = clipped_family_2d(31, 31, (15, 15), [2.5, 4.2])
     for k in range(fam.K + 1):
         flat = fam.members(k)
         dx = flat % 31 - 15
@@ -139,7 +141,7 @@ def test_2d_dihedral_symmetry():
 
 def test_2d_duplicate_levels_dropped():
     # radii 1.5 and 1.9 cover the same 9 interior pixels
-    fam = build_family_2d(25, 25, (12, 12), [1.5, 1.9, 2.5])
+    fam = clipped_family_2d(25, 25, (12, 12), [1.5, 1.9, 2.5])
     assert fam.counts.tolist() == [9, lattice_count(2.5)]
     assert fam.dropped_levels == (1,)
     assert np.all(np.diff(fam.counts) > 0)
@@ -147,7 +149,45 @@ def test_2d_duplicate_levels_dropped():
 
 def test_2d_center_outside_error():
     with pytest.raises(ValueError):
-        build_family_2d(8, 8, (8, 0), [1.5])
+        clipped_family_2d(8, 8, (8, 0), [1.5])
+
+
+# counts, dropped levels and the SHA-256 of the int64 order of the unclipped
+# family, recorded when disc families were built by clipping to a
+# (2 reach + 1)^2 square
+DISC_PINS = {
+    "default": ([9, 13, 21, 25, 37, 49, 69, 101, 145], (),
+                "3f6a7e8570808eb361673d92d32e455b4dd9b5f905f8ab84ca5b41e3c0bb885c"),
+    "integer": ([5, 13, 25], (),
+                "115370aa77e7a3b80a2ea35a43cdbb0da9fc2f8f4631c940794dceddb9db1f89"),
+    "duplicate": ([9, 21, 37, 69], (1,),
+                  "266d996a42abe5970f7cff21581ef806dce8e8d911e8cd4a1662d2ee5f17f992"),
+}
+DISC_RADII = {"default": am.default_disc_radii(), "integer": [1.0, 2.0, 2.9],
+              "duplicate": [1.5, 1.9, 2.5, 3.2, 4.6]}
+
+
+@pytest.mark.parametrize("name", sorted(DISC_PINS))
+def test_2d_unclipped_family_pinned(name):
+    """The unclipped family equals the clipped one on a square that clips nothing."""
+    radii = DISC_RADII[name]
+    fam = build_family_2d(radii)
+    counts, dropped, digest = DISC_PINS[name]
+    assert fam.counts.tolist() == counts and fam.dropped_levels == dropped
+    assert hashlib.sha256(fam.order.astype(np.int64).tobytes()).hexdigest() == digest
+    reach = int(np.floor(radii[-1]))
+    side = 2 * reach + 1
+    ref = clipped_family_2d(side, side, (reach, reach), radii)
+    assert np.array_equal(fam.order, ref.order) and np.array_equal(fam.counts, ref.counts)
+    assert fam.dropped_levels == ref.dropped_levels
+    dy, dx = (d - reach for d in np.divmod(fam.order, side))
+    assert np.all(np.diff(dy ** 2 + dx ** 2) >= 0)
+
+
+def test_2d_unclipped_rejects_bad_radii():
+    for radii in ([], [0.0, 1.5], [2.5, 1.5]):
+        with pytest.raises(ValueError):
+            build_family_2d(radii)
 
 
 def test_default_disc_radii_growth():
