@@ -32,13 +32,12 @@ selection-form budget, the guarantee that matters for the running rule.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CalibrationError, ValidationError
-from .levels import (MC_MIN_RUNS, MC_WARN_RUNS, Levels, PairLevels,
-                     simulate_window_estimates)
+from .levels import Levels, PairLevels, check_mc_runs, simulate_window_estimates
 from .losses import LossKind
 from .noise import NoiseKind
 from .selector import CriticalValues, _rule_terms, threshold_table
@@ -57,6 +56,7 @@ __all__ = [
     "load_artifact",
 ]
 
+CALIBRATION_STEP = "the calibration"
 ZETA_MIN = 1e-6
 ZETA_MAX = 100.0
 Z_MAX = 100.0
@@ -88,8 +88,7 @@ class CalibConfig:
             raise ValidationError("alpha must be positive")
         if self.r < 1:
             raise ValidationError("moment order r must be >= 1")
-        if self.runs < MC_MIN_RUNS:
-            raise ValidationError(f"calibration needs at least {MC_MIN_RUNS} runs")
+        check_mc_runs(self.runs, CALIBRATION_STEP)
         if self.mode not in ("zeta", "sequential"):
             raise ValidationError(f"unknown calibration mode {self.mode!r}")
         if self.rule not in ("ring", "lepski"):
@@ -202,12 +201,6 @@ def _budget(config: CalibConfig, levels: Levels) -> float:
     return config.alpha * float(levels.s[-1]) ** config.r
 
 
-def _runs_warnings(config: CalibConfig) -> tuple[str, ...]:
-    if config.runs < MC_WARN_RUNS:
-        return (f"only {config.runs} calibration runs; thresholds may be rough",)
-    return ()
-
-
 def _smallest_passing(value, target: float, cap: float, unattainable) -> float:
     """Smallest x on the search grid with value(x) <= target, value non-increasing.
 
@@ -256,7 +249,7 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
                  f"lhs at the cap is {lhs(ZETA_MAX)!r}"))
     z = _zeta_to_z(zeta, levels, config.alpha, config.r)
     crit = CriticalValues(z=z, alpha=config.alpha, r=config.r, zeta=zeta)
-    warnings = _runs_warnings(config)
+    warnings = check_mc_runs(config.runs, CALIBRATION_STEP)
     try:
         crit.check_risk_hypothesis(levels)
     except ValidationError:
@@ -305,7 +298,7 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
     shares = stats.shares(z, bare=True)
     return CalibResult(crit=crit, per_k_error_share=shares,
                        achieved_lhs=float(shares.sum()), budget=budget,
-                       warnings=_runs_warnings(config))
+                       warnings=check_mc_runs(config.runs, CALIBRATION_STEP))
 
 
 def calibrate(config: CalibConfig, levels: Levels,
@@ -361,55 +354,38 @@ STREAM_VERSIONS = (1, 2)
 
 @dataclass(frozen=True)
 class CalibArtifact:
-    """Everything downstream consumers need to reuse a calibration."""
+    """One calibrate(config, levels, pair) run, as saved and reused.
 
-    rule: str
-    mode: str
-    loss: LossKind
-    noise: NoiseKind
-    r: float
-    alpha: float
-    runs: int
-    seed: int
-    crit: CriticalValues
+    config.family is the family that family_kind and family_meta describe.
+    """
+
+    config: CalibConfig
+    result: CalibResult
     levels: Levels
     pair: PairLevels | None
-    achieved_lhs: float
-    budget: float
-    per_k_error_share: np.ndarray
     family_kind: str
-    family_meta: dict = field(default_factory=dict)
+    family_meta: dict
     config_hash: str = ""
     estimator: int = ESTIMATOR_VERSION
     stream: int = STREAM_VERSION
 
-    @classmethod
-    def from_result(cls, config: CalibConfig, result: CalibResult, levels: Levels,
-                    pair: PairLevels | None, family_kind: str,
-                    family_meta: dict) -> CalibArtifact:
-        """The artifact of one calibrate(config, levels, pair) run."""
-        return cls(rule=config.rule, mode=config.mode, loss=config.loss,
-                   noise=config.noise, r=config.r, alpha=config.alpha,
-                   runs=config.runs, seed=config.seed, crit=result.crit, levels=levels,
-                   pair=pair, achieved_lhs=result.achieved_lhs, budget=result.budget,
-                   per_k_error_share=result.per_k_error_share,
-                   family_kind=family_kind, family_meta=family_meta)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.asarray(self.family_meta["counts"], dtype=int)
-
-    def build_family(self) -> WindowFamily:
-        """Reconstruct the window family the artifact was calibrated for."""
-        return build_family(self.family_kind, self.family_meta)
+    def __post_init__(self) -> None:
+        K = self.config.family.K
+        sizes = {self.levels.K, self.result.crit.K, self.result.per_k_error_share.size,
+                 K if self.pair is None else self.pair.K}
+        if sizes != {K}:
+            raise ValidationError(f"levels, thresholds or shares not sized for the "
+                                  f"family's {K} steps")
 
 
 def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
-    """The window family of a saved description (an artifact's family_kind and _meta)."""
+    """The family of a saved description: line1d from n, center, counts; disc2d from radii."""
     if family_kind == "line1d":
         xs = equidistant_design(int(family_meta["n"]))
         return build_family_1d(xs, float(family_meta["center"]), family_meta["counts"])
-    return build_family_2d(family_meta["radii"])
+    if family_kind == "disc2d":
+        return build_family_2d(family_meta["radii"])
+    raise ValidationError(f"unknown window family kind {family_kind!r}")
 
 
 def _fmt(x) -> str:
@@ -425,25 +401,26 @@ def _opt(x) -> str:
 
 
 def _artifact_lines(art: CalibArtifact) -> list[str]:
+    cfg, res = art.config, art.result
     lines = [
         f"format: {FORMAT_TAG}",
         f"estimator: {art.estimator}",
         f"stream: {art.stream}",
-        f"rule: {art.rule}",
-        f"mode: {art.mode}",
-        f"loss: {art.loss.kind}",
-        f"loss_param: {_opt(art.loss.alpha if art.loss.kind == 'quantile' else art.loss.kink)}",
-        f"noise: {art.noise.kind}",
-        f"noise_dof: {'-' if art.noise.dof is None else art.noise.dof}",
-        f"noise_scale: {_fmt(art.noise.scale)}",
-        f"r: {_fmt(art.r)}",
-        f"alpha: {_fmt(art.alpha)}",
-        f"runs: {art.runs}",
-        f"seed: {art.seed}",
-        f"zeta: {_opt(art.crit.zeta)}",
-        f"achieved_lhs: {_fmt(art.achieved_lhs)}",
-        f"budget: {_fmt(art.budget)}",
-        f"per_k_error_share: {_fmt_arr(art.per_k_error_share)}",
+        f"rule: {cfg.rule}",
+        f"mode: {cfg.mode}",
+        f"loss: {cfg.loss.kind}",
+        f"loss_param: {_opt(cfg.loss.alpha if cfg.loss.kind == 'quantile' else cfg.loss.kink)}",
+        f"noise: {cfg.noise.kind}",
+        f"noise_dof: {'-' if cfg.noise.dof is None else cfg.noise.dof}",
+        f"noise_scale: {_fmt(cfg.noise.scale)}",
+        f"r: {_fmt(cfg.r)}",
+        f"alpha: {_fmt(cfg.alpha)}",
+        f"runs: {cfg.runs}",
+        f"seed: {cfg.seed}",
+        f"zeta: {_opt(res.crit.zeta)}",
+        f"achieved_lhs: {_fmt(res.achieved_lhs)}",
+        f"budget: {_fmt(res.budget)}",
+        f"per_k_error_share: {_fmt_arr(res.per_k_error_share)}",
         f"levels_method: {art.levels.method}",
         f"levels_runs: {'-' if art.levels.runs is None else art.levels.runs}",
         f"levels_seed: {'-' if art.levels.seed is None else art.levels.seed}",
@@ -459,8 +436,8 @@ def _artifact_lines(art: CalibArtifact) -> list[str]:
         lines.append(f"family_radii: {_fmt_arr(art.family_meta['radii'])}")
     K = art.levels.K
     lines.append(f"K: {K}")
-    lines.append(f"counts: {' '.join(str(int(c)) for c in art.counts)}")
-    lines.append(f"z: {_fmt_arr(art.crit.z)}")
+    lines.append(f"counts: {' '.join(str(int(c)) for c in cfg.family.counts)}")
+    lines.append(f"z: {_fmt_arr(res.crit.z)}")
     lines.append(f"s: {_fmt_arr(art.levels.s)}")
     for k in range(K):
         lines.append(f"s_ring[{k}]: {_fmt_arr(art.levels.s_ring[k, :k + 1])}")
@@ -488,10 +465,13 @@ def load_artifact(path) -> CalibArtifact:
     """Read an artifact written by save_artifact.
 
     The config hash on the first line is recomputed over the lines after it,
-    so any edit is caught. An unreadable file, a missing or mismatched hash,
-    a missing field, an unparsable value, or an estimator or stream version
-    outside ESTIMATOR_VERSIONS or STREAM_VERSIONS raises ValidationError. A
-    missing estimator or stream line reads as version 1.
+    so any edit is caught, and the family, CalibConfig and CalibResult are
+    rebuilt, so a loaded artifact passes a fresh calibration's checks. An
+    unreadable file, a missing or mismatched hash, a missing field, an
+    unparsable value, an estimator or stream version outside
+    ESTIMATOR_VERSIONS or STREAM_VERSIONS, or a counts line that is not the
+    described family's raises ValidationError. A missing estimator or stream
+    line reads as version 1.
     """
     try:
         with open(path, "rb") as fh:
@@ -562,19 +542,22 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
                           runs=opt_int("pair_runs"), seed=opt_int("pair_seed"))
     crit = CriticalValues(z=np.array([float(v) for v in fields["z"].split()]),
                           alpha=float(fields["alpha"]), r=r, zeta=opt_float("zeta"))
+    kind = fields["family_kind"]
     counts = [int(v) for v in fields["counts"].split()]
-    meta: dict = {"counts": counts}
-    if fields["family_kind"] == "line1d":
-        meta["n"] = int(fields["family_n"])
-        meta["center"] = float(fields["family_center"])
+    if kind == "line1d":
+        meta = {"n": int(fields["family_n"]), "center": float(fields["family_center"]),
+                "counts": counts}
     else:
-        meta["radii"] = [float(v) for v in fields["family_radii"].split()]
-    return CalibArtifact(
-        rule=fields["rule"], mode=fields["mode"], loss=loss, noise=noise,
-        r=r, alpha=float(fields["alpha"]), runs=int(fields["runs"]),
-        seed=int(fields["seed"]), crit=crit, levels=levels, pair=pair,
-        achieved_lhs=float(fields["achieved_lhs"]), budget=float(fields["budget"]),
-        per_k_error_share=np.array([float(v) for v in fields["per_k_error_share"].split()]),
-        family_kind=fields["family_kind"], family_meta=meta,
-        config_hash=config_hash, estimator=int(fields["estimator"]),
-        stream=int(fields["stream"]))
+        meta = {"radii": [float(v) for v in fields["family_radii"].split()]}
+    family = build_family(kind, meta)
+    if counts != family.counts.tolist():
+        raise ValidationError(f"counts {counts} are not those of the {kind} family "
+                              f"the artifact describes, {family.counts.tolist()}")
+    config = CalibConfig(family=family, loss=loss, noise=noise, r=r, alpha=crit.alpha,
+                         runs=int(fields["runs"]), seed=int(fields["seed"]),
+                         mode=fields["mode"], rule=fields["rule"])
+    shares = np.array([float(v) for v in fields["per_k_error_share"].split()])
+    result = CalibResult(crit, shares, float(fields["achieved_lhs"]), float(fields["budget"]))
+    return CalibArtifact(config=config, result=result, levels=levels, pair=pair,
+                         family_kind=kind, family_meta=meta, config_hash=config_hash,
+                         estimator=int(fields["estimator"]), stream=int(fields["stream"]))

@@ -19,9 +19,9 @@ from pathlib import Path
 from .calibration import (CalibArtifact, CalibConfig, build_family, calibrate,
                           load_artifact, save_artifact, verify_calibration)
 from .errors import CalibrationError, ValidationError
-from .experiments import (METHODS, BenchRow, ExperimentSpec, MomentRow, SampleRow, TailRow,
-                          TwoSampleReport, csv_text, median_moment_study, replicate_rows,
-                          run_benchmark, tail_study, two_sample_study)
+from .experiments import (CALIBRATED_METHODS, METHODS, BenchRow, ExperimentSpec, MomentRow,
+                          SampleRow, TailRow, TwoSampleReport, csv_text, median_moment_study,
+                          replicate_rows, run_benchmark, tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
                      pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc,
@@ -182,9 +182,7 @@ def _family_for_calibrate(args):
             base=DEFAULT_DISC_BASE if args.radius0 is None else args.radius0,
             growth=DEFAULT_DISC_GROWTH if args.radius_growth is None else args.radius_growth)
         kind, meta = "disc2d", {"radii": [float(r) for r in radii]}
-    family = build_family(kind, meta)
-    meta["counts"] = [int(c) for c in family.counts]
-    return family, kind, meta
+    return build_family(kind, meta), kind, meta
 
 
 def _levels_for_calibrate(args, family, loss, noise, pair=False):
@@ -217,10 +215,8 @@ def _cmd_calibrate(args) -> int:
                          alpha=args.alpha, runs=args.runs, seed=args.seed,
                          mode=args.mode, rule=args.rule, workers=args.workers)
     result = calibrate(config, levels, pair)
-    save_artifact(args.out, CalibArtifact.from_result(config, result, levels, pair,
-                                                      kind_tag, meta))
-    warnings = levels.warnings + (pair.warnings if pair else ()) + result.warnings
-    for w in dict.fromkeys(warnings):
+    save_artifact(args.out, CalibArtifact(config, result, levels, pair, kind_tag, meta))
+    for w in levels.warnings + (pair.warnings if pair else ()) + result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"calibrated {args.rule}/{args.mode} loss={loss.label} "
           f"achieved={result.achieved_lhs!r} budget={result.budget!r} -> {args.out}")
@@ -229,10 +225,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     art = load_artifact(args.calib)
-    config = CalibConfig(family=art.build_family(), loss=art.loss, noise=art.noise,
-                         r=art.r, alpha=art.alpha, runs=art.runs, seed=art.seed,
-                         mode=art.mode, rule=art.rule, workers=args.workers)
-    ratio = verify_calibration(config, art.crit, art.levels, art.pair,
+    config = dataclasses.replace(art.config, workers=args.workers)
+    ratio = verify_calibration(config, art.result.crit, art.levels, art.pair,
                                seed=args.seed, runs=args.runs)
     print(f"ratio: {ratio!r}")
     return 0
@@ -243,7 +237,7 @@ def _load_bench_artifacts(spec_methods, arg: str) -> dict[str, CalibArtifact]:
     path = Path(arg)
     if path.is_dir():
         for m in spec_methods:
-            if m == "median_oracle":
+            if m not in CALIBRATED_METHODS:
                 continue
             f = path / f"{m}.cal"
             if not f.exists():
@@ -256,7 +250,7 @@ def _load_bench_artifacts(spec_methods, arg: str) -> dict[str, CalibArtifact]:
             raise ValidationError(
                 "--calib must be a directory or method=path[,method=path...]")
         name = name.strip()
-        if name == "median_oracle" or name not in spec_methods:
+        if name not in CALIBRATED_METHODS or name not in spec_methods:
             raise ValidationError(f"--calib entry {part.strip()!r} names no method "
                                   "of --methods that takes an artifact")
         out[name] = load_artifact(p.strip())

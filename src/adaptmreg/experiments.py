@@ -29,6 +29,7 @@ from .windows import benchmark_counts, build_family_1d, equidistant_design
 
 __all__ = [
     "METHODS",
+    "CALIBRATED_METHODS",
     "signal_step",
     "signal_smooth",
     "ExperimentSpec",
@@ -48,6 +49,8 @@ __all__ = [
 
 # fixed reporting order of the benchmark methods
 METHODS = ("mean_lepski", "mean_ring", "median_lepski", "median_ring", "median_oracle")
+# the methods that select with a calibration artifact, all but the fixed oracle window
+CALIBRATED_METHODS = tuple(m for m in METHODS if m != "median_oracle")
 
 ORACLE_HALFWIDTH = {1: 0.2, 2: 0.39}
 
@@ -124,33 +127,26 @@ class BenchmarkReport:
     traces: Mapping[str, SelectionTrace]
 
 
-def _loss_rule(method: str) -> tuple[str, str]:
-    """A method's (loss, rule); the fixed-window median_oracle has rule "oracle"."""
-    loss, _, rule = method.partition("_")
-    return loss, rule
-
-
 def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
                      ) -> tuple[np.ndarray, dict[str, tuple[str, str]]]:
     """The artifacts' window sizes, and the (loss, rule) of each method that needs one."""
-    rules = {m: _loss_rule(m) for m in spec.methods}
-    needed = {m: lr for m, lr in rules.items() if lr[1] != "oracle"}
+    needed = {m: tuple(m.split("_")) for m in spec.methods if m in CALIBRATED_METHODS}
     missing = [m for m in needed if m not in calib]
     if missing:
         raise ValidationError(f"missing calibration artifacts for {missing}")
     counts = None
     for m, loss_rule in needed.items():
-        art = calib[m]
-        if (art.loss.kind, art.rule) != loss_rule:
+        art, cfg = calib[m], calib[m].config
+        if (cfg.loss.kind, cfg.rule) != loss_rule:
             raise ValidationError(f"artifact for {m} was calibrated as "
-                                  f"{art.loss.kind}/{art.rule}")
-        if art.rule == "lepski" and art.pair is None:
+                                  f"{cfg.loss.kind}/{cfg.rule}")
+        if cfg.rule == "lepski" and art.pair is None:
             raise ValidationError(f"artifact for {m} lacks pair levels")
         if art.family_kind != "line1d" or int(art.family_meta["n"]) != spec.n:
             raise ValidationError(f"artifact for {m} does not match an n={spec.n} design")
         if counts is None:
-            counts = art.counts
-        elif not np.array_equal(counts, art.counts):
+            counts = cfg.family.counts
+        elif not np.array_equal(counts, cfg.family.counts):
             raise ValidationError("calibration artifacts use different window families")
     if counts is None:
         # oracle-only run; any valid family works, use the benchmark default
@@ -208,15 +204,15 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
             bases, rings = estimates[loss]
             art = calib[method]
             if rule == "lepski":
-                k_hat = select_lepski_batch(bases, art.pair, art.crit)
+                k_hat = select_lepski_batch(bases, art.pair, art.result.crit)
             else:
-                k_hat = select_ring_batch(bases, rings, art.levels, art.crit)
+                k_hat = select_ring_batch(bases, rings, art.levels, art.result.crit)
             theta_hat = np.take_along_axis(bases, k_hat[:, None], axis=1)[:, 0]
             errors[method][lo:hi] = np.abs(theta_hat - theta)
             if lo == 0:
                 traces[method] = (
-                    select_lepski(bases[0], art.pair, art.crit) if rule == "lepski"
-                    else select_ring(bases[0], rings[0], art.levels, art.crit))
+                    select_lepski(bases[0], art.pair, art.result.crit) if rule == "lepski"
+                    else select_ring(bases[0], rings[0], art.levels, art.result.crit))
         if "median_oracle" in spec.methods:
             est = locate_rows(y[:, oracle_idx], LossKind.median())
             errors["median_oracle"][lo:hi] = np.abs(est - theta)
@@ -339,6 +335,8 @@ def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,
     and divided by E|Z|^r, so the normal limit puts the ratio at 1; the ratio
     staying flat in N checks the N^(-r/2) moment scaling.
     """
+    if not Ns:
+        raise ValidationError("the moment study needs at least one sample size")
     if any(n % 2 == 0 or n < 1 for n in Ns):
         raise ValidationError("sample sizes must be odd and positive")
     if runs < 2:
@@ -371,6 +369,8 @@ def tail_study(kind: NoiseKind, n: int, taus: Sequence[float], runs: int,
     if n % 2 == 0 or n < 1:
         raise ValidationError("sample size must be odd and positive")
     taus = [float(t) for t in taus]
+    if not taus:
+        raise ValidationError("the tail study needs at least one tau")
     if any(t < 0 or t > math.sqrt(n) / 2.0 for t in taus):
         raise ValidationError("need 0 <= tau <= sqrt(N) / 2")
     med = _median_samples(kind, n, runs, seed, workers)

@@ -155,14 +155,15 @@ class DenoiseConfig:
     @classmethod
     def from_artifact(cls, art: CalibArtifact, noise_scale: float | str = "auto",
                       workers: int | None = None) -> "DenoiseConfig":
+        cfg = art.config
         if art.family_kind != "disc2d":
             raise ValidationError("denoising needs a disc2d calibration artifact")
-        if art.rule != "ring":
+        if cfg.rule != "ring":
             raise ValidationError(f"denoising runs the ring rule, but the artifact was "
-                                  f"calibrated for the {art.rule} rule")
-        return cls(loss=art.loss, radii=tuple(art.family_meta["radii"]),
-                   noise=art.noise, crit=art.crit, levels_method=art.levels.method,
-                   r=art.r, noise_scale=noise_scale, workers=workers)
+                                  f"calibrated for the {cfg.rule} rule")
+        return cls(loss=cfg.loss, radii=tuple(art.family_meta["radii"]),
+                   noise=cfg.noise, crit=art.result.crit, levels_method=art.levels.method,
+                   r=cfg.r, noise_scale=noise_scale, workers=workers)
 
 
 def _levels_scale(config: DenoiseConfig) -> float:

@@ -247,18 +247,23 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     return bases, rings
 
 
-def _mc_runs_check(runs: int) -> tuple[str, ...]:
+def check_mc_runs(runs: int, step: str) -> tuple[str, ...]:
+    """The warnings of a Monte Carlo step (e.g. "the pair levels") run with runs replicates.
+
+    Below MC_WARN_RUNS it warns; below MC_MIN_RUNS it raises ValidationError.
+    """
     if runs < MC_MIN_RUNS:
-        raise ValidationError(f"monte carlo levels need at least {MC_MIN_RUNS} runs")
+        raise ValidationError(f"need at least {MC_MIN_RUNS} monte carlo runs for {step}, "
+                              f"got {runs}")
     if runs < MC_WARN_RUNS:
-        return (f"only {runs} monte carlo runs; estimates may be rough",)
+        return (f"only {runs} monte carlo runs for {step}; estimates may be rough",)
     return ()
 
 
 def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
               r: float = 2.0, seed: int = 0, workers: int | None = None) -> Levels:
     """Monte Carlo levels: empirical r-th moments over pure-noise replicates."""
-    warnings = _mc_runs_check(runs)
+    warnings = check_mc_runs(runs, "the window levels")
     bases, rings = simulate_window_estimates(family, loss, kind, runs, seed, workers)
     K = family.K
     s = np.mean(np.abs(bases) ** r, axis=0) ** (1.0 / r)
@@ -298,7 +303,7 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     Nested estimates are dependent, so no independence shortcut applies; the
     moments are taken over joint pure-noise replicates.
     """
-    warnings = _mc_runs_check(runs)
+    warnings = check_mc_runs(runs, "the pair levels")
     bases, _ = simulate_window_estimates(family, loss, kind, runs, seed, workers)
     K = family.K
     sp = np.full((K + 1, K + 1), np.nan)

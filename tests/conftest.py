@@ -24,8 +24,7 @@ def _line_artifact(family, loss, levels, rule, pair, seed):
     cfg = am.CalibConfig(family=family, loss=loss, noise=am.NoiseKind.laplace(),
                          runs=BENCH_RUNS, seed=seed, rule=rule, mode="zeta")
     meta = {"counts": [int(c) for c in family.counts], "n": 200, "center": 0.0}
-    return CalibArtifact.from_result(cfg, am.calibrate(cfg, levels, pair), levels,
-                                     pair, "line1d", meta)
+    return CalibArtifact(cfg, am.calibrate(cfg, levels, pair), levels, pair, "line1d", meta)
 
 
 @pytest.fixture(scope="session")
@@ -60,5 +59,5 @@ def disc_artifact():
     lv = am.levels_asymptotic(family, med, am.density_at_zero(lap))
     cfg = am.CalibConfig(family=family, loss=med, noise=lap, runs=BENCH_RUNS,
                          seed=21, rule="ring", mode="zeta")
-    meta = {"counts": [int(c) for c in family.counts], "radii": [float(r) for r in radii]}
-    return CalibArtifact.from_result(cfg, am.calibrate(cfg, lv), lv, None, "disc2d", meta)
+    meta = {"radii": [float(r) for r in radii]}
+    return CalibArtifact(cfg, am.calibrate(cfg, lv), lv, None, "disc2d", meta)

@@ -15,7 +15,6 @@ import adaptmreg as am
 from adaptmreg import (DenoiseConfig, ExperimentSpec, Image, LossKind,
                        NoiseKind, RngStream, denoise_image, run_benchmark,
                        sample_noise, verify_calibration)
-from adaptmreg.calibration import CalibConfig
 from adaptmreg.losses import locate_rows
 
 import oracle_moments
@@ -87,7 +86,7 @@ def test_criterion_3_two_sample_variances():
 def test_criterion_4_propagation_and_betweenness(bench_artifacts, bench_family):
     # deterministic late-stopping bound over 10^4 noisy replicates
     art = bench_artifacts["median_ring"]
-    family, levels, crit = bench_family, art.levels, art.crit
+    family, levels, crit = bench_family, art.levels, art.result.crit
     K = family.K
     counts, order = family.counts, family.order
     xs = am.equidistant_design(200)
@@ -209,21 +208,18 @@ def test_criterion_5_moment_window_at_n101_known_unattainable(moment_ratios):
           f"exact={exact:.5f} se={se:.5f} z={z:.2f}")
 
 
-def test_criterion_6_calibration_soundness(bench_artifacts, bench_family):
+def test_criterion_6_calibration_soundness(bench_artifacts):
     # 10^5 fresh replicates keep the monte carlo error of the ratio near one
     # percent; the calibrated budget itself sits at the target, so smaller
     # verification runs would test the verifier's noise, not the calibration
     ratios = {}
     for name, art in bench_artifacts.items():
-        config = CalibConfig(family=bench_family, loss=art.loss, noise=art.noise,
-                             r=art.r, alpha=art.alpha, runs=art.runs,
-                             seed=art.seed, mode=art.mode, rule=art.rule)
-        ratios[name] = verify_calibration(config, art.crit, art.levels, art.pair,
+        ratios[name] = verify_calibration(art.config, art.result.crit, art.levels, art.pair,
                                           seed=99001, runs=10 ** 5)
         assert ratios[name] <= 1.1, (name, ratios[name])
         # parametric thresholds: hard monotonicity assertions
-        assert np.all(np.diff(art.crit.z) <= 1e-12)
-        art.crit.check_risk_hypothesis(art.levels)
+        assert np.all(np.diff(art.result.crit.z) <= 1e-12)
+        art.result.crit.check_risk_hypothesis(art.levels)
     print(f"\nACCEPTANCE 6 (calibration soundness): PASS "
           f"fresh-seed ratios={ {k: round(v, 3) for k, v in ratios.items()} }")
 

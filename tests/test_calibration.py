@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adaptmreg as am
@@ -14,7 +14,8 @@ from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        calibrate_sequential, calibrate_zeta, load_artifact,
                        save_artifact, verify_calibration)
 from adaptmreg.calibration import (ESTIMATOR_VERSIONS, SEARCH_TOL, STREAM_VERSIONS, Z_MAX,
-                                   ZETA_MIN, _calibration_stats, _SelectionStats)
+                                   ZETA_MIN, _calibration_stats, _SelectionStats,
+                                   build_family)
 from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import Levels, simulate_window_estimates
 from adaptmreg.parallel import CHUNK
@@ -338,27 +339,20 @@ def test_lepski_rule_needs_pair(small_setup):
 def test_artifact_roundtrip(tmp_path, small_setup):
     family, levels, config = small_setup
     res = calibrate(config, levels)
-    from adaptmreg.calibration import CalibArtifact
-    art = CalibArtifact(
-        rule="ring", mode="zeta", loss=config.loss, noise=config.noise,
-        r=config.r, alpha=config.alpha, runs=config.runs, seed=config.seed,
-        crit=res.crit, levels=levels, pair=None,
-        achieved_lhs=res.achieved_lhs, budget=res.budget,
-        per_k_error_share=res.per_k_error_share, family_kind="line1d",
-        family_meta={"counts": [int(c) for c in family.counts],
-                     "n": 60, "center": 0.0})
+    art = am.CalibArtifact(config, res, levels, None, "line1d",
+                           {"n": 60, "center": 0.0, "counts": [int(c) for c in family.counts]})
     path = tmp_path / "test.cal"
     save_artifact(path, art)
     loaded = load_artifact(path)
-    assert loaded.rule == "ring"
-    assert loaded.crit.zeta == art.crit.zeta
-    assert np.array_equal(loaded.crit.z, art.crit.z)
+    assert loaded.config.rule == "ring"
+    assert loaded.result.crit.zeta == res.crit.zeta
+    assert np.array_equal(loaded.result.crit.z, res.crit.z)
     assert np.array_equal(loaded.levels.s, levels.s)
     tril = np.tril_indices(levels.K)
     assert np.array_equal(loaded.levels.s_ring[tril], levels.s_ring[tril])
-    assert np.array_equal(loaded.per_k_error_share, res.per_k_error_share)
-    rebuilt = loaded.build_family()
-    assert np.array_equal(rebuilt.counts, family.counts)
+    assert np.array_equal(loaded.result.per_k_error_share, res.per_k_error_share)
+    assert np.array_equal(loaded.config.family.order, family.order)
+    assert np.array_equal(loaded.config.family.counts, family.counts)
     assert loaded.config_hash
     # the estimator and stream versions follow the format line and survive a round trip
     assert path.read_text().splitlines()[1:4] == ["format: amreg-calib-v1", "estimator: 2",
@@ -367,6 +361,13 @@ def test_artifact_roundtrip(tmp_path, small_setup):
     again = tmp_path / "again.cal"
     save_artifact(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+    # level tables sized for another K than the counts give do not load
+    body = path.read_text().splitlines()[1:]
+    short = tmp_path / "short.cal"
+    short.write_text(_rehashed([x.rsplit(" ", 1)[0] if x.startswith("counts: ") else x
+                                for x in body]))
+    with pytest.raises(ValidationError, match="sized for the family's 6 steps"):
+        load_artifact(short)
 
 
 def _positive(lo=1e-6, hi=1e6):
@@ -379,8 +380,23 @@ _opt_int = st.none() | st.integers(min_value=0, max_value=2 ** 40)
 
 @st.composite
 def _artifacts(draw):
-    """Artifacts with every saved field drawn; levels stay non-increasing."""
-    K = draw(st.integers(min_value=1, max_value=5))
+    """Artifacts with every saved field drawn.
+
+    The families build (radii below 10, counts[-1] <= n <= 10^4), the
+    settings are ones a calibration accepts, the achieved value stays within
+    the budget and the levels stay non-increasing.
+    """
+    family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
+    if family_kind == "line1d":
+        counts = np.cumsum(draw(st.lists(st.integers(1, 50), min_size=2, max_size=6)))
+        meta = {"n": draw(st.integers(int(counts[-1]), 10 ** 4)), "center": draw(_reals),
+                "counts": [int(c) for c in counts]}
+    else:
+        radii = draw(st.lists(_positive(0.5, 10.0), min_size=2, max_size=6, unique=True))
+        meta = {"radii": sorted(radii)}
+    family = build_family(family_kind, meta)
+    assume(family.K >= 1)
+    K = family.K
     r = draw(st.sampled_from([1.0, 2.0, 2.5]))
     alpha = draw(_positive(1e-3, 10.0))
 
@@ -409,23 +425,20 @@ def _artifacts(draw):
         lambda kind: st.builds(NoiseKind, st.just(kind),
                                st.integers(3, 30) if kind == "student_t" else st.none(),
                                _positive(0.0, 1e3))))
-    counts = np.cumsum(draw(st.lists(st.integers(1, 50), min_size=K + 1, max_size=K + 1)))
-    meta = {"counts": [int(c) for c in counts]}
-    family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
-    if family_kind == "line1d":
-        meta.update(n=draw(st.integers(1, 10 ** 6)), center=draw(_reals))
-    else:
-        meta["radii"] = [float(v) for v in positives(K + 1)]
-    return am.CalibArtifact(
+    config = CalibConfig(
+        family=family, loss=loss, noise=noise, r=r, alpha=alpha,
+        runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),
+        mode=draw(st.sampled_from(["zeta", "sequential"])),
         rule=draw(st.sampled_from(["ring", "lepski"])),
-        mode=draw(st.sampled_from(["zeta", "sequential"])), loss=loss, noise=noise,
-        r=r, alpha=alpha, runs=draw(st.integers(1000, 10 ** 9)),
-        seed=draw(st.integers(-(2 ** 63), 2 ** 63)), crit=crit, levels=levels,
-        pair=pair, achieved_lhs=draw(_reals), budget=draw(_reals),
-        per_k_error_share=np.array(draw(st.lists(_reals, min_size=K, max_size=K))),
-        family_kind=family_kind, family_meta=meta,
-        estimator=draw(st.sampled_from(ESTIMATOR_VERSIONS)),
-        stream=draw(st.sampled_from(STREAM_VERSIONS)))
+        workers=draw(st.none() | st.integers(1, 4)))
+    budget = draw(st.floats(min_value=0.0, allow_infinity=False))
+    result = am.CalibResult(
+        crit=crit, per_k_error_share=np.array(draw(st.lists(_reals, min_size=K, max_size=K))),
+        achieved_lhs=draw(st.floats(max_value=budget, allow_nan=False, allow_infinity=False)),
+        budget=budget)
+    return am.CalibArtifact(config, result, levels, pair, family_kind, meta,
+                            estimator=draw(st.sampled_from(ESTIMATOR_VERSIONS)),
+                            stream=draw(st.sampled_from(STREAM_VERSIONS)))
 
 
 def _same(a, b) -> bool:
@@ -443,19 +456,25 @@ def _same(a, b) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(_artifacts())
 def test_artifact_roundtrip_keeps_every_field(art):
-    """Every saved field survives save and load; stream lines other than 1 or 2 fail."""
+    """Every saved field survives save and load; stream lines other than 1 or 2 fail.
+
+    The config compares in every field but workers, which is not saved, and
+    its family, rebuilt from the description, by order, counts and dropped
+    levels.
+    """
+    expected = replace(art, config=replace(art.config, workers=None))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.cal"
         save_artifact(path, art)
         loaded = load_artifact(path)
-        assert _same(replace(loaded, config_hash=""), art)
+        assert _same(replace(loaded, config_hash=""), expected)
         assert path.read_text().startswith(f"config_hash: {loaded.config_hash}\n")
         body = path.read_text().splitlines()[1:]
         assert f"stream: {art.stream}" in body
         # a missing stream line reads as version 1
         old = Path(tmp) / "old.cal"
         old.write_text(_rehashed([x for x in body if not x.startswith("stream: ")]))
-        assert _same(replace(load_artifact(old), config_hash=""), replace(art, stream=1))
+        assert _same(replace(load_artifact(old), config_hash=""), replace(expected, stream=1))
         bad = Path(tmp) / "bad.cal"
         bad.write_text(_rehashed([x if not x.startswith("stream: ") else "stream: 3"
                                   for x in body]))

@@ -89,6 +89,45 @@ def test_verify_rejects_damaged_artifacts(workdir, capsys):
             assert "s_ring[3]" in err
 
 
+@pytest.fixture(scope="module")
+def disc_cal(tmp_path_factory):
+    """A small disc2d artifact and an image it can denoise."""
+    path = tmp_path_factory.mktemp("disc")
+    assert run("calibrate", "--family", "disc2d", "--radius-levels", "3", "--runs", "1000",
+               "--seed", "21", "--out", path / "d.cal") == 0
+    write_pgm(path / "in.pgm", np.full((12, 12), 90.0), maxval=255)
+    return path
+
+
+def _last_count_plus_one(counts: str) -> str:
+    *head, last = counts.split()
+    return " ".join(head + [str(int(last) + 1)])
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("mode", lambda v: "grid", "unknown calibration mode 'grid'"),
+    ("runs", lambda v: "10", "need at least 1000 monte carlo runs for the calibration"),
+    ("rule", lambda v: "aws", "unknown selection rule 'aws'"),
+    ("counts", _last_count_plus_one, "are not those of the disc2d family"),
+], ids=["mode", "runs", "rule", "counts"])
+def test_loading_validates_the_calibration(disc_cal, capsys, key, edit, message):
+    """A re-hashed artifact that a calibration would refuse does not load: exit 1."""
+    body = (disc_cal / "d.cal").read_text().splitlines()[1:]
+    i = next(i for i, x in enumerate(body) if x.startswith(f"{key}: "))
+    path = disc_cal / f"bad_{key}.cal"
+    path.write_text(_rehashed(body[:i] + [f"{key}: {edit(body[i].split(': ', 1)[1])}"]
+                              + body[i + 1:]))
+    with pytest.raises(am.ValidationError, match=message):
+        am.load_artifact(path)
+    for argv in (("denoise", "--in", disc_cal / "in.pgm", "--calib", path,
+                  "--out", disc_cal / "out.pgm"),
+                 ("verify", "--calib", path, "--seed", "99", "--runs", "1000")):
+        capsys.readouterr()
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ") and message in err, (argv, err)
+
+
 def test_artifact_estimator_versions(workdir, capsys):
     """No estimator line reads as version 1; only versions 1 and 2 load."""
     body = (workdir / "med.cal").read_text().splitlines()[1:]
@@ -205,10 +244,10 @@ def test_bench_trace_is_replicate_zero(tmp_path):
 
     art = am.load_artifact(cal)
     xs = am.equidistant_design(200)
-    family = am.build_family_1d(xs, 0.0, art.counts)
+    family = am.build_family_1d(xs, 0.0, art.config.family.counts)
     y = am.signal_step(xs) + am.sample_rows(am.NoiseKind.laplace(), 200, 7, 0, 1)
     bases, rings = am.window_estimates(y[:, family.order], family.counts, am.LossKind.mean())
-    k_hat = int(am.select_ring_batch(bases, rings, art.levels, art.crit)[0])
+    k_hat = int(am.select_ring_batch(bases, rings, art.levels, art.result.crit)[0])
     assert header == f"# method mean_ring k_hat {k_hat}"
     assert len(records) >= k_hat * (k_hat + 1) // 2
     for line in records:
@@ -286,11 +325,11 @@ def test_calibrate_mc_levels_and_mc_pairs(tmp_path):
              "--noise", "laplace", "--runs", "1500", "--mode", "sequential",
              "--seed", "11", "--out", out3)
     assert rc == 0
-    assert load_artifact(out3).crit.zeta is None
+    assert load_artifact(out3).result.crit.zeta is None
 
 
 def test_calibrate_prints_level_warnings(tmp_path, capsys):
-    """Monte Carlo level and pair level warnings reach stderr; stdout keeps one line."""
+    """Each Monte Carlo step's warning names its step on stderr; stdout keeps one line."""
     rc = run("calibrate", "--family", "bench1d", "--loss", "median", "--rule", "lepski",
              "--levels", "mc", "--levels-runs", "1500", "--pair", "mc",
              "--pair-runs", "1200", "--runs", "1500", "--seed", "11",
@@ -298,9 +337,9 @@ def test_calibrate_prints_level_warnings(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert rc == 0
     assert err.splitlines() == [
-        "warning: only 1500 monte carlo runs; estimates may be rough",
-        "warning: only 1200 monte carlo runs; estimates may be rough",
-        "warning: only 1500 calibration runs; thresholds may be rough"]
+        "warning: only 1500 monte carlo runs for the window levels; estimates may be rough",
+        "warning: only 1200 monte carlo runs for the pair levels; estimates may be rough",
+        "warning: only 1500 monte carlo runs for the calibration; estimates may be rough"]
     assert out.startswith("calibrated lepski/zeta loss=median ") and out.count("\n") == 1
 
 
@@ -329,9 +368,6 @@ CSV_PINS = {
               "laplace,21,0.0,40,3,1.0,2.0\n"
               "laplace,21,0.5,40,3,0.65,1.9384664689526883\n"
               "laplace,21,2.0,40,3,0.1,1.2130613194252668\n"),
-    # an empty study writes the header alone
-    "no_taus": (("tails", "--n-points", "21", "--taus", ",", "--runs", "40", "--seed", "3"),
-                "kind,n_points,tau,runs,seed,exceedance,bound\n"),
     "simulate": (("simulate", "--example", "2", "--n", "6", "--seed", "3"),
                  "i,x,g,y\n"
                  "0,-1.0,-0.0,0.06106825107791198\n"
@@ -352,6 +388,24 @@ def test_csv_outputs_pinned(bench_artifacts, tmp_path):
         out = tmp_path / f"{name}.csv"
         assert run(*argv, *extra, "--out", out) == 0, name
         assert out.read_text() == text, name
+
+
+@pytest.mark.parametrize("argv", [
+    ("tails", "--n-points", "21", "--taus", ",", "--runs", "40"),
+    ("moments", "--n-points", ",", "--runs", "40"),
+], ids=["tails", "moments"])
+def test_empty_studies_refused_before_drawing(tmp_path, capsys, monkeypatch, argv):
+    """An empty --taus or --n-points list exits 1 before any replicate is drawn."""
+    import adaptmreg.experiments as ex
+
+    def no_draws(*args):
+        raise AssertionError("drew replicates for an empty study")
+
+    monkeypatch.setattr(ex, "sample_rows", no_draws)
+    out = tmp_path / "empty.csv"
+    assert run(*argv, "--seed", "3", "--out", out) == 1
+    assert "needs at least one" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate(workdir):

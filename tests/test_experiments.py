@@ -71,11 +71,11 @@ def test_traces_are_replicate_zero_of_the_batch(bench_artifacts, bench_family):
     y = am.signal_step(xs) + am.sample_rows(spec.noise, 200, spec.seed, 0, 20)
     for method, art in bench_artifacts.items():
         bases, rings = am.window_estimates(y[:, bench_family.order], bench_family.counts,
-                                           art.loss)
-        if art.rule == "lepski":
-            k_hat = am.select_lepski_batch(bases, art.pair, art.crit)[0]
+                                           art.config.loss)
+        if art.config.rule == "lepski":
+            k_hat = am.select_lepski_batch(bases, art.pair, art.result.crit)[0]
         else:
-            k_hat = am.select_ring_batch(bases, rings, art.levels, art.crit)[0]
+            k_hat = am.select_ring_batch(bases, rings, art.levels, art.result.crit)[0]
         trace = report.traces[method]
         assert trace.k_hat == k_hat, method
         assert trace.theta_hat == bases[0, k_hat], method
@@ -194,8 +194,8 @@ def test_mean_rules_mostly_agree(bench_artifacts, bench_family):
             rings[i, k] = locate_rows(yw[None, counts[k]: counts[k + 1]], mean)[0]
     ring_art = bench_artifacts["mean_ring"]
     lep_art = bench_artifacts["mean_lepski"]
-    k_ring = am.select_ring_batch(bases, rings, ring_art.levels, ring_art.crit)
-    k_lep = am.select_lepski_batch(bases, lep_art.pair, lep_art.crit)
+    k_ring = am.select_ring_batch(bases, rings, ring_art.levels, ring_art.result.crit)
+    k_lep = am.select_lepski_batch(bases, lep_art.pair, lep_art.result.crit)
     assert np.mean(k_ring == k_lep) >= 0.90
 
 
@@ -211,7 +211,7 @@ def test_early_stopping_risk_bounds(bench_artifacts, bench_family):
     family = bench_family
     xs = am.equidistant_design(200)
     g = am.signal_step(xs)
-    levels, crit = art.levels, art.crit
+    levels, crit = art.levels, art.result.crit
     K = family.K
     runs = 2000
     order = family.order
