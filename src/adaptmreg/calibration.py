@@ -248,7 +248,7 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
         lambda: (f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: "
                  f"lhs at the cap is {lhs(ZETA_MAX)!r}"))
     z = _zeta_to_z(zeta, levels, config.alpha, config.r)
-    crit = CriticalValues(z=z, alpha=config.alpha, r=config.r, zeta=zeta)
+    crit = CriticalValues(z=z, zeta=zeta)
     warnings = check_mc_runs(config.runs, CALIBRATION_STEP)
     try:
         crit.check_risk_hypothesis(levels)
@@ -294,7 +294,7 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
             share, per_step, Z_MAX,
             lambda: f"per-step budget {per_step!r} unattainable at step {k} with z <= {Z_MAX}")
         acc[:, k:] &= raw_k <= z[k] * scale_k
-    crit = CriticalValues(z=z, alpha=config.alpha, r=config.r, zeta=None)
+    crit = CriticalValues(z=z)
     shares = stats.shares(z, bare=True)
     return CalibResult(crit=crit, per_k_error_share=shares,
                        achieved_lhs=float(shares.sum()), budget=budget,
@@ -322,7 +322,10 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     """
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
-    cfg = config if runs is None else replace(config, runs=runs)
+    cfg = config
+    if runs is not None:
+        check_mc_runs(runs, "the verification")
+        cfg = replace(config, runs=runs)
     z = crit.full(levels.K)[:-1]
     total = np.empty(cfg.runs)
 
@@ -525,23 +528,22 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
     noise = NoiseKind(fields["noise"], dof=opt_int("noise_dof"),
                       scale=float(fields["noise_scale"]))
     K = int(fields["K"])
-    r = float(fields["r"])
     s = np.array([float(v) for v in fields["s"].split()])
     s_ring = np.full((K, K), np.nan)
     for k in range(K):
         row = [float(v) for v in fields[f"s_ring[{k}]"].split()]
         s_ring[k, : k + 1] = row
-    levels = Levels(r=r, s=s, s_ring=s_ring, method=fields["levels_method"],
+    levels = Levels(s=s, s_ring=s_ring, method=fields["levels_method"],
                     runs=opt_int("levels_runs"), seed=opt_int("levels_seed"))
     pair = None
     if "pair[1]" in fields:
         sp = np.full((K + 1, K + 1), np.nan)
         for m in range(1, K + 1):
             sp[m, :m] = [float(v) for v in fields[f"pair[{m}]"].split()]
-        pair = PairLevels(r=r, s_pair=sp, method=fields["pair_method"],
+        pair = PairLevels(s_pair=sp, method=fields["pair_method"],
                           runs=opt_int("pair_runs"), seed=opt_int("pair_seed"))
     crit = CriticalValues(z=np.array([float(v) for v in fields["z"].split()]),
-                          alpha=float(fields["alpha"]), r=r, zeta=opt_float("zeta"))
+                          zeta=opt_float("zeta"))
     kind = fields["family_kind"]
     counts = [int(v) for v in fields["counts"].split()]
     if kind == "line1d":
@@ -553,9 +555,9 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
     if counts != family.counts.tolist():
         raise ValidationError(f"counts {counts} are not those of the {kind} family "
                               f"the artifact describes, {family.counts.tolist()}")
-    config = CalibConfig(family=family, loss=loss, noise=noise, r=r, alpha=crit.alpha,
-                         runs=int(fields["runs"]), seed=int(fields["seed"]),
-                         mode=fields["mode"], rule=fields["rule"])
+    config = CalibConfig(family=family, loss=loss, noise=noise, r=float(fields["r"]),
+                         alpha=float(fields["alpha"]), runs=int(fields["runs"]),
+                         seed=int(fields["seed"]), mode=fields["mode"], rule=fields["rule"])
     shares = np.array([float(v) for v in fields["per_k_error_share"].split()])
     result = CalibResult(crit, shares, float(fields["achieved_lhs"]), float(fields["budget"]))
     return CalibArtifact(config=config, result=result, levels=levels, pair=pair,

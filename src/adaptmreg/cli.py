@@ -35,6 +35,14 @@ from .windows import (DEFAULT_DISC_BASE, DEFAULT_DISC_GROWTH, DEFAULT_DISC_LEVEL
 __all__ = ["run_cli", "main"]
 
 
+def _number(text: str, flag: str, kind=float):
+    """text read as kind (float or int); a ValidationError naming flag if it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{flag}: {text!r} is not a valid {kind.__name__}") from None
+
+
 def parse_loss(text: str) -> LossKind:
     t = text.strip().lower()
     if t == "mean":
@@ -42,9 +50,9 @@ def parse_loss(text: str) -> LossKind:
     if t == "median":
         return LossKind.median()
     if t.startswith("quantile:"):
-        return LossKind.quantile(float(t.split(":", 1)[1]))
+        return LossKind.quantile(_number(t.split(":", 1)[1], "--loss"))
     if t.startswith("huber:"):
-        return LossKind.huber(float(t.split(":", 1)[1]))
+        return LossKind.huber(_number(t.split(":", 1)[1], "--loss"))
     raise ValidationError(f"unknown loss {text!r} "
                           "(mean, median, quantile:A, huber:K)")
 
@@ -185,40 +193,39 @@ def _family_for_calibrate(args):
     return build_family(kind, meta), kind, meta
 
 
-def _levels_for_calibrate(args, family, loss, noise, pair=False):
+def _levels_for_calibrate(args, config: CalibConfig, pair=False):
     """The window levels (--levels) or, with pair, the pair levels (--pair)."""
+    family, loss, noise, r = config.family, config.loss, config.noise, config.r
     choice = args.pair if pair else args.levels
     if choice == "auto":
         choice = {"mean": "exact", "median": "asymptotic",
                   "quantile": "asymptotic"}.get(loss.kind, "mc")
     if choice == "exact":
-        return (pair_levels_exact_mean if pair else levels_exact_mean)(family, args.r)
+        return (pair_levels_exact_mean if pair else levels_exact_mean)(family, r)
     if choice == "asymptotic":
         if not pair and loss.kind in ("mean", "huber"):
             raise ValidationError("asymptotic levels need a median or quantile loss")
         return (pair_levels_asymptotic if pair else levels_asymptotic)(
-            family, loss, target_density(noise, loss), args.r)
+            family, loss, target_density(noise, loss), r)
     runs = (args.pair_runs if pair else args.levels_runs) or args.runs
     return (pair_levels_mc if pair else levels_mc)(
-        family, loss, noise, runs, args.r, seed=args.seed + (2 if pair else 1),
+        family, loss, noise, runs, r, seed=args.seed + (2 if pair else 1),
         workers=args.workers)
 
 
 def _cmd_calibrate(args) -> int:
-    loss = parse_loss(args.loss)
-    noise = parse_noise(args.noise)
     family, kind_tag, meta = _family_for_calibrate(args)
-    levels = _levels_for_calibrate(args, family, loss, noise)
-    pair = (_levels_for_calibrate(args, family, loss, noise, pair=True)
-            if args.rule == "lepski" else None)
-    config = CalibConfig(family=family, loss=loss, noise=noise, r=args.r,
-                         alpha=args.alpha, runs=args.runs, seed=args.seed,
-                         mode=args.mode, rule=args.rule, workers=args.workers)
+    config = CalibConfig(family=family, loss=parse_loss(args.loss),
+                         noise=parse_noise(args.noise), r=args.r, alpha=args.alpha,
+                         runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule,
+                         workers=args.workers)
+    levels = _levels_for_calibrate(args, config)
+    pair = _levels_for_calibrate(args, config, pair=True) if args.rule == "lepski" else None
     result = calibrate(config, levels, pair)
     save_artifact(args.out, CalibArtifact(config, result, levels, pair, kind_tag, meta))
     for w in levels.warnings + (pair.warnings if pair else ()) + result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"calibrated {args.rule}/{args.mode} loss={loss.label} "
+    print(f"calibrated {args.rule}/{args.mode} loss={config.loss.label} "
           f"achieved={result.achieved_lhs!r} budget={result.budget!r} -> {args.out}")
     return 0
 
@@ -282,7 +289,7 @@ def _cmd_prop1(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    ns = [int(v) for v in args.n_points.split(",") if v.strip()]
+    ns = [_number(v, "--n-points", int) for v in args.n_points.split(",") if v.strip()]
     rows = median_moment_study(parse_noise(args.noise), ns, args.r,
                                args.runs, args.seed, args.workers)
     Path(args.out).write_text(csv_text(MomentRow, rows))
@@ -291,7 +298,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_tails(args) -> int:
-    taus = [float(v) for v in args.taus.split(",") if v.strip()]
+    taus = [_number(v, "--taus") for v in args.taus.split(",") if v.strip()]
     rows = tail_study(parse_noise(args.noise), args.n_points, taus,
                       args.runs, args.seed, args.workers)
     Path(args.out).write_text(csv_text(TailRow, rows))
@@ -319,12 +326,11 @@ def _write_image(path: str, image: Image, maxval: int | None) -> None:
 
 def _cmd_denoise(args) -> int:
     art = load_artifact(args.calib)
-    sigma = "auto" if args.sigma == "auto" else float(args.sigma)
-    config = DenoiseConfig.from_artifact(art, noise_scale=sigma, workers=args.workers)
+    sigma = None if args.sigma == "auto" else _number(args.sigma, "--sigma")
     image, maxval = _read_image(args.infile)
-    if sigma == "auto":
-        sigma = estimate_noise_scale(image, config.noise).sigma
-        config = dataclasses.replace(config, noise_scale=sigma)
+    if sigma is None:
+        sigma = estimate_noise_scale(image, art.config.noise).sigma
+    config = DenoiseConfig(art, sigma, args.workers)
     denoised, khat = denoise_image(image, config)
     _write_image(args.out, denoised, maxval)
     if args.khat:

@@ -22,18 +22,18 @@ threshold table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import CalibArtifact
 from .errors import ValidationError
-from .levels import asymptotic_scale, closed_form, target_density
-from .losses import LossKind, window_estimates
+from .levels import closed_form, closed_form_scale, target_density
+from .losses import window_estimates
 from .noise import NoiseKind, abs_diff_median
 from .parallel import run_chunks
-from .selector import CriticalValues, first_rejection, threshold_table
-from .windows import build_family_2d
+from .selector import first_rejection, threshold_table
 
 __all__ = [
     "Image",
@@ -130,52 +130,40 @@ def estimate_noise_scale(image: Image, kind: NoiseKind = NoiseKind.laplace()
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    """Denoising parameters, normally taken from a calibration artifact."""
+    """A ring-rule disc2d calibration artifact, the noise scale sigma and the workers.
 
-    loss: LossKind
-    radii: tuple[float, ...]
-    noise: NoiseKind
-    crit: CriticalValues
-    levels_method: str
-    r: float
-    noise_scale: float | str = "auto"
+    The artifact supplies the family, loss, thresholds and levels method;
+    its levels must be closed-form, so that the clipped border families can
+    get their own. sigma multiplies the unit-scale levels.
+    """
+
+    art: CalibArtifact
+    sigma: float
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.noise_scale, str):
-            if self.noise_scale != "auto":
-                raise ValidationError("noise_scale must be a nonnegative real or 'auto'")
-        elif not self.noise_scale >= 0:
-            raise ValidationError("noise_scale must be nonnegative")
-        if self.levels_method not in ("asymptotic", "exact_mean"):
-            raise ValidationError(
-                "imaging needs closed-form levels (asymptotic or exact_mean); "
-                "monte carlo level artifacts cannot be rebuilt for clipped borders")
-
-    @classmethod
-    def from_artifact(cls, art: CalibArtifact, noise_scale: float | str = "auto",
-                      workers: int | None = None) -> "DenoiseConfig":
-        cfg = art.config
-        if art.family_kind != "disc2d":
+        cfg = self.art.config
+        if self.art.family_kind != "disc2d":
             raise ValidationError("denoising needs a disc2d calibration artifact")
         if cfg.rule != "ring":
             raise ValidationError(f"denoising runs the ring rule, but the artifact was "
                                   f"calibrated for the {cfg.rule} rule")
-        return cls(loss=cfg.loss, radii=tuple(art.family_meta["radii"]),
-                   noise=cfg.noise, crit=art.result.crit, levels_method=art.levels.method,
-                   r=cfg.r, noise_scale=noise_scale, workers=workers)
+        if self.art.levels.method not in ("asymptotic", "exact_mean"):
+            raise ValidationError(
+                "imaging needs closed-form levels (asymptotic or exact_mean); "
+                "monte carlo level artifacts cannot be rebuilt for clipped borders")
+        if cfg.loss.kind == "huber":
+            raise ValidationError("huber loss has no closed-form levels for imaging")
+        if cfg.family.dropped_levels:
+            raise ValidationError(
+                "radii produce duplicate interior windows; calibrate on deduplicated radii")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValidationError(f"noise scale sigma must be finite and nonnegative, "
+                                  f"got {self.sigma!r}")
 
-
-def _levels_scale(config: DenoiseConfig) -> float:
-    """The constant c of the clipped families' closed-form levels (levels.closed_form)."""
-    if config.levels_method == "exact_mean":
-        if config.r != 2.0:
-            raise ValidationError("exact mean levels are only available for r = 2")
-        return 1.0
-    if config.loss.kind in ("median", "quantile"):
-        return asymptotic_scale(config.loss, target_density(config.noise, config.loss),
-                                config.r)
-    raise ValidationError(f"no closed-form levels for loss {config.loss.kind!r}")
+    @property
+    def radii(self) -> tuple[float, ...]:
+        return tuple(self.art.family_meta["radii"])
 
 
 def _axis_clips(size: int, reach: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,22 +247,12 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     worker count, and adding a constant to the input adds it to the output
     without touching the selected indices.
     """
-    if config.loss.kind == "huber":
-        raise ValidationError("huber loss has no closed-form levels for imaging")
     h, w = image.height, image.width
-
-    if isinstance(config.noise_scale, str):
-        sigma = estimate_noise_scale(image, config.noise).sigma
-    else:
-        sigma = float(config.noise_scale)
-
-    family = build_family_2d(config.radii)
-    if family.dropped_levels:
-        raise ValidationError(
-            "radii produce duplicate interior windows; calibrate on deduplicated radii")
+    cfg, method = config.art.config, config.art.levels.method
+    f0 = target_density(cfg.noise, cfg.loss) if method == "asymptotic" else None
+    scale = closed_form_scale(method, cfg.r, cfg.loss, f0)
+    family = cfg.family
     K = family.K
-    if K != config.crit.K:
-        raise ValidationError("calibration artifact does not match the radii")
     counts = family.counts
     reach = int(np.floor(config.radii[-1]))
     dy, dx = (d - reach for d in np.divmod(family.order[: counts[-1]], 2 * reach + 1))
@@ -282,9 +260,9 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     x_class, x_clips = _axis_clips(w, reach)
     y_class, y_clips = _axis_clips(h, reach)
     valid, reported, thr = _geometry_tables(dx, dy, x_clips, y_clips, counts,
-                                            config.crit.full(K), _levels_scale(config))
+                                            config.art.result.crit.full(K), scale)
     with np.errstate(invalid="ignore"):  # inf * 0 on empty rings if sigma is 0
-        thr = thr * sigma
+        thr = thr * config.sigma
     thr[np.diff(valid, axis=1) == 0] = np.inf
 
     padded_w = w + 2 * reach
@@ -300,7 +278,7 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
         y, x = _interior_first(np.arange(lo, hi), h, w, reach)
         geometry = y_class[y] * n_x + x_class[x]
         bases, rings = window_estimates(flat[(y * padded_w + x)[:, None] + offsets],
-                                        counts, config.loss, valid[geometry])
+                                        counts, cfg.loss, valid[geometry])
         one = (geometry == geometry[0]).all()
         sel = first_rejection(bases, rings, thr[geometry[0]] if one else thr[geometry])
         pixels = y * w + x

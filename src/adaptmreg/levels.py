@@ -27,7 +27,7 @@ __all__ = [
     "normal_abs_moment",
     "target_density",
     "closed_form",
-    "asymptotic_scale",
+    "closed_form_scale",
     "levels_exact_mean",
     "levels_asymptotic",
     "levels_mc",
@@ -51,7 +51,6 @@ class Levels:
     linearly in the noise scale.
     """
 
-    r: float
     s: np.ndarray
     s_ring: np.ndarray
     method: str
@@ -64,8 +63,6 @@ class Levels:
         s_ring = np.asarray(self.s_ring, dtype=float)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "s_ring", s_ring)
-        if self.r < 1:
-            raise ValidationError("moment order r must be >= 1")
         if s.ndim != 1 or s.size < 1 or np.any(s <= 0):
             raise ValidationError("s must be strictly positive")
         K = s.size - 1
@@ -93,7 +90,6 @@ class PairLevels:
     Carlo estimate, as for Levels.
     """
 
-    r: float
     s_pair: np.ndarray
     method: str
     runs: int | None = None
@@ -157,14 +153,28 @@ def _pair_closed_form(counts, c: float) -> np.ndarray:
     return sp
 
 
-def asymptotic_scale(loss: LossKind, f0: float, r: float = 2.0) -> float:
-    """c_r * sd0: the normal-limit level of a single observation.
+def _check_order(r: float) -> None:
+    if r < 1:
+        raise ValidationError("moment order r must be >= 1")
 
-    The sample alpha-quantile over N points is asymptotically normal with
-    variance alpha * (1 - alpha) / (f0^2 N), f0 the density at the target
-    quantile, so sd0 = (alpha * (1 - alpha))^(1/2) / f0. The r-th moment
-    scale multiplies the standard deviation by c_r = (E|Z|^r)^(1/r).
+
+def closed_form_scale(method: str, r: float, loss: LossKind | None = None,
+                      f0: float | None = None) -> float:
+    """The constant c of closed-form levels (closed_form and its pair twin).
+
+    "exact_mean": c = 1, the levels of sample means of unit-variance noise,
+    for r = 2 only. "asymptotic": c = c_r * sd0, the normal-limit level of a
+    single observation. The sample alpha-quantile over N points is
+    asymptotically normal with variance alpha * (1 - alpha) / (f0^2 N), f0
+    the density at the target quantile, so sd0 = (alpha * (1 - alpha))^(1/2)
+    / f0; the r-th moment scale multiplies the standard deviation by
+    c_r = (E|Z|^r)^(1/r).
     """
+    _check_order(r)
+    if method == "exact_mean":
+        if r != 2.0:
+            raise ValidationError("exact mean levels are only available for r = 2")
+        return 1.0
     if loss.kind not in ("median", "quantile"):
         raise ValidationError("asymptotic levels apply to median and quantile losses")
     if not f0 > 0:
@@ -174,11 +184,6 @@ def asymptotic_scale(loss: LossKind, f0: float, r: float = 2.0) -> float:
     return c_r * sd0
 
 
-def _require_r2(r: float, what: str) -> None:
-    if r != 2.0:
-        raise ValidationError(f"exact mean {what} are only available for r = 2")
-
-
 def levels_exact_mean(family: WindowFamily, r: float = 2.0) -> Levels:
     """Exact levels for sample means of unit-variance noise, r = 2 only.
 
@@ -186,20 +191,19 @@ def levels_exact_mean(family: WindowFamily, r: float = 2.0) -> Levels:
     add: s[j] = N_j^(-1/2) and s_ring[k, j] = (1/M_k + 1/N_j)^(1/2) with M_k
     the ring size.
     """
-    _require_r2(r, "levels")
-    s, s_ring = closed_form(family.counts, 1.0)
-    return Levels(r=2.0, s=s, s_ring=s_ring, method="exact_mean")
+    s, s_ring = closed_form(family.counts, closed_form_scale("exact_mean", r))
+    return Levels(s=s, s_ring=s_ring, method="exact_mean")
 
 
 def levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
                       r: float = 2.0) -> Levels:
     """Normal-limit levels for median or quantile estimates.
 
-    The exact-mean levels times asymptotic_scale; differences combine by
+    The exact-mean levels times closed_form_scale; differences combine by
     independence.
     """
-    s, s_ring = closed_form(family.counts, asymptotic_scale(loss, f0, r))
-    return Levels(r=float(r), s=s, s_ring=s_ring, method="asymptotic")
+    s, s_ring = closed_form(family.counts, closed_form_scale("asymptotic", r, loss, f0))
+    return Levels(s=s, s_ring=s_ring, method="asymptotic")
 
 
 def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseKind,
@@ -211,8 +215,9 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     Replicate i draws its noise through noise.sample_rows, from the
     substream of its chunk of seed, so the output is reproducible and
     independent of worker scheduling. Pure noise is exchangeable, hence
-    draws are laid out directly in nearest-first window order. For a quantile loss the draws are shifted so that the target
-    quantile of the noise sits at zero, matching the location model.
+    draws are laid out directly in nearest-first window order. For a
+    quantile loss the draws are shifted so that the target quantile of the
+    noise sits at zero, matching the location model.
 
     Without consume, returns the stacked (bases, rings) of shapes (runs, K+1)
     and (runs, K). With it, nothing is stacked: each chunk of the fixed grid
@@ -263,6 +268,7 @@ def check_mc_runs(runs: int, step: str) -> tuple[str, ...]:
 def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
               r: float = 2.0, seed: int = 0, workers: int | None = None) -> Levels:
     """Monte Carlo levels: empirical r-th moments over pure-noise replicates."""
+    _check_order(r)
     warnings = check_mc_runs(runs, "the window levels")
     bases, rings = simulate_window_estimates(family, loss, kind, runs, seed, workers)
     K = family.K
@@ -271,15 +277,14 @@ def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
     for k in range(K):
         diffs = np.abs(rings[:, k, None] - bases[:, : k + 1])
         s_ring[k, : k + 1] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
-    return Levels(r=float(r), s=s, s_ring=s_ring, method="monte_carlo",
+    return Levels(s=s, s_ring=s_ring, method="monte_carlo",
                   runs=runs, seed=seed, warnings=warnings)
 
 
 def pair_levels_exact_mean(family: WindowFamily, r: float = 2.0) -> PairLevels:
     """Exact difference levels for nested sample means: sqrt(1/N_l - 1/N_m)."""
-    _require_r2(r, "pair levels")
-    return PairLevels(r=2.0, s_pair=_pair_closed_form(family.counts, 1.0),
-                      method="exact_mean")
+    sp = _pair_closed_form(family.counts, closed_form_scale("exact_mean", r))
+    return PairLevels(s_pair=sp, method="exact_mean")
 
 
 def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
@@ -292,8 +297,8 @@ def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
     variance alpha * (1 - alpha) / f0^2 * (1/N_l - 1/N_m), exactly the shape
     of the sample-mean case.
     """
-    sp = _pair_closed_form(family.counts, asymptotic_scale(loss, f0, r))
-    return PairLevels(r=float(r), s_pair=sp, method="asymptotic")
+    sp = _pair_closed_form(family.counts, closed_form_scale("asymptotic", r, loss, f0))
+    return PairLevels(s_pair=sp, method="asymptotic")
 
 
 def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
@@ -303,6 +308,7 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     Nested estimates are dependent, so no independence shortcut applies; the
     moments are taken over joint pure-noise replicates.
     """
+    _check_order(r)
     warnings = check_mc_runs(runs, "the pair levels")
     bases, _ = simulate_window_estimates(family, loss, kind, runs, seed, workers)
     K = family.K
@@ -310,5 +316,5 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     for m in range(1, K + 1):
         diffs = np.abs(bases[:, m, None] - bases[:, :m])
         sp[m, :m] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
-    return PairLevels(r=float(r), s_pair=sp, method="monte_carlo", runs=runs, seed=seed,
+    return PairLevels(s_pair=sp, method="monte_carlo", runs=runs, seed=seed,
                       warnings=warnings)

@@ -249,6 +249,10 @@ def parse_noise(text: str) -> NoiseKind:
         rest = t[len("student_t"):]
         if rest.startswith(":"):
             rest = rest[1:]
-        dof = int(rest) if rest else 3
+        try:
+            dof = int(rest) if rest else 3
+        except ValueError:
+            raise ValidationError(f"--noise: {text!r} has no integer degrees of freedom"
+                                  ) from None
         return NoiseKind.student_t(dof)
     raise ValidationError(f"unknown noise {text!r}")

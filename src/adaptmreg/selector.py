@@ -50,13 +50,12 @@ class CriticalValues:
     """Test thresholds z_0 .. z_{K-1}; the implicit z_K is fixed at 1.
 
     zeta is set when the values come from the one-parameter family
-    z_k^2 = zeta * (2 r log(s_k / s_K) + log(1/alpha) + log K); such values
-    are non-increasing in k by construction and this is enforced.
+    z_k^2 = zeta * (2 r log(s_k / s_K) + log(1/alpha) + log K), with r and
+    alpha those of the calibration's CalibConfig; such values are
+    non-increasing in k by construction and this is enforced.
     """
 
     z: np.ndarray
-    alpha: float
-    r: float
     zeta: float | None = None
 
     def __post_init__(self) -> None:
@@ -64,10 +63,6 @@ class CriticalValues:
         object.__setattr__(self, "z", z)
         if z.ndim != 1 or z.size < 1 or np.any(z <= 0) or not np.all(np.isfinite(z)):
             raise ValidationError("critical values must be positive finite reals")
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be positive")
-        if self.r < 1:
-            raise ValidationError("moment order r must be >= 1")
         if self.zeta is not None:
             if not self.zeta > 0:
                 raise ValidationError("zeta must be positive")

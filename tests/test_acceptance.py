@@ -13,8 +13,8 @@ import pytest
 
 import adaptmreg as am
 from adaptmreg import (DenoiseConfig, ExperimentSpec, Image, LossKind,
-                       NoiseKind, RngStream, denoise_image, run_benchmark,
-                       sample_noise, verify_calibration)
+                       NoiseKind, RngStream, denoise_image, estimate_noise_scale,
+                       run_benchmark, sample_noise, verify_calibration)
 from adaptmreg.losses import locate_rows
 
 import oracle_moments
@@ -226,8 +226,8 @@ def test_criterion_6_calibration_soundness(bench_artifacts):
 
 def test_criterion_7_imaging(disc_artifact):
     # noiseless constant image: exact identity, full windows everywhere
-    config = DenoiseConfig.from_artifact(disc_artifact)
     const = Image.from_array(np.full((64, 64), 5.0))
+    config = DenoiseConfig(disc_artifact, estimate_noise_scale(const).sigma)
     out, khat = denoise_image(const, config)
     assert np.array_equal(out.intensities, const.intensities)
     assert np.all(khat.k_hat == khat.n_levels)
@@ -238,8 +238,8 @@ def test_criterion_7_imaging(disc_artifact):
     noise = sample_noise(NoiseKind.laplace(), 256 * 256, RngStream(99, 0))
     noisy = Image.from_array(clean + noise.reshape(256, 256))
     start = time.monotonic()
-    den4, khat4 = denoise_image(
-        noisy, DenoiseConfig.from_artifact(disc_artifact, workers=4))
+    sigma = estimate_noise_scale(noisy).sigma
+    den4, khat4 = denoise_image(noisy, DenoiseConfig(disc_artifact, sigma, workers=4))
     elapsed = time.monotonic() - start
     mse_in = float(np.mean((noisy.intensities - clean) ** 2))
     mse_out = float(np.mean((den4.intensities - clean) ** 2))
@@ -247,8 +247,7 @@ def test_criterion_7_imaging(disc_artifact):
     assert mse_out <= 0.25 * mse_in
     assert elapsed < 30.0
 
-    den1, khat1 = denoise_image(
-        noisy, DenoiseConfig.from_artifact(disc_artifact, workers=1))
+    den1, khat1 = denoise_image(noisy, DenoiseConfig(disc_artifact, sigma, workers=1))
     assert np.array_equal(den1.intensities, den4.intensities)
     assert np.array_equal(khat1.k_hat, khat4.k_hat)
     print(f"\nACCEPTANCE 7 (imaging in {elapsed:.1f}s): PASS "

@@ -260,8 +260,8 @@ def test_sequential_matches_dense_reference(small_setup):
 def test_verify_extreme_thresholds(small_setup):
     family, levels, config = small_setup
     K = levels.K
-    huge = am.CriticalValues(z=np.full(K, 1e6), alpha=1.0, r=2.0)
-    tiny = am.CriticalValues(z=np.full(K, 1e-9), alpha=1.0, r=2.0)
+    huge = am.CriticalValues(z=np.full(K, 1e6))
+    tiny = am.CriticalValues(z=np.full(K, 1e-9))
     assert verify_calibration(config, huge, levels, seed=99) == 0.0
     assert verify_calibration(config, tiny, levels, seed=99) > 10.0
 
@@ -288,7 +288,7 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule):
     runs = 2 * CHUNK + 7  # the last chunk is partial
     cfg = CalibConfig(family=family, loss=loss, noise=config.noise, runs=runs,
                       seed=config.seed, rule=rule)
-    crit = am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K), alpha=1.0, r=2.0)
+    crit = am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K))
     bases, rings = simulate_window_estimates(family, loss, cfg.noise, runs, 77)
     whole = _SelectionStats(cfg, levels, pair, bases, rings)
     want = whole.objective(crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)
@@ -307,7 +307,7 @@ def test_verify_never_holds_the_packed_statistics():
     runs = 50_000
     cfg = CalibConfig(family=family, loss=loss, noise=NoiseKind.laplace(), seed=1,
                       workers=2)
-    crit = am.CriticalValues(z=np.full(levels.K, 1.2), alpha=1.0, r=2.0)
+    crit = am.CriticalValues(z=np.full(levels.K, 1.2))
     packed_bytes = runs * levels.K * (levels.K + 1) // 2 * 8
     tracemalloc.start()
     try:
@@ -322,7 +322,7 @@ def test_calibration_failure_diagnostics(small_setup):
     family, _, config = small_setup
     # absurdly small levels make every statistic exceed any affordable threshold
     K = family.K
-    bogus = Levels(r=2.0, s=np.full(K + 1, 1e-9), s_ring=np.full((K, K), 1e-12),
+    bogus = Levels(s=np.full(K + 1, 1e-9), s_ring=np.full((K, K), 1e-12),
                    method="exact_mean")
     with pytest.raises(CalibrationError):
         calibrate_zeta(config, bogus)
@@ -409,15 +409,15 @@ def _artifacts(draw):
         out[tril] = positives(len(tril[0]))
         return out
 
-    levels = Levels(r=r, s=np.sort(positives(K + 1))[::-1], s_ring=lower_triangle(K, 0),
+    levels = Levels(s=np.sort(positives(K + 1))[::-1], s_ring=lower_triangle(K, 0),
                     method=draw(st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"])),
                     runs=draw(_opt_int), seed=draw(_opt_int))
     pair = draw(st.none() | st.builds(
-        lambda method, runs, seed: am.PairLevels(r=r, s_pair=lower_triangle(K + 1, -1),
-                                                 method=method, runs=runs, seed=seed),
+        lambda method, runs, seed: am.PairLevels(s_pair=lower_triangle(K + 1, -1),
+                                            method=method, runs=runs, seed=seed),
         st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"]), _opt_int, _opt_int))
     zeta = draw(st.none() | _positive())
-    crit = am.CriticalValues(z=np.sort(positives(K))[::-1], alpha=alpha, r=r, zeta=zeta)
+    crit = am.CriticalValues(z=np.sort(positives(K))[::-1], zeta=zeta)
     loss = draw(st.sampled_from([LossKind.mean(), LossKind.median()])
                 | st.builds(LossKind.quantile, _positive(1e-3, 0.999))
                 | st.builds(LossKind.huber, _positive()))

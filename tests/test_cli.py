@@ -408,6 +408,51 @@ def test_empty_studies_refused_before_drawing(tmp_path, capsys, monkeypatch, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("calibrate", "--loss", "quantile:abc", "--seed", "1", "--out", "x.cal"), "--loss"),
+    (("calibrate", "--loss", "huber:", "--seed", "1", "--out", "x.cal"), "--loss"),
+    (("calibrate", "--noise", "student_t:x", "--seed", "1", "--out", "x.cal"), "--noise"),
+    (("moments", "--n-points", "1,a", "--seed", "1", "--out", "x.csv"), "--n-points"),
+    (("tails", "--taus", "0,x", "--seed", "1", "--out", "x.csv"), "--taus"),
+    (("denoise", "--sigma", "abc", "--out", "x.pgm"), "--sigma"),
+    (("denoise", "--sigma", "inf", "--out", "x.pgm"), "sigma"),
+    (("denoise", "--sigma", "nan", "--out", "x.pgm"), "sigma"),
+    (("denoise", "--sigma=-1", "--out", "x.pgm"), "sigma"),
+], ids=["quantile", "huber", "student_t", "n_points", "taus", "sigma_abc", "sigma_inf",
+        "sigma_nan", "sigma_negative"])
+def test_malformed_numbers_exit_1(disc_cal, tmp_path, capsys, monkeypatch, argv, flag):
+    """A value that is not a number, or an unusable noise scale, names its flag: exit 1."""
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "denoise":
+        argv = argv + ("--in", disc_cal / "in.pgm", "--calib", disc_cal / "d.cal")
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and flag in err, err
+    assert not any(tmp_path.iterdir())
+
+
+def test_verify_run_count_names_the_verification(workdir, capsys):
+    assert run("verify", "--calib", workdir / "med.cal", "--seed", "99", "--runs", "500") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: need at least 1000 monte carlo runs for "
+                          "the verification, got 500"), err
+
+
+def test_calibrate_refuses_its_config_before_drawing(tmp_path, capsys, monkeypatch):
+    """A calibration setting is refused before any Monte Carlo level is drawn."""
+    import adaptmreg.levels as lv
+
+    def no_draws(*args):
+        raise AssertionError("drew replicates for a refused calibration")
+
+    monkeypatch.setattr(lv, "sample_rows", no_draws)
+    out = tmp_path / "h.cal"
+    assert run("calibrate", "--loss", "huber:1.345", "--alpha", "0", "--runs", "10000",
+               "--seed", "1", "--out", out) == 1
+    assert capsys.readouterr().err == "error: validation: alpha must be positive\n"
+    assert not out.exists()
+
+
 def test_simulate(workdir):
     out = workdir / "sim.csv"
     assert run("simulate", "--example", "2", "--noise", "student_t", "--n", "50",

@@ -232,7 +232,7 @@ def test_early_stopping_risk_bounds(bench_artifacts, bench_family):
     theta_hat = np.take_along_axis(bases, k_hat[:, None], 1)[:, 0]
     k_star = am.oracle_index(g, family, crit, levels).k_star
     zf = crit.full(K)
-    alpha = crit.alpha
+    alpha = art.config.alpha
     for k in range(min(k_star, K - 1) + 1):
         dev = np.abs(theta_hat - bases[:, k]) ** 2
         early = float(np.mean(dev * (k_hat < k)))

@@ -1,3 +1,6 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -44,16 +47,28 @@ def test_scale_estimate_needs_2x2():
         estimate_noise_scale(Image.from_array(np.zeros((1, 5))))
 
 
+def _auto(art, image, workers=None):
+    """The config with the noise scale estimated from the image, as denoise --sigma auto."""
+    return DenoiseConfig(art, estimate_noise_scale(image, art.config.noise).sigma, workers)
+
+
+def _swapped(art, loss=None, levels=None, crit=None):
+    """The artifact with another loss, levels or thresholds."""
+    config = art.config if loss is None else replace(art.config, loss=loss)
+    result = art.result if crit is None else replace(art.result, crit=crit)
+    return replace(art, config=config, result=result, levels=levels or art.levels)
+
+
 def test_constant_image_identity(disc_artifact):
-    config = DenoiseConfig.from_artifact(disc_artifact)
     image = Image.from_array(np.full((30, 34), 7.5))
+    config = _auto(disc_artifact, image)
     out, khat = denoise_image(image, config)
     assert np.array_equal(out.intensities, image.intensities)
     assert np.all(khat.k_hat == khat.n_levels)
 
 
 def test_noiseless_step_khat_smaller_at_edge(disc_artifact):
-    config = DenoiseConfig.from_artifact(disc_artifact, noise_scale=0.05)
+    config = DenoiseConfig(disc_artifact, 0.05)
     image = Image.from_array(two_region(64, 48))
     _, khat = denoise_image(image, config)
     edge = khat.k_hat[24, 31:33].max()
@@ -62,18 +77,18 @@ def test_noiseless_step_khat_smaller_at_edge(disc_artifact):
 
 
 def test_shift_equivariance(disc_artifact):
-    config = DenoiseConfig.from_artifact(disc_artifact)
     noise = sample_noise(NoiseKind.laplace(), 40 * 40, RngStream(52, 0))
     img = two_region(40, 40) + noise.reshape(40, 40)
-    out0, khat0 = denoise_image(Image.from_array(img), config)
-    out1, khat1 = denoise_image(Image.from_array(img + 12.5), config)
+    image0, image1 = Image.from_array(img), Image.from_array(img + 12.5)
+    out0, khat0 = denoise_image(image0, _auto(disc_artifact, image0))
+    out1, khat1 = denoise_image(image1, _auto(disc_artifact, image1))
     assert np.allclose(out1.intensities, out0.intensities + 12.5, atol=1e-9)
     assert np.array_equal(khat0.k_hat, khat1.k_hat)
 
 
 def test_subrectangle_reproduces_pixels(disc_artifact):
     """Cropping changes nothing for pixels whose windows stay unclipped."""
-    config = DenoiseConfig.from_artifact(disc_artifact, noise_scale=1.0)
+    config = DenoiseConfig(disc_artifact, 1.0)
     noise = sample_noise(NoiseKind.laplace(), 48 * 48, RngStream(53, 0))
     img = two_region(48, 48) + noise.reshape(48, 48)
     full, _ = denoise_image(Image.from_array(img), config)
@@ -98,11 +113,10 @@ def test_worker_count_invariance(disc_artifact):
         inner = np.minimum(np.minimum(y, 47 - y), np.minimum(x, 47 - x)) >= reach
         mixed += bool(inner.any() and not inner.all())
     assert mixed >= 1  # one chunk holds border and interior pixels
-    out1, khat1 = denoise_image(
-        Image.from_array(img), DenoiseConfig.from_artifact(disc_artifact, workers=1))
+    image = Image.from_array(img)
+    out1, khat1 = denoise_image(image, _auto(disc_artifact, image, workers=1))
     for workers in (2, 3):
-        out, khat = denoise_image(
-            Image.from_array(img), DenoiseConfig.from_artifact(disc_artifact, workers=workers))
+        out, khat = denoise_image(image, _auto(disc_artifact, image, workers=workers))
         assert np.array_equal(out1.intensities, out.intensities)
         assert np.array_equal(khat1.k_hat, khat.k_hat)
 
@@ -119,7 +133,7 @@ def _crit_subset(crit: CriticalValues, kept: np.ndarray) -> CriticalValues:
         raise ValidationError("clipped family collapsed to a single window")
     z = crit.full(crit.K)[kept[:-1]]
     z = np.maximum(np.minimum.accumulate(z), 1e-12)
-    return CriticalValues(z=z, alpha=crit.alpha, r=crit.r, zeta=None)
+    return CriticalValues(z=z)
 
 
 def test_every_pixel_matches_scalar_reference(disc_artifact):
@@ -132,19 +146,18 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
     outputs sum in another order, so they match to rounding, with the same
     selected windows.
     """
-    median = DenoiseConfig.from_artifact(disc_artifact, noise_scale=1.0)
-    mean = DenoiseConfig(loss=am.LossKind.mean(), radii=median.radii, noise=median.noise,
-                         crit=median.crit, levels_method="exact_mean", r=median.r,
-                         noise_scale=1.0)
-    z = median.crit.z * np.where(np.arange(median.crit.K) % 2, 1.4, 0.6)
-    zigzag = DenoiseConfig(loss=median.loss, radii=median.radii, noise=median.noise,
-                           crit=CriticalValues(z=z, alpha=median.crit.alpha, r=median.r),
-                           levels_method="asymptotic", r=median.r, noise_scale=1.0)
+    art = disc_artifact
+    median = DenoiseConfig(art, 1.0)
+    mean = DenoiseConfig(_swapped(art, am.LossKind.mean(),
+                                  am.levels_exact_mean(art.config.family)), 1.0)
+    z = art.result.crit.z * np.where(np.arange(art.result.crit.K) % 2, 1.4, 0.6)
+    zigzag = DenoiseConfig(_swapped(art, crit=CriticalValues(z=z)), 1.0)
     radii = np.asarray(median.radii)
     reach = int(np.floor(radii[-1]))
-    f0 = am.target_density(median.noise, median.loss)
+    f0 = am.target_density(art.config.noise, art.config.loss)
     subsets = interior = 0
     for config in (median, mean, zigzag):
+        loss, crit_full = config.art.config.loss, config.art.result.crit
         for h, w in ((17, 23), (3, 23)):
             noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(56, h))
             img = two_region(w, h) + noise.reshape(h, w)
@@ -160,13 +173,13 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
                                             (left, top), radii)
                     kept = [lvl for lvl in range(len(radii))
                             if lvl not in fam.dropped_levels]
-                    crit = config.crit
+                    crit = crit_full
                     if fam.dropped_levels:
-                        crit = _crit_subset(config.crit, np.asarray(kept))
+                        crit = _crit_subset(crit_full, np.asarray(kept))
                         subsets += 1
-                    levels = (am.levels_exact_mean(fam, config.r) if config is mean
-                              else am.levels_asymptotic(fam, config.loss, f0))
-                    base, rings = base_estimates(patch.ravel(), fam, config.loss)
+                    levels = (am.levels_exact_mean(fam, config.art.config.r) if config is mean
+                              else am.levels_asymptotic(fam, loss, f0))
+                    base, rings = base_estimates(patch.ravel(), fam, loss)
                     k_hat, _ = ring_reference(base, rings, levels, crit)
                     assert abs(out.intensities[y, x] - base[k_hat]) <= tol, (w, h, x, y)
                     assert khat.k_hat[y, x] == kept[k_hat], (w, h, x, y)
@@ -209,43 +222,73 @@ def test_denoise_outputs_are_pinned(disc_artifact):
     and the 40x12 image has no interior pixel at all.
     """
     import hashlib
-    median = DenoiseConfig.from_artifact(disc_artifact)
-    quantile = DenoiseConfig(loss=am.LossKind.quantile(0.3), radii=median.radii,
-                             noise=median.noise, crit=median.crit,
-                             levels_method="asymptotic", r=median.r)
+    quantile = _swapped(disc_artifact, am.LossKind.quantile(0.3))
     seen = {}
     for name, (h, w) in PINNED_IMAGES.items():
         noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(57, h * 100 + w))
         image = Image.from_array(two_edge(w, h) + noise.reshape(h, w))
-        for label, config in (("median", median), ("quantile0.3", quantile)):
-            out, khat = denoise_image(image, config)
+        for label, art in (("median", disc_artifact), ("quantile0.3", quantile)):
+            out, khat = denoise_image(image, _auto(art, image))
             seen[f"{name}/{label}"] = (hashlib.sha256(out.intensities.tobytes()).hexdigest(),
                                        hashlib.sha256(khat.k_hat.tobytes()).hexdigest())
     assert seen == PINNED_DIGESTS
 
 
 def test_denoise_reduces_mse_small(disc_artifact):
-    config = DenoiseConfig.from_artifact(disc_artifact)
     clean = two_region(96, 96)
     noise = sample_noise(NoiseKind.laplace(), 96 * 96, RngStream(55, 0))
     noisy = Image.from_array(clean + noise.reshape(96, 96))
-    out, _ = denoise_image(noisy, config)
+    out, _ = denoise_image(noisy, _auto(disc_artifact, noisy))
     mse_in = np.mean((noisy.intensities - clean) ** 2)
     mse_out = np.mean((out.intensities - clean) ** 2)
     assert mse_out <= 0.25 * mse_in
 
 
 def test_rejects_incompatible_configs(disc_artifact):
-    config = DenoiseConfig.from_artifact(disc_artifact)
-    with pytest.raises(ValueError):
-        DenoiseConfig(loss=am.LossKind.huber(1.0), radii=config.radii,
-                      noise=config.noise, crit=config.crit,
-                      levels_method="monte_carlo", r=2.0)
-    bad = DenoiseConfig(loss=config.loss, radii=config.radii[:-2],
-                        noise=config.noise, crit=config.crit,
-                        levels_method="asymptotic", r=2.0)
-    with pytest.raises(ValueError):
-        denoise_image(Image.from_array(np.zeros((30, 30))), bad)
+    """Each artifact or noise scale the denoiser cannot use is refused on construction."""
+    art = disc_artifact
+    lv = art.levels
+    radii = np.insert(art.family_meta["radii"], 1, 1.6)  # 1.6 adds no pixel to 1.5
+    dup = am.build_family_2d(radii)
+    assert dup.dropped_levels and dup.K == art.config.family.K
+    cases = {
+        "a disc2d calibration artifact": replace(art, family_kind="line1d"),
+        "lepski rule": replace(art, config=replace(art.config, rule="lepski")),
+        "closed-form levels": _swapped(art, levels=am.Levels(lv.s, lv.s_ring, "monte_carlo")),
+        "huber loss": _swapped(art, am.LossKind.huber(1.0)),
+        "duplicate interior windows": replace(art, config=replace(art.config, family=dup),
+                                              family_meta={"radii": radii.tolist()}),
+    }
+    for message, bad in cases.items():
+        with pytest.raises(ValidationError, match=message):
+            DenoiseConfig(bad, 1.0)
+    # thresholds sized for other radii do not even make an artifact
+    with pytest.raises(ValidationError, match="sized for the family's"):
+        _swapped(art, crit=CriticalValues(z=art.result.crit.z[:-2]))
+    for sigma in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="sigma must be finite and nonnegative"):
+            DenoiseConfig(art, sigma)
+    assert DenoiseConfig(art, 0.0, workers=2).radii == tuple(art.family_meta["radii"])
+
+
+def test_denoise_builds_no_family(disc_artifact, tmp_path, monkeypatch):
+    """Loading an artifact builds its disc family once; denoise_image builds none."""
+    real = am.build_family_2d
+    calls = []
+
+    def counted(radii):
+        calls.append(radii)
+        return real(radii)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "adaptmreg" and getattr(module, "build_family_2d", None) is real:
+            monkeypatch.setattr(module, "build_family_2d", counted)
+    am.save_artifact(tmp_path / "d.cal", disc_artifact)
+    art = am.load_artifact(tmp_path / "d.cal")
+    assert len(calls) == 1
+    image = Image.from_array(two_edge(40, 30))
+    denoise_image(image, DenoiseConfig(art, 1.0, workers=2))
+    assert len(calls) == 1
 
 
 def test_khat_map_validation():

@@ -153,13 +153,24 @@ def test_pair_asymptotic_median_shape(small_family):
         pair_levels_asymptotic(small_family, LossKind.mean(), f0)
 
 
-def test_levels_validation():
+def test_levels_validation(small_family, monkeypatch):
     with pytest.raises(ValueError):
-        Levels(r=2.0, s=np.array([0.1, 0.2]), s_ring=np.full((1, 1), 0.1),
+        Levels(s=np.array([0.1, 0.2]), s_ring=np.full((1, 1), 0.1),
                method="exact_mean")  # increasing levels rejected
-    with pytest.raises(ValueError):
-        Levels(r=0.5, s=np.array([0.2, 0.1]), s_ring=np.full((1, 1), 0.1),
-               method="exact_mean")
+    # the builders that take a moment order refuse r < 1, before any draw
+    monkeypatch.setattr(am.levels, "sample_rows", None)
+    med, lap = LossKind.median(), NoiseKind.laplace()
+    f0 = am.density_at_zero(lap)
+    for build in (lambda: levels_mc(small_family, med, lap, 1000, r=0.5),
+                  lambda: pair_levels_mc(small_family, med, lap, 1000, r=0.5),
+                  lambda: levels_asymptotic(small_family, med, f0, r=0.5),
+                  lambda: pair_levels_asymptotic(small_family, med, f0, r=0.5)):
+        with pytest.raises(am.ValidationError, match="moment order r must be >= 1"):
+            build()
+    for build in (levels_exact_mean, pair_levels_exact_mean):
+        for r in (0.5, 3.0):
+            with pytest.raises(am.ValidationError):
+                build(small_family, r)
 
 
 @settings(max_examples=8, deadline=None)

@@ -22,7 +22,7 @@ def setup():
 
 
 def flat_crit(levels, value):
-    return CriticalValues(z=np.full(levels.K, value), alpha=1.0, r=2.0)
+    return CriticalValues(z=np.full(levels.K, value))
 
 
 def row_estimates(y, family, loss):
@@ -129,7 +129,7 @@ def test_select_ring_batch_matches_scalar(setup):
 def test_select_lepski_constant_and_batch(setup):
     _, family, _ = setup
     pair = am.pair_levels_exact_mean(family)
-    crit = CriticalValues(z=np.full(family.K, 2.0), alpha=1.0, r=2.0)
+    crit = CriticalValues(z=np.full(family.K, 2.0))
     base = np.full(family.K + 1, 1.25)
     trace = select_lepski(base, pair, crit)
     assert trace.k_hat == family.K and trace.rings is None
@@ -146,7 +146,7 @@ def test_lepski_two_sample_structure():
     xs = am.equidistant_design(40)
     family = am.build_family_1d(xs, 0.0, [10, 20])
     pair = am.pair_levels_exact_mean(family)
-    crit = CriticalValues(z=np.array([2.0]), alpha=1.0, r=2.0)
+    crit = CriticalValues(z=np.array([2.0]))
     y = np.zeros(40)
     base, _ = row_estimates(y, family, LossKind.mean())
     assert select_lepski(base, pair, crit).k_hat == 1
@@ -206,12 +206,12 @@ def test_selection_invariant_under_shift_and_dyadic_scale(data):
     bases = data.draw(arrays(float, (rows, K + 1), elements=_DYADIC))
     rings = data.draw(arrays(float, (rows, K), elements=_DYADIC))
     z = data.draw(arrays(float, K, elements=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0])))
-    crit = CriticalValues(z=z, alpha=1.0, r=2.0)
+    crit = CriticalValues(z=z)
     shift = data.draw(st.integers(-1000, 1000))
     f = 2.0 ** data.draw(st.integers(-12, 12))
-    f_levels = am.Levels(r=2.0, s=f * levels.s, s_ring=f * levels.s_ring,
+    f_levels = am.Levels(s=f * levels.s, s_ring=f * levels.s_ring,
                          method=levels.method)
-    f_pair = am.PairLevels(r=2.0, s_pair=f * pair.s_pair, method=pair.method)
+    f_pair = am.PairLevels(s_pair=f * pair.s_pair, method=pair.method)
 
     ring = select_ring_batch(bases, rings, levels, crit)
     assert np.array_equal(select_ring_batch(bases + shift, rings + shift, levels, crit), ring)
@@ -223,7 +223,7 @@ def test_selection_invariant_under_shift_and_dyadic_scale(data):
 
 def test_oracle_index(setup):
     xs, family, levels = setup
-    crit_synth = CriticalValues(z=0.5 / levels.s[:family.K], alpha=1.0, r=2.0)
+    crit_synth = CriticalValues(z=0.5 / levels.s[:family.K])
     # z_k * s_k = 0.5 for k < K; the final allowance is 1 * s_K
     info = oracle_index(np.zeros(200), family, crit_synth, levels)
     assert info.k_star == family.K
@@ -270,9 +270,9 @@ def test_risk_hypothesis_gate(setup):
     # z increasing in k makes z_k * s_k checks fail for parametric values
     z = np.linspace(1.0, 3.0, family.K)
     with pytest.raises(ValueError):
-        CriticalValues(z=z, alpha=1.0, r=2.0, zeta=1.0)
+        CriticalValues(z=z, zeta=1.0)
     # non-parametric values are allowed but rejected by the explicit gate
-    crit = CriticalValues(z=np.full(family.K, 0.1), alpha=1.0, r=2.0)
+    crit = CriticalValues(z=np.full(family.K, 0.1))
     with pytest.raises(ValueError):
         # 0.1 * s_k dips below the implicit final value 1 * s_K
         crit.check_risk_hypothesis(levels)
@@ -299,7 +299,7 @@ def test_one_row_view_matches_scalar_reference(setup, data):
     bases = spread * data.draw(arrays(float, (rows, K + 1), elements=values))
     rings = spread * data.draw(arrays(float, (rows, K), elements=values))
     z = data.draw(arrays(float, K, elements=st.floats(0.05, 5.0)))
-    crit = CriticalValues(z=z, alpha=1.0, r=2.0)
+    crit = CriticalValues(z=z)
     if rule == "ring":
         got = select_ring_batch(bases, rings, levels, crit)
         views = [select_ring(bases[i], rings[i], levels, crit) for i in range(rows)]
