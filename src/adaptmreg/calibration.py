@@ -81,7 +81,6 @@ class CalibConfig:
     seed: int = 0
     mode: str = "zeta"
     rule: str = "ring"
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
@@ -185,7 +184,7 @@ def _calibration_stats(config: CalibConfig, levels: Levels,
                        pair: PairLevels | None) -> _SelectionStats:
     """Statistics of the whole replicate set drawn from the calibration seed."""
     bases, rings = simulate_window_estimates(
-        config.family, config.loss, config.noise, config.runs, config.seed, config.workers)
+        config.family, config.loss, config.noise, config.runs, config.seed)
     return _SelectionStats(config, levels, pair, bases, rings)
 
 
@@ -310,11 +309,13 @@ def calibrate(config: CalibConfig, levels: Levels,
 
 def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels,
                        pair: PairLevels | None = None, *, seed: int,
-                       runs: int | None = None) -> float:
+                       runs: int | None = None) -> tuple[float, tuple[str, ...]]:
     """Out-of-sample budget ratio achieved_lhs / budget on fresh replicates.
 
-    The seed must differ from the calibration seed, otherwise the check would
-    just reread the replicates the thresholds were fitted to. The replicates
+    Returns the ratio and the run-count warnings of the verification step,
+    which draws config.runs replicates unless runs is given. The seed must
+    differ from the calibration seed, otherwise the check would just reread
+    the replicates the thresholds were fitted to. The replicates
     are streamed: each chunk of simulate_window_estimates builds its own
     _SelectionStats and stores only its row totals, so memory stays at one
     chunk's statistics per worker plus one float per replicate, and the
@@ -322,19 +323,17 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     """
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
-    cfg = config
-    if runs is not None:
-        check_mc_runs(runs, "the verification")
-        cfg = replace(config, runs=runs)
+    runs = config.runs if runs is None else runs
+    warnings = check_mc_runs(runs, "the verification")
+    cfg = replace(config, runs=runs)
     z = crit.full(levels.K)[:-1]
     total = np.empty(cfg.runs)
 
     def consume(lo: int, hi: int, bases: np.ndarray, rings: np.ndarray) -> None:
         total[lo:hi] = _SelectionStats(cfg, levels, pair, bases, rings).row_totals(z)
 
-    simulate_window_estimates(cfg.family, cfg.loss, cfg.noise, cfg.runs, seed,
-                              cfg.workers, consume)
-    return float(total.mean()) / _budget(cfg, levels)
+    simulate_window_estimates(cfg.family, cfg.loss, cfg.noise, cfg.runs, seed, consume)
+    return float(total.mean()) / _budget(cfg, levels), warnings
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,6 @@ failure; failures print one machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -91,8 +90,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="key = value defaults file; flags override")
         p.add_argument("--seed", type=int, required=seed_required,
                        help="master seed (required: runs must be reproducible)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (default: ADAPTMREG_WORKERS or cpu count)")
 
     p = sub.add_parser("calibrate", help="calibrate critical values by monte carlo")
     add_common(p)
@@ -100,9 +97,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=200, help="1d design size")
     p.add_argument("--counts", choices=["standard", "alt"], default="standard")
     p.add_argument("--count-levels", type=int, default=17)
-    p.add_argument("--radius0", type=float, default=None, help="2d base radius")
-    p.add_argument("--radius-growth", type=float, default=None)
-    p.add_argument("--radius-levels", type=int, default=None)
+    p.add_argument("--radius0", type=float, default=DEFAULT_DISC_BASE, help="2d base radius")
+    p.add_argument("--radius-growth", type=float, default=DEFAULT_DISC_GROWTH)
+    p.add_argument("--radius-levels", type=int, default=DEFAULT_DISC_LEVELS)
     p.add_argument("--loss", default="median")
     p.add_argument("--noise", default="laplace")
     p.add_argument("--rule", choices=["ring", "lepski"], default="ring")
@@ -185,10 +182,7 @@ def _family_for_calibrate(args):
         kind, meta = "line1d", {"n": args.n, "center": 0.0,
                                 "counts": benchmark_counts(args.count_levels, args.counts)}
     else:
-        radii = default_disc_radii(
-            n_levels=DEFAULT_DISC_LEVELS if args.radius_levels is None else args.radius_levels,
-            base=DEFAULT_DISC_BASE if args.radius0 is None else args.radius0,
-            growth=DEFAULT_DISC_GROWTH if args.radius_growth is None else args.radius_growth)
+        radii = default_disc_radii(args.radius_levels, args.radius0, args.radius_growth)
         kind, meta = "disc2d", {"radii": [float(r) for r in radii]}
     return build_family(kind, meta), kind, meta
 
@@ -209,16 +203,14 @@ def _levels_for_calibrate(args, config: CalibConfig, pair=False):
             family, loss, target_density(noise, loss), r)
     runs = (args.pair_runs if pair else args.levels_runs) or args.runs
     return (pair_levels_mc if pair else levels_mc)(
-        family, loss, noise, runs, r, seed=args.seed + (2 if pair else 1),
-        workers=args.workers)
+        family, loss, noise, runs, r, seed=args.seed + (2 if pair else 1))
 
 
 def _cmd_calibrate(args) -> int:
     family, kind_tag, meta = _family_for_calibrate(args)
     config = CalibConfig(family=family, loss=parse_loss(args.loss),
                          noise=parse_noise(args.noise), r=args.r, alpha=args.alpha,
-                         runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule,
-                         workers=args.workers)
+                         runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule)
     levels = _levels_for_calibrate(args, config)
     pair = _levels_for_calibrate(args, config, pair=True) if args.rule == "lepski" else None
     result = calibrate(config, levels, pair)
@@ -232,9 +224,10 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     art = load_artifact(args.calib)
-    config = dataclasses.replace(art.config, workers=args.workers)
-    ratio = verify_calibration(config, art.result.crit, art.levels, art.pair,
-                               seed=args.seed, runs=args.runs)
+    ratio, warnings = verify_calibration(art.config, art.result.crit, art.levels, art.pair,
+                                         seed=args.seed, runs=args.runs)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
     print(f"ratio: {ratio!r}")
     return 0
 
@@ -268,7 +261,7 @@ def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     spec = ExperimentSpec(example=args.example, noise=parse_noise(args.noise),
                           n=args.n, runs=args.runs, methods=methods,
-                          seed=args.seed, workers=args.workers)
+                          seed=args.seed)
     artifacts = _load_bench_artifacts(methods, args.calib)
     report = run_benchmark(spec, artifacts)
     Path(args.out).write_text(csv_text(BenchRow, report.rows))
@@ -282,7 +275,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_prop1(args) -> int:
     report = two_sample_study(parse_noise(args.noise), args.delta, args.n,
-                              args.runs, args.seed, args.workers)
+                              args.runs, args.seed)
     Path(args.out).write_text(csv_text(TwoSampleReport, [report]))
     print(f"prop1 -> {args.out}")
     return 0
@@ -291,7 +284,7 @@ def _cmd_prop1(args) -> int:
 def _cmd_moments(args) -> int:
     ns = [_number(v, "--n-points", int) for v in args.n_points.split(",") if v.strip()]
     rows = median_moment_study(parse_noise(args.noise), ns, args.r,
-                               args.runs, args.seed, args.workers)
+                               args.runs, args.seed)
     Path(args.out).write_text(csv_text(MomentRow, rows))
     print(f"moments -> {args.out}")
     return 0
@@ -300,7 +293,7 @@ def _cmd_moments(args) -> int:
 def _cmd_tails(args) -> int:
     taus = [_number(v, "--taus") for v in args.taus.split(",") if v.strip()]
     rows = tail_study(parse_noise(args.noise), args.n_points, taus,
-                      args.runs, args.seed, args.workers)
+                      args.runs, args.seed)
     Path(args.out).write_text(csv_text(TailRow, rows))
     print(f"tails -> {args.out}")
     return 0
@@ -310,8 +303,8 @@ def _read_image(path: str) -> tuple[Image, int | None]:
     try:
         if path.endswith(".pgm"):
             arr, maxval = read_pgm(path)
-            return Image.from_array(arr), maxval
-        return Image.from_array(read_grid(path)), None
+            return Image(arr), maxval
+        return Image(read_grid(path)), None
     except OSError as exc:
         raise ValidationError(f"cannot read input image {path}: "
                               f"{exc.strerror or exc}") from exc
@@ -330,7 +323,7 @@ def _cmd_denoise(args) -> int:
     image, maxval = _read_image(args.infile)
     if sigma is None:
         sigma = estimate_noise_scale(image, art.config.noise).sigma
-    config = DenoiseConfig(art, sigma, args.workers)
+    config = DenoiseConfig(art, sigma)
     denoised, khat = denoise_image(image, config)
     _write_image(args.out, denoised, maxval)
     if args.khat:

@@ -78,7 +78,6 @@ class ExperimentSpec:
     runs: int = 1000
     methods: tuple[str, ...] = METHODS
     seed: int = 0
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if not self.methods:
@@ -217,7 +216,7 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
             est = locate_rows(y[:, oracle_idx], LossKind.median())
             errors["median_oracle"][lo:hi] = np.abs(est - theta)
 
-    run_chunks(task, spec.runs, spec.workers)
+    run_chunks(task, spec.runs)
     rows = tuple(
         BenchRow(str(spec.example), spec.noise.label, m,
                  float(np.median(errors[m])), spec.runs, spec.seed)
@@ -262,7 +261,7 @@ def pooled_variance_formula(kind: NoiseKind, delta: float) -> float:
 
 
 def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
-                     seed: int, workers: int | None = None) -> TwoSampleReport:
+                     seed: int) -> TwoSampleReport:
     """Compare the two-sample median test statistics under a location shift.
 
     Sample one is pure noise, sample two is noise plus delta. The study
@@ -289,7 +288,7 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
         stat_w[lo:hi] = root_n * (med2 - med1 - delta)
         stat_l[lo:hi] = root_n * (2.0 * (med_all - med1) - delta)
 
-    run_chunks(task, runs, workers)
+    run_chunks(task, runs)
     f0 = density_at_zero(kind)
     return TwoSampleReport(
         kind=kind.label, delta=delta, n=n, runs=runs, seed=seed,
@@ -315,20 +314,19 @@ class MomentRow:
     normalized_moment: float
 
 
-def _median_samples(kind: NoiseKind, n: int, runs: int, seed: int,
-                    workers: int | None) -> np.ndarray:
+def _median_samples(kind: NoiseKind, n: int, runs: int, seed: int) -> np.ndarray:
     med = LossKind.median()
     out = np.empty(runs)
 
     def task(lo: int, hi: int) -> None:
         out[lo:hi] = locate_rows(sample_rows(kind, n, seed, lo, hi), med)
 
-    run_chunks(task, runs, workers)
+    run_chunks(task, runs)
     return out
 
 
 def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,
-                        seed: int, workers: int | None = None) -> tuple[MomentRow, ...]:
+                        seed: int) -> tuple[MomentRow, ...]:
     """Normalized r-th moments of the sample median over pure noise.
 
     For each odd N the raw moment E|med|^r is scaled by (2 f(0) sqrt(N))^r
@@ -345,7 +343,7 @@ def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,
     ez = normal_abs_moment(r)
     rows = []
     for n in Ns:
-        med = _median_samples(kind, int(n), runs, seed, workers)
+        med = _median_samples(kind, int(n), runs, seed)
         raw = float(np.mean(np.abs(med) ** r))
         normalized = raw * (2.0 * f0 * math.sqrt(n)) ** r / ez
         rows.append(MomentRow(kind.label, float(r), int(n), runs, seed, raw, normalized))
@@ -364,7 +362,7 @@ class TailRow:
 
 
 def tail_study(kind: NoiseKind, n: int, taus: Sequence[float], runs: int,
-               seed: int, workers: int | None = None) -> tuple[TailRow, ...]:
+               seed: int) -> tuple[TailRow, ...]:
     """Exceedance of the scaled sample median versus the 2 exp(-tau^2 / 8) cap."""
     if n % 2 == 0 or n < 1:
         raise ValidationError("sample size must be odd and positive")
@@ -373,7 +371,7 @@ def tail_study(kind: NoiseKind, n: int, taus: Sequence[float], runs: int,
         raise ValidationError("the tail study needs at least one tau")
     if any(t < 0 or t > math.sqrt(n) / 2.0 for t in taus):
         raise ValidationError("need 0 <= tau <= sqrt(N) / 2")
-    med = _median_samples(kind, n, runs, seed, workers)
+    med = _median_samples(kind, n, runs, seed)
     scaled = 2.0 * math.sqrt(n) * density_at_zero(kind) * np.abs(med)
     return tuple(
         TailRow(kind.label, n, t, runs, seed, float(np.mean(scaled > t)),

@@ -59,26 +59,25 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class Image:
-    """A scalar image with real intensities, row-major."""
+    """A scalar image with real intensities, row-major, of shape (height, width)."""
 
-    width: int
-    height: int
     intensities: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.intensities, dtype=float)
         object.__setattr__(self, "intensities", arr)
-        if self.width < 1 or self.height < 1:
-            raise ValidationError("image dimensions must be positive")
-        if arr.shape != (self.height, self.width):
-            raise ValidationError("intensity array must have shape (height, width)")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValidationError("intensities must be a nonempty 2-d array")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("intensities must be finite")
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Image":
-        arr = np.asarray(arr, dtype=float)
-        return cls(width=arr.shape[1], height=arr.shape[0], intensities=arr)
+    @property
+    def height(self) -> int:
+        return self.intensities.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.intensities.shape[1]
 
 
 @dataclass(frozen=True)
@@ -90,16 +89,14 @@ class KhatMap:
     when clipping collapsed some intermediate levels.
     """
 
-    width: int
-    height: int
     k_hat: np.ndarray
     n_levels: int
 
     def __post_init__(self) -> None:
         kh = np.asarray(self.k_hat, dtype=np.int16)
         object.__setattr__(self, "k_hat", kh)
-        if kh.shape != (self.height, self.width):
-            raise ValidationError("k_hat array must have shape (height, width)")
+        if kh.ndim != 2 or kh.size == 0:
+            raise ValidationError("k_hat must be a nonempty 2-d array")
         if kh.min() < 0 or kh.max() > self.n_levels:
             raise ValidationError("selected indices outside 0..K")
 
@@ -130,7 +127,7 @@ def estimate_noise_scale(image: Image, kind: NoiseKind = NoiseKind.laplace()
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    """A ring-rule disc2d calibration artifact, the noise scale sigma and the workers.
+    """A ring-rule disc2d calibration artifact and the noise scale sigma.
 
     The artifact supplies the family, loss, thresholds and levels method;
     its levels must be closed-form, so that the clipped border families can
@@ -139,7 +136,6 @@ class DenoiseConfig:
 
     art: CalibArtifact
     sigma: float
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         cfg = self.art.config
@@ -285,7 +281,6 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
         out[pixels] = bases[np.arange(hi - lo), sel]
         k_hat[pixels] = reported[geometry, sel]
 
-    run_chunks(task, h * w, config.workers)
+    run_chunks(task, h * w)
 
-    return (Image(width=w, height=h, intensities=out.reshape(h, w)),
-            KhatMap(width=w, height=h, k_hat=k_hat.reshape(h, w), n_levels=K))
+    return Image(out.reshape(h, w)), KhatMap(k_hat.reshape(h, w), K)

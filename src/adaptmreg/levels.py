@@ -207,7 +207,7 @@ def levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
 
 
 def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseKind,
-                              runs: int, seed: int, workers: int | None = None,
+                              runs: int, seed: int,
                               consume: Callable[[int, int, np.ndarray, np.ndarray], None]
                               | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Pure-noise window and ring estimates, one row per replicate.
@@ -240,7 +240,7 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
         return window_estimates(block, family.counts, loss)
 
     if consume is not None:
-        run_chunks(lambda lo, hi: consume(lo, hi, *estimates(lo, hi)), runs, workers)
+        run_chunks(lambda lo, hi: consume(lo, hi, *estimates(lo, hi)), runs)
         return None
     bases = np.empty((runs, K + 1))
     rings = np.empty((runs, K))
@@ -248,7 +248,7 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     def task(lo: int, hi: int) -> None:
         bases[lo:hi], rings[lo:hi] = estimates(lo, hi)
 
-    run_chunks(task, runs, workers)
+    run_chunks(task, runs)
     return bases, rings
 
 
@@ -266,11 +266,11 @@ def check_mc_runs(runs: int, step: str) -> tuple[str, ...]:
 
 
 def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
-              r: float = 2.0, seed: int = 0, workers: int | None = None) -> Levels:
+              r: float = 2.0, seed: int = 0) -> Levels:
     """Monte Carlo levels: empirical r-th moments over pure-noise replicates."""
     _check_order(r)
     warnings = check_mc_runs(runs, "the window levels")
-    bases, rings = simulate_window_estimates(family, loss, kind, runs, seed, workers)
+    bases, rings = simulate_window_estimates(family, loss, kind, runs, seed)
     K = family.K
     s = np.mean(np.abs(bases) ** r, axis=0) ** (1.0 / r)
     s_ring = np.full((K, K), np.nan)
@@ -302,7 +302,7 @@ def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
 
 
 def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
-                   r: float = 2.0, seed: int = 0, workers: int | None = None) -> PairLevels:
+                   r: float = 2.0, seed: int = 0) -> PairLevels:
     """Monte Carlo difference levels between nested window estimates.
 
     Nested estimates are dependent, so no independence shortcut applies; the
@@ -310,7 +310,7 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     """
     _check_order(r)
     warnings = check_mc_runs(runs, "the pair levels")
-    bases, _ = simulate_window_estimates(family, loss, kind, runs, seed, workers)
+    bases, _ = simulate_window_estimates(family, loss, kind, runs, seed)
     K = family.K
     sp = np.full((K + 1, K + 1), np.nan)
     for m in range(1, K + 1):

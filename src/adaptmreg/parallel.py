@@ -8,12 +8,18 @@ release the GIL, such as the denoiser's gathers and sorts, and a Monte
 Carlo chunk's noise, which noise.sample_rows draws in one call per chunk.
 With two workers on two vCPUs, a traced 1d-table pass ran 1.0-1.4x (median
 1.24x) faster than with one, and the 1024x1024 denoise 1.8x.
+
+The worker count belongs to the process: ADAPTMREG_WORKERS, read on every
+run_chunks call, else the cpu count. One thread pool per process serves
+every call and is made again only when that count changes. A task must
+never call run_chunks: it would wait on the pool that runs it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import lru_cache
 from typing import Callable
 
 from .errors import ValidationError
@@ -44,13 +50,20 @@ def chunk_ranges(total: int, chunk: int = CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
+@lru_cache(maxsize=1)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    # an evicted pool has no other reference, so its idle threads exit
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="adaptmreg")
+
+
 def run_chunks(task: Callable[[int, int], None], total: int,
                workers: int | None = None, chunk: int = CHUNK) -> None:
     """Apply task(lo, hi) over the fixed chunk grid.
 
     The task must write results into preallocated slots indexed by replicate;
     return values are discarded, which keeps outputs independent of
-    scheduling order and of the worker count.
+    scheduling order and of the worker count. If a chunk raises, its
+    exception propagates once every chunk of the call has finished.
     """
     ranges = chunk_ranges(total, chunk)
     n_workers = resolve_workers(workers)
@@ -58,6 +71,7 @@ def run_chunks(task: Callable[[int, int], None], total: int,
         for lo, hi in ranges:
             task(lo, hi)
         return
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        # list() forces completion and re-raises worker exceptions
-        list(pool.map(lambda bounds: task(*bounds), ranges))
+    futures = [_pool(n_workers).submit(task, lo, hi) for lo, hi in ranges]
+    wait(futures)
+    for future in futures:
+        future.result()

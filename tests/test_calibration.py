@@ -262,8 +262,8 @@ def test_verify_extreme_thresholds(small_setup):
     K = levels.K
     huge = am.CriticalValues(z=np.full(K, 1e6))
     tiny = am.CriticalValues(z=np.full(K, 1e-9))
-    assert verify_calibration(config, huge, levels, seed=99) == 0.0
-    assert verify_calibration(config, tiny, levels, seed=99) > 10.0
+    assert verify_calibration(config, huge, levels, seed=99)[0] == 0.0
+    assert verify_calibration(config, tiny, levels, seed=99)[0] > 10.0
 
 
 def test_verify_requires_fresh_seed(small_setup):
@@ -275,7 +275,7 @@ def test_verify_requires_fresh_seed(small_setup):
 
 @pytest.mark.parametrize("loss", ["mean", "median"])
 @pytest.mark.parametrize("rule", ["ring", "lepski"])
-def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule):
+def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, monkeypatch):
     """The streamed ratio equals the objective over all replicates at once, bit for bit."""
     family, _, config = small_setup
     loss = LossKind(loss)
@@ -293,20 +293,21 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule):
     whole = _SelectionStats(cfg, levels, pair, bases, rings)
     want = whole.objective(crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)
     assert want > 0.0
-    for workers in (1, 2, 3):
-        got = verify_calibration(replace(cfg, workers=workers), crit, levels, pair, seed=77)
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
+        got, _ = verify_calibration(cfg, crit, levels, pair, seed=77)
         assert got == want
 
 
-def test_verify_never_holds_the_packed_statistics():
+def test_verify_never_holds_the_packed_statistics(monkeypatch):
     """Verify's memory peak stays far below the (runs, K (K + 1) / 2) float64 array."""
     counts = am.benchmark_counts()
     family = am.build_family_1d(am.equidistant_design(200), 0.0, counts)
     loss = LossKind.median()
     levels = am.levels_asymptotic(family, loss, am.density_at_zero(NoiseKind.laplace()))
     runs = 50_000
-    cfg = CalibConfig(family=family, loss=loss, noise=NoiseKind.laplace(), seed=1,
-                      workers=2)
+    cfg = CalibConfig(family=family, loss=loss, noise=NoiseKind.laplace(), seed=1)
+    monkeypatch.setenv("ADAPTMREG_WORKERS", "2")
     crit = am.CriticalValues(z=np.full(levels.K, 1.2))
     packed_bytes = runs * levels.K * (levels.K + 1) // 2 * 8
     tracemalloc.start()
@@ -429,8 +430,7 @@ def _artifacts(draw):
         family=family, loss=loss, noise=noise, r=r, alpha=alpha,
         runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),
         mode=draw(st.sampled_from(["zeta", "sequential"])),
-        rule=draw(st.sampled_from(["ring", "lepski"])),
-        workers=draw(st.none() | st.integers(1, 4)))
+        rule=draw(st.sampled_from(["ring", "lepski"])))
     budget = draw(st.floats(min_value=0.0, allow_infinity=False))
     result = am.CalibResult(
         crit=crit, per_k_error_share=np.array(draw(st.lists(_reals, min_size=K, max_size=K))),
@@ -458,23 +458,21 @@ def _same(a, b) -> bool:
 def test_artifact_roundtrip_keeps_every_field(art):
     """Every saved field survives save and load; stream lines other than 1 or 2 fail.
 
-    The config compares in every field but workers, which is not saved, and
-    its family, rebuilt from the description, by order, counts and dropped
-    levels.
+    The config compares in every field, its family, rebuilt from the
+    description, by order, counts and dropped levels.
     """
-    expected = replace(art, config=replace(art.config, workers=None))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.cal"
         save_artifact(path, art)
         loaded = load_artifact(path)
-        assert _same(replace(loaded, config_hash=""), expected)
+        assert _same(replace(loaded, config_hash=""), art)
         assert path.read_text().startswith(f"config_hash: {loaded.config_hash}\n")
         body = path.read_text().splitlines()[1:]
         assert f"stream: {art.stream}" in body
         # a missing stream line reads as version 1
         old = Path(tmp) / "old.cal"
         old.write_text(_rehashed([x for x in body if not x.startswith("stream: ")]))
-        assert _same(replace(load_artifact(old), config_hash=""), replace(expected, stream=1))
+        assert _same(replace(load_artifact(old), config_hash=""), replace(art, stream=1))
         bad = Path(tmp) / "bad.cal"
         bad.write_text(_rehashed([x if not x.startswith("stream: ") else "stream: 3"
                                   for x in body]))

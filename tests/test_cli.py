@@ -46,12 +46,15 @@ def test_calibrate_deterministic_artifacts(workdir):
 
 
 def test_verify_runs(workdir, capsys):
+    """Stdout holds the ratio alone; below 10^4 runs stderr warns, naming the verification."""
     rc = run("verify", "--calib", workdir / "med.cal", "--seed", "99",
              "--runs", "2000")
     assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("ratio: ")
+    out, err = capsys.readouterr()
+    assert out.startswith("ratio: ") and out.count("\n") == 1
     float(out.split(":")[1])
+    assert err == ("warning: only 2000 monte carlo runs for the verification; "
+                   "estimates may be rough\n")
 
 
 def _rehashed(lines):
@@ -278,7 +281,7 @@ def test_csv_determinism(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_flag_does_not_change_results(workdir, capsys):
+def test_worker_count_does_not_change_results(workdir, capsys, monkeypatch):
     """moments, verify and a bench row are byte-identical for 1, 2 and 3 workers.
 
     Each run count exceeds two chunks, so every worker count splits the work.
@@ -286,18 +289,18 @@ def test_worker_flag_does_not_change_results(workdir, capsys):
     runs = str(2 * CHUNK + 52)
     outputs = []
     for workers in ("1", "2", "3"):
+        monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
         moments, bench = workdir / f"m{workers}.csv", workdir / f"b{workers}.csv"
         assert run("moments", "--noise", "gaussian", "--n-points", "101",
-                   "--runs", "3000", "--seed", "5", "--workers", workers,
-                   "--out", moments) == 0
+                   "--runs", "3000", "--seed", "5", "--out", moments) == 0
         capsys.readouterr()
         assert run("verify", "--calib", workdir / "med.cal", "--seed", "99",
-                   "--runs", runs, "--workers", workers) == 0
+                   "--runs", runs) == 0
         ratio = capsys.readouterr().out
         assert run("bench", "--example", "1", "--noise", "student_t", "--runs", runs,
                    "--methods", "median_ring,median_oracle",
                    "--calib", f"median_ring={workdir / 'med.cal'}", "--seed", "7",
-                   "--workers", workers, "--out", bench) == 0
+                   "--out", bench) == 0
         outputs.append((moments.read_bytes(), ratio, bench.read_bytes()))
     assert outputs[0][1].startswith("ratio: ")
     assert outputs[0] == outputs[1] == outputs[2]
@@ -536,6 +539,8 @@ def test_config_file_unknown_key(tmp_path):
 def test_validation_exit_codes(tmp_path, capsys):
     assert run("calibrate", "--out", tmp_path / "x.cal") == 1  # missing seed
     assert run("bench", "--bogus") == 1  # unknown flag
+    # the worker count is set by ADAPTMREG_WORKERS alone
+    assert run("moments", "--seed", "1", "--workers", "2", "--out", tmp_path / "x.csv") == 1
     assert run("nosuchcommand") == 1
     # an artifact file that does not exist is a bad input
     assert run("verify", "--calib", tmp_path / "none.cal", "--seed", "1") == 1

@@ -24,12 +24,11 @@ def test_benchmark_determinism(bench_artifacts):
     assert csv_text(BenchRow, a.rows) == csv_text(BenchRow, b.rows)
 
 
-def test_benchmark_worker_invariance(bench_artifacts):
-    base = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=60, seed=4)
-    multi = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=60, seed=4,
-                           workers=3)
-    assert csv_text(BenchRow, run_benchmark(base, bench_artifacts).rows) == \
-        csv_text(BenchRow, run_benchmark(multi, bench_artifacts).rows)
+def test_benchmark_worker_invariance(bench_artifacts, monkeypatch):
+    spec = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=60, seed=4)
+    base = csv_text(BenchRow, run_benchmark(spec, bench_artifacts).rows)
+    monkeypatch.setenv("ADAPTMREG_WORKERS", "3")
+    assert csv_text(BenchRow, run_benchmark(spec, bench_artifacts).rows) == base
 
 
 def test_zero_noise_gives_zero_error(bench_artifacts):

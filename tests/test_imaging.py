@@ -25,31 +25,31 @@ def two_region(width, height, contrast=4.0):
 
 
 def test_scale_estimate_constant_degenerate():
-    est = estimate_noise_scale(Image.from_array(np.full((8, 8), 2.0)))
+    est = estimate_noise_scale(Image(np.full((8, 8), 2.0)))
     assert est.sigma == 0.0 and est.degenerate
 
 
 def test_scale_estimate_pure_laplace():
     noise = sample_noise(NoiseKind.laplace(), 256 * 256, RngStream(50, 0))
-    est = estimate_noise_scale(Image.from_array(noise.reshape(256, 256)))
+    est = estimate_noise_scale(Image(noise.reshape(256, 256)))
     assert 0.95 <= est.sigma <= 1.05 and not est.degenerate
 
 
 def test_scale_estimate_two_region_image():
     noise = sample_noise(NoiseKind.laplace(), 128 * 128, RngStream(51, 0))
     img = two_region(128, 128) + noise.reshape(128, 128)
-    est = estimate_noise_scale(Image.from_array(img))
+    est = estimate_noise_scale(Image(img))
     assert 0.95 <= est.sigma <= 1.10
 
 
 def test_scale_estimate_needs_2x2():
     with pytest.raises(ValueError):
-        estimate_noise_scale(Image.from_array(np.zeros((1, 5))))
+        estimate_noise_scale(Image(np.zeros((1, 5))))
 
 
-def _auto(art, image, workers=None):
+def _auto(art, image):
     """The config with the noise scale estimated from the image, as denoise --sigma auto."""
-    return DenoiseConfig(art, estimate_noise_scale(image, art.config.noise).sigma, workers)
+    return DenoiseConfig(art, estimate_noise_scale(image, art.config.noise).sigma)
 
 
 def _swapped(art, loss=None, levels=None, crit=None):
@@ -60,7 +60,7 @@ def _swapped(art, loss=None, levels=None, crit=None):
 
 
 def test_constant_image_identity(disc_artifact):
-    image = Image.from_array(np.full((30, 34), 7.5))
+    image = Image(np.full((30, 34), 7.5))
     config = _auto(disc_artifact, image)
     out, khat = denoise_image(image, config)
     assert np.array_equal(out.intensities, image.intensities)
@@ -69,7 +69,7 @@ def test_constant_image_identity(disc_artifact):
 
 def test_noiseless_step_khat_smaller_at_edge(disc_artifact):
     config = DenoiseConfig(disc_artifact, 0.05)
-    image = Image.from_array(two_region(64, 48))
+    image = Image(two_region(64, 48))
     _, khat = denoise_image(image, config)
     edge = khat.k_hat[24, 31:33].max()
     center = min(khat.k_hat[24, 8], khat.k_hat[24, 55])
@@ -79,7 +79,7 @@ def test_noiseless_step_khat_smaller_at_edge(disc_artifact):
 def test_shift_equivariance(disc_artifact):
     noise = sample_noise(NoiseKind.laplace(), 40 * 40, RngStream(52, 0))
     img = two_region(40, 40) + noise.reshape(40, 40)
-    image0, image1 = Image.from_array(img), Image.from_array(img + 12.5)
+    image0, image1 = Image(img), Image(img + 12.5)
     out0, khat0 = denoise_image(image0, _auto(disc_artifact, image0))
     out1, khat1 = denoise_image(image1, _auto(disc_artifact, image1))
     assert np.allclose(out1.intensities, out0.intensities + 12.5, atol=1e-9)
@@ -91,16 +91,16 @@ def test_subrectangle_reproduces_pixels(disc_artifact):
     config = DenoiseConfig(disc_artifact, 1.0)
     noise = sample_noise(NoiseKind.laplace(), 48 * 48, RngStream(53, 0))
     img = two_region(48, 48) + noise.reshape(48, 48)
-    full, _ = denoise_image(Image.from_array(img), config)
+    full, _ = denoise_image(Image(img), config)
     crop = img[8:40, 8:40]
-    part, _ = denoise_image(Image.from_array(crop), config)
+    part, _ = denoise_image(Image(crop), config)
     reach = int(np.floor(max(config.radii)))
     inner = slice(reach, 32 - reach)
     assert np.array_equal(part.intensities[inner, inner],
                           full.intensities[8:40, 8:40][inner, inner])
 
 
-def test_worker_count_invariance(disc_artifact):
+def test_worker_count_invariance(disc_artifact, monkeypatch):
     """Results do not depend on the worker count, also in a chunk of mixed pixels."""
     noise = sample_noise(NoiseKind.laplace(), 48 * 48, RngStream(54, 0))
     img = two_region(48, 48) + noise.reshape(48, 48)
@@ -113,10 +113,12 @@ def test_worker_count_invariance(disc_artifact):
         inner = np.minimum(np.minimum(y, 47 - y), np.minimum(x, 47 - x)) >= reach
         mixed += bool(inner.any() and not inner.all())
     assert mixed >= 1  # one chunk holds border and interior pixels
-    image = Image.from_array(img)
-    out1, khat1 = denoise_image(image, _auto(disc_artifact, image, workers=1))
-    for workers in (2, 3):
-        out, khat = denoise_image(image, _auto(disc_artifact, image, workers=workers))
+    image = Image(img)
+    monkeypatch.setenv("ADAPTMREG_WORKERS", "1")
+    out1, khat1 = denoise_image(image, _auto(disc_artifact, image))
+    for workers in ("2", "3"):
+        monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
+        out, khat = denoise_image(image, _auto(disc_artifact, image))
         assert np.array_equal(out1.intensities, out.intensities)
         assert np.array_equal(khat1.k_hat, khat.k_hat)
 
@@ -162,7 +164,7 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
             noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(56, h))
             img = two_region(w, h) + noise.reshape(h, w)
             tol = 1e-12 * (1 + np.abs(img).max()) if config is mean else 0.0
-            out, khat = denoise_image(Image.from_array(img), config)
+            out, khat = denoise_image(Image(img), config)
             for y in range(h):
                 for x in range(w):
                     left, right = min(x, reach), min(w - 1 - x, reach)
@@ -226,7 +228,7 @@ def test_denoise_outputs_are_pinned(disc_artifact):
     seen = {}
     for name, (h, w) in PINNED_IMAGES.items():
         noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(57, h * 100 + w))
-        image = Image.from_array(two_edge(w, h) + noise.reshape(h, w))
+        image = Image(two_edge(w, h) + noise.reshape(h, w))
         for label, art in (("median", disc_artifact), ("quantile0.3", quantile)):
             out, khat = denoise_image(image, _auto(art, image))
             seen[f"{name}/{label}"] = (hashlib.sha256(out.intensities.tobytes()).hexdigest(),
@@ -237,7 +239,7 @@ def test_denoise_outputs_are_pinned(disc_artifact):
 def test_denoise_reduces_mse_small(disc_artifact):
     clean = two_region(96, 96)
     noise = sample_noise(NoiseKind.laplace(), 96 * 96, RngStream(55, 0))
-    noisy = Image.from_array(clean + noise.reshape(96, 96))
+    noisy = Image(clean + noise.reshape(96, 96))
     out, _ = denoise_image(noisy, _auto(disc_artifact, noisy))
     mse_in = np.mean((noisy.intensities - clean) ** 2)
     mse_out = np.mean((out.intensities - clean) ** 2)
@@ -268,7 +270,7 @@ def test_rejects_incompatible_configs(disc_artifact):
     for sigma in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="sigma must be finite and nonnegative"):
             DenoiseConfig(art, sigma)
-    assert DenoiseConfig(art, 0.0, workers=2).radii == tuple(art.family_meta["radii"])
+    assert DenoiseConfig(art, 0.0).radii == tuple(art.family_meta["radii"])
 
 
 def test_denoise_builds_no_family(disc_artifact, tmp_path, monkeypatch):
@@ -286,16 +288,23 @@ def test_denoise_builds_no_family(disc_artifact, tmp_path, monkeypatch):
     am.save_artifact(tmp_path / "d.cal", disc_artifact)
     art = am.load_artifact(tmp_path / "d.cal")
     assert len(calls) == 1
-    image = Image.from_array(two_edge(40, 30))
-    denoise_image(image, DenoiseConfig(art, 1.0, workers=2))
+    image = Image(two_edge(40, 30))
+    denoise_image(image, DenoiseConfig(art, 1.0))
     assert len(calls) == 1
 
 
 def test_khat_map_validation():
     with pytest.raises(ValueError):
-        KhatMap(width=4, height=4, k_hat=np.full((4, 4), 9), n_levels=8)
+        KhatMap(np.full((4, 4), 9), 8)
     with pytest.raises(ValueError):
-        Image.from_array(np.array([[np.inf, 0.0]]))
+        Image(np.array([[np.inf, 0.0]]))
+    for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValidationError, match="nonempty 2-d array"):
+            Image(bad)
+        with pytest.raises(ValidationError, match="nonempty 2-d array"):
+            KhatMap(bad, 8)
+    image = Image(np.zeros((3, 5)))
+    assert (image.height, image.width) == (3, 5)
 
 
 def test_pgm_roundtrip_8bit(tmp_path):

@@ -180,14 +180,17 @@ def test_simulate_window_estimates_worker_invariant(runs, loss):
     """1, 2 and 3 workers give the same rows when the run count ends mid-chunk."""
     family = am.build_family_1d(am.equidistant_design(40), 0.0, [3, 5, 9, 14])
     noise = NoiseKind.laplace()
-    bases, rings = simulate_window_estimates(family, loss, noise, runs, 4, workers=1)
-    for workers in (2, 3):
-        b, r = simulate_window_estimates(family, loss, noise, runs, 4, workers=workers)
-        assert np.array_equal(b, bases) and np.array_equal(r, rings)
-        streamed = np.empty_like(bases)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ADAPTMREG_WORKERS", "1")
+        bases, rings = simulate_window_estimates(family, loss, noise, runs, 4)
+        for workers in ("2", "3"):
+            mp.setenv("ADAPTMREG_WORKERS", workers)
+            b, r = simulate_window_estimates(family, loss, noise, runs, 4)
+            assert np.array_equal(b, bases) and np.array_equal(r, rings)
+            streamed = np.empty_like(bases)
 
-        def consume(lo, hi, chunk_bases, chunk_rings):
-            streamed[lo:hi] = chunk_bases
+            def consume(lo, hi, chunk_bases, chunk_rings):
+                streamed[lo:hi] = chunk_bases
 
-        simulate_window_estimates(family, loss, noise, runs, 4, workers, consume)
-        assert np.array_equal(streamed, bases)
+            simulate_window_estimates(family, loss, noise, runs, 4, consume)
+            assert np.array_equal(streamed, bases)

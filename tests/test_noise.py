@@ -225,12 +225,12 @@ def test_sample_rows_validation():
 SIMULATE_DIGEST = "3e1eec19e7d7d67efd25491c8128cb29b7862a4b72ce90ac24a08b4c65d1f1a2"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_simulate_stream_layout_is_pinned(workers):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_stream_layout_is_pinned(workers, monkeypatch):
+    monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
     family = am.build_family_1d(am.equidistant_design(200), 0.0, am.benchmark_counts())
     bases, rings = am.simulate_window_estimates(
-        family, am.LossKind.median(), NoiseKind.laplace(), 2 * CHUNK + 7, 11,
-        workers=workers)
+        family, am.LossKind.median(), NoiseKind.laplace(), 2 * CHUNK + 7, 11)
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(bases).tobytes())
     digest.update(np.ascontiguousarray(rings).tobytes())
