@@ -32,6 +32,7 @@ selection-form budget, the guarantee that matters for the running rule.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,6 +84,9 @@ class CalibConfig:
     rule: str = "ring"
 
     def __post_init__(self) -> None:
+        for name, value in (("alpha", self.alpha), ("moment order r", self.r)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if not self.alpha > 0:
             raise ValidationError("alpha must be positive")
         if self.r < 1:
@@ -248,18 +252,10 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
                  f"lhs at the cap is {lhs(ZETA_MAX)!r}"))
     z = _zeta_to_z(zeta, levels, config.alpha, config.r)
     crit = CriticalValues(z=z, zeta=zeta)
-    warnings = check_mc_runs(config.runs, CALIBRATION_STEP)
-    try:
-        crit.check_risk_hypothesis(levels)
-    except ValidationError:
-        # degenerate budgets (huge alpha) can push z below the fixed final
-        # value; the selection rule refuses such values, see select_ring_batch
-        warnings = warnings + ("z_k * s_k is not non-increasing; "
-                               "the ring rule will reject these values",)
     shares = stats.shares(z)
     return CalibResult(crit=crit, per_k_error_share=shares,
                        achieved_lhs=float(shares.sum()), budget=budget,
-                       warnings=warnings)
+                       warnings=check_mc_runs(config.runs, CALIBRATION_STEP))
 
 
 def calibrate_sequential(config: CalibConfig, levels: Levels,
@@ -359,6 +355,9 @@ class CalibArtifact:
     """One calibrate(config, levels, pair) run, as saved and reused.
 
     config.family is the family that family_kind and family_meta describe.
+    Ring-rule zeta thresholds must meet the risk hypothesis (z_k * s_k
+    non-increasing), which the ring rule requires of them: a degenerate budget
+    (huge alpha) can push z below the fixed final value.
     """
 
     config: CalibConfig
@@ -378,6 +377,8 @@ class CalibArtifact:
         if sizes != {K}:
             raise ValidationError(f"levels, thresholds or shares not sized for the "
                                   f"family's {K} steps")
+        if self.config.rule == "ring" and self.result.crit.zeta is not None:
+            self.result.crit.check_risk_hypothesis(self.levels)
 
 
 def build_family(family_kind: str, family_meta: dict) -> WindowFamily:

@@ -23,8 +23,7 @@ from .experiments import (CALIBRATED_METHODS, METHODS, BenchRow, ExperimentSpec,
                           replicate_rows, run_benchmark, tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
-                     pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc,
-                     target_density)
+                     pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc)
 from .losses import LossKind
 from .noise import parse_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
@@ -108,12 +107,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--runs", type=int, default=10000)
     p.add_argument("--levels", choices=["auto", "exact", "asymptotic", "mc"],
-                   default="auto")
-    p.add_argument("--levels-runs", type=int, default=None)
-    p.add_argument("--pair", choices=["auto", "exact", "asymptotic", "mc"],
-                   default="auto", help="pair level method (lepski rule)")
-    p.add_argument("--pair-runs", type=int, default=None,
-                   help="monte carlo runs for pair levels (--pair mc)")
+                   default="auto", help="level method, of the pair levels too (lepski rule)")
+    p.add_argument("--levels-runs", type=int, default=None,
+                   help="monte carlo runs for the window and pair levels (--levels mc)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="fresh-seed calibration budget check")
@@ -187,23 +183,23 @@ def _family_for_calibrate(args):
     return build_family(kind, meta), kind, meta
 
 
-def _levels_for_calibrate(args, config: CalibConfig, pair=False):
-    """The window levels (--levels) or, with pair, the pair levels (--pair)."""
+def _levels_for_calibrate(args, config: CalibConfig):
+    """The window levels and, for the lepski rule, the pair levels, both by --levels."""
     family, loss, noise, r = config.family, config.loss, config.noise, config.r
-    choice = args.pair if pair else args.levels
+    pair = config.rule == "lepski"
+    choice = args.levels
     if choice == "auto":
         choice = {"mean": "exact", "median": "asymptotic",
                   "quantile": "asymptotic"}.get(loss.kind, "mc")
     if choice == "exact":
-        return (pair_levels_exact_mean if pair else levels_exact_mean)(family, r)
+        return (levels_exact_mean(family, r),
+                pair_levels_exact_mean(family, r) if pair else None)
     if choice == "asymptotic":
-        if not pair and loss.kind in ("mean", "huber"):
-            raise ValidationError("asymptotic levels need a median or quantile loss")
-        return (pair_levels_asymptotic if pair else levels_asymptotic)(
-            family, loss, target_density(noise, loss), r)
-    runs = (args.pair_runs if pair else args.levels_runs) or args.runs
-    return (pair_levels_mc if pair else levels_mc)(
-        family, loss, noise, runs, r, seed=args.seed + (2 if pair else 1))
+        return (levels_asymptotic(family, loss, noise, r),
+                pair_levels_asymptotic(family, loss, noise, r) if pair else None)
+    runs = args.levels_runs or args.runs
+    return (levels_mc(family, loss, noise, runs, r, seed=args.seed + 1),
+            pair_levels_mc(family, loss, noise, runs, r, seed=args.seed + 2) if pair else None)
 
 
 def _cmd_calibrate(args) -> int:
@@ -211,8 +207,7 @@ def _cmd_calibrate(args) -> int:
     config = CalibConfig(family=family, loss=parse_loss(args.loss),
                          noise=parse_noise(args.noise), r=args.r, alpha=args.alpha,
                          runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule)
-    levels = _levels_for_calibrate(args, config)
-    pair = _levels_for_calibrate(args, config, pair=True) if args.rule == "lepski" else None
+    levels, pair = _levels_for_calibrate(args, config)
     result = calibrate(config, levels, pair)
     save_artifact(args.out, CalibArtifact(config, result, levels, pair, kind_tag, meta))
     for w in levels.warnings + (pair.warnings if pair else ()) + result.warnings:
@@ -357,23 +352,26 @@ _COMMANDS = {
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Append config-file settings as flags; explicit flags keep priority.
+    """Insert config-file settings as flags right after the command word.
 
-    Unknown keys surface as unrecognized arguments during the parse.
+    argparse keeps the last value of a repeated flag, so an explicit flag in
+    any spelling (--noise x, --noise=x, --nois x) wins over the file. Unknown
+    keys surface as unrecognized arguments during the parse.
     """
-    if "--config" not in argv:
-        return list(argv)
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValidationError("--config needs a path")
+    path = None
+    for arg, nxt in zip(argv, argv[1:] + [None]):
+        if arg == "--config":
+            path = nxt
+        elif arg.startswith("--config="):
+            path = arg.partition("=")[2]
+    if path is None:
+        return argv
     extra: list[str] = []
-    for key, val in _read_config_file(argv[idx + 1]).items():
+    for key, val in _read_config_file(path).items():
         if key == "config":
             raise ValidationError("config files cannot nest")
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv:
-            extra.extend([flag, val])
-    return list(argv) + extra
+        extra.extend(["--" + key.replace("_", "-"), val])
+    return argv[:1] + extra + argv[1:]
 
 
 def run_cli(argv) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .calibration import CalibArtifact
 from .errors import ValidationError
-from .levels import closed_form, closed_form_scale, target_density
+from .levels import closed_form, closed_form_scale
 from .losses import window_estimates
 from .noise import NoiseKind, abs_diff_median
 from .parallel import run_chunks
@@ -204,7 +204,7 @@ def _geometry_tables(dx: np.ndarray, dy: np.ndarray, x_clips: np.ndarray,
     zd = np.maximum(zd, 1e-12)
     zd[levels >= reported[drops, -1:]] = 1.0
     z[drops] = zd
-    s, s_ring = closed_form(valid, scale)
+    s, s_ring, _ = closed_form(valid, scale)
     thr = threshold_table(z, s_ring, s[:, 1:])
     return valid, reported, thr
 
@@ -244,9 +244,8 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     without touching the selected indices.
     """
     h, w = image.height, image.width
-    cfg, method = config.art.config, config.art.levels.method
-    f0 = target_density(cfg.noise, cfg.loss) if method == "asymptotic" else None
-    scale = closed_form_scale(method, cfg.r, cfg.loss, f0)
+    cfg = config.art.config
+    scale = closed_form_scale(config.art.levels.method, cfg.r, cfg.loss, cfg.noise)
     family = cfg.family
     K = family.K
     counts = family.counts

@@ -128,29 +128,24 @@ def target_density(noise: NoiseKind, loss: LossKind) -> float:
     return density(noise, quantile_point(noise, loss.level))
 
 
-def closed_form(counts, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form levels c N_j^(-1/2) and c (1/M_k + 1/N_j)^(1/2) from window sizes.
+def closed_form(counts, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form levels from window sizes: window, ring and pair levels.
 
     counts holds the K+1 window sizes N_j, along the last axis of any number
-    of families; M_k = N_{k+1} - N_k is the ring size. Returns s (..., K+1)
-    and s_ring (..., K, K), NaN above the diagonal, +inf on an empty ring.
+    of families; M_k = N_{k+1} - N_k is the ring size. Returns
+    s = c N_j^(-1/2) (..., K+1), s_ring = c (1/M_k + 1/N_j)^(1/2) (..., K, K),
+    NaN above the diagonal and +inf on an empty ring, and
+    s_pair = c (1/N_l - 1/N_m)^(1/2) (..., K+1, K+1), for l < m only.
     """
     n = np.asarray(counts, dtype=float)
     K = n.shape[-1] - 1
     s = c / np.sqrt(n)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         s_ring = c * np.sqrt(1.0 / np.diff(n, axis=-1)[..., :, None] + 1.0 / n[..., None, :K])
+        s_pair = c * np.sqrt(1.0 / n[..., None, :] - 1.0 / n[..., :, None])
     s_ring[..., ~np.tri(K, dtype=bool)] = np.nan
-    return s, s_ring
-
-
-def _pair_closed_form(counts, c: float) -> np.ndarray:
-    """Closed-form difference levels c (1/N_l - 1/N_m)^(1/2), for l < m only."""
-    n = np.asarray(counts, dtype=float)
-    with np.errstate(invalid="ignore"):
-        sp = c * np.sqrt(1.0 / n[None, :] - 1.0 / n[:, None])
-    sp[~np.tri(n.size, k=-1, dtype=bool)] = np.nan
-    return sp
+    s_pair[..., ~np.tri(K + 1, k=-1, dtype=bool)] = np.nan
+    return s, s_ring, s_pair
 
 
 def _check_order(r: float) -> None:
@@ -159,16 +154,16 @@ def _check_order(r: float) -> None:
 
 
 def closed_form_scale(method: str, r: float, loss: LossKind | None = None,
-                      f0: float | None = None) -> float:
-    """The constant c of closed-form levels (closed_form and its pair twin).
+                      noise: NoiseKind | None = None) -> float:
+    """The constant c of closed-form levels (closed_form).
 
     "exact_mean": c = 1, the levels of sample means of unit-variance noise,
     for r = 2 only. "asymptotic": c = c_r * sd0, the normal-limit level of a
     single observation. The sample alpha-quantile over N points is
     asymptotically normal with variance alpha * (1 - alpha) / (f0^2 N), f0
-    the density at the target quantile, so sd0 = (alpha * (1 - alpha))^(1/2)
-    / f0; the r-th moment scale multiplies the standard deviation by
-    c_r = (E|Z|^r)^(1/r).
+    the noise density at the target quantile (target_density), so
+    sd0 = (alpha * (1 - alpha))^(1/2) / f0; the r-th moment scale multiplies
+    the standard deviation by c_r = (E|Z|^r)^(1/r).
     """
     _check_order(r)
     if method == "exact_mean":
@@ -177,6 +172,7 @@ def closed_form_scale(method: str, r: float, loss: LossKind | None = None,
         return 1.0
     if loss.kind not in ("median", "quantile"):
         raise ValidationError("asymptotic levels apply to median and quantile losses")
+    f0 = target_density(noise, loss)
     if not f0 > 0:
         raise ValidationError("density at the target quantile must be positive")
     c_r = normal_abs_moment(r) ** (1.0 / r)
@@ -191,18 +187,18 @@ def levels_exact_mean(family: WindowFamily, r: float = 2.0) -> Levels:
     add: s[j] = N_j^(-1/2) and s_ring[k, j] = (1/M_k + 1/N_j)^(1/2) with M_k
     the ring size.
     """
-    s, s_ring = closed_form(family.counts, closed_form_scale("exact_mean", r))
+    s, s_ring, _ = closed_form(family.counts, closed_form_scale("exact_mean", r))
     return Levels(s=s, s_ring=s_ring, method="exact_mean")
 
 
-def levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
+def levels_asymptotic(family: WindowFamily, loss: LossKind, noise: NoiseKind,
                       r: float = 2.0) -> Levels:
     """Normal-limit levels for median or quantile estimates.
 
     The exact-mean levels times closed_form_scale; differences combine by
     independence.
     """
-    s, s_ring = closed_form(family.counts, closed_form_scale("asymptotic", r, loss, f0))
+    s, s_ring, _ = closed_form(family.counts, closed_form_scale("asymptotic", r, loss, noise))
     return Levels(s=s, s_ring=s_ring, method="asymptotic")
 
 
@@ -283,11 +279,11 @@ def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
 
 def pair_levels_exact_mean(family: WindowFamily, r: float = 2.0) -> PairLevels:
     """Exact difference levels for nested sample means: sqrt(1/N_l - 1/N_m)."""
-    sp = _pair_closed_form(family.counts, closed_form_scale("exact_mean", r))
+    *_, sp = closed_form(family.counts, closed_form_scale("exact_mean", r))
     return PairLevels(s_pair=sp, method="exact_mean")
 
 
-def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
+def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, noise: NoiseKind,
                            r: float = 2.0) -> PairLevels:
     """Normal-limit difference levels for nested median or quantile estimates.
 
@@ -297,7 +293,7 @@ def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, f0: float,
     variance alpha * (1 - alpha) / f0^2 * (1/N_l - 1/N_m), exactly the shape
     of the sample-mean case.
     """
-    sp = _pair_closed_form(family.counts, closed_form_scale("asymptotic", r, loss, f0))
+    *_, sp = closed_form(family.counts, closed_form_scale("asymptotic", r, loss, noise))
     return PairLevels(s_pair=sp, method="asymptotic")
 
 

@@ -32,11 +32,11 @@ def bench_artifacts(bench_family):
     """Benchmark calibration suite: Laplace noise, r = 2, alpha = 1, 10^4 runs."""
     med = am.LossKind.median()
     mean = am.LossKind.mean()
-    f0 = am.density_at_zero(am.NoiseKind.laplace())
+    lap = am.NoiseKind.laplace()
     lv_mean = am.levels_exact_mean(bench_family)
-    lv_med = am.levels_asymptotic(bench_family, med, f0)
+    lv_med = am.levels_asymptotic(bench_family, med, lap)
     pair_mean = am.pair_levels_exact_mean(bench_family)
-    pair_med = am.pair_levels_asymptotic(bench_family, med, f0)
+    pair_med = am.pair_levels_asymptotic(bench_family, med, lap)
     return {
         "mean_ring": _line_artifact(bench_family, mean, lv_mean, "ring", None,
                                     BENCH_SEEDS["mean_ring"]),
@@ -56,7 +56,7 @@ def disc_artifact():
     family = am.build_family_2d(radii)
     med = am.LossKind.median()
     lap = am.NoiseKind.laplace()
-    lv = am.levels_asymptotic(family, med, am.density_at_zero(lap))
+    lv = am.levels_asymptotic(family, med, lap)
     cfg = am.CalibConfig(family=family, loss=med, noise=lap, runs=BENCH_RUNS,
                          seed=21, rule="ring", mode="zeta")
     meta = {"radii": [float(r) for r in radii]}

@@ -27,8 +27,7 @@ def small_setup():
     counts = am.benchmark_counts()[:8]
     xs = am.equidistant_design(60)
     family = am.build_family_1d(xs, 0.0, counts)
-    f0 = am.density_at_zero(NoiseKind.laplace())
-    levels = am.levels_asymptotic(family, LossKind.median(), f0)
+    levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
     config = CalibConfig(family=family, loss=LossKind.median(),
                          noise=NoiseKind.laplace(), runs=3000, seed=5)
     return family, levels, config
@@ -60,9 +59,11 @@ def test_huge_alpha_hits_grid_minimum(small_setup):
                       alpha=1e9, runs=3000, seed=5)
     res = calibrate_zeta(cfg, levels)
     assert res.crit.zeta == ZETA_MIN
-    # such tiny values violate the risk-bound hypothesis; flagged, and the
-    # selection rule refuses them outright
-    assert any("non-increasing" in w for w in res.warnings)
+    # such tiny values violate the risk-bound hypothesis: no artifact holds
+    # them, and the selection rule refuses them outright
+    meta = {"n": 60, "center": 0.0, "counts": family.counts.tolist()}
+    with pytest.raises(ValidationError, match=r"z_k \* s_k must be non-increasing"):
+        am.CalibArtifact(cfg, res, levels, None, "line1d", meta)
     with pytest.raises(ValueError):
         am.select_ring(np.zeros(levels.K + 1), np.zeros(levels.K), levels, res.crit)
 
@@ -121,8 +122,7 @@ def test_sequential_k1_matches_bruteforce():
     """One growth step: the search reduces to a weighted quantile problem."""
     xs = am.equidistant_design(40)
     family = am.build_family_1d(xs, 0.0, [10, 20])
-    f0 = am.density_at_zero(NoiseKind.laplace())
-    levels = am.levels_asymptotic(family, LossKind.median(), f0)
+    levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
     config = CalibConfig(family=family, loss=LossKind.median(),
                          noise=NoiseKind.laplace(), runs=4000, seed=9,
                          mode="sequential")
@@ -195,8 +195,7 @@ class _DenseStats:
 
 def _lepski_setup(small_setup):
     family, levels, config = small_setup
-    f0 = am.density_at_zero(NoiseKind.laplace())
-    pair = am.pair_levels_asymptotic(family, LossKind.median(), f0)
+    pair = am.pair_levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
     cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
                       runs=config.runs, seed=config.seed, rule="lepski")
     return cfg, pair
@@ -282,9 +281,8 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, mo
     if loss.kind == "mean":
         levels, pair = am.levels_exact_mean(family), am.pair_levels_exact_mean(family)
     else:
-        f0 = am.density_at_zero(NoiseKind.laplace())
-        levels = am.levels_asymptotic(family, loss, f0)
-        pair = am.pair_levels_asymptotic(family, loss, f0)
+        levels = am.levels_asymptotic(family, loss, config.noise)
+        pair = am.pair_levels_asymptotic(family, loss, config.noise)
     runs = 2 * CHUNK + 7  # the last chunk is partial
     cfg = CalibConfig(family=family, loss=loss, noise=config.noise, runs=runs,
                       seed=config.seed, rule=rule)
@@ -304,7 +302,7 @@ def test_verify_never_holds_the_packed_statistics(monkeypatch):
     counts = am.benchmark_counts()
     family = am.build_family_1d(am.equidistant_design(200), 0.0, counts)
     loss = LossKind.median()
-    levels = am.levels_asymptotic(family, loss, am.density_at_zero(NoiseKind.laplace()))
+    levels = am.levels_asymptotic(family, loss, NoiseKind.laplace())
     runs = 50_000
     cfg = CalibConfig(family=family, loss=loss, noise=NoiseKind.laplace(), seed=1)
     monkeypatch.setenv("ADAPTMREG_WORKERS", "2")
@@ -385,7 +383,8 @@ def _artifacts(draw):
 
     The families build (radii below 10, counts[-1] <= n <= 10^4), the
     settings are ones a calibration accepts, the achieved value stays within
-    the budget and the levels stay non-increasing.
+    the budget, the levels stay non-increasing and ring-rule zeta values meet
+    the risk hypothesis.
     """
     family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
     if family_kind == "line1d":
@@ -431,6 +430,9 @@ def _artifacts(draw):
         runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),
         mode=draw(st.sampled_from(["zeta", "sequential"])),
         rule=draw(st.sampled_from(["ring", "lepski"])))
+    if config.rule == "ring" and zeta is not None:
+        # the risk hypothesis of ring-rule zeta values: z_k * s_k non-increasing, z_K = 1
+        crit = am.CriticalValues(np.maximum(crit.z, 2.0 * levels.s[K] / levels.s[K - 1]), zeta)
     budget = draw(st.floats(min_value=0.0, allow_infinity=False))
     result = am.CalibResult(
         crit=crit, per_k_error_share=np.array(draw(st.lists(_reals, min_size=K, max_size=K))),

@@ -318,10 +318,11 @@ def test_calibrate_mc_levels_and_mc_pairs(tmp_path):
     out2 = tmp_path / "lep.cal"
     rc = run("calibrate", "--family", "bench1d", "--loss", "median",
              "--noise", "laplace", "--runs", "1500", "--rule", "lepski",
-             "--pair", "mc", "--pair-runs", "1200", "--seed", "11", "--out", out2)
+             "--levels", "mc", "--seed", "11", "--out", out2)
     assert rc == 0
     art2 = load_artifact(out2)
     assert art2.pair is not None and art2.pair.method == "monte_carlo"
+    assert art2.pair.runs == 1500  # --runs, as --levels-runs is unset
     # sequential mode through the CLI
     out3 = tmp_path / "seq.cal"
     rc = run("calibrate", "--family", "bench1d", "--loss", "median",
@@ -334,16 +335,59 @@ def test_calibrate_mc_levels_and_mc_pairs(tmp_path):
 def test_calibrate_prints_level_warnings(tmp_path, capsys):
     """Each Monte Carlo step's warning names its step on stderr; stdout keeps one line."""
     rc = run("calibrate", "--family", "bench1d", "--loss", "median", "--rule", "lepski",
-             "--levels", "mc", "--levels-runs", "1500", "--pair", "mc",
-             "--pair-runs", "1200", "--runs", "1500", "--seed", "11",
+             "--levels", "mc", "--levels-runs", "1200", "--runs", "1500", "--seed", "11",
              "--out", tmp_path / "w.cal")
     out, err = capsys.readouterr()
     assert rc == 0
     assert err.splitlines() == [
-        "warning: only 1500 monte carlo runs for the window levels; estimates may be rough",
+        "warning: only 1200 monte carlo runs for the window levels; estimates may be rough",
         "warning: only 1200 monte carlo runs for the pair levels; estimates may be rough",
         "warning: only 1500 monte carlo runs for the calibration; estimates may be rough"]
     assert out.startswith("calibrated lepski/zeta loss=median ") and out.count("\n") == 1
+
+
+def test_levels_flag_sets_both_level_tables(tmp_path):
+    """--levels and --levels-runs choose the pair levels too, drawn from seed + 2."""
+    out = tmp_path / "lep.cal"
+    assert run("calibrate", "--family", "bench1d", "--loss", "median", "--rule", "lepski",
+               "--levels", "mc", "--levels-runs", "1200", "--runs", "1500",
+               "--seed", "11", "--out", out) == 0
+    text = out.read_text().splitlines()
+    for line in ("levels_method: monte_carlo", "levels_runs: 1200", "levels_seed: 12",
+                 "pair_method: monte_carlo", "pair_runs: 1200", "pair_seed: 13"):
+        assert line in text, line
+    art = am.load_artifact(out)
+    want = am.pair_levels_mc(art.config.family, art.config.loss, art.config.noise, 1200,
+                             seed=13)
+    assert np.array_equal(art.pair.s_pair, want.s_pair, equal_nan=True)
+
+
+@pytest.mark.parametrize("flag", [("--pair", "mc"), ("--pair-runs", "1200")],
+                         ids=["pair", "pair_runs"])
+def test_pair_flags_are_gone(tmp_path, capsys, flag):
+    out = tmp_path / "x.cal"
+    assert run("calibrate", "--rule", "lepski", *flag, "--runs", "1000", "--seed", "1",
+               "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: validation: unrecognized arguments: {' '.join(flag)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss", ["mean", "huber:1.345"])
+@pytest.mark.parametrize("rule", ["ring", "lepski"])
+def test_asymptotic_levels_refuse_other_losses_alike(tmp_path, capsys, loss, rule):
+    """Window and pair levels refuse a mean or Huber loss with one message."""
+    message = "asymptotic levels apply to median and quantile losses"
+    family = am.build_family_1d(am.equidistant_design(60), 0.0, [5, 9, 17])
+    lap = am.NoiseKind.laplace()
+    for build in (am.levels_asymptotic, am.pair_levels_asymptotic):
+        with pytest.raises(am.ValidationError, match=f"^{message}$"):
+            build(family, parse_loss(loss), lap)
+    out = tmp_path / "x.cal"
+    assert run("calibrate", "--loss", loss, "--rule", rule, "--levels", "asymptotic",
+               "--runs", "1000", "--seed", "1", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: validation: {message}\n"
+    assert not out.exists()
 
 
 # small study commands and the exact CSV text the hand-written writers gave them
@@ -456,6 +500,62 @@ def test_calibrate_refuses_its_config_before_drawing(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--r", "nan", "moment order r"), ("--r", "inf", "moment order r"),
+    ("--alpha", "inf", "alpha"), ("--alpha", "nan", "alpha"),
+], ids=["r_nan", "r_inf", "alpha_inf", "alpha_nan"])
+def test_calibrate_refuses_non_finite_r_and_alpha(tmp_path, capsys, monkeypatch,
+                                                 flag, value, name):
+    """A non-finite r or alpha exits 1, naming it, before any draw and with no file."""
+    import adaptmreg.levels as lv
+
+    def no_draws(*args):
+        raise AssertionError("drew replicates for a refused calibration")
+
+    monkeypatch.setattr(lv, "sample_rows", no_draws)
+    out = tmp_path / "x.cal"
+    assert run("calibrate", "--loss", "huber:1.345", flag, value, "--seed", "1",
+               "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: validation: {name} must be finite, got {float(value)!r}\n")
+    assert not out.exists()
+
+
+def test_degenerate_thresholds_refused_by_every_command(workdir, disc_cal, tmp_path, capsys):
+    """Ring-rule zeta thresholds that break z_k * s_k non-increasing never make an artifact.
+
+    A huge alpha drives them there: calibrate exits 1 and writes nothing. A
+    re-hashed artifact holding such values is refused by every command.
+    """
+    message = "z_k * s_k must be non-increasing in k"
+    out = tmp_path / "a100.cal"
+    assert run("calibrate", "--family", "disc2d", "--loss", "median", "--alpha", "100",
+               "--runs", "1000", "--seed", "21", "--out", out) == 1
+    assert capsys.readouterr().err == f"error: validation: {message}\n"
+    assert not out.exists()
+
+    def shrunk(path):
+        body = path.read_text().splitlines()[1:]
+        i = next(i for i, x in enumerate(body) if x.startswith("z: "))
+        z = " ".join(repr(1e-3 * float(v)) for v in body[i].split()[1:])
+        bad = tmp_path / f"small_z_{path.name}"
+        bad.write_text(_rehashed(body[:i] + [f"z: {z}"] + body[i + 1:]))
+        return bad
+
+    disc, line = shrunk(disc_cal / "d.cal"), shrunk(workdir / "med.cal")
+    for argv in (("denoise", "--in", disc_cal / "in.pgm", "--calib", disc,
+                  "--out", tmp_path / "out.pgm"),
+                 ("verify", "--calib", disc, "--seed", "99", "--runs", "1000"),
+                 ("verify", "--calib", line, "--seed", "99", "--runs", "1000"),
+                 ("bench", "--example", "1", "--runs", "30", "--seed", "7",
+                  "--methods", "median_ring", "--calib", f"median_ring={line}",
+                  "--out", tmp_path / "b.csv")):
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ") and message in err, (argv, err)
+    assert not (tmp_path / "out.pgm").exists() and not (tmp_path / "b.csv").exists()
+
+
 def test_simulate(workdir):
     out = workdir / "sim.csv"
     assert run("simulate", "--example", "2", "--noise", "student_t", "--n", "50",
@@ -529,11 +629,33 @@ def test_config_file_defaults(tmp_path):
     assert out2.read_text().splitlines()[1].startswith("laplace,")
 
 
-def test_config_file_unknown_key(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("--config={cfg}", "--noise", "laplace"),
+    ("--config", "{cfg}", "--noise=laplace"),
+    ("--config", "{cfg}", "--nois", "laplace"),
+    ("--noise=laplace", "--config={cfg}"),
+], ids=["config_equals", "noise_equals", "abbreviation", "flag_first"])
+def test_config_file_loses_to_every_flag_spelling(tmp_path, argv):
+    """The file's settings are defaults, whatever the spelling of the flag or of --config."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("noise = gaussian\nruns = 50\n")
+    out = tmp_path / "m.csv"
+    assert run("moments", *(a.format(cfg=cfg) for a in argv), "--n-points", "11",
+               "--seed", "5", "--out", out) == 0
+    # laplace from the flag, 50 runs from the file
+    assert out.read_text().splitlines()[1].startswith("laplace,2.0,11,50,5,")
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = yes\n")
     assert run("moments", "--config", cfg, "--seed", "1",
                "--out", tmp_path / "x.csv") == 1
+    # a config key is refused too, in either spelling of --config
+    cfg.write_text(f"config = {cfg}\n")
+    assert run("moments", f"--config={cfg}", "--seed", "1",
+               "--out", tmp_path / "x.csv") == 1
+    assert capsys.readouterr().err.endswith("error: validation: config files cannot nest\n")
 
 
 def test_validation_exit_codes(tmp_path, capsys):

@@ -156,7 +156,6 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
     zigzag = DenoiseConfig(_swapped(art, crit=CriticalValues(z=z)), 1.0)
     radii = np.asarray(median.radii)
     reach = int(np.floor(radii[-1]))
-    f0 = am.target_density(art.config.noise, art.config.loss)
     subsets = interior = 0
     for config in (median, mean, zigzag):
         loss, crit_full = config.art.config.loss, config.art.result.crit
@@ -180,7 +179,7 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
                         crit = _crit_subset(crit_full, np.asarray(kept))
                         subsets += 1
                     levels = (am.levels_exact_mean(fam, config.art.config.r) if config is mean
-                              else am.levels_asymptotic(fam, loss, f0))
+                              else am.levels_asymptotic(fam, loss, config.art.config.noise))
                     base, rings = base_estimates(patch.ravel(), fam, loss)
                     k_hat, _ = ring_reference(base, rings, levels, crit)
                     assert abs(out.intensities[y, x] - base[k_hat]) <= tol, (w, h, x, y)

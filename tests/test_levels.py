@@ -51,17 +51,15 @@ def test_exact_mean_requires_r2(small_family):
 def test_asymptotic_median_formula():
     xs = np.linspace(-1, 1, 300)
     fam = am.build_family_1d(xs, 0.0, [100, 125, 250])
-    f0 = am.density_at_zero(NoiseKind.laplace())
-    lv = levels_asymptotic(fam, LossKind.median(), f0)
+    lv = levels_asymptotic(fam, LossKind.median(), NoiseKind.laplace())
     assert lv.s[0] == pytest.approx(math.sqrt(2) / 20.0, abs=1e-12)
     # consecutive级 ratio follows sqrt(N_j / N_{j+1})
     assert lv.s[1] / lv.s[0] == pytest.approx(math.sqrt(100 / 125), abs=1e-12)
 
 
 def test_quantile_half_equals_median(small_family):
-    f0 = am.density_at_zero(NoiseKind.laplace())
-    a = levels_asymptotic(small_family, LossKind.median(), f0)
-    b = levels_asymptotic(small_family, LossKind.quantile(0.5), f0)
+    a = levels_asymptotic(small_family, LossKind.median(), NoiseKind.laplace())
+    b = levels_asymptotic(small_family, LossKind.quantile(0.5), NoiseKind.laplace())
     assert np.allclose(a.s, b.s, atol=1e-15)
     tril = np.tril_indices(a.K)
     assert np.allclose(a.s_ring[tril], b.s_ring[tril], atol=1e-15)
@@ -69,7 +67,7 @@ def test_quantile_half_equals_median(small_family):
 
 def test_asymptotic_rejects_mean(small_family):
     with pytest.raises(ValueError):
-        levels_asymptotic(small_family, LossKind.mean(), 0.5)
+        levels_asymptotic(small_family, LossKind.mean(), NoiseKind.laplace())
 
 
 def test_mc_mean_gaussian_matches_exact(small_family):
@@ -84,8 +82,7 @@ def test_mc_mean_gaussian_matches_exact(small_family):
 def test_mc_median_laplace_near_asymptotic_largest_window(small_family):
     lv = levels_mc(small_family, LossKind.median(), NoiseKind.laplace(),
                    runs=10 ** 5, seed=102)
-    f0 = am.density_at_zero(NoiseKind.laplace())
-    asym = levels_asymptotic(small_family, LossKind.median(), f0)
+    asym = levels_asymptotic(small_family, LossKind.median(), NoiseKind.laplace())
     # N = 177: the exact order-statistic integral puts the finite-sample
     # inflation at 6.0 percent, so 8 percent covers it plus monte carlo noise
     assert lv.s[-1] == pytest.approx(asym.s[-1], rel=0.08)
@@ -101,9 +98,8 @@ def test_mc_mean_gaussian_r1(small_family):
 
 def test_ring_to_window_scaling_bound(small_family):
     """s_ring[k, j] / s[j] stays within [1, 3] for the benchmark family."""
-    f0 = am.density_at_zero(NoiseKind.laplace())
     for lv in (levels_exact_mean(small_family),
-               levels_asymptotic(small_family, LossKind.median(), f0),
+               levels_asymptotic(small_family, LossKind.median(), NoiseKind.laplace()),
                levels_mc(small_family, LossKind.median(), NoiseKind.laplace(),
                          runs=10 ** 5, seed=104)):
         for k in range(lv.K):
@@ -135,6 +131,31 @@ def test_pair_exact_mean_formula(small_family):
         assert np.allclose(pair.s_pair[m, :m], want, atol=1e-15)
 
 
+def _pair_formula(counts, c):
+    """The pair levels c (1/N_l - 1/N_m)^(1/2), l < m, as one family's own formula."""
+    n = np.asarray(counts, dtype=float)
+    with np.errstate(invalid="ignore"):
+        sp = c * np.sqrt(1.0 / n[None, :] - 1.0 / n[:, None])
+    sp[~np.tri(n.size, k=-1, dtype=bool)] = np.nan
+    return sp
+
+
+def test_closed_form_pair_levels_match_the_formula_bit_for_bit(small_family):
+    """closed_form's s_pair is the pair formula, for one family and for a batch."""
+    c = am.levels.closed_form_scale("asymptotic", 2.0, LossKind.median(), NoiseKind.laplace())
+    rng = np.random.default_rng(3)
+    # clipped geometries: window sizes that repeat where a level gains no sample
+    clipped = 1 + np.cumsum(rng.integers(0, 4, size=(40, small_family.K + 1)), axis=1)
+    for scale in (1.0, c):
+        _, _, sp = am.levels.closed_form(small_family.counts, scale)
+        assert np.array_equal(sp, _pair_formula(small_family.counts, scale), equal_nan=True)
+        _, _, batch = am.levels.closed_form(clipped, scale)
+        for counts, got in zip(clipped, batch):
+            assert np.array_equal(got, _pair_formula(counts, scale), equal_nan=True)
+    assert np.array_equal(pair_levels_exact_mean(small_family).s_pair,
+                          _pair_formula(small_family.counts, 1.0), equal_nan=True)
+
+
 def test_pair_mc_matches_exact_for_means(small_family):
     pair = pair_levels_mc(small_family, LossKind.mean(), NoiseKind.gaussian(),
                           runs=4 * 10 ** 4, seed=105)
@@ -145,12 +166,12 @@ def test_pair_mc_matches_exact_for_means(small_family):
 
 def test_pair_asymptotic_median_shape(small_family):
     f0 = am.density_at_zero(NoiseKind.laplace())
-    pair = pair_levels_asymptotic(small_family, LossKind.median(), f0)
+    pair = pair_levels_asymptotic(small_family, LossKind.median(), NoiseKind.laplace())
     mean_pair = pair_levels_exact_mean(small_family)
     tril = np.tril_indices(small_family.K + 1, k=-1)
     assert np.allclose(pair.s_pair[tril], 0.5 / f0 * mean_pair.s_pair[tril], atol=1e-12)
     with pytest.raises(ValueError):
-        pair_levels_asymptotic(small_family, LossKind.mean(), f0)
+        pair_levels_asymptotic(small_family, LossKind.mean(), NoiseKind.laplace())
 
 
 def test_levels_validation(small_family, monkeypatch):
@@ -160,11 +181,10 @@ def test_levels_validation(small_family, monkeypatch):
     # the builders that take a moment order refuse r < 1, before any draw
     monkeypatch.setattr(am.levels, "sample_rows", None)
     med, lap = LossKind.median(), NoiseKind.laplace()
-    f0 = am.density_at_zero(lap)
     for build in (lambda: levels_mc(small_family, med, lap, 1000, r=0.5),
                   lambda: pair_levels_mc(small_family, med, lap, 1000, r=0.5),
-                  lambda: levels_asymptotic(small_family, med, f0, r=0.5),
-                  lambda: pair_levels_asymptotic(small_family, med, f0, r=0.5)):
+                  lambda: levels_asymptotic(small_family, med, lap, r=0.5),
+                  lambda: pair_levels_asymptotic(small_family, med, lap, r=0.5)):
         with pytest.raises(am.ValidationError, match="moment order r must be >= 1"):
             build()
     for build in (levels_exact_mean, pair_levels_exact_mean):

@@ -16,8 +16,7 @@ from oracle_select import lepski_reference, ring_reference
 def setup():
     xs = am.equidistant_design(200)
     family = am.build_family_1d(xs, 0.0, am.benchmark_counts())
-    f0 = am.density_at_zero(NoiseKind.laplace())
-    levels = am.levels_asymptotic(family, LossKind.median(), f0)
+    levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
     return xs, family, levels
 
 
