@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, ValidationError
-from .levels import Levels, PairLevels, check_mc_runs, simulate_window_estimates
+from .levels import (Levels, PairLevels, _check_order, check_mc_runs,
+                     simulate_window_estimates)
 from .losses import LossKind
 from .noise import NoiseKind
 from .selector import CriticalValues, _rule_terms, threshold_table
@@ -84,13 +85,11 @@ class CalibConfig:
     rule: str = "ring"
 
     def __post_init__(self) -> None:
-        for name, value in (("alpha", self.alpha), ("moment order r", self.r)):
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha!r}")
+        _check_order(self.r)
         if not self.alpha > 0:
             raise ValidationError("alpha must be positive")
-        if self.r < 1:
-            raise ValidationError("moment order r must be >= 1")
         check_mc_runs(self.runs, CALIBRATION_STEP)
         if self.mode not in ("zeta", "sequential"):
             raise ValidationError(f"unknown calibration mode {self.mode!r}")
@@ -99,24 +98,26 @@ class CalibConfig:
         if self.family.K < 1:
             raise ValidationError("calibration needs at least one growth step")
 
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The run-count warnings of the calibration step."""
+        return check_mc_runs(self.runs, CALIBRATION_STEP)
+
 
 @dataclass(frozen=True)
 class CalibResult:
     """Calibrated thresholds plus how the budget was spent.
 
     per_k_error_share[k] is the part of the achieved left-hand side whose
-    first rejecting window index is k; the shares sum to achieved_lhs.
+    first rejecting window index is k; achieved_lhs is their sum.
     """
 
     crit: CriticalValues
     per_k_error_share: np.ndarray
-    achieved_lhs: float
-    budget: float
-    warnings: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.achieved_lhs > self.budget * (1.0 + 1e-9):
-            raise ValidationError("calibration result exceeds its own budget")
+    @property
+    def achieved_lhs(self) -> float:
+        return float(self.per_k_error_share.sum())
 
 
 class _SelectionStats:
@@ -251,11 +252,7 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
         lambda: (f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: "
                  f"lhs at the cap is {lhs(ZETA_MAX)!r}"))
     z = _zeta_to_z(zeta, levels, config.alpha, config.r)
-    crit = CriticalValues(z=z, zeta=zeta)
-    shares = stats.shares(z)
-    return CalibResult(crit=crit, per_k_error_share=shares,
-                       achieved_lhs=float(shares.sum()), budget=budget,
-                       warnings=check_mc_runs(config.runs, CALIBRATION_STEP))
+    return CalibResult(crit=CriticalValues(z=z, zeta=zeta), per_k_error_share=stats.shares(z))
 
 
 def calibrate_sequential(config: CalibConfig, levels: Levels,
@@ -289,11 +286,7 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
             share, per_step, Z_MAX,
             lambda: f"per-step budget {per_step!r} unattainable at step {k} with z <= {Z_MAX}")
         acc[:, k:] &= raw_k <= z[k] * scale_k
-    crit = CriticalValues(z=z)
-    shares = stats.shares(z, bare=True)
-    return CalibResult(crit=crit, per_k_error_share=shares,
-                       achieved_lhs=float(shares.sum()), budget=budget,
-                       warnings=check_mc_runs(config.runs, CALIBRATION_STEP))
+    return CalibResult(crit=CriticalValues(z=z), per_k_error_share=stats.shares(z, bare=True))
 
 
 def calibrate(config: CalibConfig, levels: Levels,
@@ -355,9 +348,10 @@ class CalibArtifact:
     """One calibrate(config, levels, pair) run, as saved and reused.
 
     config.family is the family that family_kind and family_meta describe.
-    Ring-rule zeta thresholds must meet the risk hypothesis (z_k * s_k
-    non-increasing), which the ring rule requires of them: a degenerate budget
-    (huge alpha) can push z below the fixed final value.
+    Only zeta mode has a zeta, and the achieved value stays within the
+    budget alpha * s_K^r. Ring-rule zeta thresholds must meet the risk
+    hypothesis (z_k * s_k non-increasing), which the ring rule requires of
+    them: a degenerate budget (huge alpha) can push z below the final value.
     """
 
     config: CalibConfig
@@ -366,19 +360,29 @@ class CalibArtifact:
     pair: PairLevels | None
     family_kind: str
     family_meta: dict
-    config_hash: str = ""
     estimator: int = ESTIMATOR_VERSION
     stream: int = STREAM_VERSION
 
     def __post_init__(self) -> None:
-        K = self.config.family.K
-        sizes = {self.levels.K, self.result.crit.K, self.result.per_k_error_share.size,
+        cfg, crit = self.config, self.result.crit
+        K = cfg.family.K
+        sizes = {self.levels.K, crit.K, self.result.per_k_error_share.size,
                  K if self.pair is None else self.pair.K}
         if sizes != {K}:
             raise ValidationError(f"levels, thresholds or shares not sized for the "
                                   f"family's {K} steps")
-        if self.config.rule == "ring" and self.result.crit.zeta is not None:
-            self.result.crit.check_risk_hypothesis(self.levels)
+        if (cfg.mode == "zeta") != (crit.zeta is not None):
+            raise ValidationError(f"calibration mode {cfg.mode!r} does not match zeta "
+                                  f"{_opt(crit.zeta)}: only zeta mode has a zeta")
+        if self.result.achieved_lhs > self.budget * (1.0 + 1e-9):
+            raise ValidationError(f"achieved value {self.result.achieved_lhs!r} exceeds "
+                                  f"the budget {self.budget!r}")
+        if cfg.rule == "ring" and crit.zeta is not None:
+            crit.check_risk_hypothesis(self.levels)
+
+    @property
+    def budget(self) -> float:
+        return _budget(self.config, self.levels)
 
 
 def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
@@ -403,8 +407,15 @@ def _opt(x) -> str:
     return "-" if x is None else _fmt(x)
 
 
+def _derived_lines(art: CalibArtifact) -> dict[str, str]:
+    """Saved lines that the others determine (noise laws are unit-scale); checked on load."""
+    return {"noise_scale": _fmt(1.0), "achieved_lhs": _fmt(art.result.achieved_lhs),
+            "budget": _fmt(art.budget)}
+
+
 def _artifact_lines(art: CalibArtifact) -> list[str]:
     cfg, res = art.config, art.result
+    derived = _derived_lines(art)
     lines = [
         f"format: {FORMAT_TAG}",
         f"estimator: {art.estimator}",
@@ -415,14 +426,14 @@ def _artifact_lines(art: CalibArtifact) -> list[str]:
         f"loss_param: {_opt(cfg.loss.alpha if cfg.loss.kind == 'quantile' else cfg.loss.kink)}",
         f"noise: {cfg.noise.kind}",
         f"noise_dof: {'-' if cfg.noise.dof is None else cfg.noise.dof}",
-        f"noise_scale: {_fmt(cfg.noise.scale)}",
+        f"noise_scale: {derived['noise_scale']}",
         f"r: {_fmt(cfg.r)}",
         f"alpha: {_fmt(cfg.alpha)}",
         f"runs: {cfg.runs}",
         f"seed: {cfg.seed}",
         f"zeta: {_opt(res.crit.zeta)}",
-        f"achieved_lhs: {_fmt(res.achieved_lhs)}",
-        f"budget: {_fmt(res.budget)}",
+        f"achieved_lhs: {derived['achieved_lhs']}",
+        f"budget: {derived['budget']}",
         f"per_k_error_share: {_fmt_arr(res.per_k_error_share)}",
         f"levels_method: {art.levels.method}",
         f"levels_runs: {'-' if art.levels.runs is None else art.levels.runs}",
@@ -472,9 +483,10 @@ def load_artifact(path) -> CalibArtifact:
     rebuilt, so a loaded artifact passes a fresh calibration's checks. An
     unreadable file, a missing or mismatched hash, a missing field, an
     unparsable value, an estimator or stream version outside
-    ESTIMATOR_VERSIONS or STREAM_VERSIONS, or a counts line that is not the
-    described family's raises ValidationError. A missing estimator or stream
-    line reads as version 1.
+    ESTIMATOR_VERSIONS or STREAM_VERSIONS, a counts line that is not the
+    described family's, or a noise_scale, achieved_lhs or budget line that
+    is not the value derived from the others raises ValidationError. A
+    missing estimator or stream line reads as version 1.
     """
     try:
         with open(path, "rb") as fh:
@@ -503,14 +515,16 @@ def load_artifact(path) -> CalibArtifact:
             raise ValidationError(f"calibration artifact has {name} version {version!r}, "
                                   f"this program reads {known}: {path}")
     try:
-        return _artifact_from_fields(fields, digest.strip())
+        return _artifact_from_fields(fields)
     except KeyError as exc:
         raise ValidationError(f"calibration artifact lacks the field {exc}: {path}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"calibration artifact {path}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed calibration artifact {path}: {exc}") from exc
 
 
-def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArtifact:
+def _artifact_from_fields(fields: dict[str, str]) -> CalibArtifact:
     def opt_float(key: str) -> float | None:
         return None if fields[key] == "-" else float(fields[key])
 
@@ -525,8 +539,7 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
         loss = LossKind.huber(param)
     else:
         loss = LossKind(loss_kind)
-    noise = NoiseKind(fields["noise"], dof=opt_int("noise_dof"),
-                      scale=float(fields["noise_scale"]))
+    noise = NoiseKind(fields["noise"], dof=opt_int("noise_dof"))
     K = int(fields["K"])
     s = np.array([float(v) for v in fields["s"].split()])
     s_ring = np.full((K, K), np.nan)
@@ -559,7 +572,11 @@ def _artifact_from_fields(fields: dict[str, str], config_hash: str) -> CalibArti
                          alpha=float(fields["alpha"]), runs=int(fields["runs"]),
                          seed=int(fields["seed"]), mode=fields["mode"], rule=fields["rule"])
     shares = np.array([float(v) for v in fields["per_k_error_share"].split()])
-    result = CalibResult(crit, shares, float(fields["achieved_lhs"]), float(fields["budget"]))
-    return CalibArtifact(config=config, result=result, levels=levels, pair=pair,
-                         family_kind=kind, family_meta=meta, config_hash=config_hash,
-                         estimator=int(fields["estimator"]), stream=int(fields["stream"]))
+    art = CalibArtifact(config=config, result=CalibResult(crit, shares), levels=levels,
+                        pair=pair, family_kind=kind, family_meta=meta,
+                        estimator=int(fields["estimator"]), stream=int(fields["stream"]))
+    for key, value in _derived_lines(art).items():
+        if _fmt(fields[key]) != value:
+            raise ValidationError(f"{key} {fields[key]} is not the value derived from "
+                                  f"the artifact, {value}")
+    return art

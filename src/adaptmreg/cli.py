@@ -208,12 +208,12 @@ def _cmd_calibrate(args) -> int:
                          noise=parse_noise(args.noise), r=args.r, alpha=args.alpha,
                          runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule)
     levels, pair = _levels_for_calibrate(args, config)
-    result = calibrate(config, levels, pair)
-    save_artifact(args.out, CalibArtifact(config, result, levels, pair, kind_tag, meta))
-    for w in levels.warnings + (pair.warnings if pair else ()) + result.warnings:
+    art = CalibArtifact(config, calibrate(config, levels, pair), levels, pair, kind_tag, meta)
+    save_artifact(args.out, art)
+    for w in levels.warnings + (pair.warnings if pair else ()) + config.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"calibrated {args.rule}/{args.mode} loss={config.loss.label} "
-          f"achieved={result.achieved_lhs!r} budget={result.budget!r} -> {args.out}")
+          f"achieved={art.result.achieved_lhs!r} budget={art.budget!r} -> {args.out}")
     return 0
 
 
@@ -317,7 +317,7 @@ def _cmd_denoise(args) -> int:
     sigma = None if args.sigma == "auto" else _number(args.sigma, "--sigma")
     image, maxval = _read_image(args.infile)
     if sigma is None:
-        sigma = estimate_noise_scale(image, art.config.noise).sigma
+        sigma = estimate_noise_scale(image, art.config.noise)
     config = DenoiseConfig(art, sigma)
     denoised, khat = denoise_image(image, config)
     _write_image(args.out, denoised, maxval)
@@ -354,16 +354,17 @@ _COMMANDS = {
 def _apply_config(argv: list[str]) -> list[str]:
     """Insert config-file settings as flags right after the command word.
 
-    argparse keeps the last value of a repeated flag, so an explicit flag in
-    any spelling (--noise x, --noise=x, --nois x) wins over the file. Unknown
+    The file is named as argparse would read it: --config FILE or
+    --config=FILE, or an abbreviation of at least --c (--conf FILE). argparse
+    keeps the last value of a repeated flag, so an explicit flag in any
+    spelling (--noise x, --noise=x, --nois x) wins over the file. Unknown
     keys surface as unrecognized arguments during the parse.
     """
     path = None
     for arg, nxt in zip(argv, argv[1:] + [None]):
-        if arg == "--config":
-            path = nxt
-        elif arg.startswith("--config="):
-            path = arg.partition("=")[2]
+        name, eq, value = arg.partition("=")
+        if len(name) >= 3 and "--config".startswith(name):
+            path = value if eq else nxt
     if path is None:
         return argv
     extra: list[str] = []

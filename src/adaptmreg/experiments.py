@@ -270,8 +270,6 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
     """
     if delta < 0:
         raise ValidationError("delta must be nonnegative")
-    if kind.scale != 1.0:
-        raise ValidationError("the study assumes unit-scale (standardized) noise")
     if n < 2 or runs < 2:
         raise ValidationError("need n >= 2 and runs >= 2")
     med = LossKind.median()

@@ -38,7 +38,6 @@ from .selector import first_rejection, threshold_table
 __all__ = [
     "Image",
     "KhatMap",
-    "ScaleEstimate",
     "DenoiseConfig",
     "estimate_noise_scale",
     "denoise_image",
@@ -101,28 +100,18 @@ class KhatMap:
             raise ValidationError("selected indices outside 0..K")
 
 
-@dataclass(frozen=True)
-class ScaleEstimate:
-    sigma: float
-    degenerate: bool
-
-
-def estimate_noise_scale(image: Image, kind: NoiseKind = NoiseKind.laplace()
-                         ) -> ScaleEstimate:
-    """Robust noise scale from horizontal first differences.
+def estimate_noise_scale(image: Image, kind: NoiseKind = NoiseKind.laplace()) -> float:
+    """Robust noise scale sigma from horizontal first differences.
 
     sigma = median|Y(x+1, y) - Y(x, y)| / c with c the median absolute
     difference of two independent unit-scale draws of the noise law. Edges
     contaminate only the few differences that straddle them, which the
-    median ignores. A constant image returns 0 with the degenerate flag set.
+    median ignores. A constant image gives 0.0.
     """
     if image.width < 2 or image.height < 2:
         raise ValidationError("scale estimation needs at least a 2x2 image")
-    diffs = np.abs(np.diff(image.intensities, axis=1))
-    med = float(np.median(diffs))
-    if med == 0.0:
-        return ScaleEstimate(0.0, True)
-    return ScaleEstimate(med / abs_diff_median(kind), False)
+    med = float(np.median(np.abs(np.diff(image.intensities, axis=1))))
+    return med / abs_diff_median(kind) if med else 0.0
 
 
 @dataclass(frozen=True)

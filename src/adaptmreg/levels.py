@@ -149,6 +149,9 @@ def closed_form(counts, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_order(r: float) -> None:
+    """Refuse a moment order that is not a finite real >= 1."""
+    if not math.isfinite(r):
+        raise ValidationError(f"moment order r must be finite, got {r!r}")
     if r < 1:
         raise ValidationError("moment order r must be >= 1")
 
@@ -227,7 +230,7 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     n_max = int(family.counts[-1])
     shift = 0.0
     if loss.kind == "quantile":
-        shift = quantile_point(kind, loss.alpha) * kind.scale
+        shift = quantile_point(kind, loss.alpha)
 
     def estimates(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         block = sample_rows(kind, n_max, seed, lo, hi)

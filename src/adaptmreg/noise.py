@@ -1,8 +1,10 @@
 """Standardized noise models with reproducible substreams.
 
-Every variant is scaled to mean 0 and variance 1 (before the optional scale
-factor), and is symmetric about 0: Laplace with scale 1/sqrt(2), the standard
-normal, and Student t with dof >= 3 divided by sqrt(dof / (dof - 2)).
+Every variant is scaled to mean 0 and variance 1, and is symmetric about 0:
+Laplace with scale 1/sqrt(2), the standard normal, and Student t with
+dof >= 3 divided by sqrt(dof / (dof - 2)). The laws carry no scale of their
+own: error levels scale linearly in the noise level, so the one scale is
+applied where it is known, the denoiser's sigma.
 
 Monte Carlo replicates draw through sample_rows: each chunk of the fixed
 parallel.CHUNK grid is one row-major block from its own RngStream, drawn in
@@ -47,11 +49,10 @@ LAPLACE_SCALE = 2.0 ** -0.5  # unit variance
 
 @dataclass(frozen=True)
 class NoiseKind:
-    """A standardized symmetric noise law plus an overall scale factor."""
+    """A standardized (unit-variance) symmetric noise law."""
 
     kind: str
     dof: int | None = None
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
@@ -62,20 +63,18 @@ class NoiseKind:
                     "student_t needs an integer dof >= 3 (variance must be finite)")
         elif self.dof is not None:
             raise ValidationError("dof only applies to student_t noise")
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
-            raise ValidationError("scale must be a finite nonnegative real")
 
     @classmethod
-    def laplace(cls, scale: float = 1.0) -> "NoiseKind":
-        return cls("laplace", scale=scale)
+    def laplace(cls) -> "NoiseKind":
+        return cls("laplace")
 
     @classmethod
-    def gaussian(cls, scale: float = 1.0) -> "NoiseKind":
-        return cls("gaussian", scale=scale)
+    def gaussian(cls) -> "NoiseKind":
+        return cls("gaussian")
 
     @classmethod
-    def student_t(cls, dof: int = 3, scale: float = 1.0) -> "NoiseKind":
-        return cls("student_t", dof=dof, scale=scale)
+    def student_t(cls, dof: int = 3) -> "NoiseKind":
+        return cls("student_t", dof=dof)
 
     @property
     def label(self) -> str:
@@ -109,19 +108,15 @@ def _student_sd(dof: int) -> float:
 
 
 def sample_noise(kind: NoiseKind, n: int, stream: RngStream) -> np.ndarray:
-    """n i.i.d. draws of the standardized law times kind.scale."""
+    """n i.i.d. draws of the standardized law."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
     rng = stream.generator()
     if kind.kind == "laplace":
-        out = rng.laplace(0.0, LAPLACE_SCALE, n)
-    elif kind.kind == "gaussian":
-        out = rng.standard_normal(n)
-    else:
-        out = rng.standard_t(kind.dof, n) / _student_sd(kind.dof)
-    if kind.scale != 1.0:
-        out *= kind.scale
-    return out
+        return rng.laplace(0.0, LAPLACE_SCALE, n)
+    if kind.kind == "gaussian":
+        return rng.standard_normal(n)
+    return rng.standard_t(kind.dof, n) / _student_sd(kind.dof)
 
 
 def sample_rows(kind: NoiseKind, n: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -156,7 +151,7 @@ def density_at_zero(kind: NoiseKind) -> float:
 
 
 def density(kind: NoiseKind, x: float) -> float:
-    """Standardized density at x; the scale factor is deliberately ignored."""
+    """Standardized density at x."""
     if kind.kind == "laplace":
         return float(np.exp(-abs(x) / LAPLACE_SCALE) / (2.0 * LAPLACE_SCALE))
     if kind.kind == "gaussian":
@@ -210,8 +205,13 @@ def _laplace_abs_diff_median() -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _abs_diff_median_cached(kind_key: tuple) -> float:
-    kind = NoiseKind(*kind_key)
+def abs_diff_median(kind: NoiseKind) -> float:
+    """Median of |X - X'| for two independent standardized draws.
+
+    Closed forms for Laplace and Gaussian noise; Student t by quadrature plus
+    root finding. Cached per kind; used to turn a median absolute first
+    difference into a noise scale estimate.
+    """
     if kind.kind == "laplace":
         return _laplace_abs_diff_median() * LAPLACE_SCALE
     if kind.kind == "gaussian":
@@ -226,16 +226,6 @@ def _abs_diff_median_cached(kind_key: tuple) -> float:
         return val
 
     return float(optimize.brentq(lambda c: prob_within(c) - 0.5, 1e-9, 20.0, xtol=1e-12))
-
-
-def abs_diff_median(kind: NoiseKind) -> float:
-    """Median of |X - X'| for two independent standardized draws.
-
-    Closed forms for Laplace and Gaussian noise; Student t by quadrature plus
-    root finding. Cached per kind; used to turn a median absolute first
-    difference into a noise scale estimate.
-    """
-    return _abs_diff_median_cached((kind.kind, kind.dof, 1.0))
 
 
 def parse_noise(text: str) -> NoiseKind:

@@ -227,7 +227,7 @@ def test_criterion_6_calibration_soundness(bench_artifacts):
 def test_criterion_7_imaging(disc_artifact, monkeypatch):
     # noiseless constant image: exact identity, full windows everywhere
     const = Image(np.full((64, 64), 5.0))
-    config = DenoiseConfig(disc_artifact, estimate_noise_scale(const).sigma)
+    config = DenoiseConfig(disc_artifact, estimate_noise_scale(const))
     out, khat = denoise_image(const, config)
     assert np.array_equal(out.intensities, const.intensities)
     assert np.all(khat.k_hat == khat.n_levels)
@@ -238,7 +238,7 @@ def test_criterion_7_imaging(disc_artifact, monkeypatch):
     noise = sample_noise(NoiseKind.laplace(), 256 * 256, RngStream(99, 0))
     noisy = Image(clean + noise.reshape(256, 256))
     start = time.monotonic()
-    sigma = estimate_noise_scale(noisy).sigma
+    sigma = estimate_noise_scale(noisy)
     monkeypatch.setenv("ADAPTMREG_WORKERS", "4")
     den4, khat4 = denoise_image(noisy, DenoiseConfig(disc_artifact, sigma))
     elapsed = time.monotonic() - start

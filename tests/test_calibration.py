@@ -14,7 +14,7 @@ from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        calibrate_sequential, calibrate_zeta, load_artifact,
                        save_artifact, verify_calibration)
 from adaptmreg.calibration import (ESTIMATOR_VERSIONS, SEARCH_TOL, STREAM_VERSIONS, Z_MAX,
-                                   ZETA_MIN, _calibration_stats, _SelectionStats,
+                                   ZETA_MIN, _budget, _calibration_stats, _SelectionStats,
                                    build_family)
 from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import Levels, simulate_window_estimates
@@ -40,9 +40,9 @@ def test_zeta_calibration_properties(small_setup):
     assert np.all(np.diff(res.crit.z) <= 1e-12)
     zs = res.crit.full(levels.K) * levels.s
     assert np.all(np.diff(zs) <= 1e-12)
-    assert res.achieved_lhs <= res.budget * (1 + 1e-9)
-    assert res.per_k_error_share.sum() == pytest.approx(res.achieved_lhs, abs=1e-12)
-    assert res.warnings  # below the recommended run count
+    assert res.achieved_lhs == float(res.per_k_error_share.sum())
+    assert res.achieved_lhs <= _budget(config, levels) * (1 + 1e-9)
+    assert config.warnings  # below the recommended run count
 
 
 def test_determinism(small_setup):
@@ -68,6 +68,24 @@ def test_huge_alpha_hits_grid_minimum(small_setup):
         am.select_ring(np.zeros(levels.K + 1), np.zeros(levels.K), levels, res.crit)
 
 
+def test_artifact_checks_mode_and_budget(small_setup):
+    """An artifact's mode matches its threshold form; its shares stay within the budget."""
+    family, levels, config = small_setup
+    meta = {"n": 60, "center": 0.0, "counts": family.counts.tolist()}
+    res = calibrate_zeta(config, levels)
+    # a sequential search run on a zeta-mode config makes no artifact, nor the reverse
+    with pytest.raises(ValidationError, match="calibration mode 'zeta' does not match zeta -"):
+        am.CalibArtifact(config, calibrate_sequential(config, levels), levels, None,
+                         "line1d", meta)
+    with pytest.raises(ValidationError, match="calibration mode 'sequential' does not match"):
+        am.CalibArtifact(replace(config, mode="sequential"), res, levels, None, "line1d", meta)
+    art = am.CalibArtifact(config, res, levels, None, "line1d", meta)
+    assert art.budget == _budget(config, levels) == config.alpha * levels.s[-1] ** config.r
+    over = am.CalibResult(res.crit, 1.01 * art.budget / levels.K * np.ones(levels.K))
+    with pytest.raises(ValidationError, match="exceeds the budget"):
+        am.CalibArtifact(config, over, levels, None, "line1d", meta)
+
+
 def test_objective_monotone_in_thresholds(small_setup):
     family, levels, config = small_setup
     stats = _calibration_stats(config, levels, None)
@@ -81,9 +99,9 @@ def test_sequential_per_step_budget(small_setup):
     cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
                       runs=3000, seed=5, mode="sequential")
     res = calibrate_sequential(cfg, levels)
-    per_step = res.budget / levels.K
-    assert np.all(res.per_k_error_share <= per_step + 1e-12)
-    assert res.achieved_lhs <= res.budget * (1 + 1e-9)
+    budget = _budget(cfg, levels)
+    assert np.all(res.per_k_error_share <= budget / levels.K + 1e-12)
+    assert res.achieved_lhs <= budget * (1 + 1e-9)
 
 
 def test_sequential_vs_zeta_profiles(small_setup):
@@ -100,11 +118,12 @@ def test_sequential_vs_zeta_profiles(small_setup):
     res_s = calibrate_sequential(cfg, levels)
     rel = np.abs(res_s.crit.z - res_z.crit.z) / res_z.crit.z
     assert rel.max() <= 0.90
-    assert res_s.achieved_lhs <= res_s.budget * (1 + 1e-9)
+    budget = _budget(cfg, levels)
+    assert res_s.achieved_lhs <= budget * (1 + 1e-9)
     # bare events contain the selection-form events, so the sequential values
     # also satisfy the selection-form budget
     stats = _calibration_stats(cfg, levels, None)
-    assert stats.objective(res_s.crit.z) <= res_s.budget * (1 + 1e-9)
+    assert stats.objective(res_s.crit.z) <= budget * (1 + 1e-9)
 
 
 def test_zeta_ratio_structure(small_setup):
@@ -133,7 +152,7 @@ def test_sequential_k1_matches_bruteforce():
     w = bases[:, 0] ** 2
     stat = np.abs(rings[:, 0] - bases[:, 0])
     cand = np.sort(stat / levels.s_ring[0, 0])
-    budget = res.budget  # single step: per-step budget equals the whole budget
+    budget = _budget(config, levels)  # single step: the per-step budget is the whole one
     best = None
     for z0 in np.concatenate(([ZETA_MIN], cand + 1e-12)):
         if z0 <= 0:
@@ -352,7 +371,7 @@ def test_artifact_roundtrip(tmp_path, small_setup):
     assert np.array_equal(loaded.result.per_k_error_share, res.per_k_error_share)
     assert np.array_equal(loaded.config.family.order, family.order)
     assert np.array_equal(loaded.config.family.counts, family.counts)
-    assert loaded.config_hash
+    assert path.read_text().startswith("config_hash: ")
     # the estimator and stream versions follow the format line and survive a round trip
     assert path.read_text().splitlines()[1:4] == ["format: amreg-calib-v1", "estimator: 2",
                                                   "stream: 2"]
@@ -382,9 +401,9 @@ def _artifacts(draw):
     """Artifacts with every saved field drawn.
 
     The families build (radii below 10, counts[-1] <= n <= 10^4), the
-    settings are ones a calibration accepts, the achieved value stays within
-    the budget, the levels stay non-increasing and ring-rule zeta values meet
-    the risk hypothesis.
+    settings are ones a calibration accepts, a zeta is drawn in zeta mode
+    only, the nonnegative shares sum to at most the budget, the levels stay
+    non-increasing and ring-rule zeta values meet the risk hypothesis.
     """
     family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
     if family_kind == "line1d":
@@ -416,28 +435,24 @@ def _artifacts(draw):
         lambda method, runs, seed: am.PairLevels(s_pair=lower_triangle(K + 1, -1),
                                             method=method, runs=runs, seed=seed),
         st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"]), _opt_int, _opt_int))
-    zeta = draw(st.none() | _positive())
+    mode = draw(st.sampled_from(["zeta", "sequential"]))
+    zeta = draw(_positive()) if mode == "zeta" else None
     crit = am.CriticalValues(z=np.sort(positives(K))[::-1], zeta=zeta)
     loss = draw(st.sampled_from([LossKind.mean(), LossKind.median()])
                 | st.builds(LossKind.quantile, _positive(1e-3, 0.999))
                 | st.builds(LossKind.huber, _positive()))
     noise = draw(st.sampled_from(["laplace", "gaussian", "student_t"]).flatmap(
         lambda kind: st.builds(NoiseKind, st.just(kind),
-                               st.integers(3, 30) if kind == "student_t" else st.none(),
-                               _positive(0.0, 1e3))))
+                               st.integers(3, 30) if kind == "student_t" else st.none())))
     config = CalibConfig(
         family=family, loss=loss, noise=noise, r=r, alpha=alpha,
         runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),
-        mode=draw(st.sampled_from(["zeta", "sequential"])),
-        rule=draw(st.sampled_from(["ring", "lepski"])))
+        mode=mode, rule=draw(st.sampled_from(["ring", "lepski"])))
     if config.rule == "ring" and zeta is not None:
         # the risk hypothesis of ring-rule zeta values: z_k * s_k non-increasing, z_K = 1
         crit = am.CriticalValues(np.maximum(crit.z, 2.0 * levels.s[K] / levels.s[K - 1]), zeta)
-    budget = draw(st.floats(min_value=0.0, allow_infinity=False))
-    result = am.CalibResult(
-        crit=crit, per_k_error_share=np.array(draw(st.lists(_reals, min_size=K, max_size=K))),
-        achieved_lhs=draw(st.floats(max_value=budget, allow_nan=False, allow_infinity=False)),
-        budget=budget)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
+    result = am.CalibResult(crit, _budget(config, levels) / K * np.array(fractions))
     return am.CalibArtifact(config, result, levels, pair, family_kind, meta,
                             estimator=draw(st.sampled_from(ESTIMATOR_VERSIONS)),
                             stream=draw(st.sampled_from(STREAM_VERSIONS)))
@@ -467,14 +482,13 @@ def test_artifact_roundtrip_keeps_every_field(art):
         path = Path(tmp) / "a.cal"
         save_artifact(path, art)
         loaded = load_artifact(path)
-        assert _same(replace(loaded, config_hash=""), art)
-        assert path.read_text().startswith(f"config_hash: {loaded.config_hash}\n")
+        assert _same(loaded, art)
         body = path.read_text().splitlines()[1:]
         assert f"stream: {art.stream}" in body
         # a missing stream line reads as version 1
         old = Path(tmp) / "old.cal"
         old.write_text(_rehashed([x for x in body if not x.startswith("stream: ")]))
-        assert _same(replace(load_artifact(old), config_hash=""), replace(art, stream=1))
+        assert _same(load_artifact(old), replace(art, stream=1))
         bad = Path(tmp) / "bad.cal"
         bad.write_text(_rehashed([x if not x.startswith("stream: ") else "stream: 3"
                                   for x in body]))

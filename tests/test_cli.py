@@ -131,6 +131,61 @@ def test_loading_validates_the_calibration(disc_cal, capsys, key, edit, message)
         assert err.startswith("error: validation: ") and message in err, (argv, err)
 
 
+def test_loader_says_malformed_only_for_unparsable_values(disc_cal):
+    """A value that parses but fails a check is named as such; only an unparsable one is malformed."""
+    body = (disc_cal / "d.cal").read_text().splitlines()[1:]
+    for key, value, message in (("mode", "grid", "calibration artifact {path}: unknown "
+                                 "calibration mode 'grid'"),
+                                ("alpha", "abc", "malformed calibration artifact {path}: ")):
+        path = disc_cal / f"loader_{key}.cal"
+        path.write_text(_rehashed([f"{key}: {value}" if x.startswith(f"{key}: ") else x
+                                   for x in body]))
+        with pytest.raises(am.ValidationError) as info:
+            am.load_artifact(path)
+        assert str(info.value).startswith(message.format(path=path)), str(info.value)
+        assert ("malformed" in str(info.value)) == (key == "alpha")
+
+
+def _scaled(factor):
+    return lambda v: " ".join(repr(factor * float(x)) for x in v.split())
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"budget": _scaled(1000.0)}, "budget "),
+    ({"budget": _scaled(1000.0), "per_k_error_share": _scaled(100.0)}, "exceeds the budget"),
+    ({"achieved_lhs": lambda v: "0.0"}, "achieved_lhs 0.0 is not the value derived"),
+    ({"noise_scale": lambda v: "2.0"}, "noise_scale 2.0 is not the value derived"),
+    ({"mode": lambda v: "sequential"}, "calibration mode 'sequential' does not match zeta"),
+], ids=["budget", "budget_and_shares", "achieved_lhs", "noise_scale", "mode"])
+def test_tampered_derived_values_refused_by_every_command(workdir, disc_cal, tmp_path, capsys,
+                                                         edits, message):
+    """A re-hashed artifact whose stored values disagree with the derived ones exits 1."""
+    def tampered(path):
+        body = path.read_text().splitlines()[1:]
+        for i, line in enumerate(body):
+            key, _, value = line.partition(": ")
+            if key in edits:
+                body[i] = f"{key}: {edits[key](value)}"
+        bad = tmp_path / f"tampered_{path.name}"
+        bad.write_text(_rehashed(body))
+        return bad
+
+    disc, line = tampered(disc_cal / "d.cal"), tampered(workdir / "med.cal")
+    for argv in (("denoise", "--in", disc_cal / "in.pgm", "--calib", disc,
+                  "--out", tmp_path / "out.pgm"),
+                 ("verify", "--calib", disc, "--seed", "99", "--runs", "1000"),
+                 ("verify", "--calib", line, "--seed", "99", "--runs", "1000"),
+                 ("bench", "--example", "1", "--runs", "30", "--seed", "7",
+                  "--methods", "median_ring", "--calib", f"median_ring={line}",
+                  "--out", tmp_path / "b.csv")):
+        capsys.readouterr()
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: calibration artifact ") and message in err, (
+            argv, err)
+    assert not (tmp_path / "out.pgm").exists() and not (tmp_path / "b.csv").exists()
+
+
 def test_artifact_estimator_versions(workdir, capsys):
     """No estimator line reads as version 1; only versions 1 and 2 load."""
     body = (workdir / "med.cal").read_text().splitlines()[1:]
@@ -634,7 +689,10 @@ def test_config_file_defaults(tmp_path):
     ("--config", "{cfg}", "--noise=laplace"),
     ("--config", "{cfg}", "--nois", "laplace"),
     ("--noise=laplace", "--config={cfg}"),
-], ids=["config_equals", "noise_equals", "abbreviation", "flag_first"])
+    ("--conf", "{cfg}", "--noise", "laplace"),
+    ("--conf={cfg}", "--noise", "laplace"),
+], ids=["config_equals", "noise_equals", "abbreviation", "flag_first", "config_abbreviation",
+        "config_abbreviation_equals"])
 def test_config_file_loses_to_every_flag_spelling(tmp_path, argv):
     """The file's settings are defaults, whatever the spelling of the flag or of --config."""
     cfg = tmp_path / "c.cfg"

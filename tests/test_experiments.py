@@ -31,9 +31,10 @@ def test_benchmark_worker_invariance(bench_artifacts, monkeypatch):
     assert csv_text(BenchRow, run_benchmark(spec, bench_artifacts).rows) == base
 
 
-def test_zero_noise_gives_zero_error(bench_artifacts):
-    spec = ExperimentSpec(example=1, noise=NoiseKind.laplace(scale=0.0),
-                          runs=10, seed=2)
+def test_zero_noise_gives_zero_error(bench_artifacts, monkeypatch):
+    monkeypatch.setattr(am.experiments, "sample_rows",
+                        lambda kind, n, seed, lo, hi: np.zeros((hi - lo, n)))
+    spec = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=10, seed=2)
     report = run_benchmark(spec, bench_artifacts)
     for row in report.rows:
         assert row.mc_median_abs_error == 0.0
@@ -127,8 +128,6 @@ def test_two_sample_mc_quick():
 def test_two_sample_validation():
     with pytest.raises(ValueError):
         two_sample_study(NoiseKind.laplace(), -0.1, n=100, runs=100, seed=1)
-    with pytest.raises(ValueError):
-        two_sample_study(NoiseKind.laplace(scale=2.0), 0.0, n=100, runs=100, seed=1)
 
 
 def test_moment_study_quick():

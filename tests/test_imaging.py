@@ -25,21 +25,18 @@ def two_region(width, height, contrast=4.0):
 
 
 def test_scale_estimate_constant_degenerate():
-    est = estimate_noise_scale(Image(np.full((8, 8), 2.0)))
-    assert est.sigma == 0.0 and est.degenerate
+    assert estimate_noise_scale(Image(np.full((8, 8), 2.0))) == 0.0
 
 
 def test_scale_estimate_pure_laplace():
     noise = sample_noise(NoiseKind.laplace(), 256 * 256, RngStream(50, 0))
-    est = estimate_noise_scale(Image(noise.reshape(256, 256)))
-    assert 0.95 <= est.sigma <= 1.05 and not est.degenerate
+    assert 0.95 <= estimate_noise_scale(Image(noise.reshape(256, 256))) <= 1.05
 
 
 def test_scale_estimate_two_region_image():
     noise = sample_noise(NoiseKind.laplace(), 128 * 128, RngStream(51, 0))
     img = two_region(128, 128) + noise.reshape(128, 128)
-    est = estimate_noise_scale(Image(img))
-    assert 0.95 <= est.sigma <= 1.10
+    assert 0.95 <= estimate_noise_scale(Image(img)) <= 1.10
 
 
 def test_scale_estimate_needs_2x2():
@@ -49,12 +46,17 @@ def test_scale_estimate_needs_2x2():
 
 def _auto(art, image):
     """The config with the noise scale estimated from the image, as denoise --sigma auto."""
-    return DenoiseConfig(art, estimate_noise_scale(image, art.config.noise).sigma)
+    return DenoiseConfig(art, estimate_noise_scale(image, art.config.noise))
 
 
 def _swapped(art, loss=None, levels=None, crit=None):
-    """The artifact with another loss, levels or thresholds."""
+    """The artifact with another loss, levels or thresholds.
+
+    Thresholds without a zeta make it a sequential-mode artifact.
+    """
     config = art.config if loss is None else replace(art.config, loss=loss)
+    if crit is not None and crit.zeta is None:
+        config = replace(config, mode="sequential")
     result = art.result if crit is None else replace(art.result, crit=crit)
     return replace(art, config=config, result=result, levels=levels or art.levels)
 

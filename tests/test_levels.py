@@ -193,6 +193,23 @@ def test_levels_validation(small_family, monkeypatch):
                 build(small_family, r)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_order_refused_before_drawing(small_family, monkeypatch, r):
+    """Every builder that takes r refuses a non-finite one with CalibConfig's message."""
+    def no_draws(*args):
+        raise AssertionError("drew replicates for a refused moment order")
+
+    monkeypatch.setattr(am.levels, "sample_rows", no_draws)
+    med, lap = LossKind.median(), NoiseKind.laplace()
+    for build in (lambda: levels_mc(small_family, med, lap, 1000, r=r, seed=1),
+                  lambda: pair_levels_mc(small_family, med, lap, 1000, r=r, seed=1),
+                  lambda: levels_asymptotic(small_family, med, lap, r=r),
+                  lambda: levels_exact_mean(small_family, r)):
+        with pytest.raises(am.ValidationError,
+                           match=f"^moment order r must be finite, got {r!r}$"):
+            build()
+
+
 @settings(max_examples=8, deadline=None)
 @given(runs=st.integers(CHUNK + 1, 3 * CHUNK - 1).filter(lambda n: n % CHUNK),
        loss=st.sampled_from([LossKind.mean(), LossKind.median(), LossKind.huber(1.0)]))
