@@ -348,10 +348,12 @@ class CalibArtifact:
     """One calibrate(config, levels, pair) run, as saved and reused.
 
     config.family is the family that family_kind and family_meta describe.
-    Only zeta mode has a zeta, and the achieved value stays within the
-    budget alpha * s_K^r. Ring-rule zeta thresholds must meet the risk
-    hypothesis (z_k * s_k non-increasing), which the ring rule requires of
-    them: a degenerate budget (huge alpha) can push z below the final value.
+    Only zeta mode has a zeta, and its thresholds are _zeta_to_z of it (to a
+    relative 1e-9: np.log may round differently elsewhere); only the lepski
+    rule has pair levels; the shares are finite, nonnegative and sum to at
+    most the budget alpha * s_K^r. Ring-rule zeta thresholds must meet the
+    risk hypothesis (z_k * s_k non-increasing), which the ring rule needs: a
+    degenerate budget (huge alpha) can push z below the final value.
     """
 
     config: CalibConfig
@@ -374,6 +376,15 @@ class CalibArtifact:
         if (cfg.mode == "zeta") != (crit.zeta is not None):
             raise ValidationError(f"calibration mode {cfg.mode!r} does not match zeta "
                                   f"{_opt(crit.zeta)}: only zeta mode has a zeta")
+        if crit.zeta is not None and not np.allclose(
+                crit.z, _zeta_to_z(crit.zeta, self.levels, cfg.alpha, cfg.r), rtol=1e-9, atol=0):
+            raise ValidationError(f"thresholds z are not those of zeta {crit.zeta!r}")
+        if (cfg.rule == "lepski") != (self.pair is not None):
+            raise ValidationError(f"the {cfg.rule} rule {'takes no' if self.pair else 'needs'} "
+                                  "pair levels")
+        shares = self.result.per_k_error_share
+        if not np.all(np.isfinite(shares) & (shares >= 0)):
+            raise ValidationError("per-step error shares must be finite and nonnegative")
         if self.result.achieved_lhs > self.budget * (1.0 + 1e-9):
             raise ValidationError(f"achieved value {self.result.achieved_lhs!r} exceeds "
                                   f"the budget {self.budget!r}")
@@ -400,68 +411,57 @@ def _fmt(x) -> str:
 
 
 def _fmt_arr(a) -> str:
-    return " ".join(_fmt(v) for v in np.asarray(a, dtype=float))
+    return " ".join(map(repr, np.asarray(a, dtype=float).tolist()))
 
 
-def _opt(x) -> str:
-    return "-" if x is None else _fmt(x)
+def _opt(x, fmt=_fmt) -> str:
+    return "-" if x is None else fmt(x)
 
 
-def _derived_lines(art: CalibArtifact) -> dict[str, str]:
-    """Saved lines that the others determine (noise laws are unit-scale); checked on load."""
-    return {"noise_scale": _fmt(1.0), "achieved_lhs": _fmt(art.result.achieved_lhs),
-            "budget": _fmt(art.budget)}
+def _provenance(name: str, lv: Levels | PairLevels) -> list[str]:
+    return [f"{name}_method: {lv.method}", f"{name}_runs: {_opt(lv.runs, str)}",
+            f"{name}_seed: {_opt(lv.seed, str)}"]
 
 
-def _artifact_lines(art: CalibArtifact) -> list[str]:
-    cfg, res = art.config, art.result
-    derived = _derived_lines(art)
-    lines = [
-        f"format: {FORMAT_TAG}",
-        f"estimator: {art.estimator}",
-        f"stream: {art.stream}",
+def _artifact_text(art: CalibArtifact) -> str:
+    """art's file: its hash line, then the body (no line for version 1 of estimator or stream)."""
+    cfg, res, meta, K = art.config, art.result, art.family_meta, art.levels.K
+    line1d = art.family_kind == "line1d"
+    lines = [f"format: {FORMAT_TAG}"]
+    lines += [f"{name}: {v}" for name, v in (("estimator", art.estimator),
+                                             ("stream", art.stream)) if v != 1]
+    lines += [
         f"rule: {cfg.rule}",
         f"mode: {cfg.mode}",
         f"loss: {cfg.loss.kind}",
         f"loss_param: {_opt(cfg.loss.alpha if cfg.loss.kind == 'quantile' else cfg.loss.kink)}",
         f"noise: {cfg.noise.kind}",
-        f"noise_dof: {'-' if cfg.noise.dof is None else cfg.noise.dof}",
-        f"noise_scale: {derived['noise_scale']}",
+        f"noise_dof: {_opt(cfg.noise.dof, str)}",
+        "noise_scale: 1.0",
         f"r: {_fmt(cfg.r)}",
         f"alpha: {_fmt(cfg.alpha)}",
         f"runs: {cfg.runs}",
         f"seed: {cfg.seed}",
         f"zeta: {_opt(res.crit.zeta)}",
-        f"achieved_lhs: {derived['achieved_lhs']}",
-        f"budget: {derived['budget']}",
+        f"achieved_lhs: {_fmt(res.achieved_lhs)}",
+        f"budget: {_fmt(art.budget)}",
         f"per_k_error_share: {_fmt_arr(res.per_k_error_share)}",
-        f"levels_method: {art.levels.method}",
-        f"levels_runs: {'-' if art.levels.runs is None else art.levels.runs}",
-        f"levels_seed: {'-' if art.levels.seed is None else art.levels.seed}",
+        *_provenance("levels", art.levels),
         f"family_kind: {art.family_kind}",
+        f"family_n: {int(meta['n']) if line1d else '-'}",
+        f"family_center: {_fmt(meta['center']) if line1d else '-'}",
+        f"family_radii: {'-' if line1d else _fmt_arr(meta['radii'])}",
+        f"K: {K}",
+        f"counts: {' '.join(str(int(c)) for c in cfg.family.counts)}",
+        f"z: {_fmt_arr(res.crit.z)}",
+        f"s: {_fmt_arr(art.levels.s)}",
     ]
-    if art.family_kind == "line1d":
-        lines.append(f"family_n: {int(art.family_meta['n'])}")
-        lines.append(f"family_center: {_fmt(art.family_meta['center'])}")
-        lines.append("family_radii: -")
-    else:
-        lines.append("family_n: -")
-        lines.append("family_center: -")
-        lines.append(f"family_radii: {_fmt_arr(art.family_meta['radii'])}")
-    K = art.levels.K
-    lines.append(f"K: {K}")
-    lines.append(f"counts: {' '.join(str(int(c)) for c in cfg.family.counts)}")
-    lines.append(f"z: {_fmt_arr(res.crit.z)}")
-    lines.append(f"s: {_fmt_arr(art.levels.s)}")
-    for k in range(K):
-        lines.append(f"s_ring[{k}]: {_fmt_arr(art.levels.s_ring[k, :k + 1])}")
+    lines += [f"s_ring[{k}]: {_fmt_arr(art.levels.s_ring[k, :k + 1])}" for k in range(K)]
     if art.pair is not None:
-        lines.append(f"pair_method: {art.pair.method}")
-        lines.append(f"pair_runs: {'-' if art.pair.runs is None else art.pair.runs}")
-        lines.append(f"pair_seed: {'-' if art.pair.seed is None else art.pair.seed}")
-        for m in range(1, K + 1):
-            lines.append(f"pair[{m}]: {_fmt_arr(art.pair.s_pair[m, :m])}")
-    return lines
+        lines += _provenance("pair", art.pair)
+        lines += [f"pair[{m}]: {_fmt_arr(art.pair.s_pair[m, :m])}" for m in range(1, K + 1)]
+    body = "\n".join(lines)
+    return f"config_hash: {_digest(body)}\n{body}\n"
 
 
 def _digest(body: str) -> str:
@@ -469,24 +469,18 @@ def _digest(body: str) -> str:
 
 
 def save_artifact(path, art: CalibArtifact) -> None:
-    body = "\n".join(_artifact_lines(art))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"config_hash: {_digest(body)}\n")
-        fh.write(body + "\n")
+        fh.write(_artifact_text(art))
 
 
 def load_artifact(path) -> CalibArtifact:
-    """Read an artifact written by save_artifact.
+    """Read an artifact, accepting only the exact text save_artifact writes for it.
 
-    The config hash on the first line is recomputed over the lines after it,
-    so any edit is caught, and the family, CalibConfig and CalibResult are
-    rebuilt, so a loaded artifact passes a fresh calibration's checks. An
-    unreadable file, a missing or mismatched hash, a missing field, an
-    unparsable value, an estimator or stream version outside
-    ESTIMATOR_VERSIONS or STREAM_VERSIONS, a counts line that is not the
-    described family's, or a noise_scale, achieved_lhs or budget line that
-    is not the value derived from the others raises ValidationError. A
-    missing estimator or stream line reads as version 1.
+    The config hash on the first line must match the lines after it, and the
+    family, CalibConfig and CalibResult are rebuilt, so a loaded artifact
+    passes a fresh calibration's checks. A missing estimator or stream line
+    reads as version 1. Every refusal, including the first line that differs
+    from what save_artifact writes, raises ValidationError.
     """
     try:
         with open(path, "rb") as fh:
@@ -496,87 +490,73 @@ def load_artifact(path) -> CalibArtifact:
                               f"{exc.strerror or exc}") from exc
     head, _, body = text.partition("\n")
     fields: dict[str, str] = {}
-    for raw in body.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition(":")
-        fields[key.strip()] = val.strip()
+    for line in body.splitlines():
+        key, _, val = line.partition(": ")
+        fields[key] = val
     if fields.get("format") != FORMAT_TAG:
         raise ValidationError(f"not a calibration artifact: {path}")
-    key, _, digest = head.partition(":")
-    if key.strip() != "config_hash":
-        raise ValidationError(f"calibration artifact has no config_hash line: {path}")
-    if digest.strip() != _digest(body.removesuffix("\n")):
-        raise ValidationError(f"calibration artifact does not match its config_hash: {path}")
+    if head != "config_hash: " + _digest(body.removesuffix("\n")):
+        raise ValidationError(f"calibration artifact has no config_hash line that matches "
+                              f"its body: {path}")
     for name, known in (("estimator", ESTIMATOR_VERSIONS), ("stream", STREAM_VERSIONS)):
         version = fields.setdefault(name, "1")
         if version not in [str(v) for v in known]:
             raise ValidationError(f"calibration artifact has {name} version {version!r}, "
                                   f"this program reads {known}: {path}")
     try:
-        return _artifact_from_fields(fields)
+        art = _artifact_from_fields(fields)
     except KeyError as exc:
         raise ValidationError(f"calibration artifact lacks the field {exc}: {path}") from exc
     except ValidationError as exc:
         raise ValidationError(f"calibration artifact {path}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed calibration artifact {path}: {exc}") from exc
+    # the hash line matches the body, so the first difference is in the body
+    got, want = body.split("\n"), _artifact_text(art).split("\n")[1:]
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
+        shown = [repr(lines[i]) if i < len(lines) else "no line" for lines in (got, want)]
+        raise ValidationError(f"calibration artifact {path}: line {i + 2} is {shown[0]}, "
+                              f"where save_artifact writes {shown[1]}")
+    return art
 
 
 def _artifact_from_fields(fields: dict[str, str]) -> CalibArtifact:
-    def opt_float(key: str) -> float | None:
-        return None if fields[key] == "-" else float(fields[key])
+    def opt(key: str, cast=int):
+        return None if fields[key] == "-" else cast(fields[key])
 
-    def opt_int(key: str) -> int | None:
-        return None if fields[key] == "-" else int(fields[key])
+    def floats(key: str) -> np.ndarray:
+        return np.array([float(v) for v in fields[key].split()])
 
-    loss_kind = fields["loss"]
-    param = opt_float("loss_param")
-    if loss_kind == "quantile":
-        loss = LossKind.quantile(param)
-    elif loss_kind == "huber":
-        loss = LossKind.huber(param)
-    else:
-        loss = LossKind(loss_kind)
-    noise = NoiseKind(fields["noise"], dof=opt_int("noise_dof"))
+    def triangle(size: int, rows: range, key: str, width: int) -> np.ndarray:
+        """Row i holds the values of key.format(i) in columns 0..i+width-1; NaN elsewhere."""
+        out = np.full((size, size), np.nan)
+        for i in rows:
+            out[i, :i + width] = floats(key.format(i))
+        return out
+
+    loss_kind, param = fields["loss"], opt("loss_param", float)
+    loss = LossKind(loss_kind, alpha=param if loss_kind == "quantile" else None,
+                    kink=param if loss_kind == "huber" else None)
     K = int(fields["K"])
-    s = np.array([float(v) for v in fields["s"].split()])
-    s_ring = np.full((K, K), np.nan)
-    for k in range(K):
-        row = [float(v) for v in fields[f"s_ring[{k}]"].split()]
-        s_ring[k, : k + 1] = row
-    levels = Levels(s=s, s_ring=s_ring, method=fields["levels_method"],
-                    runs=opt_int("levels_runs"), seed=opt_int("levels_seed"))
+    levels = Levels(floats("s"), triangle(K, range(K), "s_ring[{}]", 1),
+                    fields["levels_method"], opt("levels_runs"), opt("levels_seed"))
     pair = None
     if "pair[1]" in fields:
-        sp = np.full((K + 1, K + 1), np.nan)
-        for m in range(1, K + 1):
-            sp[m, :m] = [float(v) for v in fields[f"pair[{m}]"].split()]
-        pair = PairLevels(s_pair=sp, method=fields["pair_method"],
-                          runs=opt_int("pair_runs"), seed=opt_int("pair_seed"))
-    crit = CriticalValues(z=np.array([float(v) for v in fields["z"].split()]),
-                          zeta=opt_float("zeta"))
+        pair = PairLevels(triangle(K + 1, range(1, K + 1), "pair[{}]", 0),
+                          fields["pair_method"], opt("pair_runs"), opt("pair_seed"))
     kind = fields["family_kind"]
-    counts = [int(v) for v in fields["counts"].split()]
     if kind == "line1d":
         meta = {"n": int(fields["family_n"]), "center": float(fields["family_center"]),
-                "counts": counts}
+                "counts": [int(v) for v in fields["counts"].split()]}
     else:
-        meta = {"radii": [float(v) for v in fields["family_radii"].split()]}
-    family = build_family(kind, meta)
-    if counts != family.counts.tolist():
-        raise ValidationError(f"counts {counts} are not those of the {kind} family "
-                              f"the artifact describes, {family.counts.tolist()}")
-    config = CalibConfig(family=family, loss=loss, noise=noise, r=float(fields["r"]),
-                         alpha=float(fields["alpha"]), runs=int(fields["runs"]),
-                         seed=int(fields["seed"]), mode=fields["mode"], rule=fields["rule"])
-    shares = np.array([float(v) for v in fields["per_k_error_share"].split()])
-    art = CalibArtifact(config=config, result=CalibResult(crit, shares), levels=levels,
-                        pair=pair, family_kind=kind, family_meta=meta,
-                        estimator=int(fields["estimator"]), stream=int(fields["stream"]))
-    for key, value in _derived_lines(art).items():
-        if _fmt(fields[key]) != value:
-            raise ValidationError(f"{key} {fields[key]} is not the value derived from "
-                                  f"the artifact, {value}")
-    return art
+        meta = {"radii": floats("family_radii").tolist()}
+    config = CalibConfig(family=build_family(kind, meta), loss=loss,
+                         noise=NoiseKind(fields["noise"], dof=opt("noise_dof")),
+                         r=float(fields["r"]), alpha=float(fields["alpha"]),
+                         runs=int(fields["runs"]), seed=int(fields["seed"]),
+                         mode=fields["mode"], rule=fields["rule"])
+    result = CalibResult(CriticalValues(floats("z"), opt("zeta", float)),
+                         floats("per_k_error_share"))
+    return CalibArtifact(config, result, levels, pair, kind, meta,
+                         estimator=int(fields["estimator"]), stream=int(fields["stream"]))

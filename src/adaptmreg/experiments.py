@@ -139,8 +139,6 @@ def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
         if (cfg.loss.kind, cfg.rule) != loss_rule:
             raise ValidationError(f"artifact for {m} was calibrated as "
                                   f"{cfg.loss.kind}/{cfg.rule}")
-        if cfg.rule == "lepski" and art.pair is None:
-            raise ValidationError(f"artifact for {m} lacks pair levels")
         if art.family_kind != "line1d" or int(art.family_meta["n"]) != spec.n:
             raise ValidationError(f"artifact for {m} does not match an n={spec.n} design")
         if counts is None:

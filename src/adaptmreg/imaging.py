@@ -133,10 +133,9 @@ class DenoiseConfig:
         if cfg.rule != "ring":
             raise ValidationError(f"denoising runs the ring rule, but the artifact was "
                                   f"calibrated for the {cfg.rule} rule")
-        if self.art.levels.method not in ("asymptotic", "exact_mean"):
-            raise ValidationError(
-                "imaging needs closed-form levels (asymptotic or exact_mean); "
-                "monte carlo level artifacts cannot be rebuilt for clipped borders")
+        if self.art.levels.method == "monte_carlo":
+            raise ValidationError("imaging needs closed-form levels (asymptotic or exact_mean); "
+                                  "monte carlo levels cannot be rebuilt for clipped borders")
         if cfg.loss.kind == "huber":
             raise ValidationError("huber loss has no closed-form levels for imaging")
         if cfg.family.dropped_levels:

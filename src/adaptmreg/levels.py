@@ -40,6 +40,9 @@ __all__ = [
 # run counts below which Monte Carlo levels and calibrations fail or warn
 MC_MIN_RUNS = 1000
 MC_WARN_RUNS = 10000
+LEVEL_METHODS = ("exact_mean", "asymptotic", "monte_carlo")
+WINDOW_LEVELS = "the window levels"
+PAIR_LEVELS = "the pair levels"
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class Levels:
 
     s has one entry per window (K+1 values); s_ring is lower triangular with
     entry [k, j] for j <= k <= K-1 and NaN above the diagonal. Levels scale
-    linearly in the noise scale.
+    linearly in the noise scale. Monte Carlo levels carry their runs and seed.
     """
 
     s: np.ndarray
@@ -56,29 +59,33 @@ class Levels:
     method: str
     runs: int | None = None
     seed: int | None = None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s, dtype=float)
         s_ring = np.asarray(self.s_ring, dtype=float)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "s_ring", s_ring)
-        if s.ndim != 1 or s.size < 1 or np.any(s <= 0):
-            raise ValidationError("s must be strictly positive")
+        _check_provenance(self.method, self.runs, self.seed, WINDOW_LEVELS)
         K = s.size - 1
-        if s_ring.shape != (K, K):
-            raise ValidationError(f"s_ring must have shape ({K}, {K})")
-        if np.any(np.diff(s) > 0):
-            if self.method == "monte_carlo":
-                object.__setattr__(
-                    self, "warnings",
-                    self.warnings + ("monte carlo levels are not monotone in the window index",))
-            else:
-                raise ValidationError("levels must be non-increasing in the window index")
+        if s.ndim != 1 or K < 0 or s_ring.shape != (K, K):
+            raise ValidationError("s must have K + 1 entries and s_ring shape (K, K)")
+        known = np.append(s, s_ring[np.tril_indices(K)])
+        if not np.all(np.isfinite(known) & (known > 0)):
+            raise ValidationError("s and s_ring on and below the diagonal must be finite "
+                                  "and strictly positive")
+        if np.any(np.diff(s) > 0) and self.method != "monte_carlo":
+            raise ValidationError("levels must be non-increasing in the window index")
 
     @property
     def K(self) -> int:
         return int(self.s.size - 1)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The run-count warnings of Monte Carlo levels, and whether they are non-monotone."""
+        note = ("monte carlo levels are not monotone in the window index",)
+        return (_check_provenance(self.method, self.runs, self.seed, WINDOW_LEVELS)
+                + (note if np.any(np.diff(self.s) > 0) else ()))
 
 
 @dataclass(frozen=True)
@@ -86,19 +93,19 @@ class PairLevels:
     """Error levels of differences between two window estimates.
 
     s_pair[m, l] is the scale of estimate_m - estimate_l under pure noise,
-    defined for l < m; NaN elsewhere. warnings holds the notes of a Monte
-    Carlo estimate, as for Levels.
+    defined for l < m; NaN elsewhere. method, runs and seed are as for
+    Levels.
     """
 
     s_pair: np.ndarray
     method: str
     runs: int | None = None
     seed: int | None = None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         sp = np.asarray(self.s_pair, dtype=float)
         object.__setattr__(self, "s_pair", sp)
+        _check_provenance(self.method, self.runs, self.seed, PAIR_LEVELS)
         if sp.ndim != 2 or sp.shape[0] != sp.shape[1] or sp.shape[0] < 2:
             raise ValidationError("s_pair must be square with at least two windows")
         tril = np.tril_indices(sp.shape[0], k=-1)
@@ -108,6 +115,24 @@ class PairLevels:
     @property
     def K(self) -> int:
         return int(self.s_pair.shape[0] - 1)
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The run-count warnings of Monte Carlo pair levels."""
+        return _check_provenance(self.method, self.runs, self.seed, PAIR_LEVELS)
+
+
+def _check_provenance(method: str, runs: int | None, seed: int | None, step: str) -> tuple:
+    """Refuse provenance that no level builder gives; return check_mc_runs' warnings."""
+    if method not in LEVEL_METHODS:
+        raise ValidationError(f"unknown method {method!r} of {step}")
+    if method != "monte_carlo":
+        if runs is not None or seed is not None:
+            raise ValidationError(f"{step} are {method}, which has no run count or seed")
+        return ()
+    if runs is None or seed is None:
+        raise ValidationError(f"{step} are monte_carlo, which needs a run count and a seed")
+    return check_mc_runs(runs, step)
 
 
 def normal_abs_moment(r: float) -> float:
@@ -268,7 +293,7 @@ def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
               r: float = 2.0, seed: int = 0) -> Levels:
     """Monte Carlo levels: empirical r-th moments over pure-noise replicates."""
     _check_order(r)
-    warnings = check_mc_runs(runs, "the window levels")
+    check_mc_runs(runs, WINDOW_LEVELS)
     bases, rings = simulate_window_estimates(family, loss, kind, runs, seed)
     K = family.K
     s = np.mean(np.abs(bases) ** r, axis=0) ** (1.0 / r)
@@ -276,8 +301,7 @@ def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
     for k in range(K):
         diffs = np.abs(rings[:, k, None] - bases[:, : k + 1])
         s_ring[k, : k + 1] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
-    return Levels(s=s, s_ring=s_ring, method="monte_carlo",
-                  runs=runs, seed=seed, warnings=warnings)
+    return Levels(s=s, s_ring=s_ring, method="monte_carlo", runs=runs, seed=seed)
 
 
 def pair_levels_exact_mean(family: WindowFamily, r: float = 2.0) -> PairLevels:
@@ -308,12 +332,11 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     moments are taken over joint pure-noise replicates.
     """
     _check_order(r)
-    warnings = check_mc_runs(runs, "the pair levels")
+    check_mc_runs(runs, PAIR_LEVELS)
     bases, _ = simulate_window_estimates(family, loss, kind, runs, seed)
     K = family.K
     sp = np.full((K + 1, K + 1), np.nan)
     for m in range(1, K + 1):
         diffs = np.abs(bases[:, m, None] - bases[:, :m])
         sp[m, :m] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
-    return PairLevels(s_pair=sp, method="monte_carlo", runs=runs, seed=seed,
-                      warnings=warnings)
+    return PairLevels(s_pair=sp, method="monte_carlo", runs=runs, seed=seed)

@@ -15,9 +15,9 @@ from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        save_artifact, verify_calibration)
 from adaptmreg.calibration import (ESTIMATOR_VERSIONS, SEARCH_TOL, STREAM_VERSIONS, Z_MAX,
                                    ZETA_MIN, _budget, _calibration_stats, _SelectionStats,
-                                   build_family)
+                                   _zeta_to_z, build_family)
 from adaptmreg.errors import CalibrationError, ValidationError
-from adaptmreg.levels import Levels, simulate_window_estimates
+from adaptmreg.levels import MC_MIN_RUNS, Levels, simulate_window_estimates
 from adaptmreg.parallel import CHUNK
 
 
@@ -69,7 +69,12 @@ def test_huge_alpha_hits_grid_minimum(small_setup):
 
 
 def test_artifact_checks_mode_and_budget(small_setup):
-    """An artifact's mode matches its threshold form; its shares stay within the budget."""
+    """An artifact checks its mode, thresholds, pair levels and shares.
+
+    The mode matches the threshold form, and zeta thresholds derive from
+    zeta; only the lepski rule has pair levels; the shares are finite,
+    nonnegative and within the budget.
+    """
     family, levels, config = small_setup
     meta = {"n": 60, "center": 0.0, "counts": family.counts.tolist()}
     res = calibrate_zeta(config, levels)
@@ -84,6 +89,23 @@ def test_artifact_checks_mode_and_budget(small_setup):
     over = am.CalibResult(res.crit, 1.01 * art.budget / levels.K * np.ones(levels.K))
     with pytest.raises(ValidationError, match="exceeds the budget"):
         am.CalibArtifact(config, over, levels, None, "line1d", meta)
+
+    def artifact(result=res, cfg=config, pair=None):
+        return am.CalibArtifact(cfg, result, levels, pair, "line1d", meta)
+
+    # np.log may round differently on another CPU: a relative 1e-9 is allowed
+    artifact(replace(res, crit=am.CriticalValues(res.crit.z * (1 + 1e-12), res.crit.zeta)))
+    with pytest.raises(ValidationError, match="thresholds z are not those of zeta"):
+        artifact(replace(res, crit=am.CriticalValues(0.5 * res.crit.z, res.crit.zeta)))
+    pair = am.pair_levels_asymptotic(family, config.loss, config.noise)
+    with pytest.raises(ValidationError, match="the ring rule takes no pair levels"):
+        artifact(pair=pair)
+    with pytest.raises(ValidationError, match="the lepski rule needs pair levels"):
+        artifact(cfg=replace(config, rule="lepski"))
+    artifact(cfg=replace(config, rule="lepski"), pair=pair)
+    for bad in (-res.per_k_error_share, np.full(levels.K, np.nan)):
+        with pytest.raises(ValidationError, match="shares must be finite and nonnegative"):
+            artifact(replace(res, per_k_error_share=bad))
 
 
 def test_objective_monotone_in_thresholds(small_setup):
@@ -393,7 +415,6 @@ def _positive(lo=1e-6, hi=1e6):
 
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
-_opt_int = st.none() | st.integers(min_value=0, max_value=2 ** 40)
 
 
 @st.composite
@@ -402,8 +423,10 @@ def _artifacts(draw):
 
     The families build (radii below 10, counts[-1] <= n <= 10^4), the
     settings are ones a calibration accepts, a zeta is drawn in zeta mode
-    only, the nonnegative shares sum to at most the budget, the levels stay
-    non-increasing and ring-rule zeta values meet the risk hypothesis.
+    only and the thresholds derive from it, the nonnegative shares sum to at
+    most the budget, the levels stay non-increasing, Monte Carlo levels alone
+    carry a run count (at least 1,000) and a seed, pair levels come with the
+    lepski rule only, and ring-rule zeta values meet the risk hypothesis.
     """
     family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
     if family_kind == "line1d":
@@ -428,16 +451,20 @@ def _artifacts(draw):
         out[tril] = positives(len(tril[0]))
         return out
 
+    def provenance():
+        method = draw(st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"]))
+        if method != "monte_carlo":
+            return {"method": method}
+        return {"method": method, "runs": draw(st.integers(MC_MIN_RUNS, 2 ** 40)),
+                "seed": draw(st.integers(0, 2 ** 40))}
+
     levels = Levels(s=np.sort(positives(K + 1))[::-1], s_ring=lower_triangle(K, 0),
-                    method=draw(st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"])),
-                    runs=draw(_opt_int), seed=draw(_opt_int))
-    pair = draw(st.none() | st.builds(
-        lambda method, runs, seed: am.PairLevels(s_pair=lower_triangle(K + 1, -1),
-                                            method=method, runs=runs, seed=seed),
-        st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"]), _opt_int, _opt_int))
+                    **provenance())
     mode = draw(st.sampled_from(["zeta", "sequential"]))
-    zeta = draw(_positive()) if mode == "zeta" else None
-    crit = am.CriticalValues(z=np.sort(positives(K))[::-1], zeta=zeta)
+    rule = draw(st.sampled_from(["ring", "lepski"]))
+    pair = None
+    if rule == "lepski":
+        pair = am.PairLevels(s_pair=lower_triangle(K + 1, -1), **provenance())
     loss = draw(st.sampled_from([LossKind.mean(), LossKind.median()])
                 | st.builds(LossKind.quantile, _positive(1e-3, 0.999))
                 | st.builds(LossKind.huber, _positive()))
@@ -447,10 +474,15 @@ def _artifacts(draw):
     config = CalibConfig(
         family=family, loss=loss, noise=noise, r=r, alpha=alpha,
         runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),
-        mode=mode, rule=draw(st.sampled_from(["ring", "lepski"])))
-    if config.rule == "ring" and zeta is not None:
-        # the risk hypothesis of ring-rule zeta values: z_k * s_k non-increasing, z_K = 1
-        crit = am.CriticalValues(np.maximum(crit.z, 2.0 * levels.s[K] / levels.s[K - 1]), zeta)
+        mode=mode, rule=rule)
+    if mode == "zeta":
+        zeta = draw(_positive())
+        crit = am.CriticalValues(_zeta_to_z(zeta, levels, alpha, r), zeta)
+        if rule == "ring":
+            # the risk hypothesis of ring-rule zeta values: z_k * s_k non-increasing, z_K = 1
+            assume(np.all(np.diff(crit.full(K) * levels.s) <= 1e-12))
+    else:
+        crit = am.CriticalValues(z=np.sort(positives(K))[::-1])
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
     result = am.CalibResult(crit, _budget(config, levels) / K * np.array(fractions))
     return am.CalibArtifact(config, result, levels, pair, family_kind, meta,
@@ -484,14 +516,14 @@ def test_artifact_roundtrip_keeps_every_field(art):
         loaded = load_artifact(path)
         assert _same(loaded, art)
         body = path.read_text().splitlines()[1:]
-        assert f"stream: {art.stream}" in body
-        # a missing stream line reads as version 1
+        # version 1 has no stream line, and a missing stream line reads as version 1
+        assert (f"stream: {art.stream}" in body) == (art.stream != 1)
         old = Path(tmp) / "old.cal"
         old.write_text(_rehashed([x for x in body if not x.startswith("stream: ")]))
         assert _same(load_artifact(old), replace(art, stream=1))
         bad = Path(tmp) / "bad.cal"
-        bad.write_text(_rehashed([x if not x.startswith("stream: ") else "stream: 3"
-                                  for x in body]))
+        bad.write_text(_rehashed(body[:1] + ["stream: 3"]
+                                 + [x for x in body[1:] if not x.startswith("stream: ")]))
         with pytest.raises(ValidationError, match="stream version '3'"):
             load_artifact(bad)
 

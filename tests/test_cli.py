@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -111,7 +112,7 @@ def _last_count_plus_one(counts: str) -> str:
     ("mode", lambda v: "grid", "unknown calibration mode 'grid'"),
     ("runs", lambda v: "10", "need at least 1000 monte carlo runs for the calibration"),
     ("rule", lambda v: "aws", "unknown selection rule 'aws'"),
-    ("counts", _last_count_plus_one, "are not those of the disc2d family"),
+    ("counts", _last_count_plus_one, "is 'counts: "),
 ], ids=["mode", "runs", "rule", "counts"])
 def test_loading_validates_the_calibration(disc_cal, capsys, key, edit, message):
     """A re-hashed artifact that a calibration would refuse does not load: exit 1."""
@@ -150,24 +151,76 @@ def _scaled(factor):
     return lambda v: " ".join(repr(factor * float(x)) for x in v.split())
 
 
-@pytest.mark.parametrize("edits, message", [
-    ({"budget": _scaled(1000.0)}, "budget "),
-    ({"budget": _scaled(1000.0), "per_k_error_share": _scaled(100.0)}, "exceeds the budget"),
-    ({"achieved_lhs": lambda v: "0.0"}, "achieved_lhs 0.0 is not the value derived"),
-    ({"noise_scale": lambda v: "2.0"}, "noise_scale 2.0 is not the value derived"),
-    ({"mode": lambda v: "sequential"}, "calibration mode 'sequential' does not match zeta"),
-], ids=["budget", "budget_and_shares", "achieved_lhs", "noise_scale", "mode"])
+def _set(**edits):
+    """An edit of artifact body lines that maps the value of each named key's line."""
+    def edit(body):
+        lines = [line.partition(": ") for line in body]
+        return [f"{k}: {edits[k](v)}" if k in edits else k + sep + v for k, sep, v in lines]
+    return edit
+
+
+def _insert_before(key, line):
+    """An edit that inserts a line ahead of the key's line."""
+    def edit(body):
+        i = next(i for i, x in enumerate(body) if x.startswith(f"{key}: "))
+        return body[:i] + [line] + body[i:]
+    return edit
+
+
+def _swap_rule_and_mode(body):
+    i = next(i for i, x in enumerate(body) if x.startswith("rule: "))
+    return body[:i] + [body[i + 1], body[i]] + body[i + 2:]
+
+
+def _closed_form_pair_lines(body):
+    """Exact-mean pair level lines for the counts of an artifact body."""
+    counts = next(x for x in body if x.startswith("counts: ")).split()[1:]
+    *_, sp = am.levels.closed_form([int(c) for c in counts], 1.0)
+    rows = [" ".join(map(repr, sp[m, :m].tolist())) for m in range(1, len(counts))]
+    return (["pair_method: exact_mean", "pair_runs: -", "pair_seed: -"]
+            + [f"pair[{m}]: {row}" for m, row in enumerate(rows, start=1)])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(budget=_scaled(1000.0)), "is 'budget: "),
+    (_set(budget=_scaled(1000.0), per_k_error_share=_scaled(100.0)), "exceeds the budget"),
+    (_set(achieved_lhs=lambda v: "0.0"),
+     "is 'achieved_lhs: 0.0', where save_artifact writes 'achieved_lhs: "),
+    (_set(noise_scale=lambda v: "2.0"),
+     "is 'noise_scale: 2.0', where save_artifact writes 'noise_scale: 1.0'"),
+    (_set(mode=lambda v: "sequential"), "calibration mode 'sequential' does not match zeta"),
+    (_insert_before("rule", "# edited by hand"),
+     "is '# edited by hand', where save_artifact writes 'rule: ring'"),
+    (_insert_before("rule", "foo: bar"), "is 'foo: bar', where save_artifact writes 'rule: ring'"),
+    (_insert_before("alpha", "alpha: 50.0"),
+     "is 'alpha: 50.0', where save_artifact writes 'alpha: 1.0'"),
+    (_set(alpha=lambda v: "1"), "is 'alpha: 1', where save_artifact writes 'alpha: 1.0'"),
+    (_swap_rule_and_mode, "is 'mode: zeta', where save_artifact writes 'rule: ring'"),
+    (_set(levels_runs=lambda v: "5"),
+     "the window levels are asymptotic, which has no run count or seed"),
+    (_set(levels_method=lambda v: "bogus"), "unknown method 'bogus' of the window levels"),
+    (_set(z=_scaled(0.5)), "thresholds z are not those of zeta "),
+    (_set(s=_scaled(math.nan)),
+     "s and s_ring on and below the diagonal must be finite and strictly positive"),
+    (_set(per_k_error_share=_scaled(-1.0)),
+     "per-step error shares must be finite and nonnegative"),
+    (lambda body: body + _closed_form_pair_lines(body), "the ring rule takes no pair levels"),
+    (_set(rule=lambda v: "lepski"), "the lepski rule needs pair levels"),
+], ids=["budget", "budget_and_shares", "achieved_lhs", "noise_scale", "mode", "comment",
+        "unknown_key", "duplicate_alpha", "alpha_int", "swapped_lines", "levels_runs",
+        "levels_method", "halved_z", "nan_s", "negated_shares", "ring_with_pair",
+        "lepski_without_pair"])
 def test_tampered_derived_values_refused_by_every_command(workdir, disc_cal, tmp_path, capsys,
-                                                         edits, message):
-    """A re-hashed artifact whose stored values disagree with the derived ones exits 1."""
+                                                         edit, message):
+    """A re-hashed artifact that save_artifact would not write, or that a check refuses.
+
+    Values that others determine (budget, achieved_lhs, noise_scale) count
+    among them. denoise, verify and bench all exit 1, naming the line or the
+    check.
+    """
     def tampered(path):
-        body = path.read_text().splitlines()[1:]
-        for i, line in enumerate(body):
-            key, _, value = line.partition(": ")
-            if key in edits:
-                body[i] = f"{key}: {edits[key](value)}"
         bad = tmp_path / f"tampered_{path.name}"
-        bad.write_text(_rehashed(body))
+        bad.write_text(_rehashed(edit(path.read_text().splitlines()[1:])))
         return bad
 
     disc, line = tampered(disc_cal / "d.cal"), tampered(workdir / "med.cal")
@@ -220,6 +273,66 @@ def test_artifact_stream_versions(workdir, capsys):
         err = capsys.readouterr().err
         assert rc == 1, (bad, err)
         assert err.startswith("error: validation: ") and f"stream version '{bad}'" in err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_artifacts_of_earlier_versions_load_verify_and_resave(tmp_path, capsys):
+    """Artifacts that earlier versions of the program wrote load, verify and re-save unchanged.
+
+    Each was written by the CLI of the commit its name starts with
+    (``git archive <commit> src``, then ``adaptmreg.cli.run_cli`` on
+    PYTHONPATH=src):
+
+    - 3e22d29_median_ring.cal: ``calibrate --family bench1d --loss median
+      --runs 1000 --seed 11 --workers 1`` (no estimator or stream line);
+    - 50ca8b8_median_disc.cal: ``calibrate --family disc2d --loss median
+      --noise laplace --runs 1000 --seed 21 --workers 1`` (estimator 2, no
+      stream line);
+    - d70d3e5_median_lepski_mc.cal: ``calibrate --family bench1d --loss
+      median --rule lepski --levels mc --levels-runs 1500 --pair mc
+      --pair-runs 1200 --runs 1000 --seed 13`` with ADAPTMREG_WORKERS=1
+      (pair levels drawn with other runs and seed than the window levels).
+    """
+    versions = {"3e22d29_median_ring.cal": (1, 1), "50ca8b8_median_disc.cal": (2, 1),
+                "d70d3e5_median_lepski_mc.cal": (2, 2)}
+    for name, (estimator, stream) in versions.items():
+        art = am.load_artifact(DATA / name)
+        assert (art.estimator, art.stream) == (estimator, stream), name
+        assert run("verify", "--calib", DATA / name, "--seed", "99", "--runs", "1000") == 0
+        assert capsys.readouterr().out.startswith("ratio: ")
+        save_artifact(tmp_path / name, art)
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+    lepski = am.load_artifact(DATA / "d70d3e5_median_lepski_mc.cal")
+    assert (lepski.levels.runs, lepski.levels.seed) == (1500, 14)
+    assert (lepski.pair.runs, lepski.pair.seed) == (1200, 15)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(family_radii=lambda v: "1.5 2.0"),
+     "is 'family_radii: 1.5 2.0', where save_artifact writes 'family_radii: -'"),
+    (_set(levels_runs=lambda v: "5"),
+     "need at least 1000 monte carlo runs for the window levels, got 5"),
+    (_set(pair_seed=lambda v: "-"), "the pair levels are monte_carlo, which needs a run count"),
+    (lambda body: [x for x in body if not x.startswith("pair")],
+     "the lepski rule needs pair levels"),
+], ids=["family_radii", "levels_runs", "pair_seed", "no_pair_lines"])
+def test_non_canonical_monte_carlo_lepski_artifacts_refused(tmp_path, capsys, edit, message):
+    """The same rule holds for a line1d lepski artifact with Monte Carlo levels."""
+    body = (DATA / "d70d3e5_median_lepski_mc.cal").read_text().splitlines()[1:]
+    bad = tmp_path / "bad.cal"
+    bad.write_text(_rehashed(edit(body)))
+    for argv in (("verify", "--calib", bad, "--seed", "99", "--runs", "1000"),
+                 ("bench", "--example", "1", "--runs", "30", "--seed", "7",
+                  "--methods", "median_lepski", "--calib", f"median_lepski={bad}",
+                  "--out", tmp_path / "b.csv")):
+        capsys.readouterr()
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: calibration artifact ") and message in err, (
+            argv, err)
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_quantile_mc_levels_name_the_way_out(tmp_path, capsys):
@@ -590,11 +703,13 @@ def test_degenerate_thresholds_refused_by_every_command(workdir, disc_cal, tmp_p
     assert not out.exists()
 
     def shrunk(path):
-        body = path.read_text().splitlines()[1:]
-        i = next(i for i, x in enumerate(body) if x.startswith("z: "))
-        z = " ".join(repr(1e-3 * float(v)) for v in body[i].split()[1:])
+        # z_k = (zeta * arg_k)^(1/2): zeta times 1e-6 is z times 1e-3
+        edits = {"z": lambda v: " ".join(repr(1e-3 * float(x)) for x in v.split()),
+                 "zeta": lambda v: repr(1e-6 * float(v))}
+        body = [f"{k}: {edits[k](v)}" if k in edits else x
+                for x in path.read_text().splitlines()[1:] for k, _, v in [x.partition(": ")]]
         bad = tmp_path / f"small_z_{path.name}"
-        bad.write_text(_rehashed(body[:i] + [f"z: {z}"] + body[i + 1:]))
+        bad.write_text(_rehashed(body))
         return bad
 
     disc, line = shrunk(disc_cal / "d.cal"), shrunk(workdir / "med.cal")

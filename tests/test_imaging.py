@@ -256,8 +256,11 @@ def test_rejects_incompatible_configs(disc_artifact):
     assert dup.dropped_levels and dup.K == art.config.family.K
     cases = {
         "a disc2d calibration artifact": replace(art, family_kind="line1d"),
-        "lepski rule": replace(art, config=replace(art.config, rule="lepski")),
-        "closed-form levels": _swapped(art, levels=am.Levels(lv.s, lv.s_ring, "monte_carlo")),
+        "lepski rule": replace(art, config=replace(art.config, rule="lepski"),
+                               pair=am.pair_levels_asymptotic(art.config.family, art.config.loss,
+                                                              art.config.noise)),
+        "closed-form levels": _swapped(art, levels=am.Levels(lv.s, lv.s_ring, "monte_carlo",
+                                                             runs=10000, seed=1)),
         "huber loss": _swapped(art, am.LossKind.huber(1.0)),
         "duplicate interior windows": replace(art, config=replace(art.config, family=dup),
                                               family_meta={"radii": radii.tolist()}),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -121,6 +122,49 @@ def test_mc_runs_validation(small_family):
     with pytest.raises(ValueError):
         levels_mc(small_family, LossKind.median(), NoiseKind.laplace(),
                   runs=500, seed=1)
+
+
+def test_level_tables_check_their_provenance():
+    """Only the three methods; Monte Carlo tables alone have runs (at least 1,000) and a seed."""
+    s, s_ring = np.array([0.5, 0.3]), np.full((1, 1), 0.6)
+    sp = np.array([[np.nan, np.nan], [0.4, np.nan]])
+    for step, build in (("the window levels", lambda **kw: Levels(s, s_ring, **kw)),
+                        ("the pair levels", lambda **kw: am.PairLevels(sp, **kw))):
+        for kw, message in (
+                ({"method": "bogus"}, f"unknown method 'bogus' of {step}"),
+                ({"method": "asymptotic", "runs": 5000},
+                 f"{step} are asymptotic, which has no run count or seed"),
+                ({"method": "exact_mean", "seed": 1},
+                 f"{step} are exact_mean, which has no run count or seed"),
+                ({"method": "monte_carlo", "runs": 5000},
+                 f"{step} are monte_carlo, which needs a run count and a seed"),
+                ({"method": "monte_carlo", "runs": 5, "seed": 1},
+                 f"need at least 1000 monte carlo runs for {step}, got 5")):
+            with pytest.raises(am.ValidationError, match=f"^{message}"):
+                build(**kw)
+        assert build(method="asymptotic").warnings == ()
+        assert build(method="monte_carlo", runs=10000, seed=1).warnings == ()
+        assert build(method="monte_carlo", runs=2000, seed=1).warnings == (
+            f"only 2000 monte carlo runs for {step}; estimates may be rough",)
+
+
+def test_levels_warnings_are_derived():
+    """warnings is no field: run-count notes, then the non-monotone note of Monte Carlo levels."""
+    assert "warnings" not in {f.name for f in fields(Levels)}
+    assert "warnings" not in {f.name for f in fields(am.PairLevels)}
+    rising = Levels(np.array([0.3, 0.5]), np.full((1, 1), 0.6), "monte_carlo", runs=2000, seed=1)
+    assert rising.warnings == (
+        "only 2000 monte carlo runs for the window levels; estimates may be rough",
+        "monte carlo levels are not monotone in the window index")
+
+
+@pytest.mark.parametrize("s, s_ring", [
+    ([np.nan, np.nan], [[0.6]]), ([np.inf, 0.3], [[0.6]]), ([0.5, 0.3], [[np.nan]]),
+    ([0.5, 0.3], [[np.inf]]), ([0.5, 0.3], [[0.0]]), ([0.5, -0.3], [[0.6]]),
+], ids=["nan_s", "inf_s", "nan_ring", "inf_ring", "zero_ring", "negative_s"])
+def test_levels_refuse_non_finite_or_non_positive_entries(s, s_ring):
+    with pytest.raises(am.ValidationError, match="must be finite and strictly positive"):
+        Levels(np.array(s), np.array(s_ring), "exact_mean")
 
 
 def test_pair_exact_mean_formula(small_family):
