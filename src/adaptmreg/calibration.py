@@ -347,7 +347,8 @@ STREAM_VERSIONS = (1, 2)
 class CalibArtifact:
     """One calibrate(config, levels, pair) run, as saved and reused.
 
-    config.family is the family that family_kind and family_meta describe.
+    config.family is the family that family_kind and family_meta describe,
+    the one build_family makes of them.
     Only zeta mode has a zeta, and its thresholds are _zeta_to_z of it (to a
     relative 1e-9: np.log may round differently elsewhere); only the lepski
     rule has pair levels; the shares are finite, nonnegative and sum to at
@@ -367,7 +368,17 @@ class CalibArtifact:
 
     def __post_init__(self) -> None:
         cfg, crit = self.config, self.result.crit
-        K = cfg.family.K
+        family = cfg.family
+        if getattr(family, "_described_by", None) != _description(self.family_kind,
+                                                                 self.family_meta):
+            built = build_family(self.family_kind, self.family_meta)
+            if not (np.array_equal(built.order, family.order)
+                    and np.array_equal(built.counts, family.counts)
+                    and built.dropped_levels == family.dropped_levels):
+                raise ValidationError(f"family_kind {self.family_kind!r} and family_meta "
+                                      f"{self.family_meta!r} do not describe the calibrated "
+                                      "family")
+        K = family.K
         sizes = {self.levels.K, crit.K, self.result.per_k_error_share.size,
                  K if self.pair is None else self.pair.K}
         if sizes != {K}:
@@ -396,14 +407,34 @@ class CalibArtifact:
         return _budget(self.config, self.levels)
 
 
+# the fields of each family kind's saved description
+_FAMILY_META = {"line1d": {"n", "center", "counts"}, "disc2d": {"radii"}}
+
+
+def _description(family_kind: str, family_meta: dict) -> str:
+    return repr((family_kind, sorted(family_meta.items())))
+
+
 def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
-    """The family of a saved description: line1d from n, center, counts; disc2d from radii."""
+    """The family of a saved description: line1d from n, center, counts; disc2d from radii.
+
+    The family remembers its description, so that an artifact made from it
+    (as load_artifact and calibrate make one) needs no second build to check
+    that its family_kind and family_meta describe it.
+    """
+    keys = _FAMILY_META.get(family_kind)
+    if keys is None:
+        raise ValidationError(f"unknown window family kind {family_kind!r}")
+    if set(family_meta) != keys:
+        raise ValidationError(f"a {family_kind} family is described by {sorted(keys)}, "
+                              f"not by {sorted(family_meta)}")
     if family_kind == "line1d":
         xs = equidistant_design(int(family_meta["n"]))
-        return build_family_1d(xs, float(family_meta["center"]), family_meta["counts"])
-    if family_kind == "disc2d":
-        return build_family_2d(family_meta["radii"])
-    raise ValidationError(f"unknown window family kind {family_kind!r}")
+        family = build_family_1d(xs, float(family_meta["center"]), family_meta["counts"])
+    else:
+        family = build_family_2d(family_meta["radii"])
+    object.__setattr__(family, "_described_by", _description(family_kind, family_meta))
+    return family
 
 
 def _fmt(x) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -248,57 +249,81 @@ def locate_rows(values: np.ndarray, loss: LossKind) -> np.ndarray:
     return 0.5 * (left + right)
 
 
+@lru_cache(maxsize=8)
+def _bracket_table(n_max: int, level: float) -> np.ndarray:
+    """Read-only _quantile_bracket of every sample size 0..n_max; size 0 gets (0, 0)."""
+    table = np.array([(0, 0)] + [_quantile_bracket(n, level) for n in range(1, n_max + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates over every window and every ring of a nested family, row-wise.
 
     Each row holds one point's values in nearest-first order, so window k is
     the prefix [:counts[k]] and ring k the slice [counts[k]:counts[k+1]].
-    Returns bases of shape (rows, K+1) and rings of shape (rows, K).
+    Returns float64 bases of shape (rows, K+1) and rings of shape (rows, K).
 
-    With valid, rows mark missing values with NaN and valid[i, k] counts the
-    values row i has in window k. Each estimate then uses only those values,
-    exactly as if the missing ones had been removed: NaN sorts last, so the
-    order statistics sit at per-row positions. A ring with no values gets
-    NaN. Missing values need the mean, median or quantile loss.
+    With valid, rows mark missing values and valid[i, k] counts the values
+    row i has in window k. Each estimate then uses only those values,
+    exactly as if the missing ones had been removed. Float rows mark them
+    with NaN; integer rows, which need the median or quantile loss, with
+    their dtype's largest value. Either marker sorts last, so the order
+    statistics sit at per-row positions. A ring with no values gets NaN.
+    Missing values need the mean, median or quantile loss.
+
+    Median and quantile rows are sorted in their own dtype, one span at a
+    time, in one reused buffer. Order statistics of integers are exact in
+    any integer dtype, and the midpoint 0.5 * (a + b) of two of them is
+    exact in float64 as long as a + b does not overflow the dtype, so
+    integer rows give the same bits as the same values as float64.
     """
     K = len(counts) - 1
     n_rows = rows.shape[0]
     spans = ([(0, counts[k]) for k in range(K + 1)]
              + [(counts[k], counts[k + 1]) for k in range(K)])
     est = np.empty((n_rows, 2 * K + 1))
-    if valid is None or (valid[:, -1] == counts[-1]).all():
+    full = valid is None or (valid[:, -1] == counts[-1]).all()
+    if not full:
+        sizes = np.concatenate([valid, np.diff(valid, axis=1)], axis=1)
+    if loss.kind in ("median", "quantile"):
+        table = _bracket_table(int(counts[-1]), loss.level)
+        row = np.arange(n_rows)
+        # one sort buffer for every span: a fresh array per span made the
+        # allocator return and refault its pages on every chunk
+        work = np.empty(n_rows * int(counts[-1]), dtype=rows.dtype)
+        for c, (a, b) in enumerate(spans):
+            ys = work[: n_rows * (b - a)].reshape(n_rows, b - a)
+            ys[...] = rows[:, a:b]
+            ys.sort(axis=1)
+            if full:
+                i, j = table[b - a]
+                est[:, c] = ys[:, i] if i == j else 0.5 * (ys[:, i] + ys[:, j])
+                continue
+            lo, hi = table[sizes[:, c]].T
+            first = work[row * (b - a) + lo]
+            single = lo == hi
+            if single.all():
+                est[:, c] = first
+            else:
+                second = work[row * (b - a) + hi]
+                est[:, c] = np.where(single, first, 0.5 * (first + second))
+        if not full:
+            est[sizes == 0] = np.nan
+    elif full:
         for c, (a, b) in enumerate(spans):
             est[:, c] = locate_rows(rows[:, a:b], loss)
-        return est[:, : K + 1], est[:, K + 1:]
-    sizes = np.concatenate([valid, np.diff(valid, axis=1)], axis=1)
-    if loss.kind == "mean":
+    elif loss.kind != "mean":
+        raise ValidationError(f"the {loss.kind} loss does not take missing values")
+    elif rows.dtype.kind != "f":
+        raise ValidationError("the mean loss takes missing values only as NaN in float rows")
+    else:
         filled = np.where(np.isnan(rows), 0.0, rows)
         for c, (a, b) in enumerate(spans):
             est[:, c] = filled[:, a:b].sum(axis=1)
         with np.errstate(invalid="ignore"):
             est /= sizes
-    elif loss.kind in ("median", "quantile"):
-        brackets = np.array([(0, 0)] + [_quantile_bracket(n, loss.level)
-                                        for n in range(1, counts[-1] + 1)])
-        lo, hi = brackets[sizes, 0], brackets[sizes, 1]
-        single = lo == hi
-        row = np.arange(n_rows)
-        # one sort buffer for every span: a fresh array per span made the
-        # allocator return and refault its pages on every chunk
-        work = np.empty(rows.size)
-        for c, (a, b) in enumerate(spans):
-            ys = work[: n_rows * (b - a)].reshape(n_rows, b - a)
-            ys[...] = rows[:, a:b]
-            ys.sort(axis=1)
-            first = work[row * (b - a) + lo[:, c]]
-            if single[:, c].all():
-                est[:, c] = first
-            else:
-                second = work[row * (b - a) + hi[:, c]]
-                est[:, c] = np.where(single[:, c], first, 0.5 * (first + second))
-    else:
-        raise ValidationError(f"the {loss.kind} loss does not take missing values")
     return est[:, : K + 1], est[:, K + 1:]
 
 

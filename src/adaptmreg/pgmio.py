@@ -80,7 +80,10 @@ def write_pgm(path, array: np.ndarray, maxval: int = 255) -> None:
         raise ValidationError("image array must be 2-d")
     if not (0 < maxval < 65536):
         raise ValidationError(f"invalid PGM maxval {maxval}")
-    quant = np.clip(np.rint(arr), 0, maxval)
+    # clipped in place: a second image-sized temporary set the peak RSS of a
+    # 1024x1024 denoise, whose int32 sorts leave less freed memory to reuse
+    quant = np.rint(arr)
+    np.clip(quant, 0, maxval, out=quant)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:

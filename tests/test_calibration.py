@@ -376,6 +376,27 @@ def test_lepski_rule_needs_pair(small_setup):
         calibrate(cfg, levels)
 
 
+def test_artifact_family_must_be_the_described_one(disc_artifact, small_setup):
+    """No artifact holds a family_kind or family_meta that describes another family.
+
+    A line1d kind over disc radii used to fail in save_artifact with a
+    KeyError, and radii of another disc family saved a file that
+    load_artifact then refused.
+    """
+    with pytest.raises(ValidationError, match=r"a line1d family is described by \['center', "
+                                              r"'counts', 'n'\], not by \['radii'\]"):
+        replace(disc_artifact, family_kind="line1d")
+    with pytest.raises(ValidationError, match="do not describe the calibrated family"):
+        replace(disc_artifact, family_meta={"radii": [1.0, 2.0]})
+    family, levels, config = small_setup
+    meta = {"n": 60, "center": 0.0, "counts": family.counts.tolist()}
+    res = calibrate_zeta(config, levels)
+    am.CalibArtifact(config, res, levels, None, "line1d", meta)
+    for other in ({**meta, "center": 0.5}, {**meta, "n": 61}):
+        with pytest.raises(ValidationError, match="do not describe the calibrated family"):
+            am.CalibArtifact(config, res, levels, None, "line1d", other)
+
+
 def test_artifact_roundtrip(tmp_path, small_setup):
     family, levels, config = small_setup
     res = calibrate(config, levels)

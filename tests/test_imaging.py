@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from adaptmreg import (DenoiseConfig, Image, NoiseKind, RngStream, denoise_image
                        estimate_noise_scale, read_grid, read_pgm, sample_noise,
                        write_grid, write_pgm)
 from adaptmreg.errors import ValidationError
-from adaptmreg.imaging import KhatMap, _interior_first
+from adaptmreg.imaging import DENOISE_CHUNK, KhatMap, _interior_first
 from adaptmreg.parallel import chunk_ranges
 from adaptmreg.selector import CriticalValues
 from oracle_select import base_estimates, ring_reference
 from oracle_windows import clipped_family_2d
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def two_region(width, height, contrast=4.0):
@@ -107,7 +111,7 @@ def test_worker_count_invariance(disc_artifact, monkeypatch):
     noise = sample_noise(NoiseKind.laplace(), 48 * 48, RngStream(54, 0))
     img = two_region(48, 48) + noise.reshape(48, 48)
     reach = int(np.floor(max(disc_artifact.family_meta["radii"])))
-    chunks = chunk_ranges(48 * 48)
+    chunks = chunk_ranges(48 * 48, DENOISE_CHUNK)
     assert len(chunks) >= 2
     mixed = 0
     for lo, hi in chunks:
@@ -144,11 +148,12 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
     """Every pixel equals the one-pixel scalar path on its clipped family.
 
     The 23x17 image has interior and border pixels; in the 23x3 strip every
-    pixel is a border pixel and the flattened discs drop levels. The third
-    configuration's critical values zigzag, so a clipped family's running
-    minimum differs from its raw values. Median outputs match exactly; mean
-    outputs sum in another order, so they match to rounding, with the same
-    selected windows.
+    pixel is a border pixel and the flattened discs drop levels. The rounded
+    23x17 image has integer values, which the median configurations gather
+    and sort as int32. The third configuration's critical values zigzag, so
+    a clipped family's running minimum differs from its raw values. Median
+    outputs match exactly; mean outputs sum in another order, so they match
+    to rounding, with the same selected windows.
     """
     art = disc_artifact
     median = DenoiseConfig(art, 1.0)
@@ -161,9 +166,11 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
     subsets = interior = 0
     for config in (median, mean, zigzag):
         loss, crit_full = config.art.config.loss, config.art.result.crit
-        for h, w in ((17, 23), (3, 23)):
+        for h, w, rounded in ((17, 23, False), (3, 23, False), (17, 23, True)):
             noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(56, h))
             img = two_region(w, h) + noise.reshape(h, w)
+            if rounded:
+                img = np.rint(4 * img) + 0.0  # + 0.0 turns -0.0 into 0.0
             tol = 1e-12 * (1 + np.abs(img).max()) if config is mean else 0.0
             out, khat = denoise_image(Image(img), config)
             for y in range(h):
@@ -237,6 +244,70 @@ def test_denoise_outputs_are_pinned(disc_artifact):
     assert seen == PINNED_DIGESTS
 
 
+def _gathered_dtypes(monkeypatch) -> list:
+    """The dtype of every batch of rows denoise_image hands to window_estimates."""
+    import adaptmreg.imaging as imaging
+    real, seen = imaging.window_estimates, []
+
+    def spy(rows, *args):
+        seen.append(rows.dtype)
+        return real(rows, *args)
+
+    monkeypatch.setattr(imaging, "window_estimates", spy)
+    return seen
+
+
+def _integer_images() -> dict:
+    """8-bit and 16-bit values, the all-border 23x3 strip and a 64x64 tile."""
+    images = {}
+    for name, (h, w), scale, top in (("8bit", (40, 48), 20.0, 255),
+                                     ("16bit", (40, 48), 5000.0, 65535),
+                                     ("strip23x3", (3, 23), 20.0, 255),
+                                     ("tile64", (64, 64), 20.0, 255)):
+        noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(58, h * 100 + w))
+        img = scale * (two_edge(w, h) + noise.reshape(h, w)) + 0.2 * top
+        images[name] = np.clip(np.rint(img), 0, top) + 0.0
+    return images
+
+
+def test_integer_images_match_the_float_path(disc_artifact, monkeypatch):
+    """An integer image, sorted as int32, gives the float64 path's bits.
+
+    I + 0.5 has no integer value, so it takes the float64 path, and its
+    output is exactly out(I) + 0.5 with the same selected windows.
+    """
+    seen = _gathered_dtypes(monkeypatch)
+    quantile = _swapped(disc_artifact, am.LossKind.quantile(0.3))
+    for name, img in _integer_images().items():
+        for art in (disc_artifact, quantile):
+            sigma = estimate_noise_scale(Image(img), art.config.noise)
+            seen.clear()
+            out, khat = denoise_image(Image(img), DenoiseConfig(art, sigma))
+            assert set(seen) == {np.dtype(np.int32)}, name
+            seen.clear()
+            half, khat_half = denoise_image(Image(img + 0.5), DenoiseConfig(art, sigma))
+            assert set(seen) == {np.dtype(float)}, name
+            assert np.array_equal(out.intensities + 0.5, half.intensities), name
+            assert np.array_equal(khat.k_hat, khat_half.k_hat), name
+
+
+def test_only_exact_small_integers_take_the_int32_path(disc_artifact, monkeypatch):
+    """The mean loss, |v| >= 2**30 and -0.0 keep the float64 gather."""
+    seen = _gathered_dtypes(monkeypatch)
+    img = _integer_images()["8bit"]
+    mean = _swapped(disc_artifact, am.LossKind.mean(),
+                    am.levels_exact_mean(disc_artifact.config.family))
+    big, negative_zero = img.copy(), img.copy()
+    big[0, 0] = 2.0 ** 30
+    negative_zero[0, 0] = -0.0
+    cases = ((mean, img, float), (disc_artifact, big, float),
+             (disc_artifact, negative_zero, float), (disc_artifact, img - 2.0 ** 30 + 1, np.int32))
+    for art, image, want in cases:
+        seen.clear()
+        denoise_image(Image(image), DenoiseConfig(art, 1.0))
+        assert set(seen) == {np.dtype(want)}
+
+
 def test_denoise_reduces_mse_small(disc_artifact):
     clean = two_region(96, 96)
     noise = sample_noise(NoiseKind.laplace(), 96 * 96, RngStream(55, 0))
@@ -255,7 +326,7 @@ def test_rejects_incompatible_configs(disc_artifact):
     dup = am.build_family_2d(radii)
     assert dup.dropped_levels and dup.K == art.config.family.K
     cases = {
-        "a disc2d calibration artifact": replace(art, family_kind="line1d"),
+        "a disc2d calibration artifact": am.load_artifact(DATA / "3e22d29_median_ring.cal"),
         "lepski rule": replace(art, config=replace(art.config, rule="lepski"),
                                pair=am.pair_levels_asymptotic(art.config.family, art.config.loss,
                                                               art.config.noise)),

@@ -207,6 +207,58 @@ def test_window_estimates_match_scalar_locate(sizes, n_rows, loss, data):
     assert np.all(np.abs(rings - np.reshape(want_rings, rings.shape)) <= 1e-12)
 
 
+_MISSING = np.iinfo(np.int32).max
+# small integers make ties common; the extremes reach the int32 path's bound |v| < 2**30
+_INTS = st.one_of(st.integers(-4, 4), st.integers(-(2 ** 30) + 1, 2 ** 30 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       n_rows=st.integers(1, 4), masked=st.booleans(),
+       loss=st.sampled_from([LossKind.median(), LossKind.quantile(0.3),
+                             LossKind.quantile(0.75)]),
+       data=st.data())
+def test_int32_rows_match_float_rows(sizes, n_rows, masked, loss, data):
+    """int32 rows marking missing values with iinfo.max give float64 rows' bits.
+
+    The float64 rows hold the same values with NaN at the missing ones; with
+    masked False there are none and no valid counts. Each estimate over
+    values that are there also equals locate() on them alone.
+    """
+    counts = np.cumsum(sizes)
+    size = n_rows * int(counts[-1])
+    values = np.array(data.draw(st.lists(_INTS, min_size=size, max_size=size)),
+                      dtype=np.int32).reshape(n_rows, -1)
+    missing = np.zeros(values.shape, dtype=bool)
+    if masked:
+        missing = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                           dtype=bool).reshape(values.shape)
+    ints = np.where(missing, _MISSING, values).astype(np.int32)
+    floats = np.where(missing, np.nan, values)
+    valid = np.cumsum(~missing, axis=1)[:, counts - 1] if masked else None
+    got = window_estimates(ints, counts, loss, valid)
+    want = window_estimates(floats, counts, loss, valid)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert np.array_equal(g, w, equal_nan=True)
+    spans = [(0, c) for c in counts] + list(zip(counts[:-1], counts[1:]))
+    est = np.concatenate(got, axis=1)
+    for i in range(n_rows):
+        for c, (a, b) in enumerate(spans):
+            kept = values[i, a:b][~missing[i, a:b]]
+            if kept.size:
+                assert est[i, c] == locate(kept, loss).value
+            else:
+                assert np.isnan(est[i, c])
+
+
+def test_integer_rows_with_missing_values_need_order_statistics():
+    """The mean of integer rows cannot skip a marker value that sorts last."""
+    rows = np.array([[1, 2, _MISSING]], dtype=np.int32)
+    with pytest.raises(am.ValidationError, match="only as NaN in float rows"):
+        window_estimates(rows, np.array([1, 3]), LossKind.mean(), np.array([[1, 2]]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 9), n_rows=st.integers(1, 5), n_other=st.integers(0, 6),
        loss=st.sampled_from([lk for lk in ALL_LOSSES if lk.kind != "mean"]),
