@@ -27,6 +27,15 @@ The two search modes bound slightly different event families:
 
 Validation on fresh replicates (verify_calibration) always measures the
 selection-form budget, the guarantee that matters for the running rule.
+
+Both searches re-test only the replicates they have not settled. Each
+replicate's total is non-increasing in the search variable bit for bit:
+the thresholds are sums and products of nonnegative values, the total is a
+running sum of nonnegative terms, and correctly rounded arithmetic keeps
+both monotone. So a total that is equal at the nearest evaluated points
+below and above a candidate is that total at the candidate too, and a
+total of 0 below it stays 0. Reassembled, the totals give the objective
+of a full evaluation to the last bit.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .levels import (Levels, PairLevels, _check_order, check_mc_runs,
                      simulate_window_estimates)
 from .losses import LossKind
 from .noise import NoiseKind
+from .parallel import chunk_ranges
 from .selector import CriticalValues, _rule_terms, threshold_table
 from .windows import WindowFamily, build_family_1d, build_family_2d, equidistant_design
 
@@ -155,18 +165,19 @@ class _SelectionStats:
         """Statistics against window l at steps l..K-1, shape (runs, K - l)."""
         return self.raw[:, self.start[l:] + l]
 
-    def _exceed(self, z: np.ndarray, bare: bool) -> np.ndarray:
-        """raw > packed thresholds built from z."""
+    def _exceed(self, z: np.ndarray, bare: bool, rows=slice(None)) -> np.ndarray:
+        """raw[rows] > packed thresholds built from z."""
         thr = threshold_table(np.append(z, 1.0), self.scale,
                               0.0 if bare else self.additive)
-        return self.raw > thr[np.tril_indices(self.K)]
+        return self.raw[rows] > thr[np.tril_indices(self.K)]
 
-    def row_totals(self, z: np.ndarray, bare: bool = False) -> np.ndarray:
-        """Per-replicate sum over steps j of |base_j|^r * 1{step j rejects}."""
-        rejected = np.logical_or.reduceat(self._exceed(z, bare), self.start, axis=1)
-        total = np.zeros(self.runs)
+    def row_totals(self, z: np.ndarray, bare: bool = False, rows=slice(None)) -> np.ndarray:
+        """Per-replicate sum over steps j of |base_j|^r * 1{step j rejects}, for rows."""
+        rejected = np.logical_or.reduceat(self._exceed(z, bare, rows), self.start, axis=1)
+        weights = self.weights[rows]
+        total = np.zeros(len(weights))
         for j in range(self.K):
-            total += self.weights[:, j] * rejected[:, j]
+            total += weights[:, j] * rejected[:, j]
         return total
 
     def objective(self, z: np.ndarray, bare: bool = False) -> float:
@@ -205,27 +216,45 @@ def _budget(config: CalibConfig, levels: Levels) -> float:
     return config.alpha * float(levels.s[-1]) ** config.r
 
 
-def _smallest_passing(value, target: float, cap: float, unattainable) -> float:
-    """Smallest x on the search grid with value(x) <= target, value non-increasing.
+def _smallest_passing(totals, runs: int, target: float, cap: float, unattainable) -> float:
+    """Smallest x on the search grid whose mean replicate total is <= target.
 
-    Returns ZETA_MIN when that already passes. Otherwise doubles from 1 until
-    value passes, raising CalibrationError(unattainable()) past cap, then
-    bisects to SEARCH_TOL and keeps the end known to pass.
+    totals(x, rows) gives the totals at x of the replicates rows (an index
+    array). Returns ZETA_MIN when that already passes. Otherwise doubles
+    from 1 until the mean passes, raising CalibrationError(unattainable())
+    past cap, then bisects to SEARCH_TOL and keeps the end known to pass.
+    Only the replicates that the nearest evaluated x below and above leave
+    open are evaluated (see the module docstring), in blocks of
+    parallel.CHUNK rows.
     """
-    if value(ZETA_MIN) <= target:
+    def mean_at(x: float, below: np.ndarray | None, above: np.ndarray | None = None):
+        if below is None:
+            out, todo = np.empty(runs), np.arange(runs)
+        else:
+            out = below.copy()
+            todo = np.flatnonzero(below != (0.0 if above is None else above))
+        for lo, hi in chunk_ranges(todo.size):
+            out[todo[lo:hi]] = totals(x, todo[lo:hi])
+        return float(out.mean()), out
+
+    value, at_lo = mean_at(ZETA_MIN, None)
+    if value <= target:
         return ZETA_MIN
     lo, hi = ZETA_MIN, 1.0
-    while value(hi) > target:
-        lo = hi
+    value, at_hi = mean_at(hi, at_lo)
+    while value > target:
+        lo, at_lo = hi, at_hi
         hi *= 2.0
         if hi > cap:
             raise CalibrationError(unattainable())
+        value, at_hi = mean_at(hi, at_lo)
     while hi - lo > SEARCH_TOL:
         mid = 0.5 * (lo + hi)
-        if value(mid) <= target:
-            hi = mid
+        value, at_mid = mean_at(mid, at_lo, at_hi)
+        if value <= target:
+            hi, at_hi = mid, at_mid
         else:
-            lo = mid
+            lo, at_lo = mid, at_mid
     return hi
 
 
@@ -244,14 +273,15 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
     stats = _calibration_stats(config, levels, pair)
     budget = _budget(config, levels)
 
-    def lhs(zeta: float) -> float:
-        return stats.objective(_zeta_to_z(zeta, levels, config.alpha, config.r))
+    def z_of(zeta: float) -> np.ndarray:
+        return _zeta_to_z(zeta, levels, config.alpha, config.r)
 
     zeta = _smallest_passing(
-        lhs, budget, ZETA_MAX,
+        lambda zeta, rows: stats.row_totals(z_of(zeta), rows=rows), config.runs, budget,
+        ZETA_MAX,
         lambda: (f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: "
-                 f"lhs at the cap is {lhs(ZETA_MAX)!r}"))
-    z = _zeta_to_z(zeta, levels, config.alpha, config.r)
+                 f"lhs at the cap is {stats.objective(z_of(ZETA_MAX))!r}"))
+    z = z_of(zeta)
     return CalibResult(crit=CriticalValues(z=z, zeta=zeta), per_k_error_share=stats.shares(z))
 
 
@@ -278,12 +308,12 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
         live = acc[:, k:]
         w_k = stats.weights[:, k:]
 
-        def share(zk: float) -> float:
-            hit = live & (raw_k > zk * scale_k)
-            return float((w_k * hit).sum(axis=1).mean())
+        def share(zk: float, rows: np.ndarray) -> np.ndarray:
+            hit = live[rows] & (raw_k[rows] > zk * scale_k)
+            return (w_k[rows] * hit).sum(axis=1)
 
         z[k] = _smallest_passing(
-            share, per_step, Z_MAX,
+            share, config.runs, per_step, Z_MAX,
             lambda: f"per-step budget {per_step!r} unattainable at step {k} with z <= {Z_MAX}")
         acc[:, k:] &= raw_k <= z[k] * scale_k
     return CalibResult(crit=CriticalValues(z=z), per_k_error_share=stats.shares(z, bare=True))

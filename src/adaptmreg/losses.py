@@ -156,7 +156,8 @@ def _huber_edges(rows: np.ndarray, kink: float) -> tuple[np.ndarray, np.ndarray]
     exists only for even n, from y_(n/2-1) + kink to y_(n/2) - kink, and its
     ends are returned exactly. Every step works within a row, so a row's
     edges do not depend on the other rows of the batch, nor on the blocks
-    of rows solved together.
+    of rows solved together. The per-row lookups are flat takes from the
+    contiguous tables at row offset plus column.
     """
     r, n = rows.shape
     block = max(1, _HUBER_BREAKS // (2 * n))
@@ -168,25 +169,25 @@ def _huber_edges(rows: np.ndarray, kink: float) -> tuple[np.ndarray, np.ndarray]
     np.cumsum(ys, axis=1, out=prefix[:, 1:])
     breaks = np.concatenate([ys - kink, ys + kink], axis=1)
     order = np.argsort(breaks, axis=1, kind="stable")
-    t = np.take_along_axis(breaks, order, axis=1)
+    # row offsets into the flattened (r, 2n) tables and the (r, n + 1) prefix sums
+    wide = np.arange(r) * (2 * n)
+    t = breaks.take(order + wide[:, None])
     lower = np.cumsum(order < n, axis=1)
     upper = np.arange(1, 2 * n + 1) - lower
+    sums = np.arange(r)[:, None] * (n + 1)
     psi = (kink * (n - lower - upper)
-           + (np.take_along_axis(prefix, lower, axis=1)
-              - np.take_along_axis(prefix, upper, axis=1))
+           + (prefix.take(lower + sums) - prefix.take(upper + sums))
            - (lower - upper) * t)
     # piece (t[j-1], t[j]) holds the root; its counts are those past t[j-1]
-    j = np.argmax(psi <= 0, axis=1)[:, None]
-    p = np.maximum(j - 1, 0)
-    t_hi = np.take_along_axis(t, j, axis=1)[:, 0]
-    t_lo = np.take_along_axis(t, p, axis=1)[:, 0]
-    lo_idx = np.take_along_axis(upper, p, axis=1)
-    hi_idx = np.take_along_axis(lower, p, axis=1)
-    m = (hi_idx - lo_idx)[:, 0]
+    j = np.argmax(psi <= 0, axis=1)
+    at_j, at_p = j + wide, np.maximum(j - 1, 0) + wide
+    t_hi, t_lo = t.take(at_j), t.take(at_p)
+    lo_idx, hi_idx = upper.take(at_p), lower.take(at_p)
+    m = hi_idx - lo_idx
     idx = np.arange(n)
-    active = np.where((idx >= lo_idx) & (idx < hi_idx), ys, 0.0).sum(axis=1)
-    solved = (kink * (n - hi_idx - lo_idx)[:, 0] + active) / np.maximum(m, 1)
-    on_edge = (j[:, 0] == 0) | (m == 0) | (np.take_along_axis(psi, j, axis=1)[:, 0] == 0)
+    active = np.where((idx >= lo_idx[:, None]) & (idx < hi_idx[:, None]), ys, 0.0).sum(axis=1)
+    solved = (kink * (n - hi_idx - lo_idx) + active) / np.maximum(m, 1)
+    on_edge = (j == 0) | (m == 0) | (psi.take(at_j) == 0)
     root = np.where(on_edge, t_hi, np.clip(solved, t_lo, t_hi))
     left, right = root, root.copy()
     if n % 2 == 0:
@@ -273,11 +274,14 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
     statistics sit at per-row positions. A ring with no values gets NaN.
     Missing values need the mean, median or quantile loss.
 
-    Median and quantile rows are sorted in their own dtype, one span at a
-    time, in one reused buffer. Order statistics of integers are exact in
-    any integer dtype, and the midpoint 0.5 * (a + b) of two of them is
-    exact in float64 as long as a + b does not overflow the dtype, so
-    integer rows give the same bits as the same values as float64.
+    Median and quantile rows are copied once and sorted in their own dtype,
+    span by span in place: the rings, then the prefixes in increasing order,
+    each read right after its sort. A sort permutes values only inside its
+    span, which every later span holds whole or misses, so every order
+    statistic keeps its bits. Order statistics of integers are exact in any
+    integer dtype, and the midpoint 0.5 * (a + b) of two of them is exact in
+    float64 as long as a + b does not overflow the dtype, so integer rows
+    give the same bits as the same values as float64.
     """
     K = len(counts) - 1
     n_rows = rows.shape[0]
@@ -288,26 +292,26 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
     if not full:
         sizes = np.concatenate([valid, np.diff(valid, axis=1)], axis=1)
     if loss.kind in ("median", "quantile"):
-        table = _bracket_table(int(counts[-1]), loss.level)
-        row = np.arange(n_rows)
-        # one sort buffer for every span: a fresh array per span made the
-        # allocator return and refault its pages on every chunk
-        work = np.empty(n_rows * int(counts[-1]), dtype=rows.dtype)
-        for c, (a, b) in enumerate(spans):
-            ys = work[: n_rows * (b - a)].reshape(n_rows, b - a)
-            ys[...] = rows[:, a:b]
+        n = int(counts[-1])
+        table = _bracket_table(n, loss.level)
+        at = np.arange(n_rows) * n
+        # one copy of the rows, never the caller's array, sorted span by span in place
+        work = rows[:, :n].copy()
+        for c in [*range(K + 1, 2 * K + 1), *range(K + 1)]:
+            a, b = spans[c]
+            ys = work[:, a:b]
             ys.sort(axis=1)
             if full:
                 i, j = table[b - a]
                 est[:, c] = ys[:, i] if i == j else 0.5 * (ys[:, i] + ys[:, j])
                 continue
             lo, hi = table[sizes[:, c]].T
-            first = work[row * (b - a) + lo]
+            first = work.take(at + a + lo)
             single = lo == hi
             if single.all():
                 est[:, c] = first
             else:
-                second = work[row * (b - a) + hi]
+                second = work.take(at + a + hi)
                 est[:, c] = np.where(single, first, 0.5 * (first + second))
         if not full:
             est[sizes == 0] = np.nan

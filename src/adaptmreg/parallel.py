@@ -6,11 +6,12 @@ substream per chunk), never on how many workers happened to execute the
 chunks. Threads help only where a chunk's time goes to numpy calls that
 release the GIL, such as the denoiser's gathers and sorts, and a Monte
 Carlo chunk's noise, which noise.sample_rows draws in one call per chunk.
-With two workers on two vCPUs, a traced 1d-table pass ran 1.0-1.4x (median
-1.24x) faster than with one, and an in-process 1024x1024 8-bit denoise
-1.7x (2.1-2.5 s against 1.2-1.3 s). The denoiser cuts its pixels into
-chunks of imaging.DENOISE_CHUNK; CHUNK, the Monte Carlo grid, also picks
-each chunk's noise substream.
+On two vCPUs, an in-process pass of the benchmark's 1d table (its twelve
+commands) took 1.75-2.34 s with one worker and 1.27-1.41 s with two
+(medians 2.03 and 1.39 s, 1.46x), and an in-process 1024x1024 8-bit
+denoise 2.05-2.73 s against 1.31-1.60 s (1.5x). The denoiser cuts its
+pixels into chunks of imaging.DENOISE_CHUNK; CHUNK, the Monte Carlo grid,
+also picks each chunk's noise substream.
 
 The worker count belongs to the process: ADAPTMREG_WORKERS, read on every
 run_chunks call, else the cpu count. One thread pool per process serves

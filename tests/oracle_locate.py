@@ -7,9 +7,15 @@ is piecewise quadratic, so every segment between consecutive breakpoints
 y_i +- kink is minimized in closed form. The mean uses golden-section search
 on the smooth objective. All oracles return the midpoint of the argmin set,
 matching the library's tie convention.
+
+huber_edges is the library's exact Huber solver as it stood with
+np.take_along_axis gathers, kept as the reference that losses._huber_edges
+must match bit for bit.
 """
 
 import numpy as np
+
+from adaptmreg.losses import _HUBER_BREAKS
 
 
 def rho(loss, x):
@@ -117,3 +123,61 @@ def multisets(max_size, grid):
 
     rec(0, [])
     return out
+
+
+def huber_edges(rows: np.ndarray, kink: float) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of the zero set of psi(mu) = sum clip(y - mu, -kink, kink), per row.
+
+    psi is continuous, non-increasing and piecewise linear, with breakpoints
+    at y_i - kink (above it y_i is no longer clipped at +kink) and y_i + kink
+    (above it y_i is clipped at -kink). Merging the two shifted copies of the
+    sorted row y_(0) <= ... <= y_(n-1) counts, past each breakpoint, the L
+    values past their lower and the U past their upper breakpoint; the active
+    values are y_(U) .. y_(L-1), so on the following piece
+
+        psi(mu) = kink (n - L - U) + (S_L - S_U) - (L - U) mu
+
+    with prefix sums S. The root lies on the piece that ends at the first
+    breakpoint where psi <= 0 and is solved there in closed form, summing the
+    active values directly. A flat stretch of zeros needs L = U = n/2, so it
+    exists only for even n, from y_(n/2-1) + kink to y_(n/2) - kink, and its
+    ends are returned exactly. Every step works within a row, so a row's
+    edges do not depend on the other rows of the batch, nor on the blocks
+    of rows solved together.
+    """
+    r, n = rows.shape
+    block = max(1, _HUBER_BREAKS // (2 * n))
+    if r > block:
+        parts = [huber_edges(rows[i: i + block], kink) for i in range(0, r, block)]
+        return tuple(np.concatenate(side) for side in zip(*parts))
+    ys = np.sort(rows, axis=1)
+    prefix = np.zeros((r, n + 1))
+    np.cumsum(ys, axis=1, out=prefix[:, 1:])
+    breaks = np.concatenate([ys - kink, ys + kink], axis=1)
+    order = np.argsort(breaks, axis=1, kind="stable")
+    t = np.take_along_axis(breaks, order, axis=1)
+    lower = np.cumsum(order < n, axis=1)
+    upper = np.arange(1, 2 * n + 1) - lower
+    psi = (kink * (n - lower - upper)
+           + (np.take_along_axis(prefix, lower, axis=1)
+              - np.take_along_axis(prefix, upper, axis=1))
+           - (lower - upper) * t)
+    # piece (t[j-1], t[j]) holds the root; its counts are those past t[j-1]
+    j = np.argmax(psi <= 0, axis=1)[:, None]
+    p = np.maximum(j - 1, 0)
+    t_hi = np.take_along_axis(t, j, axis=1)[:, 0]
+    t_lo = np.take_along_axis(t, p, axis=1)[:, 0]
+    lo_idx = np.take_along_axis(upper, p, axis=1)
+    hi_idx = np.take_along_axis(lower, p, axis=1)
+    m = (hi_idx - lo_idx)[:, 0]
+    idx = np.arange(n)
+    active = np.where((idx >= lo_idx) & (idx < hi_idx), ys, 0.0).sum(axis=1)
+    solved = (kink * (n - hi_idx - lo_idx)[:, 0] + active) / np.maximum(m, 1)
+    on_edge = (j[:, 0] == 0) | (m == 0) | (np.take_along_axis(psi, j, axis=1)[:, 0] == 0)
+    root = np.where(on_edge, t_hi, np.clip(solved, t_lo, t_hi))
+    left, right = root, root.copy()
+    if n % 2 == 0:
+        a, b = ys[:, n // 2 - 1] + kink, ys[:, n // 2] - kink
+        flat = a < b
+        left[flat], right[flat] = a[flat], b[flat]
+    return left, right

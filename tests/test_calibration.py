@@ -20,6 +20,8 @@ from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import MC_MIN_RUNS, Levels, simulate_window_estimates
 from adaptmreg.parallel import CHUNK
 
+from oracle_search import calibrate_full
+
 
 @pytest.fixture(scope="module")
 def small_setup():
@@ -295,6 +297,77 @@ def test_sequential_matches_dense_reference(small_setup):
     z = _dense_sequential(cfg, levels, dense)
     assert np.array_equal(res.crit.z, z)
     assert np.array_equal(res.per_k_error_share, dense.shares(z, bare=True))
+
+
+SEARCH_LOSSES = {"mean": LossKind.mean(), "median": LossKind.median(),
+                 "huber": LossKind.huber(1.345)}
+
+
+@pytest.fixture(scope="module")
+def search_levels(small_setup):
+    """Window and pair levels of the small family for each loss of SEARCH_LOSSES."""
+    family, _, config = small_setup
+    lap, median, huber = config.noise, SEARCH_LOSSES["median"], SEARCH_LOSSES["huber"]
+    return {
+        "mean": (am.levels_exact_mean(family), am.pair_levels_exact_mean(family)),
+        "median": (am.levels_asymptotic(family, median, lap),
+                   am.pair_levels_asymptotic(family, median, lap)),
+        "huber": (am.levels_mc(family, huber, lap, 1000, seed=1),
+                  am.pair_levels_mc(family, huber, lap, 1000, seed=2)),
+    }
+
+
+def _same_result(got, want):
+    assert got.crit.z.tobytes() == want.crit.z.tobytes()
+    assert got.crit.zeta == want.crit.zeta
+    assert got.per_k_error_share.tobytes() == want.per_k_error_share.tobytes()
+
+
+@pytest.mark.parametrize("loss", sorted(SEARCH_LOSSES))
+@pytest.mark.parametrize("rule", ["ring", "lepski"])
+@pytest.mark.parametrize("mode", ["zeta", "sequential"])
+def test_search_matches_full_evaluation(small_setup, search_levels, mode, rule, loss,
+                                        monkeypatch):
+    """Re-testing only the open replicates gives the bytes of the full bisection.
+
+    The full search evaluates every replicate at every candidate. The
+    library's evaluates each replicate only while the candidates evaluated
+    below and above it leave its total open, here well under half the rows.
+    """
+    family, _, config = small_setup
+    levels, pair = search_levels[loss]
+    cfg = CalibConfig(family=family, loss=SEARCH_LOSSES[loss], noise=config.noise,
+                      runs=config.runs, seed=config.seed, mode=mode, rule=rule)
+    pair = pair if rule == "lepski" else None
+    evaluated = []
+    want = calibrate_full(cfg, levels, pair, evaluated)
+    seen = []  # replicates evaluated per row_totals call
+    row_totals = _SelectionStats.row_totals
+
+    def counted(self, z, bare=False, rows=slice(None)):
+        seen.append(len(rows) if isinstance(rows, np.ndarray) else self.runs)
+        return row_totals(self, z, bare, rows)
+
+    monkeypatch.setattr(_SelectionStats, "row_totals", counted)
+    _same_result(calibrate(cfg, levels, pair), want)
+    if mode == "zeta":
+        assert len(evaluated) > 10
+        assert 0 < sum(seen) < 0.5 * len(evaluated) * cfg.runs
+        assert max(seen) <= CHUNK
+
+
+@pytest.mark.parametrize("alpha", [1e9, 1e-3])
+def test_search_ends_match_full_evaluation(small_setup, alpha):
+    """The ZETA_MIN exit (huge alpha), and a search that doubles to 8 before it bisects."""
+    family, levels, config = small_setup
+    cfg = replace(config, alpha=alpha)
+    evaluated = []
+    want = calibrate_full(cfg, levels, None, evaluated)
+    if alpha == 1e9:
+        assert evaluated == [ZETA_MIN]
+    else:
+        assert evaluated[:6] == [ZETA_MIN, 1.0, 2.0, 4.0, 8.0, 6.0]
+    _same_result(calibrate_zeta(cfg, levels), want)
 
 
 def test_verify_extreme_thresholds(small_setup):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import adaptmreg as am
-from adaptmreg.calibration import save_artifact
+from adaptmreg.calibration import build_family, save_artifact
 from adaptmreg.cli import parse_loss, run_cli
 from adaptmreg.parallel import CHUNK
 from adaptmreg.pgmio import read_pgm, write_pgm
@@ -307,6 +307,40 @@ def test_artifacts_of_earlier_versions_load_verify_and_resave(tmp_path, capsys):
     lepski = am.load_artifact(DATA / "d70d3e5_median_lepski_mc.cal")
     assert (lepski.levels.runs, lepski.levels.seed) == (1500, 14)
     assert (lepski.pair.runs, lepski.pair.seed) == (1200, 15)
+
+
+def test_lepski_mc_artifact_is_rebuilt_byte_for_byte(tmp_path):
+    """The library still writes d70d3e5_median_lepski_mc.cal from its recorded inputs."""
+    meta = {"n": 200, "center": 0.0, "counts": am.benchmark_counts()}
+    family = build_family("line1d", meta)
+    loss, noise = am.LossKind.median(), am.NoiseKind.laplace()
+    levels = am.levels_mc(family, loss, noise, 1500, seed=14)
+    pair = am.pair_levels_mc(family, loss, noise, 1200, seed=15)
+    config = am.CalibConfig(family=family, loss=loss, noise=noise, runs=1000, seed=13,
+                            rule="lepski")
+    art = am.CalibArtifact(config, am.calibrate(config, levels, pair), levels, pair,
+                           "line1d", meta)
+    save_artifact(tmp_path / "lepski.cal", art)
+    assert ((tmp_path / "lepski.cal").read_bytes()
+            == (DATA / "d70d3e5_median_lepski_mc.cal").read_bytes())
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--loss", "huber:1.345", "--levels", "mc", "--runs", "1000", "--seed", "3"),
+     "a8eba85f65237f4ed33b79fd464ae6e430a8be0f74dbfc04454710bb4357bb76"),
+    (("--loss", "median", "--mode", "sequential", "--runs", "2000", "--seed", "5"),
+     "20e59adc4cb42dd36239efe8dc3ca31b7c46c4cdccc9d2e30278270dc17620e4"),
+    (("--loss", "quantile:0.3", "--runs", "1500", "--seed", "6"),
+     "ea8f5d8138de05712c39f38c69e66066f265976f49291127f8f559074b9a8437"),
+], ids=["huber_mc", "sequential", "quantile"])
+def test_fresh_artifacts_keep_their_bytes(tmp_path, argv, digest):
+    """Fresh bench1d artifacts have the SHA-256 they had before the restricted search.
+
+    The digests were taken with the full-evaluation search, the per-span
+    sort copies and the take_along_axis Huber solver.
+    """
+    assert run("calibrate", "--family", "bench1d", *argv, "--out", tmp_path / "a.cal") == 0
+    assert hashlib.sha256((tmp_path / "a.cal").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import adaptmreg as am
 from adaptmreg import LossKind, betweenness_holds, locate
-from adaptmreg.losses import locate_rows, window_estimates
+from adaptmreg.losses import _HUBER_BREAKS, _huber_edges, locate_rows, window_estimates
 
-from oracle_locate import brute_locate, grid_locate, rho
+from oracle_locate import brute_locate, grid_locate, huber_edges, rho
 
 ALL_LOSSES = [
     LossKind.mean(),
@@ -252,6 +252,30 @@ def test_int32_rows_match_float_rows(sizes, n_rows, masked, loss, data):
                 assert np.isnan(est[i, c])
 
 
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       n_rows=st.integers(1, 4), kind=st.sampled_from(["float", "nan", "int32"]),
+       loss=st.sampled_from([LossKind.median(), LossKind.quantile(0.3)]), data=st.data())
+def test_window_estimates_leave_rows_unchanged(sizes, n_rows, kind, loss, data):
+    """The spans are sorted in a copy: the caller's rows keep their order and bits."""
+    counts = np.cumsum(sizes)
+    shape = (n_rows, int(counts[-1]))
+    values = np.array(data.draw(st.lists(_INTS if kind == "int32" else _VALUES,
+                                         min_size=shape[0] * shape[1],
+                                         max_size=shape[0] * shape[1])))
+    rows = values.reshape(shape).astype(np.int32 if kind == "int32" else float)
+    valid = None
+    if kind != "float":
+        missing = np.array(data.draw(st.lists(st.booleans(), min_size=rows.size,
+                                              max_size=rows.size))).reshape(shape)
+        rows[missing] = _MISSING if kind == "int32" else np.nan
+        valid = np.cumsum(~missing, axis=1)[:, counts - 1]
+    before = rows.copy()
+    window_estimates(rows, counts, loss, valid)
+    assert rows.dtype == before.dtype
+    assert rows.tobytes() == before.tobytes()
+
+
 def test_integer_rows_with_missing_values_need_order_statistics():
     """The mean of integer rows cannot skip a marker value that sorts last."""
     rows = np.array([[1, 2, _MISSING]], dtype=np.int32)
@@ -285,6 +309,28 @@ def test_huber_blocks_of_rows_match_scalar():
     got = locate_rows(rows, loss)
     assert np.array_equal(got, [locate(row, loss).value for row in rows])
     assert np.array_equal(locate_rows(rows[::-1], loss), got[::-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), n_rows=st.integers(1, 5),
+       kink=st.sampled_from([0.25, 0.6, 1.0, 1.345, 3.0]),
+       whole=st.booleans(), data=st.data())
+def test_huber_edges_match_reference(n, n_rows, kink, whole, data):
+    """The flat gathers give the take_along_axis solver's edges bit for bit.
+
+    Integer values make ties and, for even n, flat stretches of zeros (a
+    middle gap wider than 2 kink); quarter-integers and floats cover the
+    rest. Repeating the drawn rows past one _HUBER_BREAKS block makes the
+    solver split the batch.
+    """
+    values = st.integers(-6, 6).map(float) if whole else _VALUES
+    rows = np.array(data.draw(st.lists(values, min_size=n * n_rows,
+                                       max_size=n * n_rows))).reshape(n_rows, n)
+    block = max(1, _HUBER_BREAKS // (2 * n))
+    for batch in (rows, np.tile(rows, (block // n_rows + 2, 1))):
+        got, want = _huber_edges(batch, kink), huber_edges(batch, kink)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 def test_huber_flat_stretch_ends_are_exact():
