@@ -52,7 +52,7 @@ from .levels import (Levels, PairLevels, _check_order, check_mc_runs,
 from .losses import LossKind
 from .noise import NoiseKind
 from .parallel import chunk_ranges
-from .selector import CriticalValues, _rule_terms, threshold_table
+from .selector import CriticalValues, _rule_terms, _step_rejections, threshold_table
 from .windows import WindowFamily, build_family_1d, build_family_2d, equidistant_design
 
 __all__ = [
@@ -135,9 +135,8 @@ class _SelectionStats:
 
     bases and rings are the (runs, K+1) window and (runs, K) ring estimates
     of simulate_window_estimates: the calibration's whole fixed replicate set
-    (common random numbers, reused across threshold candidates), or one chunk
-    of verify_calibration's fresh replicates. weights[i, j] = |base_j|^r for
-    replicate i. The step-j statistics |nxt_j - base_l| against windows
+    (common random numbers, re-read at every threshold candidate).
+    weights[i, j] = |base_j|^r for replicate i. The step-j statistics |nxt_j - base_l| against windows
     l = 0..j are stored packed: raw[i, p] with p = start[j] + l and
     start[j] = j (j + 1) / 2, so raw has shape (runs, K (K + 1) / 2) and its
     columns follow np.tril_indices(K). nxt and scale and additive come from
@@ -334,22 +333,26 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     Returns the ratio and the run-count warnings of the verification step,
     which draws config.runs replicates unless runs is given. The seed must
     differ from the calibration seed, otherwise the check would just reread
-    the replicates the thresholds were fitted to. The replicates
-    are streamed: each chunk of simulate_window_estimates builds its own
-    _SelectionStats and stores only its row totals, so memory stays at one
-    chunk's statistics per worker plus one float per replicate, and the
-    ratio equals the objective over the whole set bit for bit.
+    the replicates the thresholds were fitted to. The replicates are
+    streamed: each chunk of simulate_window_estimates sums its row totals over
+    selector._step_rejections, in _SelectionStats.row_totals's order but with
+    no packed statistics, so memory stays at one chunk's estimates per worker
+    plus one float per replicate, and the ratio equals the objective over the
+    whole set bit for bit.
     """
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
     runs = config.runs if runs is None else runs
     warnings = check_mc_runs(runs, "the verification")
     cfg = replace(config, runs=runs)
-    z = crit.full(levels.K)[:-1]
-    total = np.empty(cfg.runs)
+    zf = crit.full(levels.K)
+    total = np.zeros(cfg.runs)
 
     def consume(lo: int, hi: int, bases: np.ndarray, rings: np.ndarray) -> None:
-        total[lo:hi] = _SelectionStats(cfg, levels, pair, bases, rings).row_totals(z)
+        nxt, scale, additive = _rule_terms(cfg.rule, bases, rings, levels, pair)
+        weights = np.abs(bases[:, :levels.K]) ** cfg.r
+        for j, reject in _step_rejections(bases, nxt, threshold_table(zf, scale, additive)):
+            total[lo:hi] += weights[:, j] * reject
 
     simulate_window_estimates(cfg.family, cfg.loss, cfg.noise, cfg.runs, seed, consume)
     return float(total.mean()) / _budget(cfg, levels), warnings

@@ -12,6 +12,7 @@ failure; failures print one machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -80,7 +81,10 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The parser, built once per process: a parse fills a new namespace and
+    changes no default (--config rewrites argv), so it can be reused."""
     parser = _Parser(prog="adaptmreg",
                      description="pointwise-adaptive robust regression tools")
     sub = parser.add_subparsers(dest="command", required=True)

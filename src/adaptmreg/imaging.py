@@ -14,7 +14,8 @@ family's nearest-first order is the unclipped order with those samples
 removed. window_estimates skips them, and an empty ring (a level that
 clipping collapsed) never rejects. The clip geometries only index small
 tables, built for all of them at once: the in-image sample count of each
-window, the reported level, and the thresholds. Chunks of DENOISE_CHUNK
+window, the reported level, and the thresholds, kept window-major as
+(K, K, geometries), the stopping loop's layout. Chunks of DENOISE_CHUNK
 pixels, the interior first, run through the same window estimates and
 stopping loop as the 1d code; a chunk of interior pixels misses no sample
 and shares one threshold table.
@@ -261,6 +262,7 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     with np.errstate(invalid="ignore"):  # inf * 0 on empty rings if sigma is 0
         thr = thr * config.sigma
     thr[np.diff(valid, axis=1) == 0] = np.inf
+    thr = np.ascontiguousarray(np.moveaxis(thr, 0, -1))  # [:, :, g] is geometry g's
 
     v = image.intensities
     # below 2**30 the sum of two values cannot overflow int32; a -0.0 keeps
@@ -284,7 +286,7 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
         bases, rings = window_estimates(flat[(y * padded_w + x)[:, None] + offsets],
                                         counts, cfg.loss, valid[geometry])
         one = (geometry == geometry[0]).all()
-        sel = first_rejection(bases, rings, thr[geometry[0]] if one else thr[geometry])
+        sel = first_rejection(bases, rings, thr[..., geometry[0]] if one else thr[..., geometry])
         pixels = y * w + x
         out[pixels] = bases[np.arange(hi - lo), sel]
         k_hat[pixels] = reported[geometry, sel]

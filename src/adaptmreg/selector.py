@@ -9,9 +9,9 @@ to 1 so that bias and noise balance at the last step. The classical rule
 earlier window estimates with thresholds z_l * s_pair[k+1, l].
 
 Both rules stop at the first rejected step and keep the last accepted
-window. _rule_terms is the one place that says which statistic a rule tests
-against which thresholds; the batched selectors and the calibration build on
-it, and select_ring / select_lepski trace one row through the batched path.
+window. _rule_terms says what a rule tests, _step_rejections runs the tests
+step by step; the batched selectors and the calibration build on them, and
+select_ring / select_lepski trace one row through the batched path.
 Selection is deterministic given the inputs, and because the location
 estimators satisfy partition betweenness, the extra error from stopping late
 is bounded per realization (see propagation_gap).
@@ -174,20 +174,35 @@ def _rule_terms(rule: str, bases: np.ndarray, rings: np.ndarray | None,
     return bases[:, 1:], pair.s_pair[1:, :K], 0.0
 
 
+def _step_rejections(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray):
+    """Yield (k, reject) for every step k, reject[i] True if row i rejects at k.
+
+    Tests and thr are those of first_rejection. The loop is window-major:
+    bases[:, :K] and nxt are copied once to (K, rows), so a step ORs k + 1
+    contiguous rows. A caller that needs only the first rejection stops early.
+    """
+    rows, K = nxt.shape
+    if thr.shape not in ((K, K), (K, K, rows)):
+        raise ValidationError("threshold table is neither (K, K) nor (K, K, rows)")
+    thr = thr.reshape(K, K, -1)
+    bases_t = np.ascontiguousarray(bases[:, :K].T)
+    nxt_t = np.ascontiguousarray(nxt.T)
+    for k in range(K):
+        yield k, (np.abs(nxt_t[k] - bases_t[: k + 1]) > thr[k, : k + 1]).any(axis=0)
+
+
 def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.ndarray:
     """Batched stopping loop: the first step k with a rejected test, K if none.
 
     Row i rejects at step k when |nxt[i, k] - bases[i, j]| > thr[k, j] for
-    some j <= k; a (rows, K, K) thr gives every row its own table. The ring
-    rule passes the ring estimates as nxt, the classical rule the next
-    window estimates bases[:, 1:]. A NaN statistic never rejects.
+    some j <= k; a window-major (K, K, rows) thr gives row i the table
+    thr[:, :, i]. The ring rule passes the ring estimates as nxt, the
+    classical rule the next window estimates bases[:, 1:]. A NaN statistic
+    never rejects.
     """
-    K = thr.shape[-1]
-    k_hat = np.full(bases.shape[0], K, dtype=np.int64)
+    k_hat = np.full(bases.shape[0], thr.shape[0], dtype=np.int64)
     undecided = np.ones(bases.shape[0], dtype=bool)
-    for k in range(K):
-        stat = np.abs(nxt[:, k, None] - bases[:, : k + 1])
-        reject = (stat > thr[..., k, : k + 1]).any(axis=1)
+    for k, reject in _step_rejections(bases, nxt, thr):
         k_hat[undecided & reject] = k
         undecided &= ~reject
         if not undecided.any():

@@ -6,6 +6,10 @@ run the stopping loop one test at a time with thresholds written out from
 the levels. The library must agree with it bit for bit on the selected
 index and the test records, except that mean estimates may differ by
 rounding, because they sum in another order.
+
+first_rejection is the batched stopping loop in its earlier row-major form
+(rows, k + 1 statistics per step, per-row tables as (rows, K, K)); the
+library's window-major loop must select the same indices.
 """
 
 import numpy as np
@@ -59,6 +63,27 @@ def select_scalar(stats: np.ndarray, thr: np.ndarray
             k_hat = k
             break
     return k_hat, tuple(tests)
+
+
+def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Batched stopping loop: the first step k with a rejected test, K if none.
+
+    Row i rejects at step k when |nxt[i, k] - bases[i, j]| > thr[k, j] for
+    some j <= k; a (rows, K, K) thr gives every row its own table. The ring
+    rule passes the ring estimates as nxt, the classical rule the next
+    window estimates bases[:, 1:]. A NaN statistic never rejects.
+    """
+    K = thr.shape[-1]
+    k_hat = np.full(bases.shape[0], K, dtype=np.int64)
+    undecided = np.ones(bases.shape[0], dtype=bool)
+    for k in range(K):
+        stat = np.abs(nxt[:, k, None] - bases[:, : k + 1])
+        reject = (stat > thr[..., k, : k + 1]).any(axis=1)
+        k_hat[undecided & reject] = k
+        undecided &= ~reject
+        if not undecided.any():
+            break
+    return k_hat
 
 
 def ring_reference(base, rings, levels, crit) -> tuple[int, tuple[TestRecord, ...]]:

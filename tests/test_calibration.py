@@ -16,6 +16,7 @@ from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
 from adaptmreg.calibration import (ESTIMATOR_VERSIONS, SEARCH_TOL, STREAM_VERSIONS, Z_MAX,
                                    ZETA_MIN, _budget, _calibration_stats, _SelectionStats,
                                    _zeta_to_z, build_family)
+from adaptmreg.cli import parse_loss
 from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import MC_MIN_RUNS, Levels, simulate_window_estimates
 from adaptmreg.parallel import CHUNK
@@ -386,21 +387,39 @@ def test_verify_requires_fresh_seed(small_setup):
         verify_calibration(config, res.crit, levels, seed=config.seed)
 
 
-@pytest.mark.parametrize("loss", ["mean", "median"])
-@pytest.mark.parametrize("rule", ["ring", "lepski"])
-def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, monkeypatch):
-    """The streamed ratio equals the objective over all replicates at once, bit for bit."""
+VERIFY_CASES = [(rule, loss, thresholds) for thresholds in ("decreasing", "sequential")
+                for rule in ("ring", "lepski")
+                for loss in ("mean", "median", "huber:1.345", "quantile:0.3")]
+
+
+@pytest.mark.parametrize("rule,loss,thresholds", VERIFY_CASES,
+                         ids=[f"{r}-{l}" + ("-sequential" if t == "sequential" else "")
+                              for r, l, t in VERIFY_CASES])
+def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, thresholds,
+                                                     monkeypatch):
+    """The streamed ratio equals the objective over all replicates at once, bit for bit.
+
+    The thresholds are hand-set decreasing values, or those of a sequential
+    calibration, which need not decrease.
+    """
     family, _, config = small_setup
-    loss = LossKind(loss)
+    loss = parse_loss(loss)
     if loss.kind == "mean":
         levels, pair = am.levels_exact_mean(family), am.pair_levels_exact_mean(family)
+    elif loss.kind == "huber":
+        levels = am.levels_mc(family, loss, config.noise, MC_MIN_RUNS, seed=3)
+        pair = am.pair_levels_mc(family, loss, config.noise, MC_MIN_RUNS, seed=4)
     else:
         levels = am.levels_asymptotic(family, loss, config.noise)
         pair = am.pair_levels_asymptotic(family, loss, config.noise)
     runs = 2 * CHUNK + 7  # the last chunk is partial
     cfg = CalibConfig(family=family, loss=loss, noise=config.noise, runs=runs,
                       seed=config.seed, rule=rule)
-    crit = am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K))
+    if thresholds == "decreasing":
+        crit = am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K))
+    else:
+        crit = calibrate_sequential(replace(cfg, runs=MC_MIN_RUNS, mode="sequential"),
+                                    levels, pair).crit
     bases, rings = simulate_window_estimates(family, loss, cfg.noise, runs, 77)
     whole = _SelectionStats(cfg, levels, pair, bases, rings)
     want = whole.objective(crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)

@@ -10,7 +10,7 @@ import pytest
 
 import adaptmreg as am
 from adaptmreg.calibration import build_family, save_artifact
-from adaptmreg.cli import parse_loss, run_cli
+from adaptmreg.cli import _build_parser, parse_loss, run_cli
 from adaptmreg.parallel import CHUNK
 from adaptmreg.pgmio import read_pgm, write_pgm
 
@@ -381,16 +381,17 @@ def test_quantile_mc_levels_name_the_way_out(tmp_path, capsys):
     assert not (tmp_path / "q.cal").exists()
 
 
-def test_module_entry_point(tmp_path):
-    """python -m adaptmreg.cli runs the command line."""
+def module(*args):
+    """python -m adaptmreg.cli with args, in a fresh process."""
     src = str(Path(am.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, "-m", "adaptmreg.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
-    def module(*args):
-        return subprocess.run([sys.executable, "-m", "adaptmreg.cli", *map(str, args)],
-                              capture_output=True, text=True, env=env, timeout=120)
 
+def test_module_entry_point(tmp_path):
+    """python -m adaptmreg.cli runs the command line."""
     shown = module("--help")
     assert shown.returncode == 0 and shown.stdout.startswith("usage: adaptmreg")
     missing = module("verify", "--calib", tmp_path / "none.cal", "--seed", "1")
@@ -851,6 +852,43 @@ def test_config_file_loses_to_every_flag_spelling(tmp_path, argv):
                "--seed", "5", "--out", out) == 0
     # laplace from the flag, 50 runs from the file
     assert out.read_text().splitlines()[1].startswith("laplace,2.0,11,50,5,")
+
+
+def test_one_parser_per_process():
+    assert _build_parser() is _build_parser()
+
+
+def test_config_file_leaves_no_defaults_behind(tmp_path):
+    """After a --config call, the same command without it reads as in a fresh process."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("noise = gaussian\nn-points = 11,21\n")
+    argv = ["moments", "--runs", "50", "--seed", "5"]
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "with.csv") == 0
+    assert run(*argv, "--out", tmp_path / "reused.csv") == 0
+    assert module(*argv, "--out", tmp_path / "fresh.csv").returncode == 0
+    assert (tmp_path / "with.csv").read_text().splitlines()[1].startswith("gaussian,2.0,11,50,5,")
+    assert (tmp_path / "with.csv").read_text() != (tmp_path / "fresh.csv").read_text()
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.parametrize("refused", [("moments", "--seed", "5", "--out", "x.csv", "--bogus"),
+                                     ("-h",), ("moments", "-h")],
+                         ids=["unknown_flag", "help", "command_help"])
+def test_parser_serves_a_call_after_a_refused_one(tmp_path, capsys, refused):
+    """A parse that exits (an unknown flag, or -h) leaves the shared parser usable."""
+    argv = ["moments", "--runs", "50", "--n-points", "11", "--seed", "5"]
+    assert run(*argv, "--out", tmp_path / "before.csv") == 0
+    capsys.readouterr()
+    if "-h" in refused:
+        with pytest.raises(SystemExit) as exc:
+            run(*refused)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: adaptmreg")
+    else:
+        assert run(*refused) == 1
+        assert capsys.readouterr().err == "error: validation: unrecognized arguments: --bogus\n"
+    assert run(*argv, "--out", tmp_path / "after.csv") == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -8,7 +8,9 @@ import adaptmreg as am
 from adaptmreg import (CriticalValues, LossKind, NoiseKind, RngStream,
                        oracle_index, propagation_gap, sample_noise, select_lepski,
                        select_lepski_batch, select_ring, select_ring_batch,
-                       signal_step, window_estimates)
+                       ValidationError, signal_step, window_estimates)
+from adaptmreg.selector import first_rejection
+from oracle_select import first_rejection as row_major_first_rejection
 from oracle_select import lepski_reference, ring_reference
 
 
@@ -218,6 +220,49 @@ def test_selection_invariant_under_shift_and_dyadic_scale(data):
     lepski = select_lepski_batch(bases, pair, crit)
     assert np.array_equal(select_lepski_batch(bases + shift, pair, crit), lepski)
     assert np.array_equal(select_lepski_batch(f * bases, f_pair, crit), lepski)
+
+
+@settings(max_examples=200, deadline=None)
+@given(K=st.integers(1, 16), rows=st.integers(1, 3000), rule=st.sampled_from(["ring", "lepski"]),
+       per_row=st.booleans(), integers=st.booleans(), nan_share=st.sampled_from([0.0, 0.1, 0.6]),
+       inf_share=st.sampled_from([0.0, 0.2, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_rejection_matches_row_major_reference(K, rows, rule, per_row, integers,
+                                                     nan_share, inf_share, seed):
+    """The window-major stopping loop selects what the row-major loop selects.
+
+    NaN estimates stand for empty rings (or, under the classical rule, any
+    missing window estimate) and never reject; +inf thresholds never reject.
+    Integer data and thresholds make statistics land exactly on thresholds.
+    A per-row table is (rows, K, K) for the reference and window-major
+    (K, K, rows) for the library.
+    """
+    rng = np.random.default_rng(seed)
+    draw = ((lambda shape: rng.integers(-4, 5, shape).astype(float)) if integers
+            else rng.standard_normal)
+    bases, rings = draw((rows, K + 1)), draw((rows, K))
+    hole = bases[:, 1:] if rule == "lepski" else rings
+    hole[rng.random(hole.shape) < nan_share] = np.nan
+    nxt = rings if rule == "ring" else bases[:, 1:]
+    shape = (rows, K, K) if per_row else (K, K)
+    thr = np.abs(draw(shape)) + (0.0 if integers else 1.0)
+    thr[rng.random(shape) < inf_share] = np.inf
+    thr[..., ~np.tri(K, dtype=bool)] = np.nan
+    want = row_major_first_rejection(bases, nxt, thr)
+    got = first_rejection(bases, nxt, np.moveaxis(thr, 0, -1) if per_row else thr)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (3, 3, 4), (3, 4, 5), (4, 4)])
+def test_first_rejection_refuses_a_table_of_another_shape(shape):
+    """A per-row table in the row-major (rows, K, K) layout is refused.
+
+    Only rows == K makes the two layouts share a shape; the library cannot
+    tell them apart there, and reads the window-major one.
+    """
+    bases, nxt = np.zeros((5, 4)), np.zeros((5, 3))
+    with pytest.raises(ValidationError, match="threshold table"):
+        first_rejection(bases, nxt, np.ones(shape))
 
 
 def test_oracle_index(setup):
