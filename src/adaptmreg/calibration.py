@@ -28,6 +28,12 @@ The two search modes bound slightly different event families:
 Validation on fresh replicates (verify_calibration) always measures the
 selection-form budget, the guarantee that matters for the running rule.
 
+A replicate set is kept as the window estimates, what the rule tests
+(selector._rule_terms) and the weights |base_j|^r (_replicates). The window
+test itself is written once, in selector._step_rejections: _row_totals sums
+its per-replicate budget terms for the zeta search, the objective and each
+verified chunk, and _shares splits them by the first rejecting window.
+
 Both searches re-test only the replicates they have not settled. Each
 replicate's total is non-increasing in the search variable bit for bit:
 the thresholds are sums and products of nonnegative values, the total is a
@@ -130,77 +136,41 @@ class CalibResult:
         return float(self.per_k_error_share.sum())
 
 
-class _SelectionStats:
-    """Selection statistics of a given set of pure-noise replicates.
+def _replicates(config: CalibConfig, levels: Levels, pair: PairLevels | None,
+                bases: np.ndarray | None = None, rings: np.ndarray | None = None):
+    """A replicate set as the budget reads it: (bases, nxt, scale, additive, weights).
 
     bases and rings are the (runs, K+1) window and (runs, K) ring estimates
-    of simulate_window_estimates: the calibration's whole fixed replicate set
-    (common random numbers, re-read at every threshold candidate).
-    weights[i, j] = |base_j|^r for replicate i. The step-j statistics |nxt_j - base_l| against windows
-    l = 0..j are stored packed: raw[i, p] with p = start[j] + l and
-    start[j] = j (j + 1) / 2, so raw has shape (runs, K (K + 1) / 2) and its
-    columns follow np.tril_indices(K). nxt and scale and additive come from
-    the rule (selector._rule_terms): scale[j, l] is the error level
-    multiplying z_l, additive[j] the level multiplying the step's closing
-    value z_{j+1}. Passing bare=True drops the additive term from the
-    rejection events.
+    of simulate_window_estimates, by default the calibration's whole fixed
+    replicate set (common random numbers, re-read at every threshold
+    candidate). nxt, scale and additive are what config.rule tests
+    (selector._rule_terms), and weights[i, j] = |bases[i, j]|^r is what
+    replicate i loses when it stops at window j.
     """
-
-    def __init__(self, config: CalibConfig, levels: Levels, pair: PairLevels | None,
-                 bases: np.ndarray, rings: np.ndarray) -> None:
-        K = config.family.K
-        nxt, self.scale, self.additive = _rule_terms(config.rule, bases, rings, levels, pair)
-        self.K = K
-        self.runs = bases.shape[0]
-        self.weights = np.abs(bases[:, :K]) ** config.r
-        self.start = np.arange(K) * (np.arange(K) + 1) // 2
-        self.raw = np.empty((self.runs, K * (K + 1) // 2))
-        for j, p in enumerate(self.start):
-            cols = self.raw[:, p: p + j + 1]
-            np.subtract(nxt[:, j, None], bases[:, : j + 1], out=cols)
-            np.abs(cols, out=cols)
-
-    def column(self, l: int) -> np.ndarray:
-        """Statistics against window l at steps l..K-1, shape (runs, K - l)."""
-        return self.raw[:, self.start[l:] + l]
-
-    def _exceed(self, z: np.ndarray, bare: bool, rows=slice(None)) -> np.ndarray:
-        """raw[rows] > packed thresholds built from z."""
-        thr = threshold_table(np.append(z, 1.0), self.scale,
-                              0.0 if bare else self.additive)
-        return self.raw[rows] > thr[np.tril_indices(self.K)]
-
-    def row_totals(self, z: np.ndarray, bare: bool = False, rows=slice(None)) -> np.ndarray:
-        """Per-replicate sum over steps j of |base_j|^r * 1{step j rejects}, for rows."""
-        rejected = np.logical_or.reduceat(self._exceed(z, bare, rows), self.start, axis=1)
-        weights = self.weights[rows]
-        total = np.zeros(len(weights))
-        for j in range(self.K):
-            total += weights[:, j] * rejected[:, j]
-        return total
-
-    def objective(self, z: np.ndarray, bare: bool = False) -> float:
-        """Budget left-hand side for thresholds built from z on this replicate set."""
-        return float(self.row_totals(z, bare).mean())
-
-    def shares(self, z: np.ndarray, bare: bool = False) -> np.ndarray:
-        """Budget split by the first rejecting window index; sums to objective(z)."""
-        exceed = self._exceed(z, bare)
-        out = np.zeros(self.K)
-        for j, p in enumerate(self.start):
-            rej = exceed[:, p: p + j + 1]
-            any_rej = rej.any(axis=1)
-            first = rej.argmax(axis=1)
-            np.add.at(out, first[any_rej], self.weights[any_rej, j])
-        return out / self.runs
+    if bases is None:
+        bases, rings = simulate_window_estimates(
+            config.family, config.loss, config.noise, config.runs, config.seed)
+    nxt, scale, additive = _rule_terms(config.rule, bases, rings, levels, pair)
+    return bases, nxt, scale, additive, np.abs(bases[:, :nxt.shape[1]]) ** config.r
 
 
-def _calibration_stats(config: CalibConfig, levels: Levels,
-                       pair: PairLevels | None) -> _SelectionStats:
-    """Statistics of the whole replicate set drawn from the calibration seed."""
-    bases, rings = simulate_window_estimates(
-        config.family, config.loss, config.noise, config.runs, config.seed)
-    return _SelectionStats(config, levels, pair, bases, rings)
+def _row_totals(bases: np.ndarray, nxt: np.ndarray, weights: np.ndarray,
+                thr: np.ndarray) -> np.ndarray:
+    """Per-replicate sum over steps j of weights[:, j] * 1{step j rejects} under thr."""
+    total = np.zeros(len(weights))
+    for j, exceed in _step_rejections(bases, nxt, thr):
+        total += weights[:, j] * exceed.any(axis=0)
+    return total
+
+
+def _shares(bases: np.ndarray, nxt: np.ndarray, weights: np.ndarray,
+            thr: np.ndarray) -> np.ndarray:
+    """The mean of _row_totals split by each step's first rejecting window index."""
+    out = np.zeros(nxt.shape[1])
+    for j, exceed in _step_rejections(bases, nxt, thr):
+        hit = exceed.any(axis=0)
+        np.add.at(out, exceed.argmax(axis=0)[hit], weights[hit, j])
+    return out / len(weights)
 
 
 def _zeta_to_z(zeta: float, levels: Levels, alpha: float, r: float) -> np.ndarray:
@@ -269,19 +239,24 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
             f"(s[{k}] = {float(levels.s[k])!r} > s[{k - 1}] = {float(levels.s[k - 1])!r}), "
             "so the zeta family would give increasing critical values; "
             "use --levels asymptotic or --mode sequential")
-    stats = _calibration_stats(config, levels, pair)
+    bases, nxt, scale, additive, weights = _replicates(config, levels, pair)
     budget = _budget(config, levels)
+
+    def thr_of(z: np.ndarray) -> np.ndarray:
+        return threshold_table(np.append(z, 1.0), scale, additive)
 
     def z_of(zeta: float) -> np.ndarray:
         return _zeta_to_z(zeta, levels, config.alpha, config.r)
 
     zeta = _smallest_passing(
-        lambda zeta, rows: stats.row_totals(z_of(zeta), rows=rows), config.runs, budget,
-        ZETA_MAX,
-        lambda: (f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: "
-                 f"lhs at the cap is {stats.objective(z_of(ZETA_MAX))!r}"))
+        lambda zeta, rows: _row_totals(bases[rows], nxt[rows], weights[rows],
+                                       thr_of(z_of(zeta))),
+        config.runs, budget, ZETA_MAX,
+        lambda: (f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: lhs at the cap is "
+                 f"{float(_row_totals(bases, nxt, weights, thr_of(z_of(ZETA_MAX))).mean())!r}"))
     z = z_of(zeta)
-    return CalibResult(crit=CriticalValues(z=z, zeta=zeta), per_k_error_share=stats.shares(z))
+    return CalibResult(crit=CriticalValues(z=z, zeta=zeta),
+                       per_k_error_share=_shares(bases, nxt, weights, thr_of(z)))
 
 
 def calibrate_sequential(config: CalibConfig, levels: Levels,
@@ -294,18 +269,19 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
     depend on later values, and the selection rule's extra closing term only
     shrinks events, so the resulting thresholds stay on the safe side.
     """
-    stats = _calibration_stats(config, levels, pair)
-    K = stats.K
+    bases, nxt, scale, _, weights = _replicates(config, levels, pair)
+    K = nxt.shape[1]
     budget = _budget(config, levels)
     per_step = budget / K
     z = np.empty(K)
     # acc[i, j]: step j accepted against every window before the current k
     acc = np.ones((config.runs, K), dtype=bool)
     for k in range(K):
-        raw_k = stats.column(k)
-        scale_k = stats.scale[k:, k]
+        # the statistics of steps k..K-1 against window k, row-major (runs, K - k)
+        raw_k = np.abs(nxt[:, k:] - bases[:, k, None])
+        scale_k = scale[k:, k]
         live = acc[:, k:]
-        w_k = stats.weights[:, k:]
+        w_k = weights[:, k:]
 
         def share(zk: float, rows: np.ndarray) -> np.ndarray:
             hit = live[rows] & (raw_k[rows] > zk * scale_k)
@@ -315,7 +291,9 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
             share, config.runs, per_step, Z_MAX,
             lambda: f"per-step budget {per_step!r} unattainable at step {k} with z <= {Z_MAX}")
         acc[:, k:] &= raw_k <= z[k] * scale_k
-    return CalibResult(crit=CriticalValues(z=z), per_k_error_share=stats.shares(z, bare=True))
+    return CalibResult(crit=CriticalValues(z=z),
+                       per_k_error_share=_shares(bases, nxt, weights,
+                                                 threshold_table(np.append(z, 1.0), scale, 0.0)))
 
 
 def calibrate(config: CalibConfig, levels: Levels,
@@ -334,11 +312,11 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     which draws config.runs replicates unless runs is given. The seed must
     differ from the calibration seed, otherwise the check would just reread
     the replicates the thresholds were fitted to. The replicates are
-    streamed: each chunk of simulate_window_estimates sums its row totals over
-    selector._step_rejections, in _SelectionStats.row_totals's order but with
-    no packed statistics, so memory stays at one chunk's estimates per worker
-    plus one float per replicate, and the ratio equals the objective over the
-    whole set bit for bit.
+    streamed: each chunk of simulate_window_estimates gets its totals from
+    _row_totals, the function the calibration's objective sums, so memory
+    stays at one chunk's estimates per worker plus one float per replicate.
+    A replicate's total reads its own row only, so the ratio equals the
+    objective over the whole set bit for bit.
     """
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
@@ -346,13 +324,11 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     warnings = check_mc_runs(runs, "the verification")
     cfg = replace(config, runs=runs)
     zf = crit.full(levels.K)
-    total = np.zeros(cfg.runs)
+    total = np.empty(cfg.runs)
 
     def consume(lo: int, hi: int, bases: np.ndarray, rings: np.ndarray) -> None:
-        nxt, scale, additive = _rule_terms(cfg.rule, bases, rings, levels, pair)
-        weights = np.abs(bases[:, :levels.K]) ** cfg.r
-        for j, reject in _step_rejections(bases, nxt, threshold_table(zf, scale, additive)):
-            total[lo:hi] += weights[:, j] * reject
+        bases, nxt, scale, additive, weights = _replicates(cfg, levels, pair, bases, rings)
+        total[lo:hi] = _row_totals(bases, nxt, weights, threshold_table(zf, scale, additive))
 
     simulate_window_estimates(cfg.family, cfg.loss, cfg.noise, cfg.runs, seed, consume)
     return float(total.mean()) / _budget(cfg, levels), warnings

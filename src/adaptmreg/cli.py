@@ -201,7 +201,7 @@ def _levels_for_calibrate(args, config: CalibConfig):
     if choice == "asymptotic":
         return (levels_asymptotic(family, loss, noise, r),
                 pair_levels_asymptotic(family, loss, noise, r) if pair else None)
-    runs = args.levels_runs or args.runs
+    runs = args.runs if args.levels_runs is None else args.levels_runs
     return (levels_mc(family, loss, noise, runs, r, seed=args.seed + 1),
             pair_levels_mc(family, loss, noise, runs, r, seed=args.seed + 2) if pair else None)
 

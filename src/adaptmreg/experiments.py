@@ -266,8 +266,8 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
     records sqrt(n)-scaled variances of both statistics over the replicates
     together with their limiting formula values.
     """
-    if delta < 0:
-        raise ValidationError("delta must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and nonnegative, got {delta!r}")
     if n < 2 or runs < 2:
         raise ValidationError("need n >= 2 and runs >= 2")
     med = LossKind.median()
@@ -335,6 +335,8 @@ def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,
         raise ValidationError("sample sizes must be odd and positive")
     if runs < 2:
         raise ValidationError("need at least 2 runs")
+    if not math.isfinite(r):
+        raise ValidationError(f"moment order r must be finite, got {r!r}")
     f0 = density_at_zero(kind)
     ez = normal_abs_moment(r)
     rows = []
@@ -365,8 +367,10 @@ def tail_study(kind: NoiseKind, n: int, taus: Sequence[float], runs: int,
     taus = [float(t) for t in taus]
     if not taus:
         raise ValidationError("the tail study needs at least one tau")
-    if any(t < 0 or t > math.sqrt(n) / 2.0 for t in taus):
+    if not all(0 <= t <= math.sqrt(n) / 2.0 for t in taus):
         raise ValidationError("need 0 <= tau <= sqrt(N) / 2")
+    if runs < 1:
+        raise ValidationError("runs must be positive")
     med = _median_samples(kind, n, runs, seed)
     scaled = 2.0 * math.sqrt(n) * density_at_zero(kind) * np.abs(med)
     return tuple(

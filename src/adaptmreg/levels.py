@@ -289,19 +289,30 @@ def check_mc_runs(runs: int, step: str) -> tuple[str, ...]:
     return ()
 
 
+def _step_moments(bases: np.ndarray, nxt: np.ndarray, r: float) -> np.ndarray:
+    """(K, K) r-th moment scales of nxt[:, k] - bases[:, j], j <= k; NaN above the diagonal.
+
+    nxt holds what each step k compares with the earlier windows: the ring
+    estimates for the window levels, the next window estimates bases[:, 1:]
+    for the pair levels.
+    """
+    K = nxt.shape[1]
+    out = np.full((K, K), np.nan)
+    for k in range(K):
+        diffs = np.abs(nxt[:, k, None] - bases[:, : k + 1])
+        out[k, : k + 1] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
+    return out
+
+
 def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
               r: float = 2.0, seed: int = 0) -> Levels:
     """Monte Carlo levels: empirical r-th moments over pure-noise replicates."""
     _check_order(r)
     check_mc_runs(runs, WINDOW_LEVELS)
     bases, rings = simulate_window_estimates(family, loss, kind, runs, seed)
-    K = family.K
     s = np.mean(np.abs(bases) ** r, axis=0) ** (1.0 / r)
-    s_ring = np.full((K, K), np.nan)
-    for k in range(K):
-        diffs = np.abs(rings[:, k, None] - bases[:, : k + 1])
-        s_ring[k, : k + 1] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
-    return Levels(s=s, s_ring=s_ring, method="monte_carlo", runs=runs, seed=seed)
+    return Levels(s=s, s_ring=_step_moments(bases, rings, r), method="monte_carlo",
+                  runs=runs, seed=seed)
 
 
 def pair_levels_exact_mean(family: WindowFamily, r: float = 2.0) -> PairLevels:
@@ -336,7 +347,5 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     bases, _ = simulate_window_estimates(family, loss, kind, runs, seed)
     K = family.K
     sp = np.full((K + 1, K + 1), np.nan)
-    for m in range(1, K + 1):
-        diffs = np.abs(bases[:, m, None] - bases[:, :m])
-        sp[m, :m] = np.mean(diffs ** r, axis=0) ** (1.0 / r)
+    sp[1:, :K] = _step_moments(bases, bases[:, 1:], r)
     return PairLevels(s_pair=sp, method="monte_carlo", runs=runs, seed=seed)

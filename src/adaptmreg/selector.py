@@ -175,11 +175,15 @@ def _rule_terms(rule: str, bases: np.ndarray, rings: np.ndarray | None,
 
 
 def _step_rejections(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray):
-    """Yield (k, reject) for every step k, reject[i] True if row i rejects at k.
+    """Yield (k, exceed) for every step k: exceed[j, i] is |nxt[i, k] - bases[i, j]| > thr[k, j].
 
-    Tests and thr are those of first_rejection. The loop is window-major:
-    bases[:, :K] and nxt are copied once to (K, rows), so a step ORs k + 1
-    contiguous rows. A caller that needs only the first rejection stops early.
+    This is the one place the window test is written. exceed has shape
+    (k + 1, rows); row i rejects at step k when any exceed[:, i] holds, and
+    its first rejecting window is exceed[:, i].argmax(). thr is (K, K) or
+    window-major (K, K, rows), as for first_rejection. The loop is
+    window-major too: bases[:, :K] and nxt are copied once to (K, rows), so
+    step k compares k + 1 contiguous rows. A caller that needs only the
+    first rejection stops early.
     """
     rows, K = nxt.shape
     if thr.shape not in ((K, K), (K, K, rows)):
@@ -188,7 +192,7 @@ def _step_rejections(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray):
     bases_t = np.ascontiguousarray(bases[:, :K].T)
     nxt_t = np.ascontiguousarray(nxt.T)
     for k in range(K):
-        yield k, (np.abs(nxt_t[k] - bases_t[: k + 1]) > thr[k, : k + 1]).any(axis=0)
+        yield k, np.abs(nxt_t[k] - bases_t[: k + 1]) > thr[k, : k + 1]
 
 
 def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -202,7 +206,8 @@ def first_rejection(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray) -> np.n
     """
     k_hat = np.full(bases.shape[0], thr.shape[0], dtype=np.int64)
     undecided = np.ones(bases.shape[0], dtype=bool)
-    for k, reject in _step_rejections(bases, nxt, thr):
+    for k, exceed in _step_rejections(bases, nxt, thr):
+        reject = exceed.any(axis=0)
         k_hat[undecided & reject] = k
         undecided &= ~reject
         if not undecided.any():

@@ -13,15 +13,17 @@ import adaptmreg as am
 from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        calibrate_sequential, calibrate_zeta, load_artifact,
                        save_artifact, verify_calibration)
+import adaptmreg.calibration as calibration
 from adaptmreg.calibration import (ESTIMATOR_VERSIONS, SEARCH_TOL, STREAM_VERSIONS, Z_MAX,
-                                   ZETA_MIN, _budget, _calibration_stats, _SelectionStats,
+                                   ZETA_MIN, _budget, _replicates, _row_totals, _shares,
                                    _zeta_to_z, build_family)
 from adaptmreg.cli import parse_loss
 from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import MC_MIN_RUNS, Levels, simulate_window_estimates
 from adaptmreg.parallel import CHUNK
+from adaptmreg.selector import threshold_table
 
-from oracle_search import calibrate_full
+from oracle_search import DenseStats, calibrate_full
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,13 @@ def small_setup():
     config = CalibConfig(family=family, loss=LossKind.median(),
                          noise=NoiseKind.laplace(), runs=3000, seed=5)
     return family, levels, config
+
+
+def _objective(config, levels, pair, z):
+    """The library's budget left-hand side of thresholds z on the calibration's replicates."""
+    bases, nxt, scale, additive, weights = _replicates(config, levels, pair)
+    thr = threshold_table(np.append(z, 1.0), scale, additive)
+    return float(_row_totals(bases, nxt, weights, thr).mean())
 
 
 def test_zeta_calibration_properties(small_setup):
@@ -113,10 +122,10 @@ def test_artifact_checks_mode_and_budget(small_setup):
 
 def test_objective_monotone_in_thresholds(small_setup):
     family, levels, config = small_setup
-    stats = _calibration_stats(config, levels, None)
     res = calibrate_zeta(config, levels)
     z = res.crit.z
-    assert stats.objective(1.5 * z) <= stats.objective(z) <= stats.objective(0.5 * z)
+    lhs = [_objective(config, levels, None, f * z) for f in (1.5, 1.0, 0.5)]
+    assert lhs[0] <= lhs[1] <= lhs[2]
 
 
 def test_sequential_per_step_budget(small_setup):
@@ -147,8 +156,7 @@ def test_sequential_vs_zeta_profiles(small_setup):
     assert res_s.achieved_lhs <= budget * (1 + 1e-9)
     # bare events contain the selection-form events, so the sequential values
     # also satisfy the selection-form budget
-    stats = _calibration_stats(cfg, levels, None)
-    assert stats.objective(res_s.crit.z) <= budget * (1 + 1e-9)
+    assert _objective(cfg, levels, None, res_s.crit.z) <= budget * (1 + 1e-9)
 
 
 def test_zeta_ratio_structure(small_setup):
@@ -190,53 +198,6 @@ def test_sequential_k1_matches_bruteforce():
     assert res.crit.z[0] == pytest.approx(best, abs=2e-3)
 
 
-class _DenseStats:
-    """Brute-force reference: dense (runs, K, K) statistics, scalar thresholds."""
-
-    def __init__(self, config, levels, pair):
-        K = config.family.K
-        bases, rings = simulate_window_estimates(
-            config.family, config.loss, config.noise, config.runs, config.seed)
-        if config.rule == "ring":
-            self.nxt, self.scale, self.additive = rings, levels.s_ring, levels.s[1:]
-        else:
-            self.nxt = bases[:, 1:]
-            self.scale, self.additive = pair.s_pair[1:, :K], np.zeros(K)
-        self.K, self.runs = K, config.runs
-        self.weights = np.abs(bases[:, :K]) ** config.r
-        self.raw = np.full((config.runs, K, K), -np.inf)
-        for j in range(K):
-            for l in range(j + 1):
-                self.raw[:, j, l] = np.abs(self.nxt[:, j] - bases[:, l])
-
-    def rejections(self, z, bare):
-        """rej[i, j, l]: step j of replicate i rejects against window l."""
-        zf = np.append(z, 1.0)
-        rej = np.zeros(self.raw.shape, dtype=bool)
-        for j in range(self.K):
-            for l in range(j + 1):
-                extra = 0.0 if bare else zf[j + 1] * self.additive[j]
-                rej[:, j, l] = self.raw[:, j, l] > zf[l] * self.scale[j, l] + extra
-        return rej
-
-    def objective(self, z, bare=False):
-        rejected = self.rejections(z, bare).any(axis=2)
-        total = np.zeros(self.runs)
-        for j in range(self.K):
-            total += self.weights[:, j] * rejected[:, j]
-        return float(total.mean())
-
-    def shares(self, z, bare=False):
-        rej = self.rejections(z, bare)
-        out = np.zeros(self.K)
-        for j in range(self.K):
-            for i in range(self.runs):
-                hits = np.flatnonzero(rej[i, j])
-                if hits.size:
-                    out[hits[0]] += self.weights[i, j]
-        return out / self.runs
-
-
 def _lepski_setup(small_setup):
     family, levels, config = small_setup
     pair = am.pair_levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
@@ -246,21 +207,24 @@ def _lepski_setup(small_setup):
 
 
 @pytest.mark.parametrize("rule", ["ring", "lepski"])
-def test_packed_statistics_match_dense_reference(small_setup, rule):
-    """Packed objective and shares equal a dense brute force exactly."""
+def test_row_totals_and_shares_match_dense_reference(small_setup, rule):
+    """The library's row totals and shares equal a dense brute force exactly."""
     family, levels, config = small_setup
     pair = None
     if rule == "lepski":
         config, pair = _lepski_setup(small_setup)
     assert levels.K >= 4
-    packed = _calibration_stats(config, levels, pair)
-    dense = _DenseStats(config, levels, pair)
+    bases, nxt, scale, additive, weights = _replicates(config, levels, pair)
+    dense = DenseStats(config, levels, pair)
     rng = np.random.default_rng(2024)
-    for scale in (0.5, 1.5, 3.0):
-        z = scale * rng.uniform(0.5, 2.0, levels.K)
+    for factor in (0.5, 1.5, 3.0):
+        z = factor * rng.uniform(0.5, 2.0, levels.K)
         for bare in (False, True):
-            assert packed.objective(z, bare) == dense.objective(z, bare)
-            assert np.array_equal(packed.shares(z, bare), dense.shares(z, bare))
+            thr = threshold_table(np.append(z, 1.0), scale, 0.0 if bare else additive)
+            totals = _row_totals(bases, nxt, weights, thr)
+            assert np.array_equal(totals, dense.row_totals(z, bare))
+            assert float(totals.mean()) == dense.objective(z, bare)
+            assert np.array_equal(_shares(bases, nxt, weights, thr), dense.shares(z, bare))
 
 
 def _dense_sequential(config, levels, dense):
@@ -294,7 +258,7 @@ def test_sequential_matches_dense_reference(small_setup):
     cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
                       runs=config.runs, seed=config.seed, mode="sequential")
     res = calibrate_sequential(cfg, levels)
-    dense = _DenseStats(cfg, levels, None)
+    dense = DenseStats(cfg, levels, None)
     z = _dense_sequential(cfg, levels, dense)
     assert np.array_equal(res.crit.z, z)
     assert np.array_equal(res.per_k_error_share, dense.shares(z, bare=True))
@@ -342,14 +306,14 @@ def test_search_matches_full_evaluation(small_setup, search_levels, mode, rule, 
     pair = pair if rule == "lepski" else None
     evaluated = []
     want = calibrate_full(cfg, levels, pair, evaluated)
-    seen = []  # replicates evaluated per row_totals call
-    row_totals = _SelectionStats.row_totals
+    seen = []  # replicates evaluated per _row_totals call
+    row_totals = calibration._row_totals
 
-    def counted(self, z, bare=False, rows=slice(None)):
-        seen.append(len(rows) if isinstance(rows, np.ndarray) else self.runs)
-        return row_totals(self, z, bare, rows)
+    def counted(bases, nxt, weights, thr):
+        seen.append(len(weights))
+        return row_totals(bases, nxt, weights, thr)
 
-    monkeypatch.setattr(_SelectionStats, "row_totals", counted)
+    monkeypatch.setattr(calibration, "_row_totals", counted)
     _same_result(calibrate(cfg, levels, pair), want)
     if mode == "zeta":
         assert len(evaluated) > 10
@@ -397,7 +361,7 @@ VERIFY_CASES = [(rule, loss, thresholds) for thresholds in ("decreasing", "seque
                               for r, l, t in VERIFY_CASES])
 def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, thresholds,
                                                      monkeypatch):
-    """The streamed ratio equals the objective over all replicates at once, bit for bit.
+    """The streamed ratio equals the dense objective over all replicates at once, bit for bit.
 
     The thresholds are hand-set decreasing values, or those of a sequential
     calibration, which need not decrease.
@@ -420,8 +384,7 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, th
     else:
         crit = calibrate_sequential(replace(cfg, runs=MC_MIN_RUNS, mode="sequential"),
                                     levels, pair).crit
-    bases, rings = simulate_window_estimates(family, loss, cfg.noise, runs, 77)
-    whole = _SelectionStats(cfg, levels, pair, bases, rings)
+    whole = DenseStats(replace(cfg, seed=77), levels, pair)
     want = whole.objective(crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)
     assert want > 0.0
     for workers in ("1", "2", "3"):
@@ -431,7 +394,10 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, th
 
 
 def test_verify_never_holds_the_packed_statistics(monkeypatch):
-    """Verify's memory peak stays far below the (runs, K (K + 1) / 2) float64 array."""
+    """Verify's memory peak stays far below a (runs, K (K + 1) / 2) float64 array.
+
+    That array would hold every step statistic of every replicate at once.
+    """
     counts = am.benchmark_counts()
     family = am.build_family_1d(am.equidistant_design(200), 0.0, counts)
     loss = LossKind.median()

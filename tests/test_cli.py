@@ -658,6 +658,32 @@ def test_empty_studies_refused_before_drawing(tmp_path, capsys, monkeypatch, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("moments", "--n-points", "11", "--r", "nan", "--runs", "40"),
+    ("moments", "--n-points", "11", "--r", "inf", "--runs", "40"),
+    ("tails", "--n-points", "21", "--taus", "0,1", "--runs", "0"),
+    ("tails", "--n-points", "21", "--taus", "nan", "--runs", "40"),
+    ("prop1", "--delta", "nan", "--n", "51", "--runs", "40"),
+    ("prop1", "--delta", "inf", "--n", "51", "--runs", "40"),
+], ids=["moments_r_nan", "moments_r_inf", "tails_runs_0", "tails_tau_nan", "prop1_delta_nan",
+        "prop1_delta_inf"])
+def test_bad_study_numbers_refused_before_drawing(tmp_path, capsys, monkeypatch, argv):
+    """A non-finite r, tau or delta, or zero runs, exits 1 before any replicate is drawn.
+
+    These used to write NaN rows (or fail with exit 2 on an infinite delta).
+    """
+    import adaptmreg.experiments as ex
+
+    def no_draws(*args):
+        raise AssertionError("drew replicates for a refused study")
+
+    monkeypatch.setattr(ex, "sample_rows", no_draws)
+    out = tmp_path / "bad.csv"
+    assert run(*argv, "--seed", "3", "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: validation: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("calibrate", "--loss", "quantile:abc", "--seed", "1", "--out", "x.cal"), "--loss"),
     (("calibrate", "--loss", "huber:", "--seed", "1", "--out", "x.cal"), "--loss"),
@@ -962,4 +988,10 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert run("calibrate", "--family", "disc2d", flag, "0", "--runs", "2000",
                    "--seed", "21", "--out", tmp_path / "z.cal") == 1
         assert capsys.readouterr().err.startswith("error: validation: ")
+    # so is a zero Monte Carlo level run count, not replaced by --runs
+    capsys.readouterr()
+    assert run("calibrate", "--loss", "huber:1.345", "--levels", "mc", "--levels-runs", "0",
+               "--runs", "2000", "--seed", "21", "--out", tmp_path / "z.cal") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: ") and "for the window levels" in err, err
     assert not (tmp_path / "z.cal").exists()
