@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,12 +85,16 @@ SEARCH_TOL = 1e-3
 class CalibConfig:
     """Inputs of one calibration run.
 
+    family_kind and family_meta describe the window family as an artifact
+    saves it; family is what build_family makes of them, built on
+    construction (dataclasses.replace builds it again) and kept nowhere else.
     rule selects the statistic being calibrated: "ring" for the ring rule,
     "lepski" for the classical window-difference rule (the same budget
     principle applies to both).
     """
 
-    family: WindowFamily
+    family_kind: str
+    family_meta: dict
     loss: LossKind
     noise: NoiseKind
     r: float = 2.0
@@ -99,8 +103,10 @@ class CalibConfig:
     seed: int = 0
     mode: str = "zeta"
     rule: str = "ring"
+    family: WindowFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", build_family(self.family_kind, self.family_meta))
         if not math.isfinite(self.alpha):
             raise ValidationError(f"alpha must be finite, got {self.alpha!r}")
         _check_order(self.r)
@@ -322,16 +328,15 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
         raise ValidationError("verification needs a seed different from calibration")
     runs = config.runs if runs is None else runs
     warnings = check_mc_runs(runs, "the verification")
-    cfg = replace(config, runs=runs)
     zf = crit.full(levels.K)
-    total = np.empty(cfg.runs)
+    total = np.empty(runs)
 
     def consume(lo: int, hi: int, bases: np.ndarray, rings: np.ndarray) -> None:
-        bases, nxt, scale, additive, weights = _replicates(cfg, levels, pair, bases, rings)
+        bases, nxt, scale, additive, weights = _replicates(config, levels, pair, bases, rings)
         total[lo:hi] = _row_totals(bases, nxt, weights, threshold_table(zf, scale, additive))
 
-    simulate_window_estimates(cfg.family, cfg.loss, cfg.noise, cfg.runs, seed, consume)
-    return float(total.mean()) / _budget(cfg, levels), warnings
+    simulate_window_estimates(config.family, config.loss, config.noise, runs, seed, consume)
+    return float(total.mean()) / _budget(config, levels), warnings
 
 
 # ----------------------------------------------------------------------------
@@ -356,38 +361,25 @@ STREAM_VERSIONS = (1, 2)
 class CalibArtifact:
     """One calibrate(config, levels, pair) run, as saved and reused.
 
-    config.family is the family that family_kind and family_meta describe,
-    the one build_family makes of them.
-    Only zeta mode has a zeta, and its thresholds are _zeta_to_z of it (to a
-    relative 1e-9: np.log may round differently elsewhere); only the lepski
-    rule has pair levels; the shares are finite, nonnegative and sum to at
-    most the budget alpha * s_K^r. Ring-rule zeta thresholds must meet the
-    risk hypothesis (z_k * s_k non-increasing), which the ring rule needs: a
-    degenerate budget (huge alpha) can push z below the final value.
+    The family and its saved description are config's. Only zeta mode has a
+    zeta, and its thresholds are _zeta_to_z of it (to a relative 1e-9:
+    np.log may round differently elsewhere); only the lepski rule has pair
+    levels; the shares are finite, nonnegative and sum to at most the budget
+    alpha * s_K^r. Ring-rule zeta thresholds must meet the risk hypothesis
+    (z_k * s_k non-increasing), which the ring rule needs: a degenerate
+    budget (huge alpha) can push z below the final value.
     """
 
     config: CalibConfig
     result: CalibResult
     levels: Levels
     pair: PairLevels | None
-    family_kind: str
-    family_meta: dict
     estimator: int = ESTIMATOR_VERSION
     stream: int = STREAM_VERSION
 
     def __post_init__(self) -> None:
         cfg, crit = self.config, self.result.crit
-        family = cfg.family
-        if getattr(family, "_described_by", None) != _description(self.family_kind,
-                                                                 self.family_meta):
-            built = build_family(self.family_kind, self.family_meta)
-            if not (np.array_equal(built.order, family.order)
-                    and np.array_equal(built.counts, family.counts)
-                    and built.dropped_levels == family.dropped_levels):
-                raise ValidationError(f"family_kind {self.family_kind!r} and family_meta "
-                                      f"{self.family_meta!r} do not describe the calibrated "
-                                      "family")
-        K = family.K
+        K = cfg.family.K
         sizes = {self.levels.K, crit.K, self.result.per_k_error_share.size,
                  K if self.pair is None else self.pair.K}
         if sizes != {K}:
@@ -420,17 +412,8 @@ class CalibArtifact:
 _FAMILY_META = {"line1d": {"n", "center", "counts"}, "disc2d": {"radii"}}
 
 
-def _description(family_kind: str, family_meta: dict) -> str:
-    return repr((family_kind, sorted(family_meta.items())))
-
-
 def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
-    """The family of a saved description: line1d from n, center, counts; disc2d from radii.
-
-    The family remembers its description, so that an artifact made from it
-    (as load_artifact and calibrate make one) needs no second build to check
-    that its family_kind and family_meta describe it.
-    """
+    """The family of a saved description: line1d from n, center, counts; disc2d from radii."""
     keys = _FAMILY_META.get(family_kind)
     if keys is None:
         raise ValidationError(f"unknown window family kind {family_kind!r}")
@@ -439,11 +422,8 @@ def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
                               f"not by {sorted(family_meta)}")
     if family_kind == "line1d":
         xs = equidistant_design(int(family_meta["n"]))
-        family = build_family_1d(xs, float(family_meta["center"]), family_meta["counts"])
-    else:
-        family = build_family_2d(family_meta["radii"])
-    object.__setattr__(family, "_described_by", _description(family_kind, family_meta))
-    return family
+        return build_family_1d(xs, float(family_meta["center"]), family_meta["counts"])
+    return build_family_2d(family_meta["radii"])
 
 
 def _fmt(x) -> str:
@@ -465,8 +445,8 @@ def _provenance(name: str, lv: Levels | PairLevels) -> list[str]:
 
 def _artifact_text(art: CalibArtifact) -> str:
     """art's file: its hash line, then the body (no line for version 1 of estimator or stream)."""
-    cfg, res, meta, K = art.config, art.result, art.family_meta, art.levels.K
-    line1d = art.family_kind == "line1d"
+    cfg, res, K = art.config, art.result, art.levels.K
+    meta, line1d = cfg.family_meta, cfg.family_kind == "line1d"
     lines = [f"format: {FORMAT_TAG}"]
     lines += [f"{name}: {v}" for name, v in (("estimator", art.estimator),
                                              ("stream", art.stream)) if v != 1]
@@ -487,7 +467,7 @@ def _artifact_text(art: CalibArtifact) -> str:
         f"budget: {_fmt(art.budget)}",
         f"per_k_error_share: {_fmt_arr(res.per_k_error_share)}",
         *_provenance("levels", art.levels),
-        f"family_kind: {art.family_kind}",
+        f"family_kind: {cfg.family_kind}",
         f"family_n: {int(meta['n']) if line1d else '-'}",
         f"family_center: {_fmt(meta['center']) if line1d else '-'}",
         f"family_radii: {'-' if line1d else _fmt_arr(meta['radii'])}",
@@ -591,12 +571,12 @@ def _artifact_from_fields(fields: dict[str, str]) -> CalibArtifact:
                 "counts": [int(v) for v in fields["counts"].split()]}
     else:
         meta = {"radii": floats("family_radii").tolist()}
-    config = CalibConfig(family=build_family(kind, meta), loss=loss,
+    config = CalibConfig(family_kind=kind, family_meta=meta, loss=loss,
                          noise=NoiseKind(fields["noise"], dof=opt("noise_dof")),
                          r=float(fields["r"]), alpha=float(fields["alpha"]),
                          runs=int(fields["runs"]), seed=int(fields["seed"]),
                          mode=fields["mode"], rule=fields["rule"])
     result = CalibResult(CriticalValues(floats("z"), opt("zeta", float)),
                          floats("per_k_error_share"))
-    return CalibArtifact(config, result, levels, pair, kind, meta,
-                         estimator=int(fields["estimator"]), stream=int(fields["stream"]))
+    return CalibArtifact(config, result, levels, pair, estimator=int(fields["estimator"]),
+                         stream=int(fields["stream"]))

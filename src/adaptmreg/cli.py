@@ -16,8 +16,8 @@ import functools
 import sys
 from pathlib import Path
 
-from .calibration import (CalibArtifact, CalibConfig, build_family, calibrate,
-                          load_artifact, save_artifact, verify_calibration)
+from .calibration import (CalibArtifact, CalibConfig, calibrate, load_artifact,
+                          save_artifact, verify_calibration)
 from .errors import CalibrationError, ValidationError
 from .experiments import (CALIBRATED_METHODS, METHODS, BenchRow, ExperimentSpec, MomentRow,
                           SampleRow, TailRow, TwoSampleReport, csv_text, median_moment_study,
@@ -176,15 +176,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _family_for_calibrate(args):
-    """The family's saved description (kind, meta) and the family built from it."""
+def _family_for_calibrate(args) -> tuple[str, dict]:
+    """The family's saved description: its kind and meta."""
     if args.family == "bench1d":
-        kind, meta = "line1d", {"n": args.n, "center": 0.0,
-                                "counts": benchmark_counts(args.count_levels, args.counts)}
-    else:
-        radii = default_disc_radii(args.radius_levels, args.radius0, args.radius_growth)
-        kind, meta = "disc2d", {"radii": [float(r) for r in radii]}
-    return build_family(kind, meta), kind, meta
+        return "line1d", {"n": args.n, "center": 0.0,
+                          "counts": benchmark_counts(args.count_levels, args.counts)}
+    radii = default_disc_radii(args.radius_levels, args.radius0, args.radius_growth)
+    return "disc2d", {"radii": [float(r) for r in radii]}
 
 
 def _levels_for_calibrate(args, config: CalibConfig):
@@ -195,6 +193,9 @@ def _levels_for_calibrate(args, config: CalibConfig):
     if choice == "auto":
         choice = {"mean": "exact", "median": "asymptotic",
                   "quantile": "asymptotic"}.get(loss.kind, "mc")
+    if choice != "mc" and args.levels_runs is not None:
+        raise ValidationError(f"--levels-runs sets the Monte Carlo levels' run count, but "
+                              f"--levels {args.levels} gives {choice} levels")
     if choice == "exact":
         return (levels_exact_mean(family, r),
                 pair_levels_exact_mean(family, r) if pair else None)
@@ -207,12 +208,12 @@ def _levels_for_calibrate(args, config: CalibConfig):
 
 
 def _cmd_calibrate(args) -> int:
-    family, kind_tag, meta = _family_for_calibrate(args)
-    config = CalibConfig(family=family, loss=parse_loss(args.loss),
+    kind, meta = _family_for_calibrate(args)
+    config = CalibConfig(family_kind=kind, family_meta=meta, loss=parse_loss(args.loss),
                          noise=parse_noise(args.noise), r=args.r, alpha=args.alpha,
                          runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule)
     levels, pair = _levels_for_calibrate(args, config)
-    art = CalibArtifact(config, calibrate(config, levels, pair), levels, pair, kind_tag, meta)
+    art = CalibArtifact(config, calibrate(config, levels, pair), levels, pair)
     save_artifact(args.out, art)
     for w in levels.warnings + (pair.warnings if pair else ()) + config.warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .noise import NoiseKind, cdf, density, density_at_zero, sample_rows
 from .parallel import run_chunks
 from .selector import (SelectionTrace, select_lepski, select_lepski_batch, select_ring,
                        select_ring_batch)
-from .windows import benchmark_counts, build_family_1d, equidistant_design
+from .windows import WindowFamily, benchmark_counts, build_family_1d, equidistant_design
 
 __all__ = [
     "METHODS",
@@ -127,30 +127,34 @@ class BenchmarkReport:
 
 
 def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
-                     ) -> tuple[np.ndarray, dict[str, tuple[str, str]]]:
-    """The artifacts' window sizes, and the (loss, rule) of each method that needs one."""
+                     ) -> tuple[WindowFamily, dict[str, tuple[str, str]]]:
+    """The artifacts' window family, and the (loss, rule) of each method that needs one.
+
+    Every artifact must describe a line1d family over spec's n design points
+    centred at 0, and all the same one. An oracle-only run takes the
+    benchmark's default family.
+    """
     needed = {m: tuple(m.split("_")) for m in spec.methods if m in CALIBRATED_METHODS}
     missing = [m for m in needed if m not in calib]
     if missing:
         raise ValidationError(f"missing calibration artifacts for {missing}")
-    counts = None
+    family = None
     for m, loss_rule in needed.items():
-        art, cfg = calib[m], calib[m].config
+        cfg = calib[m].config
         if (cfg.loss.kind, cfg.rule) != loss_rule:
             raise ValidationError(f"artifact for {m} was calibrated as "
                                   f"{cfg.loss.kind}/{cfg.rule}")
-        if art.family_kind != "line1d" or int(art.family_meta["n"]) != spec.n:
-            raise ValidationError(f"artifact for {m} does not match an n={spec.n} design")
-        if counts is None:
-            counts = cfg.family.counts
-        elif not np.array_equal(counts, cfg.family.counts):
+        meta = cfg.family_meta
+        if (cfg.family_kind, meta.get("n"), meta.get("center")) != ("line1d", spec.n, 0.0):
+            raise ValidationError(f"artifact for {m} does not match an n={spec.n} design "
+                                  "centred at 0")
+        if family is None:
+            family = cfg.family
+        elif not np.array_equal(family.counts, cfg.family.counts):
             raise ValidationError("calibration artifacts use different window families")
-    if counts is None:
-        # oracle-only run; any valid family works, use the benchmark default
-        counts = benchmark_counts()
-    if counts[-1] > spec.n:
-        raise ValidationError("window family larger than the design")
-    return counts, needed
+    if family is None:
+        family = build_family_1d(equidistant_design(spec.n), 0.0, benchmark_counts())
+    return family, needed
 
 
 def replicate_rows(spec: ExperimentSpec, g: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -179,13 +183,12 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     The chunk holding replicate 0 also traces each calibrated method's
     selection on that replicate, from the very estimates it selected on.
     """
-    counts, calibrated = _check_artifacts(spec, calib)
+    family, calibrated = _check_artifacts(spec, calib)
     xs = equidistant_design(spec.n)
-    family = build_family_1d(xs, 0.0, counts)
     g = spec.signal_fn()(xs)
     theta = float(spec.signal_fn()(np.zeros(1))[0])
     oracle_idx = np.flatnonzero(np.abs(xs) <= ORACLE_HALFWIDTH[spec.example] + 1e-12)
-    order = family.order
+    order, counts = family.order, family.counts
 
     losses = sorted({loss for loss, _ in calibrated.values()})
     errors = {m: np.empty(spec.runs) for m in spec.methods}

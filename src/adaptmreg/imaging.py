@@ -143,7 +143,7 @@ class DenoiseConfig:
 
     def __post_init__(self) -> None:
         cfg = self.art.config
-        if self.art.family_kind != "disc2d":
+        if cfg.family_kind != "disc2d":
             raise ValidationError("denoising needs a disc2d calibration artifact")
         if cfg.rule != "ring":
             raise ValidationError(f"denoising runs the ring rule, but the artifact was "
@@ -162,7 +162,7 @@ class DenoiseConfig:
 
     @property
     def radii(self) -> tuple[float, ...]:
-        return tuple(self.art.family_meta["radii"])
+        return tuple(self.art.config.family_meta["radii"])
 
 
 def _axis_clips(size: int, reach: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,10 +21,11 @@ def bench_family():
 
 
 def _line_artifact(family, loss, levels, rule, pair, seed):
-    cfg = am.CalibConfig(family=family, loss=loss, noise=am.NoiseKind.laplace(),
-                         runs=BENCH_RUNS, seed=seed, rule=rule, mode="zeta")
     meta = {"counts": [int(c) for c in family.counts], "n": 200, "center": 0.0}
-    return CalibArtifact(cfg, am.calibrate(cfg, levels, pair), levels, pair, "line1d", meta)
+    cfg = am.CalibConfig(family_kind="line1d", family_meta=meta, loss=loss,
+                         noise=am.NoiseKind.laplace(), runs=BENCH_RUNS, seed=seed, rule=rule,
+                         mode="zeta")
+    return CalibArtifact(cfg, am.calibrate(cfg, levels, pair), levels, pair)
 
 
 @pytest.fixture(scope="session")
@@ -52,12 +53,11 @@ def bench_artifacts(bench_family):
 @pytest.fixture(scope="session")
 def disc_artifact():
     """2d calibration artifact: median loss, Laplace, default disc radii."""
-    radii = am.default_disc_radii()
-    family = am.build_family_2d(radii)
     med = am.LossKind.median()
     lap = am.NoiseKind.laplace()
-    lv = am.levels_asymptotic(family, med, lap)
-    cfg = am.CalibConfig(family=family, loss=med, noise=lap, runs=BENCH_RUNS,
-                         seed=21, rule="ring", mode="zeta")
-    meta = {"radii": [float(r) for r in radii]}
-    return CalibArtifact(cfg, am.calibrate(cfg, lv), lv, None, "disc2d", meta)
+    cfg = am.CalibConfig(family_kind="disc2d",
+                         family_meta={"radii": [float(r) for r in am.default_disc_radii()]},
+                         loss=med, noise=lap, runs=BENCH_RUNS, seed=21, rule="ring",
+                         mode="zeta")
+    lv = am.levels_asymptotic(cfg.family, med, lap)
+    return CalibArtifact(cfg, am.calibrate(cfg, lv), lv, None)

@@ -14,9 +14,9 @@ from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
                        calibrate_sequential, calibrate_zeta, load_artifact,
                        save_artifact, verify_calibration)
 import adaptmreg.calibration as calibration
-from adaptmreg.calibration import (ESTIMATOR_VERSIONS, SEARCH_TOL, STREAM_VERSIONS, Z_MAX,
-                                   ZETA_MIN, _budget, _replicates, _row_totals, _shares,
-                                   _zeta_to_z, build_family)
+from adaptmreg.calibration import (ESTIMATOR_VERSIONS, STREAM_VERSIONS, ZETA_MIN, _budget,
+                                   _replicates, _row_totals, _shares, _zeta_to_z,
+                                   build_family)
 from adaptmreg.cli import parse_loss
 from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import MC_MIN_RUNS, Levels, simulate_window_estimates
@@ -29,13 +29,11 @@ from oracle_search import DenseStats, calibrate_full
 @pytest.fixture(scope="module")
 def small_setup():
     """Eight-level family keeps unit-test calibrations quick."""
-    counts = am.benchmark_counts()[:8]
-    xs = am.equidistant_design(60)
-    family = am.build_family_1d(xs, 0.0, counts)
-    levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
-    config = CalibConfig(family=family, loss=LossKind.median(),
+    meta = {"n": 60, "center": 0.0, "counts": am.benchmark_counts()[:8].tolist()}
+    config = CalibConfig(family_kind="line1d", family_meta=meta, loss=LossKind.median(),
                          noise=NoiseKind.laplace(), runs=3000, seed=5)
-    return family, levels, config
+    levels = am.levels_asymptotic(config.family, LossKind.median(), NoiseKind.laplace())
+    return config.family, levels, config
 
 
 def _objective(config, levels, pair, z):
@@ -67,15 +65,13 @@ def test_determinism(small_setup):
 
 def test_huge_alpha_hits_grid_minimum(small_setup):
     family, levels, config = small_setup
-    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
-                      alpha=1e9, runs=3000, seed=5)
+    cfg = replace(config, alpha=1e9)
     res = calibrate_zeta(cfg, levels)
     assert res.crit.zeta == ZETA_MIN
     # such tiny values violate the risk-bound hypothesis: no artifact holds
     # them, and the selection rule refuses them outright
-    meta = {"n": 60, "center": 0.0, "counts": family.counts.tolist()}
     with pytest.raises(ValidationError, match=r"z_k \* s_k must be non-increasing"):
-        am.CalibArtifact(cfg, res, levels, None, "line1d", meta)
+        am.CalibArtifact(cfg, res, levels, None)
     with pytest.raises(ValueError):
         am.select_ring(np.zeros(levels.K + 1), np.zeros(levels.K), levels, res.crit)
 
@@ -88,22 +84,20 @@ def test_artifact_checks_mode_and_budget(small_setup):
     nonnegative and within the budget.
     """
     family, levels, config = small_setup
-    meta = {"n": 60, "center": 0.0, "counts": family.counts.tolist()}
     res = calibrate_zeta(config, levels)
     # a sequential search run on a zeta-mode config makes no artifact, nor the reverse
     with pytest.raises(ValidationError, match="calibration mode 'zeta' does not match zeta -"):
-        am.CalibArtifact(config, calibrate_sequential(config, levels), levels, None,
-                         "line1d", meta)
+        am.CalibArtifact(config, calibrate_sequential(config, levels), levels, None)
     with pytest.raises(ValidationError, match="calibration mode 'sequential' does not match"):
-        am.CalibArtifact(replace(config, mode="sequential"), res, levels, None, "line1d", meta)
-    art = am.CalibArtifact(config, res, levels, None, "line1d", meta)
+        am.CalibArtifact(replace(config, mode="sequential"), res, levels, None)
+    art = am.CalibArtifact(config, res, levels, None)
     assert art.budget == _budget(config, levels) == config.alpha * levels.s[-1] ** config.r
     over = am.CalibResult(res.crit, 1.01 * art.budget / levels.K * np.ones(levels.K))
     with pytest.raises(ValidationError, match="exceeds the budget"):
-        am.CalibArtifact(config, over, levels, None, "line1d", meta)
+        am.CalibArtifact(config, over, levels, None)
 
     def artifact(result=res, cfg=config, pair=None):
-        return am.CalibArtifact(cfg, result, levels, pair, "line1d", meta)
+        return am.CalibArtifact(cfg, result, levels, pair)
 
     # np.log may round differently on another CPU: a relative 1e-9 is allowed
     artifact(replace(res, crit=am.CriticalValues(res.crit.z * (1 + 1e-12), res.crit.zeta)))
@@ -130,8 +124,7 @@ def test_objective_monotone_in_thresholds(small_setup):
 
 def test_sequential_per_step_budget(small_setup):
     family, levels, config = small_setup
-    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
-                      runs=3000, seed=5, mode="sequential")
+    cfg = replace(config, mode="sequential")
     res = calibrate_sequential(cfg, levels)
     budget = _budget(cfg, levels)
     assert np.all(res.per_k_error_share <= budget / levels.K + 1e-12)
@@ -147,8 +140,7 @@ def test_sequential_vs_zeta_profiles(small_setup):
     """
     family, levels, config = small_setup
     res_z = calibrate_zeta(config, levels)
-    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
-                      runs=3000, seed=5, mode="sequential")
+    cfg = replace(config, mode="sequential")
     res_s = calibrate_sequential(cfg, levels)
     rel = np.abs(res_s.crit.z - res_z.crit.z) / res_z.crit.z
     assert rel.max() <= 0.90
@@ -172,12 +164,12 @@ def test_zeta_ratio_structure(small_setup):
 
 def test_sequential_k1_matches_bruteforce():
     """One growth step: the search reduces to a weighted quantile problem."""
-    xs = am.equidistant_design(40)
-    family = am.build_family_1d(xs, 0.0, [10, 20])
-    levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
-    config = CalibConfig(family=family, loss=LossKind.median(),
-                         noise=NoiseKind.laplace(), runs=4000, seed=9,
+    config = CalibConfig(family_kind="line1d",
+                         family_meta={"n": 40, "center": 0.0, "counts": [10, 20]},
+                         loss=LossKind.median(), noise=NoiseKind.laplace(), runs=4000, seed=9,
                          mode="sequential")
+    family = config.family
+    levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
     res = calibrate_sequential(config, levels)
 
     bases, rings = simulate_window_estimates(
@@ -201,9 +193,7 @@ def test_sequential_k1_matches_bruteforce():
 def _lepski_setup(small_setup):
     family, levels, config = small_setup
     pair = am.pair_levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
-    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
-                      runs=config.runs, seed=config.seed, rule="lepski")
-    return cfg, pair
+    return replace(config, rule="lepski"), pair
 
 
 @pytest.mark.parametrize("rule", ["ring", "lepski"])
@@ -227,41 +217,13 @@ def test_row_totals_and_shares_match_dense_reference(small_setup, rule):
             assert np.array_equal(_shares(bases, nxt, weights, thr), dense.shares(z, bare))
 
 
-def _dense_sequential(config, levels, dense):
-    """calibrate_sequential's search, written over the dense statistics."""
-    K = dense.K
-    per_step = config.alpha * float(levels.s[-1]) ** config.r / K
-    z = np.empty(K)
-    acc = np.ones((config.runs, K), dtype=bool)
-    for k in range(K):
-        def share(zk):
-            hit = acc[:, k:] & (dense.raw[:, k:, k] > zk * dense.scale[k:, k])
-            return float((dense.weights[:, k:] * hit).sum(axis=1).mean())
-
-        if share(ZETA_MIN) <= per_step:
-            z[k] = ZETA_MIN
-        else:
-            lo, hi = ZETA_MIN, 1.0
-            while share(hi) > per_step:
-                lo, hi = hi, 2.0 * hi
-                assert hi <= Z_MAX
-            while hi - lo > SEARCH_TOL:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if share(mid) <= per_step else (mid, hi)
-            z[k] = hi
-        acc[:, k:] &= dense.raw[:, k:, k] <= z[k] * dense.scale[k:, k]
-    return z
-
-
 def test_sequential_matches_dense_reference(small_setup):
     family, levels, config = small_setup
-    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
-                      runs=config.runs, seed=config.seed, mode="sequential")
+    cfg = replace(config, mode="sequential")
     res = calibrate_sequential(cfg, levels)
-    dense = DenseStats(cfg, levels, None)
-    z = _dense_sequential(cfg, levels, dense)
-    assert np.array_equal(res.crit.z, z)
-    assert np.array_equal(res.per_k_error_share, dense.shares(z, bare=True))
+    want = calibrate_full(cfg, levels)
+    assert np.array_equal(res.crit.z, want.crit.z)
+    assert np.array_equal(res.per_k_error_share, want.per_k_error_share)
 
 
 SEARCH_LOSSES = {"mean": LossKind.mean(), "median": LossKind.median(),
@@ -301,8 +263,7 @@ def test_search_matches_full_evaluation(small_setup, search_levels, mode, rule, 
     """
     family, _, config = small_setup
     levels, pair = search_levels[loss]
-    cfg = CalibConfig(family=family, loss=SEARCH_LOSSES[loss], noise=config.noise,
-                      runs=config.runs, seed=config.seed, mode=mode, rule=rule)
+    cfg = replace(config, loss=SEARCH_LOSSES[loss], mode=mode, rule=rule)
     pair = pair if rule == "lepski" else None
     evaluated = []
     want = calibrate_full(cfg, levels, pair, evaluated)
@@ -377,8 +338,7 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, th
         levels = am.levels_asymptotic(family, loss, config.noise)
         pair = am.pair_levels_asymptotic(family, loss, config.noise)
     runs = 2 * CHUNK + 7  # the last chunk is partial
-    cfg = CalibConfig(family=family, loss=loss, noise=config.noise, runs=runs,
-                      seed=config.seed, rule=rule)
+    cfg = replace(config, loss=loss, runs=runs, rule=rule)
     if thresholds == "decreasing":
         crit = am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K))
     else:
@@ -398,12 +358,12 @@ def test_verify_never_holds_the_packed_statistics(monkeypatch):
 
     That array would hold every step statistic of every replicate at once.
     """
-    counts = am.benchmark_counts()
-    family = am.build_family_1d(am.equidistant_design(200), 0.0, counts)
+    meta = {"n": 200, "center": 0.0, "counts": am.benchmark_counts().tolist()}
     loss = LossKind.median()
-    levels = am.levels_asymptotic(family, loss, NoiseKind.laplace())
+    cfg = CalibConfig(family_kind="line1d", family_meta=meta, loss=loss,
+                      noise=NoiseKind.laplace(), seed=1)
+    levels = am.levels_asymptotic(cfg.family, loss, NoiseKind.laplace())
     runs = 50_000
-    cfg = CalibConfig(family=family, loss=loss, noise=NoiseKind.laplace(), seed=1)
     monkeypatch.setenv("ADAPTMREG_WORKERS", "2")
     crit = am.CriticalValues(z=np.full(levels.K, 1.2))
     packed_bytes = runs * levels.K * (levels.K + 1) // 2 * 8
@@ -428,38 +388,31 @@ def test_calibration_failure_diagnostics(small_setup):
 
 def test_lepski_rule_needs_pair(small_setup):
     family, levels, config = small_setup
-    cfg = CalibConfig(family=family, loss=config.loss, noise=config.noise,
-                      runs=3000, seed=5, rule="lepski")
     with pytest.raises(ValueError):
-        calibrate(cfg, levels)
+        calibrate(replace(config, rule="lepski"), levels)
 
 
-def test_artifact_family_must_be_the_described_one(disc_artifact, small_setup):
-    """No artifact holds a family_kind or family_meta that describes another family.
+def test_artifact_family_must_be_the_described_one(disc_artifact):
+    """A config's family is the one build_family makes of its description.
 
     A line1d kind over disc radii used to fail in save_artifact with a
-    KeyError, and radii of another disc family saved a file that
-    load_artifact then refused.
+    KeyError; the config refuses it now. Other radii give another family,
+    for which the artifact's levels and thresholds are not sized.
     """
+    config = disc_artifact.config
     with pytest.raises(ValidationError, match=r"a line1d family is described by \['center', "
                                               r"'counts', 'n'\], not by \['radii'\]"):
-        replace(disc_artifact, family_kind="line1d")
-    with pytest.raises(ValidationError, match="do not describe the calibrated family"):
-        replace(disc_artifact, family_meta={"radii": [1.0, 2.0]})
-    family, levels, config = small_setup
-    meta = {"n": 60, "center": 0.0, "counts": family.counts.tolist()}
-    res = calibrate_zeta(config, levels)
-    am.CalibArtifact(config, res, levels, None, "line1d", meta)
-    for other in ({**meta, "center": 0.5}, {**meta, "n": 61}):
-        with pytest.raises(ValidationError, match="do not describe the calibrated family"):
-            am.CalibArtifact(config, res, levels, None, "line1d", other)
+        replace(config, family_kind="line1d")
+    other = replace(config, family_meta={"radii": [1.0, 2.0]})
+    assert np.array_equal(other.family.order, build_family("disc2d", {"radii": [1.0, 2.0]}).order)
+    with pytest.raises(ValidationError, match="sized for the family's 1 steps"):
+        replace(disc_artifact, config=other)
 
 
 def test_artifact_roundtrip(tmp_path, small_setup):
     family, levels, config = small_setup
     res = calibrate(config, levels)
-    art = am.CalibArtifact(config, res, levels, None, "line1d",
-                           {"n": 60, "center": 0.0, "counts": [int(c) for c in family.counts]})
+    art = am.CalibArtifact(config, res, levels, None)
     path = tmp_path / "test.cal"
     save_artifact(path, art)
     loaded = load_artifact(path)
@@ -551,7 +504,7 @@ def _artifacts(draw):
         lambda kind: st.builds(NoiseKind, st.just(kind),
                                st.integers(3, 30) if kind == "student_t" else st.none())))
     config = CalibConfig(
-        family=family, loss=loss, noise=noise, r=r, alpha=alpha,
+        family_kind=family_kind, family_meta=meta, loss=loss, noise=noise, r=r, alpha=alpha,
         runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),
         mode=mode, rule=rule)
     if mode == "zeta":
@@ -564,7 +517,7 @@ def _artifacts(draw):
         crit = am.CriticalValues(z=np.sort(positives(K))[::-1])
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
     result = am.CalibResult(crit, _budget(config, levels) / K * np.array(fractions))
-    return am.CalibArtifact(config, result, levels, pair, family_kind, meta,
+    return am.CalibArtifact(config, result, levels, pair,
                             estimator=draw(st.sampled_from(ESTIMATOR_VERSIONS)),
                             stream=draw(st.sampled_from(STREAM_VERSIONS)))
 
@@ -622,10 +575,10 @@ def test_artifact_rejects_other_files(tmp_path):
 def test_config_validation(small_setup):
     family, levels, config = small_setup
     with pytest.raises(ValueError):
-        CalibConfig(family=family, loss=config.loss, noise=config.noise, runs=10)
+        replace(config, runs=10)
     with pytest.raises(ValueError):
-        CalibConfig(family=family, loss=config.loss, noise=config.noise, alpha=0.0)
+        replace(config, alpha=0.0)
     with pytest.raises(ValueError):
-        CalibConfig(family=family, loss=config.loss, noise=config.noise, mode="grid")
+        replace(config, mode="grid")
     with pytest.raises(ValueError):
-        CalibConfig(family=family, loss=config.loss, noise=config.noise, rule="aws")
+        replace(config, rule="aws")

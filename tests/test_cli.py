@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import adaptmreg as am
-from adaptmreg.calibration import build_family, save_artifact
+from adaptmreg.calibration import save_artifact
 from adaptmreg.cli import _build_parser, parse_loss, run_cli
 from adaptmreg.parallel import CHUNK
 from adaptmreg.pgmio import read_pgm, write_pgm
@@ -312,14 +312,12 @@ def test_artifacts_of_earlier_versions_load_verify_and_resave(tmp_path, capsys):
 def test_lepski_mc_artifact_is_rebuilt_byte_for_byte(tmp_path):
     """The library still writes d70d3e5_median_lepski_mc.cal from its recorded inputs."""
     meta = {"n": 200, "center": 0.0, "counts": am.benchmark_counts()}
-    family = build_family("line1d", meta)
     loss, noise = am.LossKind.median(), am.NoiseKind.laplace()
-    levels = am.levels_mc(family, loss, noise, 1500, seed=14)
-    pair = am.pair_levels_mc(family, loss, noise, 1200, seed=15)
-    config = am.CalibConfig(family=family, loss=loss, noise=noise, runs=1000, seed=13,
-                            rule="lepski")
-    art = am.CalibArtifact(config, am.calibrate(config, levels, pair), levels, pair,
-                           "line1d", meta)
+    config = am.CalibConfig(family_kind="line1d", family_meta=meta, loss=loss, noise=noise,
+                            runs=1000, seed=13, rule="lepski")
+    levels = am.levels_mc(config.family, loss, noise, 1500, seed=14)
+    pair = am.pair_levels_mc(config.family, loss, noise, 1200, seed=15)
+    art = am.CalibArtifact(config, am.calibrate(config, levels, pair), levels, pair)
     save_artifact(tmp_path / "lepski.cal", art)
     assert ((tmp_path / "lepski.cal").read_bytes()
             == (DATA / "d70d3e5_median_lepski_mc.cal").read_bytes())
@@ -995,3 +993,36 @@ def test_validation_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: validation: ") and "for the window levels" in err, err
     assert not (tmp_path / "z.cal").exists()
+    # a level run count is refused unless --levels gives Monte Carlo levels
+    for levels in ("asymptotic", "auto"):
+        capsys.readouterr()
+        assert run("calibrate", "--loss", "median", "--levels", levels, "--levels-runs", "5",
+                   "--runs", "1000", "--seed", "3", "--out", tmp_path / "z.cal") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: --levels-runs ") and "asymptotic" in err, err
+        assert not (tmp_path / "z.cal").exists()
+    # --levels auto with a huber loss gives Monte Carlo levels, and takes the flag
+    assert run("calibrate", "--loss", "huber:1.345", "--levels-runs", "1000",
+               "--runs", "1000", "--seed", "3", "--out", tmp_path / "h.cal") == 0
+    assert am.load_artifact(tmp_path / "h.cal").levels.runs == 1000
+
+
+def test_bench_refuses_artifacts_of_another_design(workdir, tmp_path, capsys):
+    """bench selects on the artifacts' own family: a line1d family over --n points at 0.
+
+    An artifact centred elsewhere, or over another number of points, exits 1
+    and writes no CSV.
+    """
+    body = (workdir / "med.cal").read_text().splitlines()[1:]
+    off = tmp_path / "off.cal"
+    off.write_text(_rehashed(_set(family_center=lambda v: "0.5")(body)))
+    assert am.load_artifact(off).config.family_meta["center"] == 0.5
+    for calib, n in ((off, "200"), (workdir / "med.cal", "300")):
+        capsys.readouterr()
+        assert run("bench", "--example", "1", "--runs", "30", "--seed", "7", "--n", n,
+                   "--methods", "median_ring", "--calib", f"median_ring={calib}",
+                   "--out", tmp_path / "b.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: artifact for median_ring does not match "
+                              f"an n={n} design centred at 0"), err
+        assert not (tmp_path / "b.csv").exists()

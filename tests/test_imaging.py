@@ -110,7 +110,7 @@ def test_worker_count_invariance(disc_artifact, monkeypatch):
     """Results do not depend on the worker count, also in a chunk of mixed pixels."""
     noise = sample_noise(NoiseKind.laplace(), 48 * 48, RngStream(54, 0))
     img = two_region(48, 48) + noise.reshape(48, 48)
-    reach = int(np.floor(max(disc_artifact.family_meta["radii"])))
+    reach = int(np.floor(max(disc_artifact.config.family_meta["radii"])))
     chunks = chunk_ranges(48 * 48, DENOISE_CHUNK)
     assert len(chunks) >= 2
     mixed = 0
@@ -322,7 +322,7 @@ def test_rejects_incompatible_configs(disc_artifact):
     """Each artifact or noise scale the denoiser cannot use is refused on construction."""
     art = disc_artifact
     lv = art.levels
-    radii = np.insert(art.family_meta["radii"], 1, 1.6)  # 1.6 adds no pixel to 1.5
+    radii = np.insert(art.config.family_meta["radii"], 1, 1.6)  # 1.6 adds no pixel to 1.5
     dup = am.build_family_2d(radii)
     assert dup.dropped_levels and dup.K == art.config.family.K
     cases = {
@@ -333,8 +333,8 @@ def test_rejects_incompatible_configs(disc_artifact):
         "closed-form levels": _swapped(art, levels=am.Levels(lv.s, lv.s_ring, "monte_carlo",
                                                              runs=10000, seed=1)),
         "huber loss": _swapped(art, am.LossKind.huber(1.0)),
-        "duplicate interior windows": replace(art, config=replace(art.config, family=dup),
-                                              family_meta={"radii": radii.tolist()}),
+        "duplicate interior windows": replace(
+            art, config=replace(art.config, family_meta={"radii": radii.tolist()})),
     }
     for message, bad in cases.items():
         with pytest.raises(ValidationError, match=message):
@@ -345,7 +345,7 @@ def test_rejects_incompatible_configs(disc_artifact):
     for sigma in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="sigma must be finite and nonnegative"):
             DenoiseConfig(art, sigma)
-    assert DenoiseConfig(art, 0.0).radii == tuple(art.family_meta["radii"])
+    assert DenoiseConfig(art, 0.0).radii == tuple(art.config.family_meta["radii"])
 
 
 def test_denoise_builds_no_family(disc_artifact, tmp_path, monkeypatch):
