@@ -13,7 +13,7 @@ from .errors import CalibrationError, ValidationError
 from .experiments import (METHODS, ExperimentSpec, median_moment_study,
                           run_benchmark, signal_smooth, signal_step, tail_study,
                           two_sample_study)
-from .imaging import DenoiseConfig, Image, KhatMap, denoise_image, estimate_noise_scale
+from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .levels import (Levels, PairLevels, levels_asymptotic, levels_exact_mean,
                      levels_mc, normal_abs_moment, pair_levels_asymptotic,
                      pair_levels_exact_mean, pair_levels_mc,

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ValidationError
-from .levels import (Levels, PairLevels, _check_order, check_mc_runs,
+from .levels import (Levels, PairLevels, _check_order, check_levels_loss, check_mc_runs,
                      simulate_window_estimates)
 from .losses import LossKind
 from .noise import NoiseKind
@@ -364,7 +364,8 @@ class CalibArtifact:
     The family and its saved description are config's. Only zeta mode has a
     zeta, and its thresholds are _zeta_to_z of it (to a relative 1e-9:
     np.log may round differently elsewhere); only the lepski rule has pair
-    levels; the shares are finite, nonnegative and sum to at most the budget
+    levels; the levels' methods describe the loss (check_levels_loss); the
+    shares are finite, nonnegative and sum to at most the budget
     alpha * s_K^r. Ring-rule zeta thresholds must meet the risk hypothesis
     (z_k * s_k non-increasing), which the ring rule needs: a degenerate
     budget (huge alpha) can push z below the final value.
@@ -394,6 +395,8 @@ class CalibArtifact:
         if (cfg.rule == "lepski") != (self.pair is not None):
             raise ValidationError(f"the {cfg.rule} rule {'takes no' if self.pair else 'needs'} "
                                   "pair levels")
+        for lv in filter(None, (self.levels, self.pair)):
+            check_levels_loss(lv.method, cfg.loss)
         shares = self.result.per_k_error_share
         if not np.all(np.isfinite(shares) & (shares >= 0)):
             raise ValidationError("per-step error shares must be finite and nonnegative")
@@ -408,12 +411,13 @@ class CalibArtifact:
         return _budget(self.config, self.levels)
 
 
-# the fields of each family kind's saved description
-_FAMILY_META = {"line1d": {"n", "center", "counts"}, "disc2d": {"radii"}}
+# the fields of each family kind's saved description; pure noise is exchangeable,
+# so its calibration depends on the window sizes only and a line1d family is centred at 0
+_FAMILY_META = {"line1d": {"n", "counts"}, "disc2d": {"radii"}}
 
 
 def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
-    """The family of a saved description: line1d from n, center, counts; disc2d from radii."""
+    """The family of a saved description: line1d from n and counts, disc2d from radii."""
     keys = _FAMILY_META.get(family_kind)
     if keys is None:
         raise ValidationError(f"unknown window family kind {family_kind!r}")
@@ -422,7 +426,7 @@ def build_family(family_kind: str, family_meta: dict) -> WindowFamily:
                               f"not by {sorted(family_meta)}")
     if family_kind == "line1d":
         xs = equidistant_design(int(family_meta["n"]))
-        return build_family_1d(xs, float(family_meta["center"]), family_meta["counts"])
+        return build_family_1d(xs, 0.0, family_meta["counts"])
     return build_family_2d(family_meta["radii"])
 
 
@@ -454,7 +458,7 @@ def _artifact_text(art: CalibArtifact) -> str:
         f"rule: {cfg.rule}",
         f"mode: {cfg.mode}",
         f"loss: {cfg.loss.kind}",
-        f"loss_param: {_opt(cfg.loss.alpha if cfg.loss.kind == 'quantile' else cfg.loss.kink)}",
+        f"loss_param: {_opt(cfg.loss.param)}",
         f"noise: {cfg.noise.kind}",
         f"noise_dof: {_opt(cfg.noise.dof, str)}",
         "noise_scale: 1.0",
@@ -469,7 +473,7 @@ def _artifact_text(art: CalibArtifact) -> str:
         *_provenance("levels", art.levels),
         f"family_kind: {cfg.family_kind}",
         f"family_n: {int(meta['n']) if line1d else '-'}",
-        f"family_center: {_fmt(meta['center']) if line1d else '-'}",
+        f"family_center: {'0.0' if line1d else '-'}",
         f"family_radii: {'-' if line1d else _fmt_arr(meta['radii'])}",
         f"K: {K}",
         f"counts: {' '.join(str(int(c)) for c in cfg.family.counts)}",
@@ -555,9 +559,7 @@ def _artifact_from_fields(fields: dict[str, str]) -> CalibArtifact:
             out[i, :i + width] = floats(key.format(i))
         return out
 
-    loss_kind, param = fields["loss"], opt("loss_param", float)
-    loss = LossKind(loss_kind, alpha=param if loss_kind == "quantile" else None,
-                    kink=param if loss_kind == "huber" else None)
+    loss = LossKind(fields["loss"], opt("loss_param", float))
     K = int(fields["K"])
     levels = Levels(floats("s"), triangle(K, range(K), "s_ring[{}]", 1),
                     fields["levels_method"], opt("levels_runs"), opt("levels_seed"))
@@ -567,8 +569,7 @@ def _artifact_from_fields(fields: dict[str, str]) -> CalibArtifact:
                           fields["pair_method"], opt("pair_runs"), opt("pair_seed"))
     kind = fields["family_kind"]
     if kind == "line1d":
-        meta = {"n": int(fields["family_n"]), "center": float(fields["family_center"]),
-                "counts": [int(v) for v in fields["counts"].split()]}
+        meta = {"n": int(fields["family_n"]), "counts": [int(v) for v in fields["counts"].split()]}
     else:
         meta = {"radii": floats("family_radii").tolist()}
     config = CalibConfig(family_kind=kind, family_meta=meta, loss=loss,

@@ -23,7 +23,7 @@ from .experiments import (CALIBRATED_METHODS, METHODS, BenchRow, ExperimentSpec,
                           SampleRow, TailRow, TwoSampleReport, csv_text, median_moment_study,
                           replicate_rows, run_benchmark, tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
-from .levels import (levels_asymptotic, levels_exact_mean, levels_mc,
+from .levels import (check_levels_loss, levels_asymptotic, levels_exact_mean, levels_mc,
                      pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc)
 from .losses import LossKind
 from .noise import parse_noise
@@ -179,8 +179,7 @@ def _build_parser() -> _Parser:
 def _family_for_calibrate(args) -> tuple[str, dict]:
     """The family's saved description: its kind and meta."""
     if args.family == "bench1d":
-        return "line1d", {"n": args.n, "center": 0.0,
-                          "counts": benchmark_counts(args.count_levels, args.counts)}
+        return "line1d", {"n": args.n, "counts": benchmark_counts(args.count_levels, args.counts)}
     radii = default_disc_radii(args.radius_levels, args.radius0, args.radius_growth)
     return "disc2d", {"radii": [float(r) for r in radii]}
 
@@ -197,6 +196,7 @@ def _levels_for_calibrate(args, config: CalibConfig):
         raise ValidationError(f"--levels-runs sets the Monte Carlo levels' run count, but "
                               f"--levels {args.levels} gives {choice} levels")
     if choice == "exact":
+        check_levels_loss("exact_mean", loss)
         return (levels_exact_mean(family, r),
                 pair_levels_exact_mean(family, r) if pair else None)
     if choice == "asymptotic":
@@ -327,7 +327,7 @@ def _cmd_denoise(args) -> int:
     denoised, khat = denoise_image(image, config)
     _write_image(args.out, denoised, maxval)
     if args.khat:
-        write_pgm(args.khat, khat.k_hat, max(khat.n_levels, 1))
+        write_pgm(args.khat, khat, max(art.config.family.K, 1))
     print(f"denoise {image.width}x{image.height} sigma={sigma!r} -> {args.out}")
     return 0
 

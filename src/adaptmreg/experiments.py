@@ -127,25 +127,24 @@ class BenchmarkReport:
 
 
 def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
-                     ) -> tuple[WindowFamily, dict[str, tuple[str, str]]]:
-    """The artifacts' window family, and the (loss, rule) of each method that needs one.
+                     ) -> tuple[WindowFamily, dict[str, CalibArtifact]]:
+    """The artifacts' window family, and the artifact of each method that needs one.
 
-    Every artifact must describe a line1d family over spec's n design points
-    centred at 0, and all the same one. An oracle-only run takes the
-    benchmark's default family.
+    A method's artifact must be calibrated for the loss and rule its name
+    gives, over a line1d family of spec's n design points, and all the same
+    family. An oracle-only run takes the benchmark's default family.
     """
-    needed = {m: tuple(m.split("_")) for m in spec.methods if m in CALIBRATED_METHODS}
-    missing = [m for m in needed if m not in calib]
+    needed = {m: calib.get(m) for m in spec.methods if m in CALIBRATED_METHODS}
+    missing = [m for m, art in needed.items() if art is None]
     if missing:
         raise ValidationError(f"missing calibration artifacts for {missing}")
     family = None
-    for m, loss_rule in needed.items():
-        cfg = calib[m].config
-        if (cfg.loss.kind, cfg.rule) != loss_rule:
+    for m, art in needed.items():
+        cfg = art.config
+        if (cfg.loss.kind, cfg.rule) != tuple(m.split("_")):
             raise ValidationError(f"artifact for {m} was calibrated as "
                                   f"{cfg.loss.kind}/{cfg.rule}")
-        meta = cfg.family_meta
-        if (cfg.family_kind, meta.get("n"), meta.get("center")) != ("line1d", spec.n, 0.0):
+        if (cfg.family_kind, cfg.family_meta.get("n")) != ("line1d", spec.n):
             raise ValidationError(f"artifact for {m} does not match an n={spec.n} design "
                                   "centred at 0")
         if family is None:
@@ -190,7 +189,7 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     oracle_idx = np.flatnonzero(np.abs(xs) <= ORACLE_HALFWIDTH[spec.example] + 1e-12)
     order, counts = family.order, family.counts
 
-    losses = sorted({loss for loss, _ in calibrated.values()})
+    losses = dict.fromkeys(art.config.loss for art in calibrated.values())
     errors = {m: np.empty(spec.runs) for m in spec.methods}
     traces: dict[str, SelectionTrace] = {}
 
@@ -199,11 +198,11 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
         # np.take gathers in C order (y[:, order] is column-major), so that a
         # mean row sums as locate() sums it alone
         yw = np.take(y, order, axis=1)
-        estimates = {loss: window_estimates(yw, counts, LossKind(loss)) for loss in losses}
-        for method, (loss, rule) in calibrated.items():
-            bases, rings = estimates[loss]
-            art = calib[method]
-            if rule == "lepski":
+        estimates = {loss: window_estimates(yw, counts, loss) for loss in losses}
+        for method, art in calibrated.items():
+            bases, rings = estimates[art.config.loss]
+            lepski = art.config.rule == "lepski"
+            if lepski:
                 k_hat = select_lepski_batch(bases, art.pair, art.result.crit)
             else:
                 k_hat = select_ring_batch(bases, rings, art.levels, art.result.crit)
@@ -211,7 +210,7 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
             errors[method][lo:hi] = np.abs(theta_hat - theta)
             if lo == 0:
                 traces[method] = (
-                    select_lepski(bases[0], art.pair, art.result.crit) if rule == "lepski"
+                    select_lepski(bases[0], art.pair, art.result.crit) if lepski
                     else select_ring(bases[0], rings[0], art.levels, art.result.crit))
         if "median_oracle" in spec.methods:
             est = locate_rows(y[:, oracle_idx], LossKind.median())

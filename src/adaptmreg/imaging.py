@@ -46,7 +46,6 @@ from .selector import first_rejection, threshold_table
 
 __all__ = [
     "Image",
-    "KhatMap",
     "DenoiseConfig",
     "estimate_noise_scale",
     "denoise_image",
@@ -94,27 +93,6 @@ class Image:
         return self.intensities.shape[1]
 
 
-@dataclass(frozen=True)
-class KhatMap:
-    """Selected window index per pixel, on the same grid as the input.
-
-    Small values flag edges, large values flag homogeneous regions. Border
-    pixels report the original level index of their selected window even
-    when clipping collapsed some intermediate levels.
-    """
-
-    k_hat: np.ndarray
-    n_levels: int
-
-    def __post_init__(self) -> None:
-        kh = np.asarray(self.k_hat, dtype=np.int16)
-        object.__setattr__(self, "k_hat", kh)
-        if kh.ndim != 2 or kh.size == 0:
-            raise ValidationError("k_hat must be a nonempty 2-d array")
-        if kh.min() < 0 or kh.max() > self.n_levels:
-            raise ValidationError("selected indices outside 0..K")
-
-
 def estimate_noise_scale(image: Image, kind: NoiseKind = NoiseKind.laplace()) -> float:
     """Robust noise scale sigma from horizontal first differences.
 
@@ -151,8 +129,6 @@ class DenoiseConfig:
         if self.art.levels.method == "monte_carlo":
             raise ValidationError("imaging needs closed-form levels (asymptotic or exact_mean); "
                                   "monte carlo levels cannot be rebuilt for clipped borders")
-        if cfg.loss.kind == "huber":
-            raise ValidationError("huber loss has no closed-form levels for imaging")
         if cfg.family.dropped_levels:
             raise ValidationError(
                 "radii produce duplicate interior windows; calibrate on deduplicated radii")
@@ -239,9 +215,13 @@ def _interior_first(pos: np.ndarray, h: int, w: int, reach: int
     return y, x
 
 
-def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
+def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarray]:
     """Adaptive denoising; returns the estimate image and the window-size map.
 
+    The map is an int16 array on the input's grid holding each pixel's
+    selected window index, 0..K: small values flag edges, large values
+    homogeneous regions. A border pixel reports the original level index of
+    its selected window even when clipping collapsed intermediate levels.
     Pixels are processed independently, so the output does not depend on the
     worker count, and adding a constant to the input adds it to the output
     without touching the selected indices.
@@ -250,7 +230,6 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     cfg = config.art.config
     scale = closed_form_scale(config.art.levels.method, cfg.r, cfg.loss, cfg.noise)
     family = cfg.family
-    K = family.K
     counts = family.counts
     reach = int(np.floor(config.radii[-1]))
     dy, dx = (d - reach for d in np.divmod(family.order[: counts[-1]], 2 * reach + 1))
@@ -258,7 +237,7 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
     x_class, x_clips = _axis_clips(w, reach)
     y_class, y_clips = _axis_clips(h, reach)
     valid, reported, thr = _geometry_tables(dx, dy, x_clips, y_clips, counts,
-                                            config.art.result.crit.full(K), scale)
+                                            config.art.result.crit.full(family.K), scale)
     with np.errstate(invalid="ignore"):  # inf * 0 on empty rings if sigma is 0
         thr = thr * config.sigma
     thr[np.diff(valid, axis=1) == 0] = np.inf
@@ -293,4 +272,4 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, KhatMap]:
 
     run_chunks(task, h * w, chunk=DENOISE_CHUNK)
 
-    return Image(out.reshape(h, w)), KhatMap(k_hat.reshape(h, w), K)
+    return Image(out.reshape(h, w)), k_hat.reshape(h, w)

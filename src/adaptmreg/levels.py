@@ -28,6 +28,7 @@ __all__ = [
     "target_density",
     "closed_form",
     "closed_form_scale",
+    "check_levels_loss",
     "levels_exact_mean",
     "levels_asymptotic",
     "levels_mc",
@@ -41,6 +42,8 @@ __all__ = [
 MC_MIN_RUNS = 1000
 MC_WARN_RUNS = 10000
 LEVEL_METHODS = ("exact_mean", "asymptotic", "monte_carlo")
+# the losses each closed-form method describes; Monte Carlo levels describe every loss
+_CLOSED_FORM_LOSSES = {"exact_mean": ("mean",), "asymptotic": ("median", "quantile")}
 WINDOW_LEVELS = "the window levels"
 PAIR_LEVELS = "the pair levels"
 
@@ -173,6 +176,14 @@ def closed_form(counts, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, s_ring, s_pair
 
 
+def check_levels_loss(method: str, loss: LossKind) -> None:
+    """Refuse levels whose method describes the estimates of another loss than loss."""
+    kinds = _CLOSED_FORM_LOSSES.get(method, (loss.kind,))
+    if loss.kind not in kinds:
+        raise ValidationError(f"{method.replace('_', ' ')} levels apply to "
+                              f"{' and '.join(kinds)} losses")
+
+
 def _check_order(r: float) -> None:
     """Refuse a moment order that is not a finite real >= 1."""
     if not math.isfinite(r):
@@ -198,8 +209,7 @@ def closed_form_scale(method: str, r: float, loss: LossKind | None = None,
         if r != 2.0:
             raise ValidationError("exact mean levels are only available for r = 2")
         return 1.0
-    if loss.kind not in ("median", "quantile"):
-        raise ValidationError("asymptotic levels apply to median and quantile losses")
+    check_levels_loss(method, loss)
     f0 = target_density(noise, loss)
     if not f0 > 0:
         raise ValidationError("density at the target quantile must be positive")
@@ -255,7 +265,7 @@ def simulate_window_estimates(family: WindowFamily, loss: LossKind, kind: NoiseK
     n_max = int(family.counts[-1])
     shift = 0.0
     if loss.kind == "quantile":
-        shift = quantile_point(kind, loss.alpha)
+        shift = quantile_point(kind, loss.level)
 
     def estimates(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         block = sample_rows(kind, n_max, seed, lo, hi)

@@ -49,31 +49,27 @@ _HUBER_BREAKS = 32768
 
 @dataclass(frozen=True)
 class LossKind:
-    """Which convex loss is minimized.
+    """Which convex loss is minimized, with its one tuning constant.
 
-    kind is one of "mean", "median", "quantile", "huber". A quantile loss
-    carries alpha strictly inside (0, 1); a Huber loss carries a positive
-    kink where the quadratic part turns linear. Quantile at alpha = 1/2
+    kind is one of "mean", "median", "quantile", "huber". param is the
+    quantile loss's level, strictly inside (0, 1), or the Huber loss's
+    positive kink; the mean and the median take none. Quantile at level 1/2
     must reproduce the median exactly.
     """
 
     kind: str
-    alpha: float | None = None
-    kink: float | None = None
+    param: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "quantile":
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise ValidationError("quantile alpha must lie strictly inside (0, 1)")
-        elif self.alpha is not None:
-            raise ValidationError("alpha only applies to the quantile loss")
-        if self.kind == "huber":
-            if self.kink is None or not (self.kink > 0.0 and math.isfinite(self.kink)):
-                raise ValidationError("huber kink must be a positive finite real")
-        elif self.kink is not None:
-            raise ValidationError("kink only applies to the huber loss")
+        p = self.param
+        if self.kind == "quantile" and (p is None or not 0.0 < p < 1.0):
+            raise ValidationError("quantile alpha must lie strictly inside (0, 1)")
+        if self.kind == "huber" and (p is None or not (p > 0.0 and math.isfinite(p))):
+            raise ValidationError("huber kink must be a positive finite real")
+        if self.kind in ("mean", "median") and p is not None:
+            raise ValidationError(f"the {self.kind} loss takes no parameter")
 
     @classmethod
     def mean(cls) -> "LossKind":
@@ -85,27 +81,23 @@ class LossKind:
 
     @classmethod
     def quantile(cls, alpha: float) -> "LossKind":
-        return cls("quantile", alpha=float(alpha))
+        return cls("quantile", float(alpha))
 
     @classmethod
     def huber(cls, kink: float) -> "LossKind":
-        return cls("huber", kink=float(kink))
+        return cls("huber", float(kink))
 
     @property
     def label(self) -> str:
-        if self.kind == "quantile":
-            return f"quantile:{self.alpha!r}"
-        if self.kind == "huber":
-            return f"huber:{self.kink!r}"
-        return self.kind
+        return self.kind if self.param is None else f"{self.kind}:{self.param!r}"
 
     @property
     def level(self) -> float:
-        """Target quantile level: 1/2 for the median, alpha for a quantile loss."""
+        """Target quantile level: 1/2 for the median, param for a quantile loss."""
         if self.kind == "median":
             return 0.5
         if self.kind == "quantile":
-            return self.alpha
+            return self.param
         raise ValidationError(f"the {self.kind} loss has no target quantile level")
 
 
@@ -222,8 +214,8 @@ def locate(values: Sequence[float], loss: LossKind) -> LocationResult:
         ys = np.sort(y)
         i, j = _quantile_bracket(y.size, loss.level)
         lo, hi = float(ys[i]), float(ys[j])
-        return LocationResult(0.5 * (lo + hi), lo, hi)
-    left, right = _huber_edges(y[None, :], loss.kink)
+        return LocationResult(lo if i == j else 0.5 * (lo + hi), lo, hi)
+    left, right = _huber_edges(y[None, :], loss.param)
     lo, hi = float(left[0]), float(right[0])
     return LocationResult(0.5 * (lo + hi), lo, hi)
 
@@ -246,7 +238,7 @@ def locate_rows(values: np.ndarray, loss: LossKind) -> np.ndarray:
         if i == j:
             return ys[:, i].copy()
         return 0.5 * (ys[:, i] + ys[:, j])
-    left, right = _huber_edges(rows, loss.kink)
+    left, right = _huber_edges(rows, loss.param)
     return 0.5 * (left + right)
 
 

@@ -21,7 +21,7 @@ def bench_family():
 
 
 def _line_artifact(family, loss, levels, rule, pair, seed):
-    meta = {"counts": [int(c) for c in family.counts], "n": 200, "center": 0.0}
+    meta = {"counts": [int(c) for c in family.counts], "n": 200}
     cfg = am.CalibConfig(family_kind="line1d", family_meta=meta, loss=loss,
                          noise=am.NoiseKind.laplace(), runs=BENCH_RUNS, seed=seed, rule=rule,
                          mode="zeta")

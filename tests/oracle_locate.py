@@ -26,8 +26,8 @@ def rho(loss, x):
     if loss.kind == "median":
         return np.abs(x)
     if loss.kind == "quantile":
-        return np.abs(x) + (2.0 * loss.alpha - 1.0) * x
-    k = loss.kink
+        return np.abs(x) + (2.0 * loss.level - 1.0) * x
+    k = loss.param
     return np.where(np.abs(x) <= k, 0.5 * x * x, k * np.abs(x) - 0.5 * k * k)
 
 
@@ -47,7 +47,7 @@ def brute_piecewise_linear(values, loss):
 
 def brute_huber(values, loss):
     values = np.asarray(values, dtype=float)
-    kink = loss.kink
+    kink = loss.param
     bps = np.unique(np.concatenate([values - kink, values + kink]))
     cands = list(bps)
     # interior vertex of each quadratic segment, clamped to the segment

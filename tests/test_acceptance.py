@@ -230,7 +230,7 @@ def test_criterion_7_imaging(disc_artifact, monkeypatch):
     config = DenoiseConfig(disc_artifact, estimate_noise_scale(const))
     out, khat = denoise_image(const, config)
     assert np.array_equal(out.intensities, const.intensities)
-    assert np.all(khat.k_hat == khat.n_levels)
+    assert np.all(khat == disc_artifact.config.family.K)
 
     # 256x256 two-region image with unit Laplace noise
     clean = np.zeros((256, 256))
@@ -251,7 +251,7 @@ def test_criterion_7_imaging(disc_artifact, monkeypatch):
     monkeypatch.setenv("ADAPTMREG_WORKERS", "1")
     den1, khat1 = denoise_image(noisy, DenoiseConfig(disc_artifact, sigma))
     assert np.array_equal(den1.intensities, den4.intensities)
-    assert np.array_equal(khat1.k_hat, khat4.k_hat)
+    assert np.array_equal(khat1, khat4)
     print(f"\nACCEPTANCE 7 (imaging in {elapsed:.1f}s): PASS "
           f"mse ratio={mse_out / mse_in:.4f}")
 

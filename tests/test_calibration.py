@@ -29,7 +29,7 @@ from oracle_search import DenseStats, calibrate_full
 @pytest.fixture(scope="module")
 def small_setup():
     """Eight-level family keeps unit-test calibrations quick."""
-    meta = {"n": 60, "center": 0.0, "counts": am.benchmark_counts()[:8].tolist()}
+    meta = {"n": 60, "counts": am.benchmark_counts()[:8].tolist()}
     config = CalibConfig(family_kind="line1d", family_meta=meta, loss=LossKind.median(),
                          noise=NoiseKind.laplace(), runs=3000, seed=5)
     levels = am.levels_asymptotic(config.family, LossKind.median(), NoiseKind.laplace())
@@ -80,14 +80,15 @@ def test_artifact_checks_mode_and_budget(small_setup):
     """An artifact checks its mode, thresholds, pair levels and shares.
 
     The mode matches the threshold form, and zeta thresholds derive from
-    zeta; only the lepski rule has pair levels; the shares are finite,
-    nonnegative and within the budget.
+    zeta; only the lepski rule has pair levels; closed-form window and pair
+    levels describe the loss; the shares are finite, nonnegative and within
+    the budget.
     """
     family, levels, config = small_setup
-    res = calibrate_zeta(config, levels)
+    res, seq = calibrate_zeta(config, levels), calibrate_sequential(config, levels)
     # a sequential search run on a zeta-mode config makes no artifact, nor the reverse
     with pytest.raises(ValidationError, match="calibration mode 'zeta' does not match zeta -"):
-        am.CalibArtifact(config, calibrate_sequential(config, levels), levels, None)
+        am.CalibArtifact(config, seq, levels, None)
     with pytest.raises(ValidationError, match="calibration mode 'sequential' does not match"):
         am.CalibArtifact(replace(config, mode="sequential"), res, levels, None)
     art = am.CalibArtifact(config, res, levels, None)
@@ -109,6 +110,12 @@ def test_artifact_checks_mode_and_budget(small_setup):
     with pytest.raises(ValidationError, match="the lepski rule needs pair levels"):
         artifact(cfg=replace(config, rule="lepski"))
     artifact(cfg=replace(config, rule="lepski"), pair=pair)
+    # sample-mean levels do not describe the median, as window or as pair levels
+    with pytest.raises(ValidationError, match="exact mean levels apply to mean losses"):
+        am.CalibArtifact(replace(config, mode="sequential"), seq,
+                         am.levels_exact_mean(family), None)
+    with pytest.raises(ValidationError, match="exact mean levels apply to mean losses"):
+        artifact(cfg=replace(config, rule="lepski"), pair=am.pair_levels_exact_mean(family))
     for bad in (-res.per_k_error_share, np.full(levels.K, np.nan)):
         with pytest.raises(ValidationError, match="shares must be finite and nonnegative"):
             artifact(replace(res, per_k_error_share=bad))
@@ -165,7 +172,7 @@ def test_zeta_ratio_structure(small_setup):
 def test_sequential_k1_matches_bruteforce():
     """One growth step: the search reduces to a weighted quantile problem."""
     config = CalibConfig(family_kind="line1d",
-                         family_meta={"n": 40, "center": 0.0, "counts": [10, 20]},
+                         family_meta={"n": 40, "counts": [10, 20]},
                          loss=LossKind.median(), noise=NoiseKind.laplace(), runs=4000, seed=9,
                          mode="sequential")
     family = config.family
@@ -358,7 +365,7 @@ def test_verify_never_holds_the_packed_statistics(monkeypatch):
 
     That array would hold every step statistic of every replicate at once.
     """
-    meta = {"n": 200, "center": 0.0, "counts": am.benchmark_counts().tolist()}
+    meta = {"n": 200, "counts": am.benchmark_counts().tolist()}
     loss = LossKind.median()
     cfg = CalibConfig(family_kind="line1d", family_meta=meta, loss=loss,
                       noise=NoiseKind.laplace(), seed=1)
@@ -400,8 +407,8 @@ def test_artifact_family_must_be_the_described_one(disc_artifact):
     for which the artifact's levels and thresholds are not sized.
     """
     config = disc_artifact.config
-    with pytest.raises(ValidationError, match=r"a line1d family is described by \['center', "
-                                              r"'counts', 'n'\], not by \['radii'\]"):
+    with pytest.raises(ValidationError, match=r"a line1d family is described by \['counts', "
+                                              r"'n'\], not by \['radii'\]"):
         replace(config, family_kind="line1d")
     other = replace(config, family_meta={"radii": [1.0, 2.0]})
     assert np.array_equal(other.family.order, build_family("disc2d", {"radii": [1.0, 2.0]}).order)
@@ -446,9 +453,6 @@ def _positive(lo=1e-6, hi=1e6):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
-_reals = st.floats(allow_nan=False, allow_infinity=False)
-
-
 @st.composite
 def _artifacts(draw):
     """Artifacts with every saved field drawn.
@@ -456,14 +460,15 @@ def _artifacts(draw):
     The families build (radii below 10, counts[-1] <= n <= 10^4), the
     settings are ones a calibration accepts, a zeta is drawn in zeta mode
     only and the thresholds derive from it, the nonnegative shares sum to at
-    most the budget, the levels stay non-increasing, Monte Carlo levels alone
-    carry a run count (at least 1,000) and a seed, pair levels come with the
-    lepski rule only, and ring-rule zeta values meet the risk hypothesis.
+    most the budget, the levels stay non-increasing, closed-form levels
+    describe the loss, Monte Carlo levels alone carry a run count (at least
+    1,000) and a seed, pair levels come with the lepski rule only, and
+    ring-rule zeta values meet the risk hypothesis.
     """
     family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
     if family_kind == "line1d":
         counts = np.cumsum(draw(st.lists(st.integers(1, 50), min_size=2, max_size=6)))
-        meta = {"n": draw(st.integers(int(counts[-1]), 10 ** 4)), "center": draw(_reals),
+        meta = {"n": draw(st.integers(int(counts[-1]), 10 ** 4)),
                 "counts": [int(c) for c in counts]}
     else:
         radii = draw(st.lists(_positive(0.5, 10.0), min_size=2, max_size=6, unique=True))
@@ -483,8 +488,14 @@ def _artifacts(draw):
         out[tril] = positives(len(tril[0]))
         return out
 
+    loss = draw(st.sampled_from([LossKind.mean(), LossKind.median()])
+                | st.builds(LossKind.quantile, _positive(1e-3, 0.999))
+                | st.builds(LossKind.huber, _positive()))
+
     def provenance():
-        method = draw(st.sampled_from(["exact_mean", "asymptotic", "monte_carlo"]))
+        # closed-form levels only for the losses they describe
+        closed = {"mean": ["exact_mean"], "median": ["asymptotic"], "quantile": ["asymptotic"]}
+        method = draw(st.sampled_from(closed.get(loss.kind, []) + ["monte_carlo"]))
         if method != "monte_carlo":
             return {"method": method}
         return {"method": method, "runs": draw(st.integers(MC_MIN_RUNS, 2 ** 40)),
@@ -497,9 +508,6 @@ def _artifacts(draw):
     pair = None
     if rule == "lepski":
         pair = am.PairLevels(s_pair=lower_triangle(K + 1, -1), **provenance())
-    loss = draw(st.sampled_from([LossKind.mean(), LossKind.median()])
-                | st.builds(LossKind.quantile, _positive(1e-3, 0.999))
-                | st.builds(LossKind.huber, _positive()))
     noise = draw(st.sampled_from(["laplace", "gaussian", "student_t"]).flatmap(
         lambda kind: st.builds(NoiseKind, st.just(kind),
                                st.integers(3, 30) if kind == "student_t" else st.none())))

@@ -199,6 +199,7 @@ def _closed_form_pair_lines(body):
     (_set(levels_runs=lambda v: "5"),
      "the window levels are asymptotic, which has no run count or seed"),
     (_set(levels_method=lambda v: "bogus"), "unknown method 'bogus' of the window levels"),
+    (_set(levels_method=lambda v: "exact_mean"), "exact mean levels apply to mean losses"),
     (_set(z=_scaled(0.5)), "thresholds z are not those of zeta "),
     (_set(s=_scaled(math.nan)),
      "s and s_ring on and below the diagonal must be finite and strictly positive"),
@@ -208,7 +209,7 @@ def _closed_form_pair_lines(body):
     (_set(rule=lambda v: "lepski"), "the lepski rule needs pair levels"),
 ], ids=["budget", "budget_and_shares", "achieved_lhs", "noise_scale", "mode", "comment",
         "unknown_key", "duplicate_alpha", "alpha_int", "swapped_lines", "levels_runs",
-        "levels_method", "halved_z", "nan_s", "negated_shares", "ring_with_pair",
+        "levels_method", "exact_levels", "halved_z", "nan_s", "negated_shares", "ring_with_pair",
         "lepski_without_pair"])
 def test_tampered_derived_values_refused_by_every_command(workdir, disc_cal, tmp_path, capsys,
                                                          edit, message):
@@ -311,7 +312,7 @@ def test_artifacts_of_earlier_versions_load_verify_and_resave(tmp_path, capsys):
 
 def test_lepski_mc_artifact_is_rebuilt_byte_for_byte(tmp_path):
     """The library still writes d70d3e5_median_lepski_mc.cal from its recorded inputs."""
-    meta = {"n": 200, "center": 0.0, "counts": am.benchmark_counts()}
+    meta = {"n": 200, "counts": am.benchmark_counts()}
     loss, noise = am.LossKind.median(), am.NoiseKind.laplace()
     config = am.CalibConfig(family_kind="line1d", family_meta=meta, loss=loss, noise=noise,
                             runs=1000, seed=13, rule="lepski")
@@ -725,6 +726,13 @@ def test_calibrate_refuses_its_config_before_drawing(tmp_path, capsys, monkeypat
                "--seed", "1", "--out", out) == 1
     assert capsys.readouterr().err == "error: validation: alpha must be positive\n"
     assert not out.exists()
+    # exact levels are those of sample means, so they describe no other loss
+    for loss in ("median", "huber:1.345", "quantile:0.3"):
+        assert run("calibrate", "--loss", loss, "--levels", "exact", "--runs", "1000",
+                   "--seed", "3", "--out", out) == 1
+        assert (capsys.readouterr().err
+                == "error: validation: exact mean levels apply to mean losses\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -962,6 +970,13 @@ def test_validation_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: validation: ") and "lepski rule" in err
     assert not (tmp_path / "x.pgm").exists()
+    # exact levels describe the mean only
+    for loss in ("median", "huber:1.345", "quantile:0.3"):
+        capsys.readouterr()
+        assert run("calibrate", "--loss", loss, "--levels", "exact", "--runs", "1000",
+                   "--seed", "3", "--out", tmp_path / "x.cal") == 1
+        assert capsys.readouterr().err.startswith("error: validation: ")
+        assert not (tmp_path / "x.cal").exists()
     # a bench --calib entry that no method of --methods uses is refused
     # before anything is written
     capsys.readouterr()
@@ -1010,19 +1025,21 @@ def test_validation_exit_codes(tmp_path, capsys):
 def test_bench_refuses_artifacts_of_another_design(workdir, tmp_path, capsys):
     """bench selects on the artifacts' own family: a line1d family over --n points at 0.
 
-    An artifact centred elsewhere, or over another number of points, exits 1
-    and writes no CSV.
+    An artifact centred elsewhere is refused when it loads, and one over
+    another number of points by bench; either exits 1 and writes no CSV.
     """
     body = (workdir / "med.cal").read_text().splitlines()[1:]
     off = tmp_path / "off.cal"
     off.write_text(_rehashed(_set(family_center=lambda v: "0.5")(body)))
-    assert am.load_artifact(off).config.family_meta["center"] == 0.5
-    for calib, n in ((off, "200"), (workdir / "med.cal", "300")):
+    centre = "is 'family_center: 0.5', where save_artifact writes 'family_center: 0.0'"
+    for calib, n, start, part in (
+            (off, "200", f"calibration artifact {off}: line ", centre),
+            (workdir / "med.cal", "300",
+             "artifact for median_ring does not match an n=300 design centred at 0", "")):
         capsys.readouterr()
         assert run("bench", "--example", "1", "--runs", "30", "--seed", "7", "--n", n,
                    "--methods", "median_ring", "--calib", f"median_ring={calib}",
                    "--out", tmp_path / "b.csv") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: validation: artifact for median_ring does not match "
-                              f"an n={n} design centred at 0"), err
+        assert err.startswith("error: validation: " + start) and part in err, err
         assert not (tmp_path / "b.csv").exists()

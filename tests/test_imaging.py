@@ -12,7 +12,7 @@ from adaptmreg import (DenoiseConfig, Image, NoiseKind, RngStream, denoise_image
                        estimate_noise_scale, read_grid, read_pgm, sample_noise,
                        write_grid, write_pgm)
 from adaptmreg.errors import ValidationError
-from adaptmreg.imaging import DENOISE_CHUNK, KhatMap, _interior_first
+from adaptmreg.imaging import DENOISE_CHUNK, _interior_first
 from adaptmreg.parallel import chunk_ranges
 from adaptmreg.selector import CriticalValues
 from oracle_select import base_estimates, ring_reference
@@ -70,15 +70,19 @@ def test_constant_image_identity(disc_artifact):
     config = _auto(disc_artifact, image)
     out, khat = denoise_image(image, config)
     assert np.array_equal(out.intensities, image.intensities)
-    assert np.all(khat.k_hat == khat.n_levels)
+    assert khat.dtype == np.int16 and khat.shape == image.intensities.shape
+    assert np.all(khat == disc_artifact.config.family.K)
 
 
 def test_noiseless_step_khat_smaller_at_edge(disc_artifact):
     config = DenoiseConfig(disc_artifact, 0.05)
     image = Image(two_region(64, 48))
     _, khat = denoise_image(image, config)
-    edge = khat.k_hat[24, 31:33].max()
-    center = min(khat.k_hat[24, 8], khat.k_hat[24, 55])
+    # the map is the int16 window index of each pixel, 0..K
+    assert khat.dtype == np.int16 and khat.shape == (48, 64)
+    assert 0 <= khat.min() and khat.max() <= disc_artifact.config.family.K
+    edge = khat[24, 31:33].max()
+    center = min(khat[24, 8], khat[24, 55])
     assert edge < center
 
 
@@ -89,7 +93,7 @@ def test_shift_equivariance(disc_artifact):
     out0, khat0 = denoise_image(image0, _auto(disc_artifact, image0))
     out1, khat1 = denoise_image(image1, _auto(disc_artifact, image1))
     assert np.allclose(out1.intensities, out0.intensities + 12.5, atol=1e-9)
-    assert np.array_equal(khat0.k_hat, khat1.k_hat)
+    assert np.array_equal(khat0, khat1)
 
 
 def test_subrectangle_reproduces_pixels(disc_artifact):
@@ -126,7 +130,7 @@ def test_worker_count_invariance(disc_artifact, monkeypatch):
         monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
         out, khat = denoise_image(image, _auto(disc_artifact, image))
         assert np.array_equal(out1.intensities, out.intensities)
-        assert np.array_equal(khat1.k_hat, khat.k_hat)
+        assert np.array_equal(khat1, khat)
 
 
 def _crit_subset(crit: CriticalValues, kept: np.ndarray) -> CriticalValues:
@@ -192,7 +196,7 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
                     base, rings = base_estimates(patch.ravel(), fam, loss)
                     k_hat, _ = ring_reference(base, rings, levels, crit)
                     assert abs(out.intensities[y, x] - base[k_hat]) <= tol, (w, h, x, y)
-                    assert khat.k_hat[y, x] == kept[k_hat], (w, h, x, y)
+                    assert khat[y, x] == kept[k_hat], (w, h, x, y)
     assert subsets > 0 and interior > 0
 
 
@@ -240,7 +244,7 @@ def test_denoise_outputs_are_pinned(disc_artifact):
         for label, art in (("median", disc_artifact), ("quantile0.3", quantile)):
             out, khat = denoise_image(image, _auto(art, image))
             seen[f"{name}/{label}"] = (hashlib.sha256(out.intensities.tobytes()).hexdigest(),
-                                       hashlib.sha256(khat.k_hat.tobytes()).hexdigest())
+                                       hashlib.sha256(khat.tobytes()).hexdigest())
     assert seen == PINNED_DIGESTS
 
 
@@ -288,7 +292,7 @@ def test_integer_images_match_the_float_path(disc_artifact, monkeypatch):
             half, khat_half = denoise_image(Image(img + 0.5), DenoiseConfig(art, sigma))
             assert set(seen) == {np.dtype(float)}, name
             assert np.array_equal(out.intensities + 0.5, half.intensities), name
-            assert np.array_equal(khat.k_hat, khat_half.k_hat), name
+            assert np.array_equal(khat, khat_half), name
 
 
 def test_only_exact_small_integers_take_the_int32_path(disc_artifact, monkeypatch):
@@ -332,14 +336,20 @@ def test_rejects_incompatible_configs(disc_artifact):
                                                               art.config.noise)),
         "closed-form levels": _swapped(art, levels=am.Levels(lv.s, lv.s_ring, "monte_carlo",
                                                              runs=10000, seed=1)),
-        "huber loss": _swapped(art, am.LossKind.huber(1.0)),
         "duplicate interior windows": replace(
             art, config=replace(art.config, family_meta={"radii": radii.tolist()})),
     }
     for message, bad in cases.items():
         with pytest.raises(ValidationError, match=message):
             DenoiseConfig(bad, 1.0)
-    # thresholds sized for other radii do not even make an artifact
+    # a huber artifact holds Monte Carlo levels, which cannot be rebuilt for the borders
+    mc = am.Levels(lv.s, lv.s_ring, "monte_carlo", runs=10000, seed=1)
+    with pytest.raises(ValidationError, match="closed-form levels"):
+        DenoiseConfig(_swapped(art, am.LossKind.huber(1.0), mc), 1.0)
+    # closed-form levels of another loss, and thresholds sized for other radii, do not
+    # even make an artifact
+    with pytest.raises(ValidationError, match="asymptotic levels apply to median and quantile"):
+        _swapped(art, am.LossKind.huber(1.0))
     with pytest.raises(ValidationError, match="sized for the family's"):
         _swapped(art, crit=CriticalValues(z=art.result.crit.z[:-2]))
     for sigma in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
@@ -368,16 +378,12 @@ def test_denoise_builds_no_family(disc_artifact, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_khat_map_validation():
-    with pytest.raises(ValueError):
-        KhatMap(np.full((4, 4), 9), 8)
+def test_image_validation():
     with pytest.raises(ValueError):
         Image(np.array([[np.inf, 0.0]]))
     for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))):
         with pytest.raises(ValidationError, match="nonempty 2-d array"):
             Image(bad)
-        with pytest.raises(ValidationError, match="nonempty 2-d array"):
-            KhatMap(bad, 8)
     image = Image(np.zeros((3, 5)))
     assert (image.height, image.width) == (3, 5)
 

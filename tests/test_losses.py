@@ -154,6 +154,25 @@ def test_locate_rows_matches_scalar():
         assert np.allclose(got, want, atol=1e-9)
 
 
+def test_locate_one_point_argmin_matches_locate_rows_bitwise():
+    """A one-point argmin is the order statistic itself, in locate as in locate_rows.
+
+    Its midpoint 0.5 * (a + a) overflows to inf above 2^1023, so the rows
+    hold such values; odd lengths give the median and these quantiles one
+    point each.
+    """
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 5, 9):
+        rows = (rng.uniform(0.5, 1.99, size=(16, n)) * 2.0 ** 1023
+                * rng.choice([-1.0, 1.0], size=(16, n)))
+        rows[:4, :] = np.finfo(float).max
+        for loss in (LossKind.median(), LossKind.quantile(0.25), LossKind.quantile(0.7)):
+            want = locate_rows(rows, loss)
+            got = np.array([locate(row, loss).value for row in rows])
+            assert got.tobytes() == want.tobytes(), (n, loss)
+            assert np.isfinite(got).all()
+
+
 def test_rho_basic_shapes():
     """The oracle's loss values, which every brute-force minimizer sums."""
     x = np.array([-2.0, 0.0, 2.0])
@@ -172,6 +191,15 @@ def test_errors():
         LossKind.huber(0.0)
     with pytest.raises(ValueError):
         LossKind("ridge")
+    # one parameter: the quantile level or the Huber kink, and none for the others
+    for kind in ("mean", "median"):
+        with pytest.raises(ValueError, match=f"the {kind} loss takes no parameter"):
+            LossKind(kind, 0.5)
+    for kind in ("quantile", "huber"):
+        with pytest.raises(ValueError, match=kind):
+            LossKind(kind)
+    assert LossKind("quantile", 0.3) == LossKind.quantile(0.3)
+    assert LossKind("huber", 1.345).label == "huber:1.345"
     with pytest.raises(ValueError):
         betweenness_holds([1, 2, 3], [[0, 1]], LossKind.median())
     with pytest.raises(ValueError):
