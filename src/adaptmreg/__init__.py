@@ -6,8 +6,7 @@ earlier window estimates, with Monte-Carlo-calibrated critical values.
 Includes a 1d benchmark harness and a 2d robust image denoiser.
 """
 
-from .calibration import (CalibArtifact, CalibConfig, CalibResult, calibrate,
-                          calibrate_sequential, calibrate_zeta, load_artifact,
+from .calibration import (CalibArtifact, CalibConfig, calibrate, load_artifact,
                           save_artifact, verify_calibration)
 from .errors import CalibrationError, ValidationError
 from .experiments import (METHODS, ExperimentSpec, median_moment_study,
@@ -23,8 +22,7 @@ from .losses import (LocationResult, LossKind, betweenness_holds, locate,
 from .noise import (NoiseKind, RngStream, abs_diff_median, cdf, density,
                     density_at_zero, quantile_point, sample_noise, sample_rows)
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
-from .selector import (CriticalValues, OracleInfo, SelectionTrace, TestRecord,
-                       oracle_index, propagation_bound,
+from .selector import (CriticalValues, SelectionTrace, TestRecord, propagation_bound,
                        propagation_gap, select_lepski, select_lepski_batch,
                        select_ring, select_ring_batch)
 from .windows import (WindowFamily, benchmark_counts, build_family_1d,

@@ -25,8 +25,8 @@ The two search modes bound slightly different event families:
   searches. Bare events contain the selection-form events, so a sequential
   calibration is the more conservative of the two.
 
-Validation on fresh replicates (verify_calibration) always measures the
-selection-form budget, the guarantee that matters for the running rule.
+calibrate returns a checked CalibArtifact; verify_calibration measures its
+selection-form budget on fresh replicates, the guarantee the running rule needs.
 
 A replicate set is kept as the window estimates, what the rule tests
 (selector._rule_terms) and the weights |base_j|^r (_replicates). The window
@@ -63,10 +63,7 @@ from .windows import WindowFamily, build_family_1d, build_family_2d, equidistant
 
 __all__ = [
     "CalibConfig",
-    "CalibResult",
     "calibrate",
-    "calibrate_zeta",
-    "calibrate_sequential",
     "verify_calibration",
     "CalibArtifact",
     "build_family",
@@ -124,22 +121,6 @@ class CalibConfig:
     def warnings(self) -> tuple[str, ...]:
         """The run-count warnings of the calibration step."""
         return check_mc_runs(self.runs, CALIBRATION_STEP)
-
-
-@dataclass(frozen=True)
-class CalibResult:
-    """Calibrated thresholds plus how the budget was spent.
-
-    per_k_error_share[k] is the part of the achieved left-hand side whose
-    first rejecting window index is k; achieved_lhs is their sum.
-    """
-
-    crit: CriticalValues
-    per_k_error_share: np.ndarray
-
-    @property
-    def achieved_lhs(self) -> float:
-        return float(self.per_k_error_share.sum())
 
 
 def _replicates(config: CalibConfig, levels: Levels, pair: PairLevels | None,
@@ -233,9 +214,9 @@ def _smallest_passing(totals, runs: int, target: float, cap: float, unattainable
     return hi
 
 
-def calibrate_zeta(config: CalibConfig, levels: Levels,
-                   pair: PairLevels | None = None) -> CalibResult:
-    """Smallest zeta on the bisection grid whose thresholds meet the budget."""
+def _calibrate_zeta(config: CalibConfig, levels: Levels, pair: PairLevels | None
+                    ) -> tuple[CriticalValues, np.ndarray]:
+    """The smallest zeta on the bisection grid that meets the budget: (crit, shares)."""
     rises = np.flatnonzero(np.diff(levels.s[:levels.K]) > 0)
     if rises.size:
         # z_k grows with s_k, and the family must give non-increasing z
@@ -261,12 +242,11 @@ def calibrate_zeta(config: CalibConfig, levels: Levels,
         lambda: (f"budget {budget!r} unattainable with zeta <= {ZETA_MAX}: lhs at the cap is "
                  f"{float(_row_totals(bases, nxt, weights, thr_of(z_of(ZETA_MAX))).mean())!r}"))
     z = z_of(zeta)
-    return CalibResult(crit=CriticalValues(z=z, zeta=zeta),
-                       per_k_error_share=_shares(bases, nxt, weights, thr_of(z)))
+    return CriticalValues(z=z, zeta=zeta), _shares(bases, nxt, weights, thr_of(z))
 
 
-def calibrate_sequential(config: CalibConfig, levels: Levels,
-                         pair: PairLevels | None = None) -> CalibResult:
+def _calibrate_sequential(config: CalibConfig, levels: Levels, pair: PairLevels | None
+                          ) -> tuple[CriticalValues, np.ndarray]:
     """Fix z_0, z_1, ... in turn, each spending at most alpha/K of the budget.
 
     The step-k error only counts replicates whose tests against windows
@@ -297,25 +277,23 @@ def calibrate_sequential(config: CalibConfig, levels: Levels,
             share, config.runs, per_step, Z_MAX,
             lambda: f"per-step budget {per_step!r} unattainable at step {k} with z <= {Z_MAX}")
         acc[:, k:] &= raw_k <= z[k] * scale_k
-    return CalibResult(crit=CriticalValues(z=z),
-                       per_k_error_share=_shares(bases, nxt, weights,
-                                                 threshold_table(np.append(z, 1.0), scale, 0.0)))
+    return CriticalValues(z=z), _shares(bases, nxt, weights,
+                                        threshold_table(np.append(z, 1.0), scale, 0.0))
 
 
 def calibrate(config: CalibConfig, levels: Levels,
-              pair: PairLevels | None = None) -> CalibResult:
-    if config.mode == "zeta":
-        return calibrate_zeta(config, levels, pair)
-    return calibrate_sequential(config, levels, pair)
+              pair: PairLevels | None = None) -> CalibArtifact:
+    """The run of config.mode's search, checked as load_artifact checks a file."""
+    search = _calibrate_zeta if config.mode == "zeta" else _calibrate_sequential
+    return CalibArtifact(config, *search(config, levels, pair), levels, pair)
 
 
-def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels,
-                       pair: PairLevels | None = None, *, seed: int,
+def verify_calibration(art: CalibArtifact, *, seed: int,
                        runs: int | None = None) -> tuple[float, tuple[str, ...]]:
-    """Out-of-sample budget ratio achieved_lhs / budget on fresh replicates.
+    """Out-of-sample budget ratio achieved_lhs / budget of art, on fresh replicates.
 
     Returns the ratio and the run-count warnings of the verification step,
-    which draws config.runs replicates unless runs is given. The seed must
+    which draws art.config.runs replicates unless runs is given. The seed must
     differ from the calibration seed, otherwise the check would just reread
     the replicates the thresholds were fitted to. The replicates are
     streamed: each chunk of simulate_window_estimates gets its totals from
@@ -324,11 +302,12 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
     A replicate's total reads its own row only, so the ratio equals the
     objective over the whole set bit for bit.
     """
+    config, levels, pair = art.config, art.levels, art.pair
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
     runs = config.runs if runs is None else runs
     warnings = check_mc_runs(runs, "the verification")
-    zf = crit.full(levels.K)
+    zf = art.crit.full(levels.K)
     total = np.empty(runs)
 
     def consume(lo: int, hi: int, bases: np.ndarray, rings: np.ndarray) -> None:
@@ -336,7 +315,7 @@ def verify_calibration(config: CalibConfig, crit: CriticalValues, levels: Levels
         total[lo:hi] = _row_totals(bases, nxt, weights, threshold_table(zf, scale, additive))
 
     simulate_window_estimates(config.family, config.loss, config.noise, runs, seed, consume)
-    return float(total.mean()) / _budget(config, levels), warnings
+    return float(total.mean()) / art.budget, warnings
 
 
 # ----------------------------------------------------------------------------
@@ -361,9 +340,10 @@ STREAM_VERSIONS = (1, 2)
 class CalibArtifact:
     """One calibrate(config, levels, pair) run, as saved and reused.
 
-    The family and its saved description are config's. Only zeta mode has a
-    zeta, and its thresholds are _zeta_to_z of it (to a relative 1e-9:
-    np.log may round differently elsewhere); only the lepski rule has pair
+    per_k_error_share[k] is the part of the achieved value (achieved_lhs, their
+    sum) whose first rejecting window is k. The family is config's. Only zeta
+    mode has a zeta, and its thresholds crit are _zeta_to_z of it (to a relative
+    1e-9: np.log may round differently elsewhere); only the lepski rule has pair
     levels; the levels' methods describe the loss (check_levels_loss); the
     shares are finite, nonnegative and sum to at most the budget
     alpha * s_K^r. Ring-rule zeta thresholds must meet the risk hypothesis
@@ -372,17 +352,17 @@ class CalibArtifact:
     """
 
     config: CalibConfig
-    result: CalibResult
+    crit: CriticalValues
+    per_k_error_share: np.ndarray
     levels: Levels
     pair: PairLevels | None
     estimator: int = ESTIMATOR_VERSION
     stream: int = STREAM_VERSION
 
     def __post_init__(self) -> None:
-        cfg, crit = self.config, self.result.crit
+        cfg, crit, shares = self.config, self.crit, self.per_k_error_share
         K = cfg.family.K
-        sizes = {self.levels.K, crit.K, self.result.per_k_error_share.size,
-                 K if self.pair is None else self.pair.K}
+        sizes = {self.levels.K, crit.K, shares.size, K if self.pair is None else self.pair.K}
         if sizes != {K}:
             raise ValidationError(f"levels, thresholds or shares not sized for the "
                                   f"family's {K} steps")
@@ -397,14 +377,17 @@ class CalibArtifact:
                                   "pair levels")
         for lv in filter(None, (self.levels, self.pair)):
             check_levels_loss(lv.method, cfg.loss)
-        shares = self.result.per_k_error_share
         if not np.all(np.isfinite(shares) & (shares >= 0)):
             raise ValidationError("per-step error shares must be finite and nonnegative")
-        if self.result.achieved_lhs > self.budget * (1.0 + 1e-9):
-            raise ValidationError(f"achieved value {self.result.achieved_lhs!r} exceeds "
+        if self.achieved_lhs > self.budget * (1.0 + 1e-9):
+            raise ValidationError(f"achieved value {self.achieved_lhs!r} exceeds "
                                   f"the budget {self.budget!r}")
         if cfg.rule == "ring" and crit.zeta is not None:
             crit.check_risk_hypothesis(self.levels)
+
+    @property
+    def achieved_lhs(self) -> float:
+        return float(self.per_k_error_share.sum())
 
     @property
     def budget(self) -> float:
@@ -449,7 +432,7 @@ def _provenance(name: str, lv: Levels | PairLevels) -> list[str]:
 
 def _artifact_text(art: CalibArtifact) -> str:
     """art's file: its hash line, then the body (no line for version 1 of estimator or stream)."""
-    cfg, res, K = art.config, art.result, art.levels.K
+    cfg, crit, K = art.config, art.crit, art.levels.K
     meta, line1d = cfg.family_meta, cfg.family_kind == "line1d"
     lines = [f"format: {FORMAT_TAG}"]
     lines += [f"{name}: {v}" for name, v in (("estimator", art.estimator),
@@ -466,10 +449,10 @@ def _artifact_text(art: CalibArtifact) -> str:
         f"alpha: {_fmt(cfg.alpha)}",
         f"runs: {cfg.runs}",
         f"seed: {cfg.seed}",
-        f"zeta: {_opt(res.crit.zeta)}",
-        f"achieved_lhs: {_fmt(res.achieved_lhs)}",
+        f"zeta: {_opt(crit.zeta)}",
+        f"achieved_lhs: {_fmt(art.achieved_lhs)}",
         f"budget: {_fmt(art.budget)}",
-        f"per_k_error_share: {_fmt_arr(res.per_k_error_share)}",
+        f"per_k_error_share: {_fmt_arr(art.per_k_error_share)}",
         *_provenance("levels", art.levels),
         f"family_kind: {cfg.family_kind}",
         f"family_n: {int(meta['n']) if line1d else '-'}",
@@ -477,7 +460,7 @@ def _artifact_text(art: CalibArtifact) -> str:
         f"family_radii: {'-' if line1d else _fmt_arr(meta['radii'])}",
         f"K: {K}",
         f"counts: {' '.join(str(int(c)) for c in cfg.family.counts)}",
-        f"z: {_fmt_arr(res.crit.z)}",
+        f"z: {_fmt_arr(crit.z)}",
         f"s: {_fmt_arr(art.levels.s)}",
     ]
     lines += [f"s_ring[{k}]: {_fmt_arr(art.levels.s_ring[k, :k + 1])}" for k in range(K)]
@@ -501,7 +484,7 @@ def load_artifact(path) -> CalibArtifact:
     """Read an artifact, accepting only the exact text save_artifact writes for it.
 
     The config hash on the first line must match the lines after it, and the
-    family, CalibConfig and CalibResult are rebuilt, so a loaded artifact
+    family, CalibConfig and CalibArtifact are rebuilt, so a loaded artifact
     passes a fresh calibration's checks. A missing estimator or stream line
     reads as version 1. Every refusal, including the first line that differs
     from what save_artifact writes, raises ValidationError.
@@ -577,7 +560,6 @@ def _artifact_from_fields(fields: dict[str, str]) -> CalibArtifact:
                          r=float(fields["r"]), alpha=float(fields["alpha"]),
                          runs=int(fields["runs"]), seed=int(fields["seed"]),
                          mode=fields["mode"], rule=fields["rule"])
-    result = CalibResult(CriticalValues(floats("z"), opt("zeta", float)),
-                         floats("per_k_error_share"))
-    return CalibArtifact(config, result, levels, pair, estimator=int(fields["estimator"]),
-                         stream=int(fields["stream"]))
+    return CalibArtifact(config, CriticalValues(floats("z"), opt("zeta", float)),
+                         floats("per_k_error_share"), levels, pair,
+                         estimator=int(fields["estimator"]), stream=int(fields["stream"]))

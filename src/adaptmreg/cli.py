@@ -23,8 +23,9 @@ from .experiments import (CALIBRATED_METHODS, METHODS, BenchRow, ExperimentSpec,
                           SampleRow, TailRow, TwoSampleReport, csv_text, median_moment_study,
                           replicate_rows, run_benchmark, tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
-from .levels import (check_levels_loss, levels_asymptotic, levels_exact_mean, levels_mc,
-                     pair_levels_asymptotic, pair_levels_exact_mean, pair_levels_mc)
+from .levels import (auto_levels_method, check_levels_loss, levels_asymptotic,
+                     levels_exact_mean, levels_mc, pair_levels_asymptotic,
+                     pair_levels_exact_mean, pair_levels_mc)
 from .losses import LossKind
 from .noise import parse_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
@@ -190,8 +191,8 @@ def _levels_for_calibrate(args, config: CalibConfig):
     pair = config.rule == "lepski"
     choice = args.levels
     if choice == "auto":
-        choice = {"mean": "exact", "median": "asymptotic",
-                  "quantile": "asymptotic"}.get(loss.kind, "mc")
+        choice = {"exact_mean": "exact", "asymptotic": "asymptotic",
+                  "monte_carlo": "mc"}[auto_levels_method(loss)]  # its --levels name
     if choice != "mc" and args.levels_runs is not None:
         raise ValidationError(f"--levels-runs sets the Monte Carlo levels' run count, but "
                               f"--levels {args.levels} gives {choice} levels")
@@ -213,19 +214,18 @@ def _cmd_calibrate(args) -> int:
                          noise=parse_noise(args.noise), r=args.r, alpha=args.alpha,
                          runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule)
     levels, pair = _levels_for_calibrate(args, config)
-    art = CalibArtifact(config, calibrate(config, levels, pair), levels, pair)
+    art = calibrate(config, levels, pair)
     save_artifact(args.out, art)
     for w in levels.warnings + (pair.warnings if pair else ()) + config.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"calibrated {args.rule}/{args.mode} loss={config.loss.label} "
-          f"achieved={art.result.achieved_lhs!r} budget={art.budget!r} -> {args.out}")
+          f"achieved={art.achieved_lhs!r} budget={art.budget!r} -> {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    art = load_artifact(args.calib)
-    ratio, warnings = verify_calibration(art.config, art.result.crit, art.levels, art.pair,
-                                         seed=args.seed, runs=args.runs)
+    ratio, warnings = verify_calibration(load_artifact(args.calib), seed=args.seed,
+                                         runs=args.runs)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"ratio: {ratio!r}")

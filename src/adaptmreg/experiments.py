@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import CalibArtifact
 from .errors import ValidationError
-from .levels import normal_abs_moment
+from .levels import normal_abs_moment, simulate_window_estimates
 from .losses import LossKind, locate_rows, window_estimates
 from .noise import NoiseKind, cdf, density, density_at_zero, sample_rows
 from .parallel import run_chunks
@@ -203,15 +203,15 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
             bases, rings = estimates[art.config.loss]
             lepski = art.config.rule == "lepski"
             if lepski:
-                k_hat = select_lepski_batch(bases, art.pair, art.result.crit)
+                k_hat = select_lepski_batch(bases, art.pair, art.crit)
             else:
-                k_hat = select_ring_batch(bases, rings, art.levels, art.result.crit)
+                k_hat = select_ring_batch(bases, rings, art.levels, art.crit)
             theta_hat = np.take_along_axis(bases, k_hat[:, None], axis=1)[:, 0]
             errors[method][lo:hi] = np.abs(theta_hat - theta)
             if lo == 0:
                 traces[method] = (
-                    select_lepski(bases[0], art.pair, art.result.crit) if lepski
-                    else select_ring(bases[0], rings[0], art.levels, art.result.crit))
+                    select_lepski(bases[0], art.pair, art.crit) if lepski
+                    else select_ring(bases[0], rings[0], art.levels, art.crit))
         if "median_oracle" in spec.methods:
             est = locate_rows(y[:, oracle_idx], LossKind.median())
             errors["median_oracle"][lo:hi] = np.abs(est - theta)
@@ -313,14 +313,8 @@ class MomentRow:
 
 
 def _median_samples(kind: NoiseKind, n: int, runs: int, seed: int) -> np.ndarray:
-    med = LossKind.median()
-    out = np.empty(runs)
-
-    def task(lo: int, hi: int) -> None:
-        out[lo:hi] = locate_rows(sample_rows(kind, n, seed, lo, hi), med)
-
-    run_chunks(task, runs)
-    return out
+    one_window = WindowFamily(np.arange(n), [n])
+    return simulate_window_estimates(one_window, LossKind.median(), kind, runs, seed)[0][:, 0]
 
 
 def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,

@@ -237,7 +237,7 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarra
     x_class, x_clips = _axis_clips(w, reach)
     y_class, y_clips = _axis_clips(h, reach)
     valid, reported, thr = _geometry_tables(dx, dy, x_clips, y_clips, counts,
-                                            config.art.result.crit.full(family.K), scale)
+                                            config.art.crit.full(family.K), scale)
     with np.errstate(invalid="ignore"):  # inf * 0 on empty rings if sigma is 0
         thr = thr * config.sigma
     thr[np.diff(valid, axis=1) == 0] = np.inf

@@ -29,6 +29,7 @@ __all__ = [
     "closed_form",
     "closed_form_scale",
     "check_levels_loss",
+    "auto_levels_method",
     "levels_exact_mean",
     "levels_asymptotic",
     "levels_mc",
@@ -182,6 +183,11 @@ def check_levels_loss(method: str, loss: LossKind) -> None:
     if loss.kind not in kinds:
         raise ValidationError(f"{method.replace('_', ' ')} levels apply to "
                               f"{' and '.join(kinds)} losses")
+
+
+def auto_levels_method(loss: LossKind) -> str:
+    """The method of --levels auto: the first closed form that describes loss, else monte_carlo."""
+    return next((m for m, ks in _CLOSED_FORM_LOSSES.items() if loss.kind in ks), "monte_carlo")
 
 
 def _check_order(r: float) -> None:

@@ -53,8 +53,8 @@ class LossKind:
 
     kind is one of "mean", "median", "quantile", "huber". param is the
     quantile loss's level, strictly inside (0, 1), or the Huber loss's
-    positive kink; the mean and the median take none. Quantile at level 1/2
-    must reproduce the median exactly.
+    positive kink, held as a float; the mean and the median take none.
+    Quantile at level 1/2 must reproduce the median exactly.
     """
 
     kind: str
@@ -63,7 +63,11 @@ class LossKind:
     def __post_init__(self) -> None:
         if self.kind not in _LOSS_KINDS:
             raise ValidationError(f"unknown loss kind {self.kind!r}")
-        p = self.param
+        try:
+            p = None if self.param is None else float(self.param)
+        except (TypeError, ValueError):
+            raise ValidationError(f"loss parameter {self.param!r} is not a number") from None
+        object.__setattr__(self, "param", p)
         if self.kind == "quantile" and (p is None or not 0.0 < p < 1.0):
             raise ValidationError("quantile alpha must lie strictly inside (0, 1)")
         if self.kind == "huber" and (p is None or not (p > 0.0 and math.isfinite(p))):
@@ -81,11 +85,11 @@ class LossKind:
 
     @classmethod
     def quantile(cls, alpha: float) -> "LossKind":
-        return cls("quantile", float(alpha))
+        return cls("quantile", alpha)
 
     @classmethod
     def huber(cls, kink: float) -> "LossKind":
-        return cls("huber", float(kink))
+        return cls("huber", kink)
 
     @property
     def label(self) -> str:

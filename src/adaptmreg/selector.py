@@ -26,20 +26,17 @@ import numpy as np
 
 from .errors import ValidationError
 from .levels import Levels, PairLevels
-from .windows import WindowFamily
 
 __all__ = [
     "CriticalValues",
     "TestRecord",
     "SelectionTrace",
-    "OracleInfo",
     "threshold_table",
     "first_rejection",
     "select_ring",
     "select_ring_batch",
     "select_lepski",
     "select_lepski_batch",
-    "oracle_index",
     "propagation_bound",
     "propagation_gap",
 ]
@@ -119,19 +116,6 @@ class SelectionTrace:
         for t in self.tests:
             lines.append(f"{t.step} {t.j} {t.statistic!r} {t.threshold!r} {t.margin!r}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class OracleInfo:
-    """Best non-adaptive stopping index for a known signal.
-
-    variations[k] is the total variation of the signal over window k;
-    k_star is the first k whose next window varies more than its noise
-    allowance z_{k+1} * s_{k+1}, capped at K.
-    """
-
-    k_star: int
-    variations: np.ndarray
 
 
 def threshold_table(zf: np.ndarray, scale: np.ndarray, additive) -> np.ndarray:
@@ -280,21 +264,6 @@ def select_lepski(base, pair: PairLevels, crit: CriticalValues) -> SelectionTrac
     base = np.asarray(base, dtype=float)
     k_hat = int(select_lepski_batch(base[None], pair, crit)[0])
     return _one_row("lepski", base, None, k_hat, None, pair, crit)
-
-
-def oracle_index(g_values, family: WindowFamily, crit: CriticalValues,
-                 levels: Levels) -> OracleInfo:
-    """Oracle stopping index for a known signal evaluated at the design points."""
-    g = np.asarray(g_values, dtype=float)
-    if int(family.order.max()) >= g.size:
-        raise ValidationError("family indices exceed the signal length")
-    # windows are prefixes of the nearest-first ordering
-    vals = g[family.order]
-    spread = np.maximum.accumulate(vals) - np.minimum.accumulate(vals)
-    variations = spread[family.counts - 1]
-    over = np.flatnonzero(variations[1:] > crit.full(family.K)[1:] * levels.s[1:])
-    return OracleInfo(k_star=int(over[0]) if over.size else family.K,
-                      variations=variations)
 
 
 def propagation_bound(levels: Levels, crit: CriticalValues, k: int) -> float:

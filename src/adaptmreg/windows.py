@@ -61,18 +61,6 @@ class WindowFamily:
     def K(self) -> int:
         return int(self.counts.size - 1)
 
-    def members(self, k: int) -> np.ndarray:
-        """Sorted design indices of window k."""
-        if not 0 <= k <= self.K:
-            raise ValidationError(f"window index {k} outside 0..{self.K}")
-        return np.sort(self.order[: self.counts[k]])
-
-    def ring(self, k: int) -> np.ndarray:
-        """Indices added when window k grows to window k+1."""
-        if not 0 <= k < self.K:
-            raise ValidationError(f"ring index {k} outside 0..{self.K - 1}")
-        return self.order[self.counts[k]: self.counts[k + 1]].copy()
-
 
 def benchmark_counts(n_levels: int = 17, variant: str = "standard") -> np.ndarray:
     """Window sizes for the 1d benchmark family, evaluated in exact integers.

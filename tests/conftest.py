@@ -8,7 +8,6 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import adaptmreg as am  # noqa: E402
-from adaptmreg.calibration import CalibArtifact  # noqa: E402
 
 BENCH_RUNS = 10000
 BENCH_SEEDS = {"mean_ring": 12, "mean_lepski": 13, "median_ring": 11, "median_lepski": 15}
@@ -25,7 +24,7 @@ def _line_artifact(family, loss, levels, rule, pair, seed):
     cfg = am.CalibConfig(family_kind="line1d", family_meta=meta, loss=loss,
                          noise=am.NoiseKind.laplace(), runs=BENCH_RUNS, seed=seed, rule=rule,
                          mode="zeta")
-    return CalibArtifact(cfg, am.calibrate(cfg, levels, pair), levels, pair)
+    return am.calibrate(cfg, levels, pair)
 
 
 @pytest.fixture(scope="session")
@@ -60,4 +59,4 @@ def disc_artifact():
                          loss=med, noise=lap, runs=BENCH_RUNS, seed=21, rule="ring",
                          mode="zeta")
     lv = am.levels_asymptotic(cfg.family, med, lap)
-    return CalibArtifact(cfg, am.calibrate(cfg, lv), lv, None)
+    return am.calibrate(cfg, lv)

@@ -11,8 +11,7 @@ the same bytes.
 
 import numpy as np
 
-from adaptmreg.calibration import (SEARCH_TOL, Z_MAX, ZETA_MAX, ZETA_MIN, CalibResult,
-                                   _budget, _zeta_to_z)
+from adaptmreg.calibration import SEARCH_TOL, Z_MAX, ZETA_MAX, ZETA_MIN, _budget, _zeta_to_z
 from adaptmreg.errors import CalibrationError
 from adaptmreg.levels import simulate_window_estimates
 from adaptmreg.selector import CriticalValues
@@ -97,9 +96,10 @@ def smallest_passing(value, target, cap, unattainable):
 
 
 def calibrate_full(config, levels, pair=None, evaluated=None):
-    """calibrate(config, levels, pair), evaluating every replicate at every candidate.
+    """(crit, shares) of calibrate(config, levels, pair), evaluating every replicate.
 
-    evaluated, if given, collects each candidate the search evaluates.
+    Every replicate is evaluated at every candidate; evaluated, if given,
+    collects each candidate the search evaluates.
     """
     dense = DenseStats(config, levels, pair)
     budget = _budget(config, levels)
@@ -118,7 +118,7 @@ def calibrate_full(config, levels, pair=None, evaluated=None):
         zeta = smallest_passing(track(lambda zeta: dense.objective(z_of(zeta))), budget,
                                 ZETA_MAX, lambda: "unattainable")
         z = z_of(zeta)
-        return CalibResult(CriticalValues(z=z, zeta=zeta), dense.shares(z))
+        return CriticalValues(z=z, zeta=zeta), dense.shares(z)
     K = dense.K
     z = np.empty(K)
     acc = np.ones((config.runs, K), dtype=bool)
@@ -132,4 +132,4 @@ def calibrate_full(config, levels, pair=None, evaluated=None):
 
         z[k] = smallest_passing(track(share), budget / K, Z_MAX, lambda: "unattainable")
         acc[:, k:] &= raw_k <= z[k] * scale_k
-    return CalibResult(CriticalValues(z=z), dense.shares(z, bare=True))
+    return CriticalValues(z=z), dense.shares(z, bare=True)

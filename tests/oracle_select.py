@@ -10,14 +10,22 @@ rounding, because they sum in another order.
 first_rejection is the batched stopping loop in its earlier row-major form
 (rows, k + 1 statistics per step, per-row tables as (rows, K, K)); the
 library's window-major loop must select the same indices.
+
+oracle_index is the best non-adaptive stopping index for a known signal,
+the benchmark against which the studies measure the adaptive rules.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from adaptmreg.errors import ValidationError
+from adaptmreg.levels import Levels
 from adaptmreg.losses import LossKind, locate
-from adaptmreg.selector import TestRecord
+from adaptmreg.selector import CriticalValues, TestRecord
 from adaptmreg.windows import WindowFamily
+
+from oracle_windows import members, ring
 
 
 def base_estimates(values, family: WindowFamily, loss: LossKind
@@ -32,9 +40,9 @@ def base_estimates(values, family: WindowFamily, loss: LossKind
     base = np.empty(K + 1)
     rings = np.empty(K)
     for k in range(K + 1):
-        base[k] = locate(y[family.members(k)], loss).value
+        base[k] = locate(y[members(family, k)], loss).value
     for k in range(K):
-        rings[k] = locate(y[family.ring(k)], loss).value
+        rings[k] = locate(y[ring(family, k)], loss).value
     return base, rings
 
 
@@ -109,3 +117,31 @@ def lepski_reference(base, pair, crit) -> tuple[int, tuple[TestRecord, ...]]:
             stats[k, j] = abs(base[k + 1] - base[j])
             thr[k, j] = crit.z[j] * pair.s_pair[k + 1, j]
     return select_scalar(stats, thr)
+
+
+@dataclass(frozen=True)
+class OracleInfo:
+    """Best non-adaptive stopping index for a known signal.
+
+    variations[k] is the total variation of the signal over window k;
+    k_star is the first k whose next window varies more than its noise
+    allowance z_{k+1} * s_{k+1}, capped at K.
+    """
+
+    k_star: int
+    variations: np.ndarray
+
+
+def oracle_index(g_values, family: WindowFamily, crit: CriticalValues,
+                 levels: Levels) -> OracleInfo:
+    """Oracle stopping index for a known signal evaluated at the design points."""
+    g = np.asarray(g_values, dtype=float)
+    if int(family.order.max()) >= g.size:
+        raise ValidationError("family indices exceed the signal length")
+    # windows are prefixes of the nearest-first ordering
+    vals = g[family.order]
+    spread = np.maximum.accumulate(vals) - np.minimum.accumulate(vals)
+    variations = spread[family.counts - 1]
+    over = np.flatnonzero(variations[1:] > crit.full(family.K)[1:] * levels.s[1:])
+    return OracleInfo(k_star=int(over[0]) if over.size else family.K,
+                      variations=variations)

@@ -1,9 +1,11 @@
-"""Reference for disc families clipped at the image borders.
+"""Reference for disc families clipped at the image borders, and window members.
 
 The library builds only the unclipped disc family (windows.build_family_2d);
 the denoiser derives every clipped family from it by marking out-of-image
 samples missing. clipped_family_2d constructs a clipped family directly, from
 the pixels of an image of the given size, so tests can compare the two.
+members and ring list the design indices of one window or ring, which the
+library never needs: it reads windows as prefixes of the ordering.
 """
 
 import numpy as np
@@ -48,3 +50,13 @@ def clipped_family_2d(width: int, height: int, center: tuple[int, int], radii
             counts.append(int(c))
     return WindowFamily(order=order, counts=np.asarray(counts, dtype=int),
                         dropped_levels=tuple(dropped))
+
+
+def members(family: WindowFamily, k: int) -> np.ndarray:
+    """Sorted design indices of window k."""
+    return np.sort(family.order[: family.counts[k]])
+
+
+def ring(family: WindowFamily, k: int) -> np.ndarray:
+    """Indices added when window k grows to window k+1."""
+    return family.order[family.counts[k]: family.counts[k + 1]].copy()

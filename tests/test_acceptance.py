@@ -86,7 +86,7 @@ def test_criterion_3_two_sample_variances():
 def test_criterion_4_propagation_and_betweenness(bench_artifacts, bench_family):
     # deterministic late-stopping bound over 10^4 noisy replicates
     art = bench_artifacts["median_ring"]
-    family, levels, crit = bench_family, art.levels, art.result.crit
+    family, levels, crit = bench_family, art.levels, art.crit
     K = family.K
     counts, order = family.counts, family.order
     xs = am.equidistant_design(200)
@@ -214,12 +214,11 @@ def test_criterion_6_calibration_soundness(bench_artifacts):
     # verification runs would test the verifier's noise, not the calibration
     ratios = {}
     for name, art in bench_artifacts.items():
-        ratios[name], _ = verify_calibration(art.config, art.result.crit, art.levels,
-                                             art.pair, seed=99001, runs=10 ** 5)
+        ratios[name], _ = verify_calibration(art, seed=99001, runs=10 ** 5)
         assert ratios[name] <= 1.1, (name, ratios[name])
         # parametric thresholds: hard monotonicity assertions
-        assert np.all(np.diff(art.result.crit.z) <= 1e-12)
-        art.result.crit.check_risk_hypothesis(art.levels)
+        assert np.all(np.diff(art.crit.z) <= 1e-12)
+        art.crit.check_risk_hypothesis(art.levels)
     print(f"\nACCEPTANCE 6 (calibration soundness): PASS "
           f"fresh-seed ratios={ {k: round(v, 3) for k, v in ratios.items()} }")
 

@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adaptmreg as am
-from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate,
-                       calibrate_sequential, calibrate_zeta, load_artifact,
+from adaptmreg import (CalibConfig, LossKind, NoiseKind, calibrate, load_artifact,
                        save_artifact, verify_calibration)
 import adaptmreg.calibration as calibration
 from adaptmreg.calibration import (ESTIMATOR_VERSIONS, STREAM_VERSIONS, ZETA_MIN, _budget,
-                                   _replicates, _row_totals, _shares, _zeta_to_z,
-                                   build_family)
+                                   _calibrate_sequential, _calibrate_zeta, _replicates,
+                                   _row_totals, _shares, _zeta_to_z, build_family)
 from adaptmreg.cli import parse_loss
 from adaptmreg.errors import CalibrationError, ValidationError
 from adaptmreg.levels import MC_MIN_RUNS, Levels, simulate_window_estimates
@@ -43,9 +42,17 @@ def _objective(config, levels, pair, z):
     return float(_row_totals(bases, nxt, weights, thr).mean())
 
 
+def _with_thresholds(config, crit, levels, pair=None):
+    """An artifact of hand-set thresholds without a zeta, so of sequential mode, spending 0."""
+    return am.CalibArtifact(replace(config, mode="sequential"), crit, np.zeros(crit.K),
+                            levels, pair)
+
+
 def test_zeta_calibration_properties(small_setup):
     family, levels, config = small_setup
-    res = calibrate_zeta(config, levels)
+    res = calibrate(config, levels)
+    assert isinstance(res, am.CalibArtifact)
+    assert res.config is config and res.levels is levels and res.pair is None
     assert res.crit.zeta is not None
     assert np.all(np.diff(res.crit.z) <= 1e-12)
     zs = res.crit.full(levels.K) * levels.s
@@ -63,17 +70,31 @@ def test_determinism(small_setup):
     assert np.array_equal(a.per_k_error_share, b.per_k_error_share)
 
 
+def test_calibrate_runs_the_search_of_its_mode(small_setup):
+    """calibrate runs the search that config.mode names, and no other."""
+    family, levels, config = small_setup
+    for mode, search in (("zeta", _calibrate_zeta), ("sequential", _calibrate_sequential)):
+        cfg = replace(config, mode=mode)
+        art = calibrate(cfg, levels)
+        crit, shares = search(cfg, levels, None)
+        assert art.config.mode == mode and (art.crit.zeta is None) == (mode == "sequential")
+        assert art.crit.z.tobytes() == crit.z.tobytes()
+        assert art.per_k_error_share.tobytes() == shares.tobytes()
+
+
 def test_huge_alpha_hits_grid_minimum(small_setup):
     family, levels, config = small_setup
     cfg = replace(config, alpha=1e9)
-    res = calibrate_zeta(cfg, levels)
-    assert res.crit.zeta == ZETA_MIN
-    # such tiny values violate the risk-bound hypothesis: no artifact holds
-    # them, and the selection rule refuses them outright
+    crit, shares = _calibrate_zeta(cfg, levels, None)
+    assert crit.zeta == ZETA_MIN
+    # such tiny values violate the risk-bound hypothesis: calibrate returns no
+    # artifact of them, none holds them, and the selection rule refuses them
     with pytest.raises(ValidationError, match=r"z_k \* s_k must be non-increasing"):
-        am.CalibArtifact(cfg, res, levels, None)
+        calibrate(cfg, levels)
+    with pytest.raises(ValidationError, match=r"z_k \* s_k must be non-increasing"):
+        am.CalibArtifact(cfg, crit, shares, levels, None)
     with pytest.raises(ValueError):
-        am.select_ring(np.zeros(levels.K + 1), np.zeros(levels.K), levels, res.crit)
+        am.select_ring(np.zeros(levels.K + 1), np.zeros(levels.K), levels, crit)
 
 
 def test_artifact_checks_mode_and_budget(small_setup):
@@ -85,25 +106,27 @@ def test_artifact_checks_mode_and_budget(small_setup):
     the budget.
     """
     family, levels, config = small_setup
-    res, seq = calibrate_zeta(config, levels), calibrate_sequential(config, levels)
+    res = _calibrate_zeta(config, levels, None)
+    seq = _calibrate_sequential(config, levels, None)
     # a sequential search run on a zeta-mode config makes no artifact, nor the reverse
     with pytest.raises(ValidationError, match="calibration mode 'zeta' does not match zeta -"):
-        am.CalibArtifact(config, seq, levels, None)
+        am.CalibArtifact(config, *seq, levels, None)
     with pytest.raises(ValidationError, match="calibration mode 'sequential' does not match"):
-        am.CalibArtifact(replace(config, mode="sequential"), res, levels, None)
-    art = am.CalibArtifact(config, res, levels, None)
+        am.CalibArtifact(replace(config, mode="sequential"), *res, levels, None)
+    art = am.CalibArtifact(config, *res, levels, None)
     assert art.budget == _budget(config, levels) == config.alpha * levels.s[-1] ** config.r
-    over = am.CalibResult(res.crit, 1.01 * art.budget / levels.K * np.ones(levels.K))
+    over = 1.01 * art.budget / levels.K * np.ones(levels.K)
     with pytest.raises(ValidationError, match="exceeds the budget"):
-        am.CalibArtifact(config, over, levels, None)
+        am.CalibArtifact(config, res[0], over, levels, None)
 
-    def artifact(result=res, cfg=config, pair=None):
-        return am.CalibArtifact(cfg, result, levels, pair)
+    def artifact(crit=res[0], shares=res[1], cfg=config, pair=None):
+        return am.CalibArtifact(cfg, crit, shares, levels, pair)
 
     # np.log may round differently on another CPU: a relative 1e-9 is allowed
-    artifact(replace(res, crit=am.CriticalValues(res.crit.z * (1 + 1e-12), res.crit.zeta)))
+    z, zeta = art.crit.z, art.crit.zeta
+    artifact(crit=am.CriticalValues(z * (1 + 1e-12), zeta))
     with pytest.raises(ValidationError, match="thresholds z are not those of zeta"):
-        artifact(replace(res, crit=am.CriticalValues(0.5 * res.crit.z, res.crit.zeta)))
+        artifact(crit=am.CriticalValues(0.5 * z, zeta))
     pair = am.pair_levels_asymptotic(family, config.loss, config.noise)
     with pytest.raises(ValidationError, match="the ring rule takes no pair levels"):
         artifact(pair=pair)
@@ -112,19 +135,18 @@ def test_artifact_checks_mode_and_budget(small_setup):
     artifact(cfg=replace(config, rule="lepski"), pair=pair)
     # sample-mean levels do not describe the median, as window or as pair levels
     with pytest.raises(ValidationError, match="exact mean levels apply to mean losses"):
-        am.CalibArtifact(replace(config, mode="sequential"), seq,
+        am.CalibArtifact(replace(config, mode="sequential"), *seq,
                          am.levels_exact_mean(family), None)
     with pytest.raises(ValidationError, match="exact mean levels apply to mean losses"):
         artifact(cfg=replace(config, rule="lepski"), pair=am.pair_levels_exact_mean(family))
-    for bad in (-res.per_k_error_share, np.full(levels.K, np.nan)):
+    for bad in (-art.per_k_error_share, np.full(levels.K, np.nan)):
         with pytest.raises(ValidationError, match="shares must be finite and nonnegative"):
-            artifact(replace(res, per_k_error_share=bad))
+            artifact(shares=bad)
 
 
 def test_objective_monotone_in_thresholds(small_setup):
     family, levels, config = small_setup
-    res = calibrate_zeta(config, levels)
-    z = res.crit.z
+    z = calibrate(config, levels).crit.z
     lhs = [_objective(config, levels, None, f * z) for f in (1.5, 1.0, 0.5)]
     assert lhs[0] <= lhs[1] <= lhs[2]
 
@@ -132,7 +154,7 @@ def test_objective_monotone_in_thresholds(small_setup):
 def test_sequential_per_step_budget(small_setup):
     family, levels, config = small_setup
     cfg = replace(config, mode="sequential")
-    res = calibrate_sequential(cfg, levels)
+    res = calibrate(cfg, levels)
     budget = _budget(cfg, levels)
     assert np.all(res.per_k_error_share <= budget / levels.K + 1e-12)
     assert res.achieved_lhs <= budget * (1 + 1e-9)
@@ -146,9 +168,9 @@ def test_sequential_vs_zeta_profiles(small_setup):
     thresholds; observed gaps reach ~60 percent, frozen here at 90.
     """
     family, levels, config = small_setup
-    res_z = calibrate_zeta(config, levels)
+    res_z = calibrate(config, levels)
     cfg = replace(config, mode="sequential")
-    res_s = calibrate_sequential(cfg, levels)
+    res_s = calibrate(cfg, levels)
     rel = np.abs(res_s.crit.z - res_z.crit.z) / res_z.crit.z
     assert rel.max() <= 0.90
     budget = _budget(cfg, levels)
@@ -161,7 +183,7 @@ def test_sequential_vs_zeta_profiles(small_setup):
 def test_zeta_ratio_structure(small_setup):
     """z_0^2 / z_{K-1}^2 equals the ratio of the parametric arguments exactly."""
     family, levels, config = small_setup
-    res = calibrate_zeta(config, levels)
+    res = calibrate(config, levels)
     K = levels.K
     arg = (2.0 * config.r * np.log(levels.s[:K] / levels.s[K])
            + np.log(1.0 / config.alpha) + np.log(K))
@@ -177,7 +199,7 @@ def test_sequential_k1_matches_bruteforce():
                          mode="sequential")
     family = config.family
     levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
-    res = calibrate_sequential(config, levels)
+    res = calibrate(config, levels)
 
     bases, rings = simulate_window_estimates(
         family, config.loss, config.noise, config.runs, config.seed)
@@ -227,10 +249,10 @@ def test_row_totals_and_shares_match_dense_reference(small_setup, rule):
 def test_sequential_matches_dense_reference(small_setup):
     family, levels, config = small_setup
     cfg = replace(config, mode="sequential")
-    res = calibrate_sequential(cfg, levels)
-    want = calibrate_full(cfg, levels)
-    assert np.array_equal(res.crit.z, want.crit.z)
-    assert np.array_equal(res.per_k_error_share, want.per_k_error_share)
+    res = calibrate(cfg, levels)
+    crit, shares = calibrate_full(cfg, levels)
+    assert np.array_equal(res.crit.z, crit.z)
+    assert np.array_equal(res.per_k_error_share, shares)
 
 
 SEARCH_LOSSES = {"mean": LossKind.mean(), "median": LossKind.median(),
@@ -252,9 +274,10 @@ def search_levels(small_setup):
 
 
 def _same_result(got, want):
-    assert got.crit.z.tobytes() == want.crit.z.tobytes()
-    assert got.crit.zeta == want.crit.zeta
-    assert got.per_k_error_share.tobytes() == want.per_k_error_share.tobytes()
+    """The (crit, shares) pairs got and want hold the same bytes."""
+    assert got[0].z.tobytes() == want[0].z.tobytes()
+    assert got[0].zeta == want[0].zeta
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("loss", sorted(SEARCH_LOSSES))
@@ -282,7 +305,8 @@ def test_search_matches_full_evaluation(small_setup, search_levels, mode, rule, 
         return row_totals(bases, nxt, weights, thr)
 
     monkeypatch.setattr(calibration, "_row_totals", counted)
-    _same_result(calibrate(cfg, levels, pair), want)
+    art = calibrate(cfg, levels, pair)
+    _same_result((art.crit, art.per_k_error_share), want)
     if mode == "zeta":
         assert len(evaluated) > 10
         assert 0 < sum(seen) < 0.5 * len(evaluated) * cfg.runs
@@ -300,23 +324,23 @@ def test_search_ends_match_full_evaluation(small_setup, alpha):
         assert evaluated == [ZETA_MIN]
     else:
         assert evaluated[:6] == [ZETA_MIN, 1.0, 2.0, 4.0, 8.0, 6.0]
-    _same_result(calibrate_zeta(cfg, levels), want)
+    _same_result(_calibrate_zeta(cfg, levels, None), want)
 
 
 def test_verify_extreme_thresholds(small_setup):
     family, levels, config = small_setup
     K = levels.K
-    huge = am.CriticalValues(z=np.full(K, 1e6))
-    tiny = am.CriticalValues(z=np.full(K, 1e-9))
-    assert verify_calibration(config, huge, levels, seed=99)[0] == 0.0
-    assert verify_calibration(config, tiny, levels, seed=99)[0] > 10.0
+    huge = _with_thresholds(config, am.CriticalValues(z=np.full(K, 1e6)), levels)
+    tiny = _with_thresholds(config, am.CriticalValues(z=np.full(K, 1e-9)), levels)
+    assert verify_calibration(huge, seed=99)[0] == 0.0
+    assert verify_calibration(tiny, seed=99)[0] > 10.0
 
 
 def test_verify_requires_fresh_seed(small_setup):
     family, levels, config = small_setup
-    res = calibrate(config, levels)
+    art = calibrate(config, levels)
     with pytest.raises(ValueError):
-        verify_calibration(config, res.crit, levels, seed=config.seed)
+        verify_calibration(art, seed=config.seed)
 
 
 VERIFY_CASES = [(rule, loss, thresholds) for thresholds in ("decreasing", "sequential")
@@ -344,19 +368,20 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, th
     else:
         levels = am.levels_asymptotic(family, loss, config.noise)
         pair = am.pair_levels_asymptotic(family, loss, config.noise)
+    pair = pair if rule == "lepski" else None
     runs = 2 * CHUNK + 7  # the last chunk is partial
     cfg = replace(config, loss=loss, runs=runs, rule=rule)
     if thresholds == "decreasing":
-        crit = am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K))
+        art = _with_thresholds(cfg, am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K)),
+                               levels, pair)
     else:
-        crit = calibrate_sequential(replace(cfg, runs=MC_MIN_RUNS, mode="sequential"),
-                                    levels, pair).crit
+        art = calibrate(replace(cfg, runs=MC_MIN_RUNS, mode="sequential"), levels, pair)
     whole = DenseStats(replace(cfg, seed=77), levels, pair)
-    want = whole.objective(crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)
+    want = whole.objective(art.crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)
     assert want > 0.0
     for workers in ("1", "2", "3"):
         monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
-        got, _ = verify_calibration(cfg, crit, levels, pair, seed=77)
+        got, _ = verify_calibration(art, seed=77, runs=runs)
         assert got == want
 
 
@@ -372,11 +397,11 @@ def test_verify_never_holds_the_packed_statistics(monkeypatch):
     levels = am.levels_asymptotic(cfg.family, loss, NoiseKind.laplace())
     runs = 50_000
     monkeypatch.setenv("ADAPTMREG_WORKERS", "2")
-    crit = am.CriticalValues(z=np.full(levels.K, 1.2))
+    art = _with_thresholds(cfg, am.CriticalValues(z=np.full(levels.K, 1.2)), levels)
     packed_bytes = runs * levels.K * (levels.K + 1) // 2 * 8
     tracemalloc.start()
     try:
-        verify_calibration(cfg, crit, levels, seed=2, runs=runs)
+        verify_calibration(art, seed=2, runs=runs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -390,7 +415,7 @@ def test_calibration_failure_diagnostics(small_setup):
     bogus = Levels(s=np.full(K + 1, 1e-9), s_ring=np.full((K, K), 1e-12),
                    method="exact_mean")
     with pytest.raises(CalibrationError):
-        calibrate_zeta(config, bogus)
+        calibrate(config, bogus)
 
 
 def test_lepski_rule_needs_pair(small_setup):
@@ -418,18 +443,17 @@ def test_artifact_family_must_be_the_described_one(disc_artifact):
 
 def test_artifact_roundtrip(tmp_path, small_setup):
     family, levels, config = small_setup
-    res = calibrate(config, levels)
-    art = am.CalibArtifact(config, res, levels, None)
+    art = calibrate(config, levels)
     path = tmp_path / "test.cal"
     save_artifact(path, art)
     loaded = load_artifact(path)
     assert loaded.config.rule == "ring"
-    assert loaded.result.crit.zeta == res.crit.zeta
-    assert np.array_equal(loaded.result.crit.z, res.crit.z)
+    assert loaded.crit.zeta == art.crit.zeta
+    assert np.array_equal(loaded.crit.z, art.crit.z)
     assert np.array_equal(loaded.levels.s, levels.s)
     tril = np.tril_indices(levels.K)
     assert np.array_equal(loaded.levels.s_ring[tril], levels.s_ring[tril])
-    assert np.array_equal(loaded.result.per_k_error_share, res.per_k_error_share)
+    assert np.array_equal(loaded.per_k_error_share, art.per_k_error_share)
     assert np.array_equal(loaded.config.family.order, family.order)
     assert np.array_equal(loaded.config.family.counts, family.counts)
     assert path.read_text().startswith("config_hash: ")
@@ -524,8 +548,8 @@ def _artifacts(draw):
     else:
         crit = am.CriticalValues(z=np.sort(positives(K))[::-1])
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
-    result = am.CalibResult(crit, _budget(config, levels) / K * np.array(fractions))
-    return am.CalibArtifact(config, result, levels, pair,
+    shares = _budget(config, levels) / K * np.array(fractions)
+    return am.CalibArtifact(config, crit, shares, levels, pair,
                             estimator=draw(st.sampled_from(ESTIMATOR_VERSIONS)),
                             stream=draw(st.sampled_from(STREAM_VERSIONS)))
 

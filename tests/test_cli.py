@@ -318,7 +318,7 @@ def test_lepski_mc_artifact_is_rebuilt_byte_for_byte(tmp_path):
                             runs=1000, seed=13, rule="lepski")
     levels = am.levels_mc(config.family, loss, noise, 1500, seed=14)
     pair = am.pair_levels_mc(config.family, loss, noise, 1200, seed=15)
-    art = am.CalibArtifact(config, am.calibrate(config, levels, pair), levels, pair)
+    art = am.calibrate(config, levels, pair)
     save_artifact(tmp_path / "lepski.cal", art)
     assert ((tmp_path / "lepski.cal").read_bytes()
             == (DATA / "d70d3e5_median_lepski_mc.cal").read_bytes())
@@ -452,7 +452,7 @@ def test_bench_trace_is_replicate_zero(tmp_path):
     family = am.build_family_1d(xs, 0.0, art.config.family.counts)
     y = am.signal_step(xs) + am.sample_rows(am.NoiseKind.laplace(), 200, 7, 0, 1)
     bases, rings = am.window_estimates(y[:, family.order], family.counts, am.LossKind.mean())
-    k_hat = int(am.select_ring_batch(bases, rings, art.levels, art.result.crit)[0])
+    k_hat = int(am.select_ring_batch(bases, rings, art.levels, art.crit)[0])
     assert header == f"# method mean_ring k_hat {k_hat}"
     assert len(records) >= k_hat * (k_hat + 1) // 2
     for line in records:
@@ -531,7 +531,7 @@ def test_calibrate_mc_levels_and_mc_pairs(tmp_path):
              "--noise", "laplace", "--runs", "1500", "--mode", "sequential",
              "--seed", "11", "--out", out3)
     assert rc == 0
-    assert load_artifact(out3).result.crit.zeta is None
+    assert load_artifact(out3).crit.zeta is None
 
 
 def test_calibrate_prints_level_warnings(tmp_path, capsys):

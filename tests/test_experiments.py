@@ -10,6 +10,8 @@ from adaptmreg.experiments import (METHODS, BenchRow, TwoSampleReport, csv_text,
                                    pooled_variance_formula)
 from adaptmreg.noise import density_at_zero
 
+from oracle_select import oracle_index
+
 
 def test_method_order_fixed(bench_artifacts):
     spec = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=20, seed=1)
@@ -73,9 +75,9 @@ def test_traces_are_replicate_zero_of_the_batch(bench_artifacts, bench_family):
         bases, rings = am.window_estimates(y[:, bench_family.order], bench_family.counts,
                                            art.config.loss)
         if art.config.rule == "lepski":
-            k_hat = am.select_lepski_batch(bases, art.pair, art.result.crit)[0]
+            k_hat = am.select_lepski_batch(bases, art.pair, art.crit)[0]
         else:
-            k_hat = am.select_ring_batch(bases, rings, art.levels, art.result.crit)[0]
+            k_hat = am.select_ring_batch(bases, rings, art.levels, art.crit)[0]
         trace = report.traces[method]
         assert trace.k_hat == k_hat, method
         assert trace.theta_hat == bases[0, k_hat], method
@@ -192,8 +194,8 @@ def test_mean_rules_mostly_agree(bench_artifacts, bench_family):
             rings[i, k] = locate_rows(yw[None, counts[k]: counts[k + 1]], mean)[0]
     ring_art = bench_artifacts["mean_ring"]
     lep_art = bench_artifacts["mean_lepski"]
-    k_ring = am.select_ring_batch(bases, rings, ring_art.levels, ring_art.result.crit)
-    k_lep = am.select_lepski_batch(bases, lep_art.pair, lep_art.result.crit)
+    k_ring = am.select_ring_batch(bases, rings, ring_art.levels, ring_art.crit)
+    k_lep = am.select_lepski_batch(bases, lep_art.pair, lep_art.crit)
     assert np.mean(k_ring == k_lep) >= 0.90
 
 
@@ -209,7 +211,7 @@ def test_early_stopping_risk_bounds(bench_artifacts, bench_family):
     family = bench_family
     xs = am.equidistant_design(200)
     g = am.signal_step(xs)
-    levels, crit = art.levels, art.result.crit
+    levels, crit = art.levels, art.crit
     K = family.K
     runs = 2000
     order = family.order
@@ -228,7 +230,7 @@ def test_early_stopping_risk_bounds(bench_artifacts, bench_family):
             rings[i, k] = locate_rows(yw[None, counts[k]: counts[k + 1]], med)[0]
     k_hat = am.select_ring_batch(bases, rings, levels, crit)
     theta_hat = np.take_along_axis(bases, k_hat[:, None], 1)[:, 0]
-    k_star = am.oracle_index(g, family, crit, levels).k_star
+    k_star = oracle_index(g, family, crit, levels).k_star
     zf = crit.full(K)
     alpha = art.config.alpha
     for k in range(min(k_star, K - 1) + 1):

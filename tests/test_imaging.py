@@ -61,8 +61,7 @@ def _swapped(art, loss=None, levels=None, crit=None):
     config = art.config if loss is None else replace(art.config, loss=loss)
     if crit is not None and crit.zeta is None:
         config = replace(config, mode="sequential")
-    result = art.result if crit is None else replace(art.result, crit=crit)
-    return replace(art, config=config, result=result, levels=levels or art.levels)
+    return replace(art, config=config, crit=crit or art.crit, levels=levels or art.levels)
 
 
 def test_constant_image_identity(disc_artifact):
@@ -163,13 +162,13 @@ def test_every_pixel_matches_scalar_reference(disc_artifact):
     median = DenoiseConfig(art, 1.0)
     mean = DenoiseConfig(_swapped(art, am.LossKind.mean(),
                                   am.levels_exact_mean(art.config.family)), 1.0)
-    z = art.result.crit.z * np.where(np.arange(art.result.crit.K) % 2, 1.4, 0.6)
+    z = art.crit.z * np.where(np.arange(art.crit.K) % 2, 1.4, 0.6)
     zigzag = DenoiseConfig(_swapped(art, crit=CriticalValues(z=z)), 1.0)
     radii = np.asarray(median.radii)
     reach = int(np.floor(radii[-1]))
     subsets = interior = 0
     for config in (median, mean, zigzag):
-        loss, crit_full = config.art.config.loss, config.art.result.crit
+        loss, crit_full = config.art.config.loss, config.art.crit
         for h, w, rounded in ((17, 23, False), (3, 23, False), (17, 23, True)):
             noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(56, h))
             img = two_region(w, h) + noise.reshape(h, w)
@@ -351,7 +350,7 @@ def test_rejects_incompatible_configs(disc_artifact):
     with pytest.raises(ValidationError, match="asymptotic levels apply to median and quantile"):
         _swapped(art, am.LossKind.huber(1.0))
     with pytest.raises(ValidationError, match="sized for the family's"):
-        _swapped(art, crit=CriticalValues(z=art.result.crit.z[:-2]))
+        _swapped(art, crit=CriticalValues(z=art.crit.z[:-2]))
     for sigma in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="sigma must be finite and nonnegative"):
             DenoiseConfig(art, sigma)

@@ -11,6 +11,9 @@ from adaptmreg import (Levels, LossKind, NoiseKind, levels_asymptotic,
                        levels_exact_mean, levels_mc, normal_abs_moment,
                        pair_levels_asymptotic, pair_levels_exact_mean,
                        pair_levels_mc, simulate_window_estimates)
+from adaptmreg.cli import parse_loss
+from adaptmreg.levels import auto_levels_method, check_levels_loss
+from adaptmreg.losses import _LOSS_KINDS
 from adaptmreg.parallel import CHUNK
 
 
@@ -64,6 +67,17 @@ def test_quantile_half_equals_median(small_family):
     assert np.allclose(a.s, b.s, atol=1e-15)
     tril = np.tril_indices(a.K)
     assert np.allclose(a.s_ring[tril], b.s_ring[tril], atol=1e-15)
+
+
+def test_auto_levels_method_is_the_first_that_describes_the_loss():
+    """--levels auto picks a method that check_levels_loss accepts for every loss kind."""
+    picks = {"mean": "exact_mean", "median": "asymptotic", "quantile:0.3": "asymptotic",
+             "huber:1.345": "monte_carlo"}
+    for label, want in picks.items():
+        loss = parse_loss(label)
+        assert auto_levels_method(loss) == want, label
+        check_levels_loss(want, loss)
+    assert {parse_loss(label).kind for label in picks} == set(_LOSS_KINDS)
 
 
 def test_asymptotic_rejects_mean(small_family):

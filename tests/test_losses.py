@@ -379,6 +379,19 @@ def test_huber_single_value_is_returned():
             assert (res.value, res.minimizer_lo, res.minimizer_hi) == (y, y, y)
 
 
+def test_loss_param_is_held_as_a_float():
+    """Equal losses print equal labels, whatever number type their parameter came as."""
+    for made in (LossKind("huber", 2), LossKind("huber", np.int64(2)), LossKind.huber(2),
+                 LossKind("huber", np.float32(2.0))):
+        assert type(made.param) is float and made.label == "huber:2.0"
+        assert made == LossKind.huber(2.0) and hash(made) == hash(LossKind.huber(2.0))
+    assert LossKind("quantile", np.float64(0.25)).label == "quantile:0.25"
+    for bad in ("abc", [1.0], object()):
+        for kind in ("quantile", "huber", "median"):
+            with pytest.raises(am.ValidationError, match="is not a number"):
+                LossKind(kind, bad)
+
+
 def test_loss_level():
     assert LossKind.median().level == 0.5
     assert LossKind.quantile(0.3).level == 0.3
