@@ -25,8 +25,8 @@ The two search modes bound slightly different event families:
   searches. Bare events contain the selection-form events, so a sequential
   calibration is the more conservative of the two.
 
-calibrate returns a checked CalibArtifact; verify_calibration measures its
-selection-form budget on fresh replicates, the guarantee the running rule needs.
+calibrate returns a checked CalibArtifact on the levels of config's loss, noise and r;
+verify_calibration measures the selection-form budget the rule needs on fresh replicates.
 
 A replicate set is kept as the window estimates, what the rule tests
 (selector._rule_terms) and the weights |base_j|^r (_replicates). The window
@@ -53,7 +53,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, ValidationError
-from .levels import (Levels, PairLevels, _check_order, check_levels_loss, check_mc_runs,
+from .levels import (LEVEL_METHODS, PAIR_LEVELS, WINDOW_LEVELS, Levels, PairLevels,
+                     _check_order, auto_levels_method, check_levels_loss, check_mc_runs,
+                     closed_form, closed_form_scale, levels_mc, pair_levels_mc,
                      simulate_window_estimates)
 from .losses import LossKind
 from .noise import NoiseKind
@@ -281,11 +283,37 @@ def _calibrate_sequential(config: CalibConfig, levels: Levels, pair: PairLevels 
                                         threshold_table(np.append(z, 1.0), scale, 0.0))
 
 
-def calibrate(config: CalibConfig, levels: Levels,
-              pair: PairLevels | None = None) -> CalibArtifact:
-    """The run of config.mode's search, checked as load_artifact checks a file."""
+def _closed_form_tables(cfg: CalibConfig, method: str):
+    """The window, ring and pair tables of closed-form method for cfg (closed_form)."""
+    return closed_form(cfg.family.counts, closed_form_scale(method, cfg.r, cfg.loss, cfg.noise))
+
+
+def calibrate(config: CalibConfig, levels: str = "auto",
+              levels_runs: int | None = None) -> CalibArtifact:
+    """config.mode's search on the levels of config's family, loss, noise and r, checked.
+
+    levels names the method ("auto": auto_levels_method's pick) of the window and, for the
+    lepski rule, pair levels, refused before any draw if it does not describe the loss;
+    Monte Carlo levels draw levels_runs (default config.runs) from seed + 1 and seed + 2.
+    """
+    family, loss, noise, r = config.family, config.loss, config.noise, config.r
+    method = auto_levels_method(loss) if levels == "auto" else levels
+    if method not in LEVEL_METHODS:
+        raise ValidationError(f"unknown level method {levels!r}")
+    if method != "monte_carlo" and levels_runs is not None:
+        raise ValidationError(f"a level run count ({levels_runs}) needs Monte Carlo levels, "
+                              f"not {method.replace('_', ' ')} levels")
+    check_levels_loss(method, loss)
+    lepski = config.rule == "lepski"
+    if method == "monte_carlo":
+        runs = config.runs if levels_runs is None else levels_runs
+        lv = levels_mc(family, loss, noise, runs, r, config.seed + 1)
+        pair = pair_levels_mc(family, loss, noise, runs, r, config.seed + 2) if lepski else None
+    else:
+        s, s_ring, s_pair = _closed_form_tables(config, method)
+        lv, pair = Levels(s, s_ring, method), PairLevels(s_pair, method) if lepski else None
     search = _calibrate_zeta if config.mode == "zeta" else _calibrate_sequential
-    return CalibArtifact(config, *search(config, levels, pair), levels, pair)
+    return CalibArtifact(config, *search(config, lv, pair), lv, pair)
 
 
 def verify_calibration(art: CalibArtifact, *, seed: int,
@@ -338,16 +366,19 @@ STREAM_VERSIONS = (1, 2)
 
 @dataclass(frozen=True)
 class CalibArtifact:
-    """One calibrate(config, levels, pair) run, as saved and reused.
+    """One calibrate run, as saved and reused.
 
-    per_k_error_share[k] is the part of the achieved value (achieved_lhs, their
-    sum) whose first rejecting window is k. The family is config's. Only zeta
-    mode has a zeta, and its thresholds crit are _zeta_to_z of it (to a relative
-    1e-9: np.log may round differently elsewhere); only the lepski rule has pair
-    levels; the levels' methods describe the loss (check_levels_loss); the
-    shares are finite, nonnegative and sum to at most the budget
-    alpha * s_K^r. Ring-rule zeta thresholds must meet the risk hypothesis
-    (z_k * s_k non-increasing), which the ring rule needs: a degenerate
+    per_k_error_share[k] is the part of the achieved value (achieved_lhs, their sum)
+    whose first rejecting window is k. The family is config's, and the versions are
+    ones load_artifact reads. Only zeta mode has a zeta, and its thresholds crit are
+    _zeta_to_z of it (to a relative 1e-9: np.log may round differently elsewhere);
+    only the lepski rule has pair levels; the levels' methods describe the loss
+    (check_levels_loss), and closed-form levels are config's (_closed_form_tables,
+    to the same 1e-9). Monte Carlo levels are kept as drawn, and asymptotic ones
+    under Student t noise as stored: their scale would import scipy.stats, which
+    quadruples a short verify. The shares are finite, nonnegative and sum to at most
+    the budget alpha * s_K^r. Ring-rule zeta thresholds must meet the risk
+    hypothesis (z_k * s_k non-increasing), which the ring rule needs: a degenerate
     budget (huge alpha) can push z below the final value.
     """
 
@@ -360,8 +391,12 @@ class CalibArtifact:
     stream: int = STREAM_VERSION
 
     def __post_init__(self) -> None:
-        cfg, crit, shares = self.config, self.crit, self.per_k_error_share
-        K = cfg.family.K
+        shares = np.asarray(self.per_k_error_share, dtype=float)
+        object.__setattr__(self, "per_k_error_share", shares)
+        cfg, crit, K = self.config, self.crit, self.config.family.K
+        for name, known in (("estimator", ESTIMATOR_VERSIONS), ("stream", STREAM_VERSIONS)):
+            if type(getattr(self, name)) is not int or getattr(self, name) not in known:
+                raise ValidationError(f"{name} version {getattr(self, name)!r} is none of {known}")
         sizes = {self.levels.K, crit.K, shares.size, K if self.pair is None else self.pair.K}
         if sizes != {K}:
             raise ValidationError(f"levels, thresholds or shares not sized for the "
@@ -377,6 +412,14 @@ class CalibArtifact:
                                   "pair levels")
         for lv in filter(None, (self.levels, self.pair)):
             check_levels_loss(lv.method, cfg.loss)
+            if lv.method == "monte_carlo" or (lv.method == "asymptotic"
+                                              and cfg.noise.kind == "student_t"):
+                continue
+            s, s_ring, s_pair = _closed_form_tables(cfg, lv.method)
+            tables = [(lv.s_pair, s_pair)] if lv is self.pair else [(lv.s, s), (lv.s_ring, s_ring)]
+            if not all(np.allclose(a, b, rtol=1e-9, atol=0, equal_nan=True) for a, b in tables):
+                raise ValidationError(f"{PAIR_LEVELS if lv is self.pair else WINDOW_LEVELS} are "
+                                      f"not the {lv.method} levels of the config")
         if not np.all(np.isfinite(shares) & (shares >= 0)):
             raise ValidationError("per-step error shares must be finite and nonnegative")
         if self.achieved_lhs > self.budget * (1.0 + 1e-9):

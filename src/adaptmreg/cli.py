@@ -23,9 +23,6 @@ from .experiments import (CALIBRATED_METHODS, METHODS, BenchRow, ExperimentSpec,
                           SampleRow, TailRow, TwoSampleReport, csv_text, median_moment_study,
                           replicate_rows, run_benchmark, tail_study, two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
-from .levels import (auto_levels_method, check_levels_loss, levels_asymptotic,
-                     levels_exact_mean, levels_mc, pair_levels_asymptotic,
-                     pair_levels_exact_mean, pair_levels_mc)
 from .losses import LossKind
 from .noise import parse_noise
 from .pgmio import read_grid, read_pgm, write_grid, write_pgm
@@ -185,38 +182,15 @@ def _family_for_calibrate(args) -> tuple[str, dict]:
     return "disc2d", {"radii": [float(r) for r in radii]}
 
 
-def _levels_for_calibrate(args, config: CalibConfig):
-    """The window levels and, for the lepski rule, the pair levels, both by --levels."""
-    family, loss, noise, r = config.family, config.loss, config.noise, config.r
-    pair = config.rule == "lepski"
-    choice = args.levels
-    if choice == "auto":
-        choice = {"exact_mean": "exact", "asymptotic": "asymptotic",
-                  "monte_carlo": "mc"}[auto_levels_method(loss)]  # its --levels name
-    if choice != "mc" and args.levels_runs is not None:
-        raise ValidationError(f"--levels-runs sets the Monte Carlo levels' run count, but "
-                              f"--levels {args.levels} gives {choice} levels")
-    if choice == "exact":
-        check_levels_loss("exact_mean", loss)
-        return (levels_exact_mean(family, r),
-                pair_levels_exact_mean(family, r) if pair else None)
-    if choice == "asymptotic":
-        return (levels_asymptotic(family, loss, noise, r),
-                pair_levels_asymptotic(family, loss, noise, r) if pair else None)
-    runs = args.runs if args.levels_runs is None else args.levels_runs
-    return (levels_mc(family, loss, noise, runs, r, seed=args.seed + 1),
-            pair_levels_mc(family, loss, noise, runs, r, seed=args.seed + 2) if pair else None)
-
-
 def _cmd_calibrate(args) -> int:
     kind, meta = _family_for_calibrate(args)
     config = CalibConfig(family_kind=kind, family_meta=meta, loss=parse_loss(args.loss),
                          noise=parse_noise(args.noise), r=args.r, alpha=args.alpha,
                          runs=args.runs, seed=args.seed, mode=args.mode, rule=args.rule)
-    levels, pair = _levels_for_calibrate(args, config)
-    art = calibrate(config, levels, pair)
+    method = {"exact": "exact_mean", "mc": "monte_carlo"}.get(args.levels, args.levels)
+    art = calibrate(config, method, args.levels_runs)
     save_artifact(args.out, art)
-    for w in levels.warnings + (pair.warnings if pair else ()) + config.warnings:
+    for w in art.levels.warnings + (art.pair.warnings if art.pair else ()) + config.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"calibrated {args.rule}/{args.mode} loss={config.loss.label} "
           f"achieved={art.achieved_lhs!r} budget={art.budget!r} -> {args.out}")

@@ -18,7 +18,8 @@ window, the reported level, and the thresholds, kept window-major as
 (K, K, geometries), the stopping loop's layout. Chunks of DENOISE_CHUNK
 pixels, the interior first, run through the same window estimates and
 stopping loop as the 1d code; a chunk of interior pixels misses no sample
-and shares one threshold table.
+and shares one threshold table. The border band's pixels follow in raster
+order, listed by one index array built once per image.
 
 The padded copy's dtype follows the values, not the file format. With the
 median or a quantile loss, an image whose values are all integers of
@@ -188,33 +189,6 @@ def _geometry_tables(dx: np.ndarray, dy: np.ndarray, x_clips: np.ndarray,
     return valid, reported, thr
 
 
-def _interior_first(pos: np.ndarray, h: int, w: int, reach: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (y, x) of the pixels at positions pos of the interior-first order.
-
-    The order runs over the unclipped interior in raster order, then over
-    the border band in raster order, so a chunk of interior pixels has one
-    geometry and no missing samples.
-    """
-    inner_w, inner_h = max(w - 2 * reach, 0), max(h - 2 * reach, 0)
-    n_inner = inner_w * inner_h
-    y, x = np.divmod(pos, max(inner_w, 1))
-    y += reach
-    x += reach
-    border = pos >= n_inner
-    if border.any():
-        band = np.full(h, w)  # border pixels per row
-        if n_inner:
-            band[reach: h - reach] = 2 * reach
-        ends = np.cumsum(band)
-        b = pos[border] - n_inner
-        row = np.searchsorted(ends, b, side="right")
-        col = b - (ends[row] - band[row])
-        y[border] = row
-        x[border] = np.where((band[row] < w) & (col >= reach), col + inner_w, col)
-    return y, x
-
-
 def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarray]:
     """Adaptive denoising; returns the estimate image and the window-size map.
 
@@ -258,15 +232,23 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarra
     n_x = len(x_clips)
     out = np.empty(h * w)
     k_hat = np.empty(h * w, dtype=np.int16)
+    inner_w = max(w - 2 * reach, 0)
+    n_inner = inner_w * max(h - 2 * reach, 0)
+    band = np.ones((h, w), dtype=bool)
+    band[reach: h - reach, reach: w - reach] = False
+    border = np.flatnonzero(band)
 
     def task(lo: int, hi: int) -> None:
-        y, x = _interior_first(np.arange(lo, hi), h, w, reach)
+        pos = np.arange(lo, hi)
+        y, x = np.divmod(pos, max(inner_w, 1))
+        pixels = (y + reach) * w + x + reach
+        pixels[pos >= n_inner] = border[pos[pos >= n_inner] - n_inner]
+        y, x = np.divmod(pixels, w)
         geometry = y_class[y] * n_x + x_class[x]
         bases, rings = window_estimates(flat[(y * padded_w + x)[:, None] + offsets],
                                         counts, cfg.loss, valid[geometry])
         one = (geometry == geometry[0]).all()
         sel = first_rejection(bases, rings, thr[..., geometry[0]] if one else thr[..., geometry])
-        pixels = y * w + x
         out[pixels] = bases[np.arange(hi - lo), sel]
         k_hat[pixels] = reported[geometry, sel]
 

@@ -19,44 +19,30 @@ def bench_family():
     return am.build_family_1d(xs, 0.0, am.benchmark_counts())
 
 
-def _line_artifact(family, loss, levels, rule, pair, seed):
+def _line_artifact(family, loss, rule, seed):
+    """The bench1d artifact of a loss named "mean" or "median" and a rule."""
     meta = {"counts": [int(c) for c in family.counts], "n": 200}
-    cfg = am.CalibConfig(family_kind="line1d", family_meta=meta, loss=loss,
+    cfg = am.CalibConfig(family_kind="line1d", family_meta=meta, loss=getattr(am.LossKind, loss)(),
                          noise=am.NoiseKind.laplace(), runs=BENCH_RUNS, seed=seed, rule=rule,
                          mode="zeta")
-    return am.calibrate(cfg, levels, pair)
+    return am.calibrate(cfg)
 
 
 @pytest.fixture(scope="session")
 def bench_artifacts(bench_family):
-    """Benchmark calibration suite: Laplace noise, r = 2, alpha = 1, 10^4 runs."""
-    med = am.LossKind.median()
-    mean = am.LossKind.mean()
-    lap = am.NoiseKind.laplace()
-    lv_mean = am.levels_exact_mean(bench_family)
-    lv_med = am.levels_asymptotic(bench_family, med, lap)
-    pair_mean = am.pair_levels_exact_mean(bench_family)
-    pair_med = am.pair_levels_asymptotic(bench_family, med, lap)
-    return {
-        "mean_ring": _line_artifact(bench_family, mean, lv_mean, "ring", None,
-                                    BENCH_SEEDS["mean_ring"]),
-        "mean_lepski": _line_artifact(bench_family, mean, lv_mean, "lepski",
-                                      pair_mean, BENCH_SEEDS["mean_lepski"]),
-        "median_ring": _line_artifact(bench_family, med, lv_med, "ring", None,
-                                      BENCH_SEEDS["median_ring"]),
-        "median_lepski": _line_artifact(bench_family, med, lv_med, "lepski",
-                                        pair_med, BENCH_SEEDS["median_lepski"]),
-    }
+    """Benchmark calibration suite: Laplace noise, r = 2, alpha = 1, 10^4 runs.
+
+    calibrate's auto levels: exact for the mean, asymptotic for the median.
+    """
+    return {name: _line_artifact(bench_family, *name.split("_"), seed)
+            for name, seed in BENCH_SEEDS.items()}
 
 
 @pytest.fixture(scope="session")
 def disc_artifact():
     """2d calibration artifact: median loss, Laplace, default disc radii."""
-    med = am.LossKind.median()
-    lap = am.NoiseKind.laplace()
     cfg = am.CalibConfig(family_kind="disc2d",
                          family_meta={"radii": [float(r) for r in am.default_disc_radii()]},
-                         loss=med, noise=lap, runs=BENCH_RUNS, seed=21, rule="ring",
-                         mode="zeta")
-    lv = am.levels_asymptotic(cfg.family, med, lap)
-    return am.calibrate(cfg, lv)
+                         loss=am.LossKind.median(), noise=am.NoiseKind.laplace(),
+                         runs=BENCH_RUNS, seed=21, rule="ring", mode="zeta")
+    return am.calibrate(cfg)

@@ -96,7 +96,7 @@ def smallest_passing(value, target, cap, unattainable):
 
 
 def calibrate_full(config, levels, pair=None, evaluated=None):
-    """(crit, shares) of calibrate(config, levels, pair), evaluating every replicate.
+    """(crit, shares) of config.mode's search on levels and pair, evaluating every replicate.
 
     Every replicate is evaluated at every candidate; evaluated, if given,
     collects each candidate the search evaluates.

@@ -18,7 +18,8 @@ from adaptmreg.calibration import (ESTIMATOR_VERSIONS, STREAM_VERSIONS, ZETA_MIN
                                    _row_totals, _shares, _zeta_to_z, build_family)
 from adaptmreg.cli import parse_loss
 from adaptmreg.errors import CalibrationError, ValidationError
-from adaptmreg.levels import MC_MIN_RUNS, Levels, simulate_window_estimates
+from adaptmreg.levels import (MC_MIN_RUNS, Levels, closed_form, closed_form_scale,
+                              simulate_window_estimates)
 from adaptmreg.parallel import CHUNK
 from adaptmreg.selector import threshold_table
 
@@ -50,9 +51,11 @@ def _with_thresholds(config, crit, levels, pair=None):
 
 def test_zeta_calibration_properties(small_setup):
     family, levels, config = small_setup
-    res = calibrate(config, levels)
+    res = calibrate(config)
     assert isinstance(res, am.CalibArtifact)
-    assert res.config is config and res.levels is levels and res.pair is None
+    assert res.config is config and res.pair is None
+    assert res.levels.s.tobytes() == levels.s.tobytes()
+    assert np.array_equal(res.levels.s_ring, levels.s_ring, equal_nan=True)
     assert res.crit.zeta is not None
     assert np.all(np.diff(res.crit.z) <= 1e-12)
     zs = res.crit.full(levels.K) * levels.s
@@ -64,8 +67,8 @@ def test_zeta_calibration_properties(small_setup):
 
 def test_determinism(small_setup):
     family, levels, config = small_setup
-    a = calibrate(config, levels)
-    b = calibrate(config, levels)
+    a = calibrate(config)
+    b = calibrate(config)
     assert a.crit.zeta == b.crit.zeta
     assert np.array_equal(a.per_k_error_share, b.per_k_error_share)
 
@@ -75,7 +78,7 @@ def test_calibrate_runs_the_search_of_its_mode(small_setup):
     family, levels, config = small_setup
     for mode, search in (("zeta", _calibrate_zeta), ("sequential", _calibrate_sequential)):
         cfg = replace(config, mode=mode)
-        art = calibrate(cfg, levels)
+        art = calibrate(cfg)
         crit, shares = search(cfg, levels, None)
         assert art.config.mode == mode and (art.crit.zeta is None) == (mode == "sequential")
         assert art.crit.z.tobytes() == crit.z.tobytes()
@@ -90,7 +93,7 @@ def test_huge_alpha_hits_grid_minimum(small_setup):
     # such tiny values violate the risk-bound hypothesis: calibrate returns no
     # artifact of them, none holds them, and the selection rule refuses them
     with pytest.raises(ValidationError, match=r"z_k \* s_k must be non-increasing"):
-        calibrate(cfg, levels)
+        calibrate(cfg)
     with pytest.raises(ValidationError, match=r"z_k \* s_k must be non-increasing"):
         am.CalibArtifact(cfg, crit, shares, levels, None)
     with pytest.raises(ValueError):
@@ -146,7 +149,7 @@ def test_artifact_checks_mode_and_budget(small_setup):
 
 def test_objective_monotone_in_thresholds(small_setup):
     family, levels, config = small_setup
-    z = calibrate(config, levels).crit.z
+    z = calibrate(config).crit.z
     lhs = [_objective(config, levels, None, f * z) for f in (1.5, 1.0, 0.5)]
     assert lhs[0] <= lhs[1] <= lhs[2]
 
@@ -154,7 +157,7 @@ def test_objective_monotone_in_thresholds(small_setup):
 def test_sequential_per_step_budget(small_setup):
     family, levels, config = small_setup
     cfg = replace(config, mode="sequential")
-    res = calibrate(cfg, levels)
+    res = calibrate(cfg)
     budget = _budget(cfg, levels)
     assert np.all(res.per_k_error_share <= budget / levels.K + 1e-12)
     assert res.achieved_lhs <= budget * (1 + 1e-9)
@@ -168,9 +171,9 @@ def test_sequential_vs_zeta_profiles(small_setup):
     thresholds; observed gaps reach ~60 percent, frozen here at 90.
     """
     family, levels, config = small_setup
-    res_z = calibrate(config, levels)
+    res_z = calibrate(config)
     cfg = replace(config, mode="sequential")
-    res_s = calibrate(cfg, levels)
+    res_s = calibrate(cfg)
     rel = np.abs(res_s.crit.z - res_z.crit.z) / res_z.crit.z
     assert rel.max() <= 0.90
     budget = _budget(cfg, levels)
@@ -183,7 +186,7 @@ def test_sequential_vs_zeta_profiles(small_setup):
 def test_zeta_ratio_structure(small_setup):
     """z_0^2 / z_{K-1}^2 equals the ratio of the parametric arguments exactly."""
     family, levels, config = small_setup
-    res = calibrate(config, levels)
+    res = calibrate(config)
     K = levels.K
     arg = (2.0 * config.r * np.log(levels.s[:K] / levels.s[K])
            + np.log(1.0 / config.alpha) + np.log(K))
@@ -199,7 +202,7 @@ def test_sequential_k1_matches_bruteforce():
                          mode="sequential")
     family = config.family
     levels = am.levels_asymptotic(family, LossKind.median(), NoiseKind.laplace())
-    res = calibrate(config, levels)
+    res = calibrate(config)
 
     bases, rings = simulate_window_estimates(
         family, config.loss, config.noise, config.runs, config.seed)
@@ -249,7 +252,7 @@ def test_row_totals_and_shares_match_dense_reference(small_setup, rule):
 def test_sequential_matches_dense_reference(small_setup):
     family, levels, config = small_setup
     cfg = replace(config, mode="sequential")
-    res = calibrate(cfg, levels)
+    res = calibrate(cfg)
     crit, shares = calibrate_full(cfg, levels)
     assert np.array_equal(res.crit.z, crit.z)
     assert np.array_equal(res.per_k_error_share, shares)
@@ -305,8 +308,8 @@ def test_search_matches_full_evaluation(small_setup, search_levels, mode, rule, 
         return row_totals(bases, nxt, weights, thr)
 
     monkeypatch.setattr(calibration, "_row_totals", counted)
-    art = calibrate(cfg, levels, pair)
-    _same_result((art.crit, art.per_k_error_share), want)
+    search = _calibrate_zeta if mode == "zeta" else _calibrate_sequential
+    _same_result(search(cfg, levels, pair), want)
     if mode == "zeta":
         assert len(evaluated) > 10
         assert 0 < sum(seen) < 0.5 * len(evaluated) * cfg.runs
@@ -338,7 +341,7 @@ def test_verify_extreme_thresholds(small_setup):
 
 def test_verify_requires_fresh_seed(small_setup):
     family, levels, config = small_setup
-    art = calibrate(config, levels)
+    art = calibrate(config)
     with pytest.raises(ValueError):
         verify_calibration(art, seed=config.seed)
 
@@ -375,7 +378,8 @@ def test_streamed_verify_matches_whole_replicate_set(small_setup, loss, rule, th
         art = _with_thresholds(cfg, am.CriticalValues(z=np.linspace(1.6, 0.9, levels.K)),
                                levels, pair)
     else:
-        art = calibrate(replace(cfg, runs=MC_MIN_RUNS, mode="sequential"), levels, pair)
+        seq = replace(cfg, runs=MC_MIN_RUNS, mode="sequential")
+        art = am.CalibArtifact(seq, *_calibrate_sequential(seq, levels, pair), levels, pair)
     whole = DenseStats(replace(cfg, seed=77), levels, pair)
     want = whole.objective(art.crit.z) / (cfg.alpha * float(levels.s[-1]) ** cfg.r)
     assert want > 0.0
@@ -415,13 +419,97 @@ def test_calibration_failure_diagnostics(small_setup):
     bogus = Levels(s=np.full(K + 1, 1e-9), s_ring=np.full((K, K), 1e-12),
                    method="exact_mean")
     with pytest.raises(CalibrationError):
-        calibrate(config, bogus)
+        _calibrate_zeta(config, bogus, None)
 
 
 def test_lepski_rule_needs_pair(small_setup):
+    """calibrate gives the lepski rule its pair levels; an artifact without them is refused."""
     family, levels, config = small_setup
-    with pytest.raises(ValueError):
-        calibrate(replace(config, rule="lepski"), levels)
+    cfg = replace(config, rule="lepski")
+    art = calibrate(cfg)
+    want = am.pair_levels_asymptotic(family, cfg.loss, cfg.noise)
+    assert art.pair.method == "asymptotic"
+    assert np.array_equal(art.pair.s_pair, want.s_pair, equal_nan=True)
+    with pytest.raises(ValueError, match="the lepski rule needs pair levels"):
+        replace(art, pair=None)
+
+
+def test_calibrate_builds_the_levels_of_its_config(small_setup):
+    """calibrate's tables are those of the config's loss, noise and r, and no others load.
+
+    Closed-form tables that another r, loss or noise law gives make no
+    artifact, even with the thresholds a search found on them.
+    """
+    family, levels, config = small_setup
+    cfg = replace(config, r=3.0, rule="lepski")
+    art = calibrate(cfg)
+    want = am.levels_asymptotic(family, cfg.loss, cfg.noise, 3.0)
+    assert art.levels.method == "asymptotic"
+    assert art.levels.s.tobytes() == want.s.tobytes()
+    assert np.array_equal(art.levels.s_ring, want.s_ring, equal_nan=True)
+    assert np.array_equal(art.pair.s_pair, am.pair_levels_asymptotic(
+        family, cfg.loss, cfg.noise, 3.0).s_pair, equal_nan=True)
+    quantile = replace(config, loss=LossKind.quantile(0.3))
+    gaussian_quantile = am.levels_asymptotic(family, quantile.loss, NoiseKind.gaussian())
+    for cfg, lv in ((replace(config, r=3.0), levels), (config, gaussian_quantile),
+                    (quantile, levels)):
+        found = _calibrate_zeta(cfg, lv, None)
+        with pytest.raises(ValidationError, match="the window levels are not the asymptotic "
+                                                  "levels of the config"):
+            am.CalibArtifact(cfg, *found, lv, None)
+    pair_r2 = am.pair_levels_asymptotic(family, config.loss, config.noise)
+    with pytest.raises(ValidationError, match="the pair levels are not the asymptotic"):
+        replace(art, pair=pair_r2)
+    # Monte Carlo tables draw levels_runs replicates from seed + 1 and seed + 2
+    mc = calibrate(replace(config, rule="lepski", loss=LossKind.huber(1.345)),
+                   levels_runs=MC_MIN_RUNS)
+    lv_mc = am.levels_mc(family, mc.config.loss, config.noise, MC_MIN_RUNS, seed=config.seed + 1)
+    pair_mc = am.pair_levels_mc(family, mc.config.loss, config.noise, MC_MIN_RUNS,
+                                seed=config.seed + 2)
+    assert (mc.levels.runs, mc.levels.seed, mc.pair.runs, mc.pair.seed) == (
+        MC_MIN_RUNS, config.seed + 1, MC_MIN_RUNS, config.seed + 2)
+    assert mc.levels.s.tobytes() == lv_mc.s.tobytes()
+    assert np.array_equal(mc.pair.s_pair, pair_mc.s_pair, equal_nan=True)
+
+
+@pytest.mark.parametrize("loss, levels, runs, message", [
+    ("median", "asymptotic", 5,
+     r"a level run count \(5\) needs Monte Carlo levels, not asymptotic levels"),
+    ("mean", "auto", 2000,
+     r"a level run count \(2000\) needs Monte Carlo levels, not exact mean levels"),
+    ("median", "exact_mean", None, "exact mean levels apply to mean losses"),
+    ("huber:1.345", "asymptotic", None, "asymptotic levels apply to median and quantile losses"),
+    ("median", "exact", None, "unknown level method 'exact'"),
+], ids=["runs_asymptotic", "runs_auto_mean", "exact_median", "asymptotic_huber", "unknown"])
+def test_calibrate_refuses_its_levels_before_drawing(small_setup, monkeypatch, loss, levels,
+                                                    runs, message):
+    """A level method that does not describe the loss, or a stray run count, draws nothing."""
+    import adaptmreg.levels as lv
+
+    def no_draws(*args):
+        raise AssertionError("drew replicates for a refused calibration")
+
+    monkeypatch.setattr(lv, "sample_rows", no_draws)
+    _, _, config = small_setup
+    for rule in ("ring", "lepski"):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            calibrate(replace(config, loss=parse_loss(loss), rule=rule), levels, runs)
+
+
+def test_artifact_coerces_shares_and_checks_versions(small_setup):
+    """Shares become a float array as level tables do; versions are ones load_artifact reads."""
+    family, levels, config = small_setup
+    art = _with_thresholds(config, am.CriticalValues(z=np.full(levels.K, 1.5)), levels)
+    shares = np.linspace(0.0, 1e-3, levels.K)
+    listed = replace(art, per_k_error_share=shares.tolist())
+    assert isinstance(listed.per_k_error_share, np.ndarray)
+    assert listed.per_k_error_share.tobytes() == shares.tobytes()
+    with pytest.raises(ValidationError, match="not sized for the family's"):
+        replace(art, per_k_error_share=shares.tolist()[:-1])
+    for name, bad in (("estimator", 7), ("estimator", 2.0), ("estimator", "1"),
+                      ("estimator", True), ("stream", 3), ("stream", 0), ("stream", "2")):
+        with pytest.raises(ValidationError, match=f"^{name} version {bad!r} is none of "):
+            replace(art, **{name: bad})
 
 
 def test_artifact_family_must_be_the_described_one(disc_artifact):
@@ -443,7 +531,7 @@ def test_artifact_family_must_be_the_described_one(disc_artifact):
 
 def test_artifact_roundtrip(tmp_path, small_setup):
     family, levels, config = small_setup
-    art = calibrate(config, levels)
+    art = calibrate(config)
     path = tmp_path / "test.cal"
     save_artifact(path, art)
     loaded = load_artifact(path)
@@ -485,7 +573,8 @@ def _artifacts(draw):
     settings are ones a calibration accepts, a zeta is drawn in zeta mode
     only and the thresholds derive from it, the nonnegative shares sum to at
     most the budget, the levels stay non-increasing, closed-form levels
-    describe the loss, Monte Carlo levels alone carry a run count (at least
+    describe the loss and are the ones closed_form gives for the family,
+    loss, noise and r, Monte Carlo levels alone carry a run count (at least
     1,000) and a seed, pair levels come with the lepski rule only, and
     ring-rule zeta values meet the risk hypothesis.
     """
@@ -515,26 +604,36 @@ def _artifacts(draw):
     loss = draw(st.sampled_from([LossKind.mean(), LossKind.median()])
                 | st.builds(LossKind.quantile, _positive(1e-3, 0.999))
                 | st.builds(LossKind.huber, _positive()))
+    noise = draw(st.sampled_from(["laplace", "gaussian", "student_t"]).flatmap(
+        lambda kind: st.builds(NoiseKind, st.just(kind),
+                               st.integers(3, 30) if kind == "student_t" else st.none())))
 
     def provenance():
-        # closed-form levels only for the losses they describe
-        closed = {"mean": ["exact_mean"], "median": ["asymptotic"], "quantile": ["asymptotic"]}
+        # closed-form levels only for the losses they describe (exact ones for r = 2 only)
+        closed = {"mean": ["exact_mean"] if r == 2.0 else [], "median": ["asymptotic"],
+                  "quantile": ["asymptotic"]}
         method = draw(st.sampled_from(closed.get(loss.kind, []) + ["monte_carlo"]))
         if method != "monte_carlo":
             return {"method": method}
         return {"method": method, "runs": draw(st.integers(MC_MIN_RUNS, 2 ** 40)),
                 "seed": draw(st.integers(0, 2 ** 40))}
 
-    levels = Levels(s=np.sort(positives(K + 1))[::-1], s_ring=lower_triangle(K, 0),
-                    **provenance())
+    def closed_form_tables(method):
+        return closed_form(family.counts, closed_form_scale(method, r, loss, noise))
+
+    # closed-form tables are the config's own; Monte Carlo ones are drawn
+    window = provenance()
+    if window["method"] == "monte_carlo":
+        levels = Levels(np.sort(positives(K + 1))[::-1], lower_triangle(K, 0), **window)
+    else:
+        levels = Levels(*closed_form_tables(window["method"])[:2], **window)
     mode = draw(st.sampled_from(["zeta", "sequential"]))
     rule = draw(st.sampled_from(["ring", "lepski"]))
     pair = None
     if rule == "lepski":
-        pair = am.PairLevels(s_pair=lower_triangle(K + 1, -1), **provenance())
-    noise = draw(st.sampled_from(["laplace", "gaussian", "student_t"]).flatmap(
-        lambda kind: st.builds(NoiseKind, st.just(kind),
-                               st.integers(3, 30) if kind == "student_t" else st.none())))
+        prov = provenance()
+        pair = am.PairLevels(lower_triangle(K + 1, -1) if prov["method"] == "monte_carlo"
+                             else closed_form_tables(prov["method"])[2], **prov)
     config = CalibConfig(
         family_kind=family_kind, family_meta=meta, loss=loss, noise=noise, r=r, alpha=alpha,
         runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),

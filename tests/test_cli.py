@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import adaptmreg as am
-from adaptmreg.calibration import save_artifact
+from adaptmreg.calibration import _calibrate_zeta, save_artifact
 from adaptmreg.cli import _build_parser, parse_loss, run_cli
 from adaptmreg.parallel import CHUNK
 from adaptmreg.pgmio import read_pgm, write_pgm
@@ -200,6 +201,7 @@ def _closed_form_pair_lines(body):
      "the window levels are asymptotic, which has no run count or seed"),
     (_set(levels_method=lambda v: "bogus"), "unknown method 'bogus' of the window levels"),
     (_set(levels_method=lambda v: "exact_mean"), "exact mean levels apply to mean losses"),
+    (_set(s=_scaled(2.0)), "the window levels are not the asymptotic levels of the config"),
     (_set(z=_scaled(0.5)), "thresholds z are not those of zeta "),
     (_set(s=_scaled(math.nan)),
      "s and s_ring on and below the diagonal must be finite and strictly positive"),
@@ -209,8 +211,8 @@ def _closed_form_pair_lines(body):
     (_set(rule=lambda v: "lepski"), "the lepski rule needs pair levels"),
 ], ids=["budget", "budget_and_shares", "achieved_lhs", "noise_scale", "mode", "comment",
         "unknown_key", "duplicate_alpha", "alpha_int", "swapped_lines", "levels_runs",
-        "levels_method", "exact_levels", "halved_z", "nan_s", "negated_shares", "ring_with_pair",
-        "lepski_without_pair"])
+        "levels_method", "exact_levels", "scaled_s", "halved_z", "nan_s", "negated_shares",
+        "ring_with_pair", "lepski_without_pair"])
 def test_tampered_derived_values_refused_by_every_command(workdir, disc_cal, tmp_path, capsys,
                                                          edit, message):
     """A re-hashed artifact that save_artifact would not write, or that a check refuses.
@@ -310,6 +312,28 @@ def test_artifacts_of_earlier_versions_load_verify_and_resave(tmp_path, capsys):
     assert (lepski.pair.runs, lepski.pair.seed) == (1200, 15)
 
 
+def test_artifacts_load_without_scipy(tmp_path):
+    """Checking closed-form levels against the config needs no scipy.
+
+    Laplace and Gaussian scales are computed without it; Student t asymptotic
+    levels are kept as stored.
+    """
+    config = am.CalibConfig(family_kind="line1d", family_meta={"n": 60, "counts": [5, 9, 17]},
+                            loss=am.LossKind.quantile(0.3), noise=am.NoiseKind.gaussian(),
+                            runs=1000, seed=4, rule="lepski")
+    save_artifact(tmp_path / "gauss.cal", am.calibrate(config))
+    save_artifact(tmp_path / "t.cal", am.calibrate(replace(config, noise=am.NoiseKind.student_t())))
+    paths = [tmp_path / "gauss.cal", tmp_path / "t.cal", DATA / "3e22d29_median_ring.cal",
+             DATA / "50ca8b8_median_disc.cal"]
+    code = ("import sys\nfrom adaptmreg.calibration import load_artifact\n"
+            f"methods = [load_artifact(p).levels.method for p in {[str(p) for p in paths]!r}]\n"
+            "print(methods, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(am.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout == f"{['asymptotic'] * 4} []\n"
+
+
 def test_lepski_mc_artifact_is_rebuilt_byte_for_byte(tmp_path):
     """The library still writes d70d3e5_median_lepski_mc.cal from its recorded inputs."""
     meta = {"n": 200, "counts": am.benchmark_counts()}
@@ -318,7 +342,8 @@ def test_lepski_mc_artifact_is_rebuilt_byte_for_byte(tmp_path):
                             runs=1000, seed=13, rule="lepski")
     levels = am.levels_mc(config.family, loss, noise, 1500, seed=14)
     pair = am.pair_levels_mc(config.family, loss, noise, 1200, seed=15)
-    art = am.calibrate(config, levels, pair)
+    # calibrate draws both tables with one run count, so the search is run on these
+    art = am.CalibArtifact(config, *_calibrate_zeta(config, levels, pair), levels, pair)
     save_artifact(tmp_path / "lepski.cal", art)
     assert ((tmp_path / "lepski.cal").read_bytes()
             == (DATA / "d70d3e5_median_lepski_mc.cal").read_bytes())
@@ -1014,7 +1039,8 @@ def test_validation_exit_codes(tmp_path, capsys):
         assert run("calibrate", "--loss", "median", "--levels", levels, "--levels-runs", "5",
                    "--runs", "1000", "--seed", "3", "--out", tmp_path / "z.cal") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: validation: --levels-runs ") and "asymptotic" in err, err
+        assert err == ("error: validation: a level run count (5) needs Monte Carlo levels, "
+                       "not asymptotic levels\n"), err
         assert not (tmp_path / "z.cal").exists()
     # --levels auto with a huber loss gives Monte Carlo levels, and takes the flag
     assert run("calibrate", "--loss", "huber:1.345", "--levels-runs", "1000",

@@ -12,7 +12,8 @@ from adaptmreg import (DenoiseConfig, Image, NoiseKind, RngStream, denoise_image
                        estimate_noise_scale, read_grid, read_pgm, sample_noise,
                        write_grid, write_pgm)
 from adaptmreg.errors import ValidationError
-from adaptmreg.imaging import DENOISE_CHUNK, _interior_first
+from adaptmreg.imaging import DENOISE_CHUNK
+from adaptmreg.levels import auto_levels_method
 from adaptmreg.parallel import chunk_ranges
 from adaptmreg.selector import CriticalValues
 from oracle_select import base_estimates, ring_reference
@@ -56,9 +57,12 @@ def _auto(art, image):
 def _swapped(art, loss=None, levels=None, crit=None):
     """The artifact with another loss, levels or thresholds.
 
+    Another loss that asymptotic levels describe takes its own unless levels are given.
     Thresholds without a zeta make it a sequential-mode artifact.
     """
     config = art.config if loss is None else replace(art.config, loss=loss)
+    if loss is not None and levels is None and auto_levels_method(loss) == "asymptotic":
+        levels = am.levels_asymptotic(config.family, loss, config.noise, config.r)
     if crit is not None and crit.zeta is None:
         config = replace(config, mode="sequential")
     return replace(art, config=config, crit=crit or art.crit, levels=levels or art.levels)
@@ -116,12 +120,9 @@ def test_worker_count_invariance(disc_artifact, monkeypatch):
     reach = int(np.floor(max(disc_artifact.config.family_meta["radii"])))
     chunks = chunk_ranges(48 * 48, DENOISE_CHUNK)
     assert len(chunks) >= 2
-    mixed = 0
-    for lo, hi in chunks:
-        y, x = _interior_first(np.arange(lo, hi), 48, 48, reach)
-        inner = np.minimum(np.minimum(y, 47 - y), np.minimum(x, 47 - x)) >= reach
-        mixed += bool(inner.any() and not inner.all())
-    assert mixed >= 1  # one chunk holds border and interior pixels
+    # the interior's n_inner pixels come first, then the border band's
+    n_inner = (48 - 2 * reach) ** 2
+    assert any(lo < n_inner < hi for lo, hi in chunks)  # one chunk holds both kinds
     image = Image(img)
     monkeypatch.setenv("ADAPTMREG_WORKERS", "1")
     out1, khat1 = denoise_image(image, _auto(disc_artifact, image))
@@ -347,8 +348,9 @@ def test_rejects_incompatible_configs(disc_artifact):
         DenoiseConfig(_swapped(art, am.LossKind.huber(1.0), mc), 1.0)
     # closed-form levels of another loss, and thresholds sized for other radii, do not
     # even make an artifact
-    with pytest.raises(ValidationError, match="asymptotic levels apply to median and quantile"):
-        _swapped(art, am.LossKind.huber(1.0))
+    for loss in (am.LossKind.huber(1.0), am.LossKind.mean()):
+        with pytest.raises(ValidationError, match="asymptotic levels apply to median and quantile"):
+            _swapped(art, loss)
     with pytest.raises(ValidationError, match="sized for the family's"):
         _swapped(art, crit=CriticalValues(z=art.crit.z[:-2]))
     for sigma in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
