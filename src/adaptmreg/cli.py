@@ -207,28 +207,21 @@ def _cmd_verify(args) -> int:
 
 
 def _load_bench_artifacts(spec_methods, arg: str) -> dict[str, CalibArtifact]:
-    out: dict[str, CalibArtifact] = {}
     path = Path(arg)
     if path.is_dir():
-        for m in spec_methods:
-            if m not in CALIBRATED_METHODS:
-                continue
-            f = path / f"{m}.cal"
-            if not f.exists():
-                raise ValidationError(f"missing calibration artifact {f}")
-            out[m] = load_artifact(f)
-        return out
-    for part in arg.split(","):
-        name, sep, p = part.partition("=")
-        if not sep:
-            raise ValidationError(
-                "--calib must be a directory or method=path[,method=path...]")
-        name = name.strip()
-        if name not in CALIBRATED_METHODS or name not in spec_methods:
-            raise ValidationError(f"--calib entry {part.strip()!r} names no method "
-                                  "of --methods that takes an artifact")
-        out[name] = load_artifact(p.strip())
-    return out
+        paths = {m: path / f"{m}.cal" for m in spec_methods if m in CALIBRATED_METHODS}
+    else:
+        paths = {}
+        for part in arg.split(","):
+            name, sep, p = (s.strip() for s in part.partition("="))
+            if not sep:
+                raise ValidationError(
+                    "--calib must be a directory or method=path[,method=path...]")
+            if name not in CALIBRATED_METHODS or name not in spec_methods:
+                raise ValidationError(f"--calib entry {part.strip()!r} names no method "
+                                      "of --methods that takes an artifact")
+            paths[name] = p
+    return {m: load_artifact(p) for m, p in paths.items()}
 
 
 def _cmd_bench(args) -> int:

@@ -23,9 +23,8 @@ from .levels import normal_abs_moment, simulate_window_estimates
 from .losses import LossKind, locate_rows, window_estimates
 from .noise import NoiseKind, cdf, density, density_at_zero, sample_rows
 from .parallel import run_chunks
-from .selector import (SelectionTrace, select_lepski, select_lepski_batch, select_ring,
-                       select_ring_batch)
-from .windows import WindowFamily, benchmark_counts, build_family_1d, equidistant_design
+from .selector import SelectionTrace, _one_row, select_lepski_batch, select_ring_batch
+from .windows import WindowFamily, equidistant_design
 
 __all__ = [
     "METHODS",
@@ -127,12 +126,12 @@ class BenchmarkReport:
 
 
 def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
-                     ) -> tuple[WindowFamily, dict[str, CalibArtifact]]:
+                     ) -> tuple[WindowFamily | None, dict[str, CalibArtifact]]:
     """The artifacts' window family, and the artifact of each method that needs one.
 
     A method's artifact must be calibrated for the loss and rule its name
     gives, over a line1d family of spec's n design points, and all the same
-    family. An oracle-only run takes the benchmark's default family.
+    family. An oracle-only run has no family: no method selects.
     """
     needed = {m: calib.get(m) for m in spec.methods if m in CALIBRATED_METHODS}
     missing = [m for m, art in needed.items() if art is None]
@@ -151,8 +150,6 @@ def _check_artifacts(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
             family = cfg.family
         elif not np.array_equal(family.counts, cfg.family.counts):
             raise ValidationError("calibration artifacts use different window families")
-    if family is None:
-        family = build_family_1d(equidistant_design(spec.n), 0.0, benchmark_counts())
     return family, needed
 
 
@@ -179,15 +176,18 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
                   ) -> BenchmarkReport:
     """Monte Carlo median absolute error at x = 0 for each requested method.
 
-    The chunk holding replicate 0 also traces each calibrated method's
-    selection on that replicate, from the very estimates it selected on.
+    Windows are gathered and estimated only when some method selects. The
+    chunk holding replicate 0 traces each one's selection on that replicate
+    from its batch's own k_hat. An oracle window with no design point is refused.
     """
     family, calibrated = _check_artifacts(spec, calib)
     xs = equidistant_design(spec.n)
     g = spec.signal_fn()(xs)
     theta = float(spec.signal_fn()(np.zeros(1))[0])
     oracle_idx = np.flatnonzero(np.abs(xs) <= ORACLE_HALFWIDTH[spec.example] + 1e-12)
-    order, counts = family.order, family.counts
+    if "median_oracle" in spec.methods and oracle_idx.size == 0:
+        raise ValidationError(f"the oracle window of half-width {ORACLE_HALFWIDTH[spec.example]!r}"
+                              f" holds no point of the n={spec.n} design")
 
     losses = dict.fromkeys(art.config.loss for art in calibrated.values())
     errors = {m: np.empty(spec.runs) for m in spec.methods}
@@ -195,10 +195,11 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
 
     def task(lo: int, hi: int) -> None:
         y = replicate_rows(spec, g, lo, hi)
-        # np.take gathers in C order (y[:, order] is column-major), so that a
-        # mean row sums as locate() sums it alone
-        yw = np.take(y, order, axis=1)
-        estimates = {loss: window_estimates(yw, counts, loss) for loss in losses}
+        if calibrated:
+            # np.take gathers in C order (y[:, order] is column-major), so that a
+            # mean row sums as locate() sums it alone
+            yw = np.take(y, family.order, axis=1)
+            estimates = {loss: window_estimates(yw, family.counts, loss) for loss in losses}
         for method, art in calibrated.items():
             bases, rings = estimates[art.config.loss]
             lepski = art.config.rule == "lepski"
@@ -209,9 +210,8 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
             theta_hat = np.take_along_axis(bases, k_hat[:, None], axis=1)[:, 0]
             errors[method][lo:hi] = np.abs(theta_hat - theta)
             if lo == 0:
-                traces[method] = (
-                    select_lepski(bases[0], art.pair, art.crit) if lepski
-                    else select_ring(bases[0], rings[0], art.levels, art.crit))
+                traces[method] = _one_row(art.config.rule, bases[0], None if lepski else rings[0],
+                                          int(k_hat[0]), art.levels, art.pair, art.crit)
         if "median_oracle" in spec.methods:
             est = locate_rows(y[:, oracle_idx], LossKind.median())
             errors["median_oracle"][lo:hi] = np.abs(est - theta)

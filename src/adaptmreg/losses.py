@@ -146,14 +146,14 @@ def _huber_edges(rows: np.ndarray, kink: float) -> tuple[np.ndarray, np.ndarray]
 
         psi(mu) = kink (n - L - U) + (S_L - S_U) - (L - U) mu
 
-    with prefix sums S. The root lies on the piece that ends at the first
-    breakpoint where psi <= 0 and is solved there in closed form, summing the
-    active values directly. A flat stretch of zeros needs L = U = n/2, so it
-    exists only for even n, from y_(n/2-1) + kink to y_(n/2) - kink, and its
-    ends are returned exactly. Every step works within a row, so a row's
-    edges do not depend on the other rows of the batch, nor on the blocks
-    of rows solved together. The per-row lookups are flat takes from the
-    contiguous tables at row offset plus column.
+    with S the prefix sums of the row clipped near its middle (below). The
+    root lies on the piece that ends at the first breakpoint where psi <= 0
+    and is solved there in closed form, summing the active values directly.
+    A flat stretch of zeros needs L = U = n/2, so it exists only for even n,
+    from y_(n/2-1) + kink to y_(n/2) - kink, and its ends are returned
+    exactly. Every step works within a row, so a row's edges depend neither
+    on the other rows of the batch nor on the blocks of rows solved together.
+    Per-row lookups are flat takes from the contiguous tables.
     """
     r, n = rows.shape
     block = max(1, _HUBER_BREAKS // (2 * n))
@@ -161,9 +161,15 @@ def _huber_edges(rows: np.ndarray, kink: float) -> tuple[np.ndarray, np.ndarray]
         parts = [_huber_edges(rows[i: i + block], kink) for i in range(0, r, block)]
         return tuple(np.concatenate(side) for side in zip(*parts))
     ys = np.sort(rows, axis=1)
+    # n/2 or more values are <= m = y_((n-1)/2) (more for odd n) and more than n/2
+    # are >= m, so psi(m - kink) > 0 >= psi(m + kink): the root's piece lies between
+    # m's breakpoints. Clipped to m +- 3 kink, psi is unchanged on [m - 2 kink, m + 2 kink]
+    # and no far value's rounding enters the prefix sums; active values and flat ends read ys.
+    mid = ys[:, (n - 1) // 2, None]
+    yc = np.clip(ys, mid - 3 * kink, mid + 3 * kink)
     prefix = np.zeros((r, n + 1))
-    np.cumsum(ys, axis=1, out=prefix[:, 1:])
-    breaks = np.concatenate([ys - kink, ys + kink], axis=1)
+    np.cumsum(yc, axis=1, out=prefix[:, 1:])
+    breaks = np.concatenate([yc - kink, yc + kink], axis=1)
     order = np.argsort(breaks, axis=1, kind="stable")
     # row offsets into the flattened (r, 2n) tables and the (r, n + 1) prefix sums
     wide = np.arange(r) * (2 * n)

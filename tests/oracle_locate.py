@@ -10,8 +10,11 @@ matching the library's tie convention.
 
 huber_edges is the library's exact Huber solver as it stood with
 np.take_along_axis gathers, kept as the reference that losses._huber_edges
-must match bit for bit.
+must match bit for bit. huber_root_exact solves the Huber score in exact
+rational arithmetic, with no rounding for far outliers or tiny kinks.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +72,31 @@ def brute_huber(values, loss):
     tol = 1e-9 * (1.0 + abs(best))
     hits = cands[objs <= best + tol]
     return 0.5 * (hits.min() + hits.max())
+
+
+def huber_root_exact(values, kink):
+    """Midpoint of the zero set of psi(mu) = sum clip(y - mu, -kink, kink), as a Fraction.
+
+    Every float is an exact rational, and psi is non-increasing and linear
+    between the breakpoints y_i +- kink, positive (n kink) at the lowest and
+    negative at the highest. The zero set's left end is the first breakpoint
+    where psi <= 0, or the zero of the line to it from the one before; the
+    right end likewise from the top.
+    """
+    k = Fraction(float(kink))
+    ys = [Fraction(float(v)) for v in values]
+    bps = sorted({y + s for y in ys for s in (-k, k)})
+    psi = [sum(max(-k, min(k, y - mu)) for y in ys) for mu in bps]
+
+    def crossing(i, j):
+        # the zero of the line through (bps[i], psi[i]) and (bps[j], psi[j])
+        return bps[i] + (bps[j] - bps[i]) * psi[i] / (psi[i] - psi[j])
+
+    lo = next(i for i, v in enumerate(psi) if v <= 0)
+    hi = next(i for i in reversed(range(len(psi))) if psi[i] >= 0)
+    left = bps[lo] if psi[lo] == 0 else crossing(lo - 1, lo)
+    right = bps[hi] if psi[hi] == 0 else crossing(hi, hi + 1)
+    return (left + right) / 2
 
 
 def brute_mean(values, loss):

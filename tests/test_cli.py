@@ -435,10 +435,41 @@ def test_bench_partial_methods(workdir):
     assert lines[1].split(",")[2] == "median_ring"
 
 
-def test_bench_calib_directory_missing(workdir):
-    rc = run("bench", "--example", "1", "--noise", "laplace", "--runs", "10",
-             "--seed", "1", "--calib", workdir, "--out", workdir / "x.csv")
-    assert rc == 1  # directory lacks <method>.cal files
+def test_bench_calib_directory_missing(workdir, tmp_path, capsys):
+    """A directory without one method's <method>.cal exits 1 naming that file."""
+    (tmp_path / "median_ring.cal").write_bytes((workdir / "med.cal").read_bytes())
+    out = tmp_path / "x.csv"
+    rc = run("bench", "--example", "1", "--noise", "laplace", "--runs", "10", "--seed", "1",
+             "--methods", "median_ring,mean_ring", "--calib", tmp_path, "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: validation: cannot read calibration artifact "
+                                       f"{tmp_path / 'mean_ring.cal'}: No such file or directory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [100, 3, 200])
+def test_bench_oracle_only_runs_at_any_size(tmp_path, n):
+    """An oracle-only bench selects nothing, so it needs no window family to fit n.
+
+    At n = 200 the row is byte for byte the one bench wrote when it still built one.
+    """
+    out = tmp_path / "o.csv"
+    assert run("bench", "--example", "1", "--methods", "median_oracle", "--n", n,
+               "--runs", "50", "--seed", "1", "--calib", tmp_path, "--out", out) == 0
+    header, row = out.read_text().splitlines()
+    assert header == "example,noise,method,mc_median_abs_error,runs,seed"
+    assert row.startswith("1,laplace,median_oracle,") and row.endswith(",50,1")
+    if n == 200:
+        assert row == "1,laplace,median_oracle,0.07458115092700747,50,1"
+
+
+def test_bench_oracle_window_without_design_points_refused(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run("bench", "--example", "1", "--methods", "median_oracle", "--n", "2",
+               "--runs", "50", "--seed", "1", "--calib", tmp_path, "--out", out) == 1
+    assert capsys.readouterr().err == ("error: validation: the oracle window of half-width 0.2 "
+                                       "holds no point of the n=2 design\n")
+    assert not out.exists()
 
 
 def test_bench_trace_dump(workdir):

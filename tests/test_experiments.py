@@ -65,6 +65,9 @@ def test_traces_are_replicate_zero_of_the_batch(bench_artifacts, bench_family):
 
     The estimates are recomputed over the whole 20-row chunk, as bench
     computed them; for mean losses a one-row batch can round differently.
+    bench traces from its batch's k_hat without selecting again, and the
+    trace is field by field the one select_ring or select_lepski gives on
+    replicate 0, for both rules.
     """
     spec = ExperimentSpec(example=1, noise=NoiseKind.laplace(), runs=20, seed=7)
     report = run_benchmark(spec, bench_artifacts)
@@ -72,8 +75,8 @@ def test_traces_are_replicate_zero_of_the_batch(bench_artifacts, bench_family):
     xs = am.equidistant_design(200)
     y = am.signal_step(xs) + am.sample_rows(spec.noise, 200, spec.seed, 0, 20)
     for method, art in bench_artifacts.items():
-        bases, rings = am.window_estimates(y[:, bench_family.order], bench_family.counts,
-                                           art.config.loss)
+        bases, rings = am.window_estimates(np.take(y, bench_family.order, axis=1),
+                                           bench_family.counts, art.config.loss)
         if art.config.rule == "lepski":
             k_hat = am.select_lepski_batch(bases, art.pair, art.crit)[0]
         else:
@@ -81,6 +84,15 @@ def test_traces_are_replicate_zero_of_the_batch(bench_artifacts, bench_family):
         trace = report.traces[method]
         assert trace.k_hat == k_hat, method
         assert trace.theta_hat == bases[0, k_hat], method
+        if art.config.rule == "lepski":
+            alone = am.select_lepski(bases[0], art.pair, art.crit)
+            assert trace.rings is None and alone.rings is None, method
+        else:
+            alone = am.select_ring(bases[0], rings[0], art.levels, art.crit)
+            assert trace.rings.tobytes() == alone.rings.tobytes(), method
+        assert trace.base.tobytes() == alone.base.tobytes(), method
+        assert (trace.k_hat, trace.theta_hat, trace.tests) == (
+            alone.k_hat, alone.theta_hat, alone.tests), method
 
 
 def test_mismatched_artifact_rejected(bench_artifacts):

@@ -7,7 +7,7 @@ import adaptmreg as am
 from adaptmreg import LossKind, betweenness_holds, locate
 from adaptmreg.losses import _HUBER_BREAKS, _huber_edges, locate_rows, window_estimates
 
-from oracle_locate import brute_locate, grid_locate, huber_edges, rho
+from oracle_locate import brute_locate, grid_locate, huber_edges, huber_root_exact, rho
 
 ALL_LOSSES = [
     LossKind.mean(),
@@ -377,6 +377,32 @@ def test_huber_single_value_is_returned():
         for kink in (1e-3, 1.345, 50.0):
             res = locate([y], LossKind.huber(kink))
             assert (res.value, res.minimizer_lo, res.minimizer_hi) == (y, y, y)
+
+
+def test_huber_root_is_exact_under_gross_outliers_and_tiny_kinks():
+    """The Huber root is the exact rational one, whatever the outliers' size or the kink's.
+
+    Outliers of 1e15 and more once entered the prefix sums that give psi's
+    sign, and their rounding exceeded the kink: the named cases returned
+    -1e17 and -1.2, and rows like the random ones missed their root. Halved
+    values make ties.
+    """
+    huber = LossKind.huber
+    for far in (5e16, 1e17):
+        got = locate([0.1, 0.2, 0.3, far, -far], huber(1.345)).value
+        assert got == pytest.approx(0.2, abs=1e-12)
+    assert locate([0.3, -1.2, 2.5, 0.1, -0.4, 1.7, 0.9], huber(1e-300)).value == 0.3
+    rng = np.random.default_rng(1)
+    for kink in (1.345, 1e-16, 1e-300):
+        for n in (5, 8, 13):
+            rows = rng.laplace(size=(40, n))
+            rows[::3] = np.round(2.0 * rows[::3]) / 2.0
+            far = rng.random(rows.shape) < 0.25
+            rows[far] = (rng.choice([-1.0, 1.0], far.sum())
+                         * 10.0 ** rng.uniform(15.0, 300.0, far.sum()))
+            for row, got in zip(rows, locate_rows(rows, huber(kink))):
+                want = float(huber_root_exact(row, kink))
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (list(row), kink)
 
 
 def test_loss_param_is_held_as_a_float():
