@@ -374,9 +374,10 @@ class CalibArtifact:
     _zeta_to_z of it (to a relative 1e-9: np.log may round differently elsewhere);
     only the lepski rule has pair levels; the levels' methods describe the loss
     (check_levels_loss), and closed-form levels are config's (_closed_form_tables,
-    to the same 1e-9). Monte Carlo levels are kept as drawn, and asymptotic ones
-    under Student t noise as stored: their scale would import scipy.stats, which
-    quadruples a short verify. The shares are finite, nonnegative and sum to at most
+    to the same 1e-9). Monte Carlo levels are kept as drawn. Asymptotic ones under
+    Student t noise need only be closed_form of the counts at some scale, read from
+    s[-1] or s_pair[0, 0]: their own scale would import scipy.stats, which quadruples
+    a short verify. The shares are finite, nonnegative and sum to at most
     the budget alpha * s_K^r. Ring-rule zeta thresholds must meet the risk
     hypothesis (z_k * s_k non-increasing), which the ring rule needs: a degenerate
     budget (huge alpha) can push z below the final value.
@@ -412,10 +413,14 @@ class CalibArtifact:
                                   "pair levels")
         for lv in filter(None, (self.levels, self.pair)):
             check_levels_loss(lv.method, cfg.loss)
-            if lv.method == "monte_carlo" or (lv.method == "asymptotic"
-                                              and cfg.noise.kind == "student_t"):
+            if lv.method == "monte_carlo":
                 continue
-            s, s_ring, s_pair = _closed_form_tables(cfg, lv.method)
+            if lv.method == "asymptotic" and cfg.noise.kind == "student_t":
+                s, _, s_pair = closed_form(cfg.family.counts, 1.0)
+                c = lv.s_pair[0, 0] / s_pair[0, 0] if lv is self.pair else lv.s[-1] / s[-1]
+                s, s_ring, s_pair = closed_form(cfg.family.counts, c)
+            else:
+                s, s_ring, s_pair = _closed_form_tables(cfg, lv.method)
             tables = [(lv.s_pair, s_pair)] if lv is self.pair else [(lv.s, s), (lv.s_ring, s_ring)]
             if not all(np.allclose(a, b, rtol=1e-9, atol=0, equal_nan=True) for a, b in tables):
                 raise ValidationError(f"{PAIR_LEVELS if lv is self.pair else WINDOW_LEVELS} are "
@@ -509,7 +514,7 @@ def _artifact_text(art: CalibArtifact) -> str:
     lines += [f"s_ring[{k}]: {_fmt_arr(art.levels.s_ring[k, :k + 1])}" for k in range(K)]
     if art.pair is not None:
         lines += _provenance("pair", art.pair)
-        lines += [f"pair[{m}]: {_fmt_arr(art.pair.s_pair[m, :m])}" for m in range(1, K + 1)]
+        lines += [f"pair[{k + 1}]: {_fmt_arr(art.pair.s_pair[k, :k + 1])}" for k in range(K)]
     body = "\n".join(lines)
     return f"config_hash: {_digest(body)}\n{body}\n"
 
@@ -578,20 +583,20 @@ def _artifact_from_fields(fields: dict[str, str]) -> CalibArtifact:
     def floats(key: str) -> np.ndarray:
         return np.array([float(v) for v in fields[key].split()])
 
-    def triangle(size: int, rows: range, key: str, width: int) -> np.ndarray:
-        """Row i holds the values of key.format(i) in columns 0..i+width-1; NaN elsewhere."""
-        out = np.full((size, size), np.nan)
-        for i in rows:
-            out[i, :i + width] = floats(key.format(i))
+    def triangle(key: str, first: int) -> np.ndarray:
+        """(K, K): row k holds the values of key.format(first + k) in columns 0..k; NaN above."""
+        out = np.full((K, K), np.nan)
+        for k in range(K):
+            out[k, :k + 1] = floats(key.format(first + k))
         return out
 
     loss = LossKind(fields["loss"], opt("loss_param", float))
     K = int(fields["K"])
-    levels = Levels(floats("s"), triangle(K, range(K), "s_ring[{}]", 1),
+    levels = Levels(floats("s"), triangle("s_ring[{}]", 0),
                     fields["levels_method"], opt("levels_runs"), opt("levels_seed"))
     pair = None
     if "pair[1]" in fields:
-        pair = PairLevels(triangle(K + 1, range(1, K + 1), "pair[{}]", 0),
+        pair = PairLevels(triangle("pair[{}]", 1),
                           fields["pair_method"], opt("pair_runs"), opt("pair_seed"))
     kind = fields["family_kind"]
     if kind == "line1d":

@@ -126,8 +126,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--calib", required=True,
-                   help="directory with <method>.cal files, or method=path[,...]")
+    p.add_argument("--calib", default=None, help="directory with <method>.cal files, or "
+                   "method=path[,...]; needed when a method selects")
     p.add_argument("--trace", default=None,
                    help="dump the selection trace of replicate 0 per method")
     p.add_argument("--out", required=True)
@@ -220,6 +220,8 @@ def _load_bench_artifacts(spec_methods, arg: str) -> dict[str, CalibArtifact]:
             if name not in CALIBRATED_METHODS or name not in spec_methods:
                 raise ValidationError(f"--calib entry {part.strip()!r} names no method "
                                       "of --methods that takes an artifact")
+            if name in paths:
+                raise ValidationError(f"--calib names the method {name} twice")
             paths[name] = p
     return {m: load_artifact(p) for m, p in paths.items()}
 
@@ -229,7 +231,7 @@ def _cmd_bench(args) -> int:
     spec = ExperimentSpec(example=args.example, noise=parse_noise(args.noise),
                           n=args.n, runs=args.runs, methods=methods,
                           seed=args.seed)
-    artifacts = _load_bench_artifacts(methods, args.calib)
+    artifacts = {} if args.calib is None else _load_bench_artifacts(methods, args.calib)
     report = run_benchmark(spec, artifacts)
     Path(args.out).write_text(csv_text(BenchRow, report.rows))
     if args.trace:

@@ -264,7 +264,8 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
                      seed: int) -> TwoSampleReport:
     """Compare the two-sample median test statistics under a location shift.
 
-    Sample one is pure noise, sample two is noise plus delta. The study
+    Sample one is pure noise, sample two is noise plus delta; in one row they
+    are window 0 and its ring, and the pooled sample is window 1. The study
     records sqrt(n)-scaled variances of both statistics over the replicates
     together with their limiting formula values.
     """
@@ -279,9 +280,7 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
     def task(lo: int, hi: int) -> None:
         block = sample_rows(kind, 2 * n, seed, lo, hi)
         block[:, n:] += delta
-        med1 = locate_rows(block[:, :n], med)
-        med2 = locate_rows(block[:, n:], med)
-        med_all = locate_rows(block, med)
+        (med1, med_all), (med2,) = (v.T for v in window_estimates(block, [n, 2 * n], med))
         root_n = math.sqrt(n)
         stat_w[lo:hi] = root_n * (med2 - med1 - delta)
         stat_l[lo:hi] = root_n * (2.0 * (med_all - med1) - delta)

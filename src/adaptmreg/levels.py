@@ -96,9 +96,9 @@ class Levels:
 class PairLevels:
     """Error levels of differences between two window estimates.
 
-    s_pair[m, l] is the scale of estimate_m - estimate_l under pure noise,
-    defined for l < m; NaN elsewhere. method, runs and seed are as for
-    Levels.
+    s_pair[k, j] is the scale of estimate_{k+1} - estimate_j under pure
+    noise, for j <= k <= K-1, and NaN above the diagonal: the (step, window)
+    layout of Levels.s_ring. method, runs and seed are as for Levels.
     """
 
     s_pair: np.ndarray
@@ -110,15 +110,15 @@ class PairLevels:
         sp = np.asarray(self.s_pair, dtype=float)
         object.__setattr__(self, "s_pair", sp)
         _check_provenance(self.method, self.runs, self.seed, PAIR_LEVELS)
-        if sp.ndim != 2 or sp.shape[0] != sp.shape[1] or sp.shape[0] < 2:
-            raise ValidationError("s_pair must be square with at least two windows")
-        tril = np.tril_indices(sp.shape[0], k=-1)
+        if sp.ndim != 2 or sp.shape[0] != sp.shape[1] or sp.shape[0] < 1:
+            raise ValidationError("s_pair must be square with at least one step")
+        tril = np.tril_indices(sp.shape[0])
         if np.any(~np.isfinite(sp[tril])) or np.any(sp[tril] <= 0):
-            raise ValidationError("pair levels below the diagonal must be positive")
+            raise ValidationError("pair levels on and below the diagonal must be positive")
 
     @property
     def K(self) -> int:
-        return int(self.s_pair.shape[0] - 1)
+        return int(self.s_pair.shape[0])
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -162,18 +162,18 @@ def closed_form(counts, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     counts holds the K+1 window sizes N_j, along the last axis of any number
     of families; M_k = N_{k+1} - N_k is the ring size. Returns
-    s = c N_j^(-1/2) (..., K+1), s_ring = c (1/M_k + 1/N_j)^(1/2) (..., K, K),
-    NaN above the diagonal and +inf on an empty ring, and
-    s_pair = c (1/N_l - 1/N_m)^(1/2) (..., K+1, K+1), for l < m only.
+    s = c N_j^(-1/2) (..., K+1) and, on one (..., K, K) grid of step k and
+    window j <= k with NaN above the diagonal, s_ring = c (1/M_k + 1/N_j)^(1/2)
+    (+inf on an empty ring) and s_pair = c (1/N_j - 1/N_{k+1})^(1/2).
     """
     n = np.asarray(counts, dtype=float)
     K = n.shape[-1] - 1
     s = c / np.sqrt(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         s_ring = c * np.sqrt(1.0 / np.diff(n, axis=-1)[..., :, None] + 1.0 / n[..., None, :K])
-        s_pair = c * np.sqrt(1.0 / n[..., None, :] - 1.0 / n[..., :, None])
-    s_ring[..., ~np.tri(K, dtype=bool)] = np.nan
-    s_pair[..., ~np.tri(K + 1, k=-1, dtype=bool)] = np.nan
+        s_pair = c * np.sqrt(1.0 / n[..., None, :K] - 1.0 / n[..., 1:, None])
+    above = ~np.tri(K, dtype=bool)
+    s_ring[..., above] = s_pair[..., above] = np.nan
     return s, s_ring, s_pair
 
 
@@ -332,7 +332,7 @@ def levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: int,
 
 
 def pair_levels_exact_mean(family: WindowFamily, r: float = 2.0) -> PairLevels:
-    """Exact difference levels for nested sample means: sqrt(1/N_l - 1/N_m)."""
+    """Exact difference levels for nested sample means: sqrt(1/N_j - 1/N_{k+1})."""
     *_, sp = closed_form(family.counts, closed_form_scale("exact_mean", r))
     return PairLevels(s_pair=sp, method="exact_mean")
 
@@ -344,7 +344,7 @@ def pair_levels_asymptotic(family: WindowFamily, loss: LossKind, noise: NoiseKin
     In the linearized limit the estimate over the larger window behaves like
     the average of indicator terms over its points, so the covariance of the
     nested pair equals the larger window's variance and the difference has
-    variance alpha * (1 - alpha) / f0^2 * (1/N_l - 1/N_m), exactly the shape
+    variance alpha * (1 - alpha) / f0^2 * (1/N_j - 1/N_{k+1}), exactly the shape
     of the sample-mean case.
     """
     *_, sp = closed_form(family.counts, closed_form_scale("asymptotic", r, loss, noise))
@@ -361,7 +361,5 @@ def pair_levels_mc(family: WindowFamily, loss: LossKind, kind: NoiseKind, runs: 
     _check_order(r)
     check_mc_runs(runs, PAIR_LEVELS)
     bases, _ = simulate_window_estimates(family, loss, kind, runs, seed)
-    K = family.K
-    sp = np.full((K + 1, K + 1), np.nan)
-    sp[1:, :K] = _step_moments(bases, bases[:, 1:], r)
-    return PairLevels(s_pair=sp, method="monte_carlo", runs=runs, seed=seed)
+    return PairLevels(s_pair=_step_moments(bases, bases[:, 1:], r), method="monte_carlo",
+                      runs=runs, seed=seed)

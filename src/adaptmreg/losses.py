@@ -308,13 +308,8 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
                 est[:, c] = ys[:, i] if i == j else 0.5 * (ys[:, i] + ys[:, j])
                 continue
             lo, hi = table[sizes[:, c]].T
-            first = work.take(at + a + lo)
-            single = lo == hi
-            if single.all():
-                est[:, c] = first
-            else:
-                second = work.take(at + a + hi)
-                est[:, c] = np.where(single, first, 0.5 * (first + second))
+            first, second = work.take(at + a + lo), work.take(at + a + hi)
+            est[:, c] = np.where(lo == hi, first, 0.5 * (first + second))
         if not full:
             est[sizes == 0] = np.nan
     elif full:

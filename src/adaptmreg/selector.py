@@ -6,7 +6,7 @@ window estimate; the test at step k against window j uses the threshold
 z_j * s_ring[k, j] + z_{k+1} * s[k+1], with the final critical value pinned
 to 1 so that bias and noise balance at the last step. The classical rule
 (Lepski's method) instead compares the next window estimate against all
-earlier window estimates with thresholds z_l * s_pair[k+1, l].
+earlier window estimates with thresholds z_j * s_pair[k, j], in the layout of s_ring.
 
 Both rules stop at the first rejected step and keep the last accepted
 window. _rule_terms says what a rule tests, _step_rejections runs the tests
@@ -140,7 +140,7 @@ def _rule_terms(rule: str, bases: np.ndarray, rings: np.ndarray | None,
     Step k compares nxt[:, k] with every window estimate bases[:, j], j <= k.
     The ring rule tests the ring estimates against s_ring[k, j] and closes
     the step with s[k+1]; the classical rule ("lepski") tests the next window
-    estimate against s_pair[k+1, j], with no closing term. bases holds one
+    estimate against s_pair[k, j], with no closing term. bases holds one
     row of K+1 window estimates per realization; the classical rule may pass
     levels=None.
     """
@@ -155,7 +155,7 @@ def _rule_terms(rule: str, bases: np.ndarray, rings: np.ndarray | None,
         raise ValidationError("the classical rule needs pair levels")
     if pair.K != K:
         raise ValidationError("estimate array does not match the pair table")
-    return bases[:, 1:], pair.s_pair[1:, :K], 0.0
+    return bases[:, 1:], pair.s_pair, 0.0
 
 
 def _step_rejections(bases: np.ndarray, nxt: np.ndarray, thr: np.ndarray):
@@ -217,7 +217,7 @@ def select_lepski_batch(bases: np.ndarray, pair: PairLevels,
                         crit: CriticalValues) -> np.ndarray:
     """Classical-rule selected indices: compare the next window estimate with all earlier ones.
 
-    Accept step k when |base_{k+1} - base_l| <= z_l * s_pair[k+1, l] for all
+    Accept step k when |base_{k+1} - base_l| <= z_l * s_pair[k, l] for all
     l <= k. With a single growth step (K = 1) this reduces to a two-sample
     location test on |base_1 - base_0|.
     """
@@ -273,19 +273,17 @@ def propagation_bound(levels: Levels, crit: CriticalValues, k: int) -> float:
     betweenness the selected estimate stays inside the hull of window k plus
     the accepted ring estimates, so
 
-        |theta_hat - base_k| <= max_{m=k..K-1} (z_k s_ring[m, k] + z_{m+1} s[m+1]).
+        |theta_hat - base_k| <= max_{m=k..K-1} (z_k s_ring[m, k] + z_{m+1} s[m+1]),
 
-    The maximum starts at m = k: the step-k test itself is part of the chain
-    (dropping it would make the bound fail, for instance at k = K-1).
+    the largest threshold_table entry of window k. The maximum starts at m = k:
+    the step-k test is part of the chain (without it the bound fails at k = K-1).
     """
     K = levels.K
     if not 0 <= k <= K:
         raise ValidationError(f"window index {k} outside 0..{K}")
     if k == K:
         return 0.0
-    zf = crit.full(K)
-    terms = zf[k] * levels.s_ring[k:, k] + zf[k + 1:] * levels.s[k + 1:]
-    return float(terms.max())
+    return float(threshold_table(crit.full(K), levels.s_ring, levels.s[1:])[k:, k].max())
 
 
 def propagation_gap(trace: SelectionTrace, k: int, crit: CriticalValues,

@@ -165,9 +165,11 @@ def huber_edges(rows: np.ndarray, kink: float) -> tuple[np.ndarray, np.ndarray]:
 
         psi(mu) = kink (n - L - U) + (S_L - S_U) - (L - U) mu
 
-    with prefix sums S. The root lies on the piece that ends at the first
+    with S the prefix sums of the row clipped to three kinks around its lower
+    middle value m = y_((n-1)/2): psi is unchanged on [m - 2 kink, m + 2 kink],
+    which holds the root. The root lies on the piece that ends at the first
     breakpoint where psi <= 0 and is solved there in closed form, summing the
-    active values directly. A flat stretch of zeros needs L = U = n/2, so it
+    active values of the unclipped row directly. A flat stretch of zeros needs L = U = n/2, so it
     exists only for even n, from y_(n/2-1) + kink to y_(n/2) - kink, and its
     ends are returned exactly. Every step works within a row, so a row's
     edges do not depend on the other rows of the batch, nor on the blocks
@@ -179,9 +181,11 @@ def huber_edges(rows: np.ndarray, kink: float) -> tuple[np.ndarray, np.ndarray]:
         parts = [huber_edges(rows[i: i + block], kink) for i in range(0, r, block)]
         return tuple(np.concatenate(side) for side in zip(*parts))
     ys = np.sort(rows, axis=1)
+    mid = ys[:, (n - 1) // 2, None]
+    yc = np.clip(ys, mid - 3 * kink, mid + 3 * kink)
     prefix = np.zeros((r, n + 1))
-    np.cumsum(ys, axis=1, out=prefix[:, 1:])
-    breaks = np.concatenate([ys - kink, ys + kink], axis=1)
+    np.cumsum(yc, axis=1, out=prefix[:, 1:])
+    breaks = np.concatenate([yc - kink, yc + kink], axis=1)
     order = np.argsort(breaks, axis=1, kind="stable")
     t = np.take_along_axis(breaks, order, axis=1)
     lower = np.cumsum(order < n, axis=1)

@@ -32,7 +32,7 @@ class DenseStats:
             self.nxt, self.scale, self.additive = rings, levels.s_ring, levels.s[1:]
         else:
             self.nxt = bases[:, 1:]
-            self.scale, self.additive = pair.s_pair[1:, :K], np.zeros(K)
+            self.scale, self.additive = pair.s_pair, np.zeros(K)
         self.K, self.runs = K, config.runs
         self.weights = np.abs(bases[:, :K]) ** config.r
         self.raw = np.full((config.runs, K, K), -np.inf)

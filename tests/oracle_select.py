@@ -108,14 +108,14 @@ def ring_reference(base, rings, levels, crit) -> tuple[int, tuple[TestRecord, ..
 
 
 def lepski_reference(base, pair, crit) -> tuple[int, tuple[TestRecord, ...]]:
-    """Classical rule: |base_{k+1} - base_j| against z_j s_pair[k+1, j]."""
+    """Classical rule: |base_{k+1} - base_j| against z_j s_pair[k, j]."""
     K = pair.K
     stats = np.full((K, K), np.nan)
     thr = np.full((K, K), np.nan)
     for k in range(K):
         for j in range(k + 1):
             stats[k, j] = abs(base[k + 1] - base[j])
-            thr[k, j] = crit.z[j] * pair.s_pair[k + 1, j]
+            thr[k, j] = crit.z[j] * pair.s_pair[k, j]
     return select_scalar(stats, thr)
 
 

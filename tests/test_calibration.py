@@ -632,7 +632,7 @@ def _artifacts(draw):
     pair = None
     if rule == "lepski":
         prov = provenance()
-        pair = am.PairLevels(lower_triangle(K + 1, -1) if prov["method"] == "monte_carlo"
+        pair = am.PairLevels(lower_triangle(K, 0) if prov["method"] == "monte_carlo"
                              else closed_form_tables(prov["method"])[2], **prov)
     config = CalibConfig(
         family_kind=family_kind, family_meta=meta, loss=loss, noise=noise, r=r, alpha=alpha,

@@ -177,7 +177,7 @@ def _closed_form_pair_lines(body):
     """Exact-mean pair level lines for the counts of an artifact body."""
     counts = next(x for x in body if x.startswith("counts: ")).split()[1:]
     *_, sp = am.levels.closed_form([int(c) for c in counts], 1.0)
-    rows = [" ".join(map(repr, sp[m, :m].tolist())) for m in range(1, len(counts))]
+    rows = [" ".join(map(repr, sp[k, :k + 1].tolist())) for k in range(len(counts) - 1)]
     return (["pair_method: exact_mean", "pair_runs: -", "pair_seed: -"]
             + [f"pair[{m}]: {row}" for m, row in enumerate(rows, start=1)])
 
@@ -334,6 +334,32 @@ def test_artifacts_load_without_scipy(tmp_path):
     assert out.stdout == f"{['asymptotic'] * 4} []\n"
 
 
+def test_student_t_asymptotic_tables_must_be_closed_form(tmp_path):
+    """Student t asymptotic tables are closed_form of the counts at the scale they hold.
+
+    That scale is read from s[-1] and s_pair[0, 0], so a table edited on its
+    own is refused, and one rescaled together with every other table is not.
+    """
+    config = am.CalibConfig(family_kind="line1d", family_meta={"n": 60, "counts": [5, 9, 17, 33]},
+                            loss=am.LossKind.median(), noise=am.NoiseKind.student_t(),
+                            runs=1000, seed=4, rule="lepski")
+    art = am.calibrate(config)
+    save_artifact(tmp_path / "t.cal", art)
+    body = (tmp_path / "t.cal").read_text().splitlines()[1:]
+    budget = repr(config.alpha * (2.0 * float(art.levels.s[-1])) ** config.r)
+    for edit, table in ((_set(s=_scaled(2.0), budget=lambda v: budget), "window"),
+                        (_set(**{"s_ring[1]": _scaled(2.0)}), "window"),
+                        (_set(**{"pair[2]": _scaled(2.0)}), "pair")):
+        bad = tmp_path / "bad.cal"
+        bad.write_text(_rehashed(edit(body)))
+        with pytest.raises(am.ValidationError,
+                           match=f"the {table} levels are not the asymptotic levels"):
+            am.load_artifact(bad)
+    lv, pair = art.levels, art.pair
+    replace(art, levels=am.Levels(3.0 * lv.s, 3.0 * lv.s_ring, lv.method),
+            pair=am.PairLevels(3.0 * pair.s_pair, pair.method))
+
+
 def test_lepski_mc_artifact_is_rebuilt_byte_for_byte(tmp_path):
     """The library still writes d70d3e5_median_lepski_mc.cal from its recorded inputs."""
     meta = {"n": 200, "counts": am.benchmark_counts()}
@@ -470,6 +496,36 @@ def test_bench_oracle_window_without_design_points_refused(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: validation: the oracle window of half-width 0.2 "
                                        "holds no point of the n=2 design\n")
     assert not out.exists()
+
+
+def test_bench_calib_is_needed_only_by_selecting_methods(tmp_path, capsys):
+    """Without --calib an oracle-only bench runs; a selecting method has no artifact."""
+    out = tmp_path / "o.csv"
+    assert run("bench", "--example", "1", "--methods", "median_oracle", "--runs", "50",
+               "--seed", "1", "--out", out) == 0
+    assert out.read_text().splitlines()[1] == "1,laplace,median_oracle,0.07458115092700747,50,1"
+    out = tmp_path / "s.csv"
+    assert run("bench", "--example", "1", "--methods", "median_ring,median_oracle", "--runs",
+               "50", "--seed", "1", "--out", out) == 1
+    assert capsys.readouterr().err == ("error: validation: missing calibration artifacts "
+                                       "for ['median_ring']\n")
+    assert not out.exists()
+
+
+def test_bench_refuses_a_method_named_twice_in_calib(workdir, tmp_path, capsys, monkeypatch):
+    """A list --calib naming one method twice exits 1 before it reads any artifact."""
+    def no_reads(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("adaptmreg.cli.load_artifact", no_reads)
+    med, out = workdir / "med.cal", tmp_path / "d.csv"
+    for calib in (f"median_ring={tmp_path / 'a.cal'},median_ring={med}",
+                  f"median_ring={med},mean_ring={med},median_ring={med}"):
+        assert run("bench", "--example", "1", "--runs", "10", "--seed", "1", "--methods",
+                   "median_ring,mean_ring", "--calib", calib, "--out", out) == 1
+        assert capsys.readouterr().err == ("error: validation: --calib names the method "
+                                           "median_ring twice\n")
+        assert not out.exists()
 
 
 def test_bench_trace_dump(workdir):

@@ -8,6 +8,8 @@ from adaptmreg import (ExperimentSpec, LossKind, NoiseKind, median_moment_study,
                        run_benchmark, tail_study, two_sample_study)
 from adaptmreg.experiments import (METHODS, BenchRow, TwoSampleReport, csv_text,
                                    pooled_variance_formula)
+from adaptmreg.losses import locate_rows
+from adaptmreg.noise import sample_rows
 from adaptmreg.noise import density_at_zero
 
 from oracle_select import oracle_index
@@ -137,6 +139,24 @@ def test_two_sample_mc_quick():
     assert report.var_l_mc == pytest.approx(1.0, rel=0.20)
     text = csv_text(TwoSampleReport, [report])
     assert text.startswith("kind,delta,n,runs,seed,")
+
+
+@pytest.mark.parametrize("n", [101, 40, 2])
+def test_two_sample_study_is_three_separate_medians(n):
+    """The statistics equal those of three locate_rows sorts, bit for bit, odd and even n.
+
+    1500 replicates span two chunks.
+    """
+    kind, delta, runs, seed = NoiseKind.laplace(), 0.3, 1500, 8
+    block = sample_rows(kind, 2 * n, seed, 0, runs)
+    block[:, n:] += delta
+    med1, med2, med_all = (locate_rows(block[:, cols], LossKind.median())
+                           for cols in (slice(None, n), slice(n, None), slice(None)))
+    stat_w = math.sqrt(n) * (med2 - med1 - delta)
+    stat_l = math.sqrt(n) * (2.0 * (med_all - med1) - delta)
+    report = two_sample_study(kind, delta, n, runs, seed)
+    assert report.var_w_mc == float(stat_w.var(ddof=1))
+    assert report.var_l_mc == float(stat_l.var(ddof=1))
 
 
 def test_two_sample_validation():

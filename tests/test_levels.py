@@ -141,7 +141,7 @@ def test_mc_runs_validation(small_family):
 def test_level_tables_check_their_provenance():
     """Only the three methods; Monte Carlo tables alone have runs (at least 1,000) and a seed."""
     s, s_ring = np.array([0.5, 0.3]), np.full((1, 1), 0.6)
-    sp = np.array([[np.nan, np.nan], [0.4, np.nan]])
+    sp = np.full((1, 1), 0.4)
     for step, build in (("the window levels", lambda **kw: Levels(s, s_ring, **kw)),
                         ("the pair levels", lambda **kw: am.PairLevels(sp, **kw))):
         for kw, message in (
@@ -184,17 +184,21 @@ def test_levels_refuse_non_finite_or_non_positive_entries(s, s_ring):
 def test_pair_exact_mean_formula(small_family):
     pair = pair_levels_exact_mean(small_family)
     n = small_family.counts.astype(float)
-    for m in range(1, small_family.K + 1):
-        want = np.sqrt(1.0 / n[:m] - 1.0 / n[m])
-        assert np.allclose(pair.s_pair[m, :m], want, atol=1e-15)
+    assert pair.s_pair.shape == (small_family.K, small_family.K)
+    for k in range(small_family.K):
+        want = np.sqrt(1.0 / n[:k + 1] - 1.0 / n[k + 1])
+        assert np.allclose(pair.s_pair[k, :k + 1], want, atol=1e-15)
+        assert np.isnan(pair.s_pair[k, k + 1:]).all()
 
 
 def _pair_formula(counts, c):
-    """The pair levels c (1/N_l - 1/N_m)^(1/2), l < m, as one family's own formula."""
-    n = np.asarray(counts, dtype=float)
-    with np.errstate(invalid="ignore"):
-        sp = c * np.sqrt(1.0 / n[None, :] - 1.0 / n[:, None])
-    sp[~np.tri(n.size, k=-1, dtype=bool)] = np.nan
+    """(K, K) pair levels: [k, j] is c (1/N_j - 1/N_{k+1})^(1/2) for j <= k, NaN above."""
+    n = [float(v) for v in counts]
+    K = len(n) - 1
+    sp = np.full((K, K), np.nan)
+    for k in range(K):
+        for j in range(k + 1):
+            sp[k, j] = c * math.sqrt(1.0 / n[j] - 1.0 / n[k + 1])
     return sp
 
 
@@ -218,15 +222,25 @@ def test_pair_mc_matches_exact_for_means(small_family):
     pair = pair_levels_mc(small_family, LossKind.mean(), NoiseKind.gaussian(),
                           runs=4 * 10 ** 4, seed=105)
     exact = pair_levels_exact_mean(small_family)
-    tril = np.tril_indices(small_family.K + 1, k=-1)
+    tril = np.tril_indices(small_family.K)
     assert np.allclose(pair.s_pair[tril], exact.s_pair[tril], rtol=0.05)
+
+
+def test_pair_mc_is_the_step_moments_of_its_draw(small_family):
+    """Monte Carlo pair levels are _step_moments of the next window estimates, as drawn."""
+    loss, noise = LossKind.median(), NoiseKind.laplace()
+    pair = pair_levels_mc(small_family, loss, noise, 1000, r=3.0, seed=9)
+    bases, _ = simulate_window_estimates(small_family, loss, noise, 1000, 9)
+    want = am.levels._step_moments(bases, bases[:, 1:], 3.0)
+    assert want.shape == (small_family.K, small_family.K)
+    assert np.array_equal(pair.s_pair, want, equal_nan=True)
 
 
 def test_pair_asymptotic_median_shape(small_family):
     f0 = am.density_at_zero(NoiseKind.laplace())
     pair = pair_levels_asymptotic(small_family, LossKind.median(), NoiseKind.laplace())
     mean_pair = pair_levels_exact_mean(small_family)
-    tril = np.tril_indices(small_family.K + 1, k=-1)
+    tril = np.tril_indices(small_family.K)
     assert np.allclose(pair.s_pair[tril], 0.5 / f0 * mean_pair.s_pair[tril], atol=1e-12)
     with pytest.raises(ValueError):
         pair_levels_asymptotic(small_family, LossKind.mean(), NoiseKind.laplace())

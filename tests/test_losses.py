@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adaptmreg as am
@@ -339,26 +339,42 @@ def test_huber_blocks_of_rows_match_scalar():
     assert np.array_equal(locate_rows(rows[::-1], loss), got[::-1])
 
 
+@st.composite
+def _huber_rows(draw):
+    """1 to 5 rows of 1 to 40 values, all integers or all drawn from _VALUES."""
+    n, n_rows = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    values = st.integers(-6, 6).map(float) if draw(st.booleans()) else _VALUES
+    return np.array(draw(st.lists(values, min_size=n * n_rows,
+                                  max_size=n * n_rows))).reshape(n_rows, n)
+
+
+# a root on the breakpoint 0.25 - 0.6, where unclipped prefix sums (with -10 and -4)
+# rounded psi away from 0 and gave -0.3499999999999999
+_CLIPPED_ROW = ([0.0] * 5 + [0.25, 0.25, -0.25] + [0.5] * 8 + [-0.5, -0.75] + [-1.0] * 11
+                + [-1.75, -2.0, -2.0, 1.0, 1.0, 0.2, 0.2, -4.0, -10.0])
+
+
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 40), n_rows=st.integers(1, 5),
-       kink=st.sampled_from([0.25, 0.6, 1.0, 1.345, 3.0]),
-       whole=st.booleans(), data=st.data())
-def test_huber_edges_match_reference(n, n_rows, kink, whole, data):
+@given(rows=_huber_rows(), kink=st.sampled_from([0.25, 0.6, 1.0, 1.345, 3.0]), root=st.none())
+@example(rows=np.array([_CLIPPED_ROW]), kink=0.6,
+         root=float(huber_root_exact(_CLIPPED_ROW, 0.6)))
+def test_huber_edges_match_reference(rows, kink, root):
     """The flat gathers give the take_along_axis solver's edges bit for bit.
 
     Integer values make ties and, for even n, flat stretches of zeros (a
     middle gap wider than 2 kink); quarter-integers and floats cover the
-    rest. Repeating the drawn rows past one _HUBER_BREAKS block makes the
-    solver split the batch.
+    rest. Repeating the rows past one _HUBER_BREAKS block makes the solver
+    split the batch. Where the exact root is given, both midpoints are it.
     """
-    values = st.integers(-6, 6).map(float) if whole else _VALUES
-    rows = np.array(data.draw(st.lists(values, min_size=n * n_rows,
-                                       max_size=n * n_rows))).reshape(n_rows, n)
+    n_rows, n = rows.shape
     block = max(1, _HUBER_BREAKS // (2 * n))
     for batch in (rows, np.tile(rows, (block // n_rows + 2, 1))):
         got, want = _huber_edges(batch, kink), huber_edges(batch, kink)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+        if root is not None:
+            assert np.all(0.5 * (got[0] + got[1]) == root)
+            assert np.all(0.5 * (want[0] + want[1]) == root)
 
 
 def test_huber_flat_stretch_ends_are_exact():
