@@ -22,12 +22,19 @@ and shares one threshold table. The border band's pixels follow in raster
 order, listed by one index array built once per image.
 
 The padded copy's dtype follows the values, not the file format. With the
-median or a quantile loss, an image whose values are all integers of
-magnitude below 2**30 and none of them -0.0 (every 8- and 16-bit PGM) is
-padded as int32 with np.iinfo(np.int32).max as the missing-sample marker,
-which sorts last as NaN does; the int32 sorts are about twice as fast and
-give the same bits. Every other image, and every image under the mean
-loss, is padded as float64 with NaN.
+median or a quantile loss, an image whose values are all integers and none
+of them -0.0 is padded as an integer dtype with its largest value as the
+missing-sample marker, which sorts last as NaN does: as int16 if every
+magnitude is below 2**14 (every 8- and 12-bit PGM) and numpy sorts int16
+rows with SIMD on this CPU (losses.SIMD_INT16_SORT), else as int32 if every
+magnitude is below 2**30 (every 16-bit PGM). Below those bounds two values
+add without overflow, so the integer sorts give the float64 path's bits,
+int32 in about two thirds of its time; int16 rows take about 15 % less
+time again per chunk. Every other image, and every image under the mean loss, is padded as
+float64 with NaN. A chunk of interior pixels takes each of its inner-row
+runs from the padded copy with one row template, built once per image, of
+the offsets of every inner-row pixel's samples; other chunks index every
+sample of every pixel.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses
 from .calibration import CalibArtifact
 from .errors import ValidationError
 from .levels import closed_form, closed_form_scale
@@ -218,12 +226,18 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarra
     thr = np.ascontiguousarray(np.moveaxis(thr, 0, -1))  # [:, :, g] is geometry g's
 
     v = image.intensities
-    # below 2**30 the sum of two values cannot overflow int32; a -0.0 keeps
-    # float64, whose output can carry that zero's sign
-    integer = (cfg.loss.kind in ("median", "quantile") and -2 ** 30 < v.min()
-               and v.max() < 2 ** 30 and np.array_equal(v, np.rint(v))
+    low, high = v.min(), v.max()
+    # below 2**30 (2**14) the sum of two values cannot overflow int32 (int16);
+    # a -0.0 keeps float64, whose output can carry that zero's sign
+    integer = (cfg.loss.kind in ("median", "quantile") and -2 ** 30 < low
+               and high < 2 ** 30 and np.array_equal(v, np.rint(v))
                and not np.signbit(v[v == 0]).any())
-    dtype, missing = (np.int32, np.iinfo(np.int32).max) if integer else (float, np.nan)
+    if not integer:
+        dtype, missing = float, np.nan
+    else:
+        small = losses.SIMD_INT16_SORT and -2 ** 14 < low and high < 2 ** 14
+        dtype = np.int16 if small else np.int32
+        missing = np.iinfo(dtype).max
     padded_w = w + 2 * reach
     padded = np.full((h + 2 * reach, padded_w), missing, dtype=dtype)
     padded[reach: reach + h, reach: reach + w] = v
@@ -234,9 +248,26 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarra
     k_hat = np.empty(h * w, dtype=np.int16)
     inner_w = max(w - 2 * reach, 0)
     n_inner = inner_w * max(h - 2 * reach, 0)
+    # template[t]: the samples of the pixel t columns right of an inner-row
+    # run's first pixel, as offsets from that pixel's index into flat
+    template = np.arange(inner_w)[:, None] + offsets
     band = np.ones((h, w), dtype=bool)
     band[reach: h - reach, reach: w - reach] = False
     border = np.flatnonzero(band)
+
+    def gather_interior(lo: int, hi: int) -> np.ndarray:
+        """The rows of interior pixels lo..hi-1, one template take per inner-row run."""
+        rows = np.empty((hi - lo, offsets.size), dtype=dtype)
+        p = lo
+        while p < hi:
+            y, x = divmod(p, inner_w)
+            length = min(hi - p, inner_w - x)
+            start = (y + reach) * padded_w + x + reach
+            # the indices lie in range; out= with mode="raise" would buffer the take
+            np.take(flat[start:], template[:length], out=rows[p - lo: p - lo + length],
+                    mode="clip")
+            p += length
+        return rows
 
     def task(lo: int, hi: int) -> None:
         pos = np.arange(lo, hi)
@@ -245,8 +276,9 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarra
         pixels[pos >= n_inner] = border[pos[pos >= n_inner] - n_inner]
         y, x = np.divmod(pixels, w)
         geometry = y_class[y] * n_x + x_class[x]
-        bases, rings = window_estimates(flat[(y * padded_w + x)[:, None] + offsets],
-                                        counts, cfg.loss, valid[geometry])
+        rows = (gather_interior(lo, hi) if hi <= n_inner
+                else flat[(y * padded_w + x)[:, None] + offsets])
+        bases, rings = window_estimates(rows, counts, cfg.loss, valid[geometry])
         one = (geometry == geometry[0]).all()
         sel = first_rejection(bases, rings, thr[..., geometry[0]] if one else thr[..., geometry])
         out[pixels] = bases[np.arange(hi - lo), sel]

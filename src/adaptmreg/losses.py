@@ -46,6 +46,16 @@ _LOSS_KINDS = ("mean", "median", "quantile", "huber")
 # raised the peak RSS of a later verify by about 20 MB.
 _HUBER_BREAKS = 32768
 
+# Whether numpy sorts int16 rows with SIMD on this CPU. On x86 its 16-bit
+# sort needs AVX512_ICL or AVX512_SPR; without them it falls back to a
+# scalar sort about 14x slower than int32, and other platforms report no
+# such features, so they keep int32 rows.
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as _CPU
+except ImportError:  # numpy 1.x
+    _CPU = {}
+SIMD_INT16_SORT = bool(_CPU.get("AVX512_ICL") or _CPU.get("AVX512_SPR"))
+
 
 @dataclass(frozen=True)
 class LossKind:
@@ -284,6 +294,16 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
     integer dtype, and the midpoint 0.5 * (a + b) of two of them is exact in
     float64 as long as a + b does not overflow the dtype, so integer rows
     give the same bits as the same values as float64.
+
+    Full integer rows read the largest window from a narrowed stretch. By
+    then window K-1, work[:, :m], and ring K-1, work[:, m:n], are sorted.
+    For window K's bracket i <= j, the lo = max(0, i - (n - m)) smallest
+    values of window K-1 rank below i in window K, and the values of ring
+    K-1 past its j + 1 smallest rank above j, so the stretch between them,
+    work[:, lo:m + min(n - m, j + 1)], holds ranks i and j at i - lo and
+    j - lo once sorted, with the same bits. Float rows keep the whole sort:
+    -0.0 and 0.0 compare equal, so another sort input could flip the sign of
+    a zero estimate.
     """
     K = len(counts) - 1
     n_rows = rows.shape[0]
@@ -299,12 +319,17 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
         at = np.arange(n_rows) * n
         # one copy of the rows, never the caller's array, sorted span by span in place
         work = rows[:, :n].copy()
+        narrow = full and K >= 1 and work.dtype.kind == "i"
         for c in [*range(K + 1, 2 * K + 1), *range(K + 1)]:
             a, b = spans[c]
+            i, j = table[b - a]
+            if narrow and c == K:
+                m = int(counts[K - 1])
+                a, b = max(0, i - (n - m)), m + min(n - m, j + 1)
+                i, j = i - a, j - a
             ys = work[:, a:b]
             ys.sort(axis=1)
             if full:
-                i, j = table[b - a]
                 est[:, c] = ys[:, i] if i == j else 0.5 * (ys[:, i] + ys[:, j])
                 continue
             lo, hi = table[sizes[:, c]].T

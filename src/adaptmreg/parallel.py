@@ -9,9 +9,9 @@ Carlo chunk's noise, which noise.sample_rows draws in one call per chunk.
 On two vCPUs, an in-process pass of the benchmark's 1d table (its twelve
 commands) took 1.75-2.34 s with one worker and 1.27-1.41 s with two
 (medians 2.03 and 1.39 s, 1.46x), and an in-process 1024x1024 8-bit
-denoise 2.05-2.73 s against 1.31-1.60 s (1.5x). The denoiser cuts its
-pixels into chunks of imaging.DENOISE_CHUNK; CHUNK, the Monte Carlo grid,
-also picks each chunk's noise substream.
+denoise 1.12-1.34 s against 0.66-0.87 s (medians 1.19 and 0.74 s, 1.6x).
+The denoiser cuts its pixels into chunks of imaging.DENOISE_CHUNK; CHUNK,
+the Monte Carlo grid, also picks each chunk's noise substream.
 
 The worker count belongs to the process: ADAPTMREG_WORKERS, read on every
 run_chunks call, else the cpu count. One thread pool per process serves

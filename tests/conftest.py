@@ -8,9 +8,19 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import adaptmreg as am  # noqa: E402
+from adaptmreg import losses  # noqa: E402
 
 BENCH_RUNS = 10000
 BENCH_SEEDS = {"mean_ring": 12, "mean_lepski": 13, "median_ring": 11, "median_lepski": 15}
+
+
+@pytest.fixture(autouse=True)
+def simd_int16_sort(monkeypatch):
+    """Sort integer images as int16 whatever the CPU, so the tests cover that path.
+
+    The gate picks the faster dtype only; the output bits are the same.
+    """
+    monkeypatch.setattr(losses, "SIMD_INT16_SORT", True)
 
 
 @pytest.fixture(scope="session")

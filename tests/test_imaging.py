@@ -11,6 +11,7 @@ import adaptmreg as am
 from adaptmreg import (DenoiseConfig, Image, NoiseKind, RngStream, denoise_image,
                        estimate_noise_scale, read_grid, read_pgm, sample_noise,
                        write_grid, write_pgm)
+from adaptmreg import losses
 from adaptmreg.errors import ValidationError
 from adaptmreg.imaging import DENOISE_CHUNK
 from adaptmreg.levels import auto_levels_method
@@ -262,9 +263,10 @@ def _gathered_dtypes(monkeypatch) -> list:
 
 
 def _integer_images() -> dict:
-    """8-bit and 16-bit values, the all-border 23x3 strip and a 64x64 tile."""
+    """8-, 12- and 16-bit values, the all-border 23x3 strip and a 64x64 tile."""
     images = {}
     for name, (h, w), scale, top in (("8bit", (40, 48), 20.0, 255),
+                                     ("12bit", (40, 48), 300.0, 4095),
                                      ("16bit", (40, 48), 5000.0, 65535),
                                      ("strip23x3", (3, 23), 20.0, 255),
                                      ("tile64", (64, 64), 20.0, 255)):
@@ -275,24 +277,76 @@ def _integer_images() -> dict:
 
 
 def test_integer_images_match_the_float_path(disc_artifact, monkeypatch):
-    """An integer image, sorted as int32, gives the float64 path's bits.
+    """An integer image, sorted as int16 or int32, gives the float64 path's bits.
 
+    Values of magnitude below 2**14 are sorted as int16 where numpy sorts
+    int16 rows with SIMD (losses.SIMD_INT16_SORT), and as int32 otherwise.
     I + 0.5 has no integer value, so it takes the float64 path, and its
     output is exactly out(I) + 0.5 with the same selected windows.
     """
     seen = _gathered_dtypes(monkeypatch)
     quantile = _swapped(disc_artifact, am.LossKind.quantile(0.3))
-    for name, img in _integer_images().items():
-        for art in (disc_artifact, quantile):
-            sigma = estimate_noise_scale(Image(img), art.config.noise)
+    for gate in (True, False):
+        monkeypatch.setattr(losses, "SIMD_INT16_SORT", gate)
+        for name, img in _integer_images().items():
+            want = np.int16 if gate and name != "16bit" else np.int32
+            for art in (disc_artifact, quantile):
+                sigma = estimate_noise_scale(Image(img), art.config.noise)
+                seen.clear()
+                out, khat = denoise_image(Image(img), DenoiseConfig(art, sigma))
+                assert set(seen) == {np.dtype(want)}, (name, gate)
+                seen.clear()
+                half, khat_half = denoise_image(Image(img + 0.5), DenoiseConfig(art, sigma))
+                assert set(seen) == {np.dtype(float)}, name
+                assert np.array_equal(out.intensities + 0.5, half.intensities), name
+                assert np.array_equal(khat, khat_half), name
+
+
+def test_int16_rows_need_values_below_2_14(disc_artifact, monkeypatch):
+    """|v| <= 2**14 - 1 takes int16 rows, and one value at +-2**14 keeps int32."""
+    seen = _gathered_dtypes(monkeypatch)
+    img = _integer_images()["8bit"]
+    edge = 2 ** 14 - 1
+    inside = np.where(img > 127, edge, -edge) + 0.0
+    for gate in (True, False):
+        monkeypatch.setattr(losses, "SIMD_INT16_SORT", gate)
+        cases = [(inside, np.int16 if gate else np.int32)]
+        for value in (2 ** 14, -(2 ** 14)):
+            over = inside.copy()
+            over[5, 7] = value
+            cases.append((over, np.int32))
+        for image, want in cases:
             seen.clear()
-            out, khat = denoise_image(Image(img), DenoiseConfig(art, sigma))
-            assert set(seen) == {np.dtype(np.int32)}, name
-            seen.clear()
-            half, khat_half = denoise_image(Image(img + 0.5), DenoiseConfig(art, sigma))
-            assert set(seen) == {np.dtype(float)}, name
-            assert np.array_equal(out.intensities + 0.5, half.intensities), name
-            assert np.array_equal(khat, khat_half), name
+            out, khat = denoise_image(Image(image), DenoiseConfig(disc_artifact, 1.0))
+            assert set(seen) == {np.dtype(want)}, (gate, image.min(), image.max())
+            half, khat_half = denoise_image(Image(image + 0.5), DenoiseConfig(disc_artifact, 1.0))
+            assert np.array_equal(out.intensities + 0.5, half.intensities)
+            assert np.array_equal(khat, khat_half)
+
+
+def test_interior_row_runs_match_the_float_path(disc_artifact, monkeypatch):
+    """Interior chunks gather inner-row runs from one template, with the same bits.
+
+    The inner widths above 1 do not divide DENOISE_CHUNK, so chunks start
+    and end inside inner rows; 13x2100 has a one-pixel inner width, so each of its
+    runs is one pixel, and 2100x13 a single inner row longer than a chunk.
+    The smaller images have no chunk of interior pixels only. Under int16,
+    int32 and float64 rows every output is the same up to the + 0.5.
+    """
+    reach = int(np.floor(max(disc_artifact.config.family_meta["radii"])))
+    sizes = ((57, 49), (13, 200), (200, 13), (61, 60), (13, 2100), (2100, 13))
+    assert sum((w - 2 * reach) * (h - 2 * reach) >= DENOISE_CHUNK for w, h in sizes) == 3
+    for w, h in sizes:
+        assert w - 2 * reach == 1 or DENOISE_CHUNK % (w - 2 * reach)
+        noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(59, h * 10000 + w))
+        img = np.clip(np.rint(20 * (two_edge(w, h) + noise.reshape(h, w)) + 50), 0, 255) + 0.0
+        config = _auto(disc_artifact, Image(img))
+        half, khat_half = denoise_image(Image(img + 0.5), config)
+        for gate in (True, False):
+            monkeypatch.setattr(losses, "SIMD_INT16_SORT", gate)
+            out, khat = denoise_image(Image(img), config)
+            assert np.array_equal(out.intensities + 0.5, half.intensities), (w, h, gate)
+            assert np.array_equal(khat, khat_half), (w, h, gate)
 
 
 def test_only_exact_small_integers_take_the_int32_path(disc_artifact, monkeypatch):

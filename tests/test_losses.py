@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import adaptmreg as am
 from adaptmreg import LossKind, betweenness_holds, locate
-from adaptmreg.losses import _HUBER_BREAKS, _huber_edges, locate_rows, window_estimates
+from adaptmreg.losses import (_HUBER_BREAKS, _huber_edges, _quantile_bracket, locate_rows,
+                              window_estimates)
 
 from oracle_locate import brute_locate, grid_locate, huber_edges, huber_root_exact, rho
 
@@ -278,6 +279,47 @@ def test_int32_rows_match_float_rows(sizes, n_rows, masked, loss, data):
                 assert est[i, c] == locate(kept, loss).value
             else:
                 assert np.isnan(est[i, c])
+
+
+def _sorted_reference(rows: np.ndarray, counts, loss: LossKind) -> np.ndarray:
+    """Every prefix and ring estimate from a whole np.sort of its float64 values."""
+    spans = [(0, c) for c in counts] + list(zip(counts[:-1], counts[1:]))
+    est = []
+    for a, b in spans:
+        ys = np.sort(rows[:, a:b].astype(float), axis=1)
+        i, j = _quantile_bracket(int(b - a), loss.level)
+        est.append(ys[:, i] if i == j else 0.5 * (ys[:, i] + ys[:, j]))
+    return np.stack(est, axis=1)
+
+
+_DISC_SIZES = np.diff(am.build_family_2d(am.default_disc_radii()).counts, prepend=0).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@example(sizes=_DISC_SIZES, n_rows=3, dtype=np.int16, loss=LossKind.median(), seed=0)
+@example(sizes=_DISC_SIZES, n_rows=3, dtype=np.int32, loss=LossKind.quantile(0.75), seed=1)
+@example(sizes=[3, 3, 2], n_rows=4, dtype=np.int16, loss=LossKind.median(), seed=2)
+@example(sizes=[2, 6], n_rows=4, dtype=np.int32, loss=LossKind.quantile(0.3), seed=3)
+@given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+       n_rows=st.integers(1, 6), dtype=st.sampled_from([np.int16, np.int32]),
+       loss=st.sampled_from([LossKind.median(), LossKind.quantile(0.3),
+                             LossKind.quantile(0.75)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_integer_rows_match_a_full_sort(sizes, n_rows, dtype, loss, seed):
+    """Integer rows give every estimate of a whole sort of each span, bit for bit.
+
+    The largest window of full integer rows is read from a narrowed stretch;
+    the families cover odd and even largest windows and brackets that reach
+    below the last ring's size (nothing of window K-1 is left out). Values
+    from -3..3 make ties common; a few reach the int16 rows' bound 2**14 - 1.
+    """
+    counts = np.cumsum(sizes)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-3, 4, (n_rows, int(counts[-1])))
+    far = rng.random(rows.shape) < 0.1
+    rows[far] = rng.integers(-(2 ** 14) + 1, 2 ** 14, far.sum())
+    got = np.concatenate(window_estimates(rows.astype(dtype), counts, loss), axis=1)
+    assert got.tobytes() == _sorted_reference(rows, counts, loss).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
