@@ -19,9 +19,10 @@ from pathlib import Path
 from .calibration import (CalibArtifact, CalibConfig, calibrate, load_artifact,
                           save_artifact, verify_calibration)
 from .errors import CalibrationError, ValidationError
-from .experiments import (CALIBRATED_METHODS, METHODS, BenchRow, ExperimentSpec, MomentRow,
-                          SampleRow, TailRow, TwoSampleReport, csv_text, median_moment_study,
-                          replicate_rows, run_benchmark, tail_study, two_sample_study)
+from .experiments import (CALIBRATED_METHODS, METHODS, SIGNALS, BenchRow, ExperimentSpec,
+                          MomentRow, SampleRow, TailRow, TwoSampleReport, csv_text,
+                          median_moment_study, replicate_rows, run_benchmark, tail_study,
+                          two_sample_study)
 from .imaging import DenoiseConfig, Image, denoise_image, estimate_noise_scale
 from .losses import LossKind
 from .noise import parse_noise
@@ -305,7 +306,7 @@ def _cmd_simulate(args) -> int:
     spec = ExperimentSpec(example=args.example, noise=parse_noise(args.noise),
                           n=args.n, seed=args.seed)
     xs = equidistant_design(args.n)
-    g = spec.signal_fn()(xs)
+    g = SIGNALS[spec.example](xs)
     y = replicate_rows(spec, g, 0, 1)[0]
     Path(args.out).write_text(csv_text(SampleRow, [SampleRow(i, xs[i], g[i], y[i])
                                                    for i in range(args.n)]))

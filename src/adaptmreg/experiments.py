@@ -21,7 +21,7 @@ from .calibration import CalibArtifact
 from .errors import ValidationError
 from .levels import normal_abs_moment, simulate_window_estimates
 from .losses import LossKind, locate_rows, window_estimates
-from .noise import NoiseKind, cdf, density, density_at_zero, sample_rows
+from .noise import NoiseKind, cdf, density, sample_rows
 from .parallel import run_chunks
 from .selector import SelectionTrace, _one_row, select_lepski_batch, select_ring_batch
 from .windows import WindowFamily, equidistant_design
@@ -88,9 +88,6 @@ class ExperimentSpec:
             raise ValidationError("example must be 1 or 2")
         if self.runs < 1:
             raise ValidationError("runs must be positive")
-
-    def signal_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return SIGNALS[self.example]
 
 
 def csv_text(row_type: type, rows: Sequence) -> str:
@@ -182,8 +179,8 @@ def run_benchmark(spec: ExperimentSpec, calib: Mapping[str, CalibArtifact]
     """
     family, calibrated = _check_artifacts(spec, calib)
     xs = equidistant_design(spec.n)
-    g = spec.signal_fn()(xs)
-    theta = float(spec.signal_fn()(np.zeros(1))[0])
+    g = SIGNALS[spec.example](xs)
+    theta = float(SIGNALS[spec.example](np.zeros(1))[0])
     oracle_idx = np.flatnonzero(np.abs(xs) <= ORACLE_HALFWIDTH[spec.example] + 1e-12)
     if "median_oracle" in spec.methods and oracle_idx.size == 0:
         raise ValidationError(f"the oracle window of half-width {ORACLE_HALFWIDTH[spec.example]!r}"
@@ -253,7 +250,7 @@ class TwoSampleReport:
 
 def pooled_variance_formula(kind: NoiseKind, delta: float) -> float:
     """Limit variance of the pooled two-sample median statistic at shift delta."""
-    f0 = density_at_zero(kind)
+    f0 = density(kind, 0.0)
     fd = density(kind, delta / 2.0)
     Fd = cdf(kind, delta / 2.0)
     return (2.0 * Fd * (1.0 - Fd) / fd ** 2 + 1.0 / f0 ** 2
@@ -286,7 +283,7 @@ def two_sample_study(kind: NoiseKind, delta: float, n: int, runs: int,
         stat_l[lo:hi] = root_n * (2.0 * (med_all - med1) - delta)
 
     run_chunks(task, runs)
-    f0 = density_at_zero(kind)
+    f0 = density(kind, 0.0)
     return TwoSampleReport(
         kind=kind.label, delta=delta, n=n, runs=runs, seed=seed,
         var_w_mc=float(stat_w.var(ddof=1)),
@@ -332,7 +329,7 @@ def median_moment_study(kind: NoiseKind, Ns: Sequence[int], r: float, runs: int,
         raise ValidationError("need at least 2 runs")
     if not math.isfinite(r):
         raise ValidationError(f"moment order r must be finite, got {r!r}")
-    f0 = density_at_zero(kind)
+    f0 = density(kind, 0.0)
     ez = normal_abs_moment(r)
     rows = []
     for n in Ns:
@@ -367,7 +364,7 @@ def tail_study(kind: NoiseKind, n: int, taus: Sequence[float], runs: int,
     if runs < 1:
         raise ValidationError("runs must be positive")
     med = _median_samples(kind, n, runs, seed)
-    scaled = 2.0 * math.sqrt(n) * density_at_zero(kind) * np.abs(med)
+    scaled = 2.0 * math.sqrt(n) * density(kind, 0.0) * np.abs(med)
     return tuple(
         TailRow(kind.label, n, t, runs, seed, float(np.mean(scaled > t)),
                 float(2.0 * math.exp(-t * t / 8.0)))

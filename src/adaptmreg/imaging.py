@@ -21,20 +21,12 @@ stopping loop as the 1d code; a chunk of interior pixels misses no sample
 and shares one threshold table. The border band's pixels follow in raster
 order, listed by one index array built once per image.
 
-The padded copy's dtype follows the values, not the file format. With the
-median or a quantile loss, an image whose values are all integers and none
-of them -0.0 is padded as an integer dtype with its largest value as the
-missing-sample marker, which sorts last as NaN does: as int16 if every
-magnitude is below 2**14 (every 8- and 12-bit PGM) and numpy sorts int16
-rows with SIMD on this CPU (losses.SIMD_INT16_SORT), else as int32 if every
-magnitude is below 2**30 (every 16-bit PGM). Below those bounds two values
-add without overflow, so the integer sorts give the float64 path's bits,
-int32 in about two thirds of its time; int16 rows take about 15 % less
-time again per chunk. Every other image, and every image under the mean loss, is padded as
-float64 with NaN. A chunk of interior pixels takes each of its inner-row
-runs from the padded copy with one row template, built once per image, of
-the offsets of every inner-row pixel's samples; other chunks index every
-sample of every pixel.
+The padded copy's dtype and missing-sample marker are losses.row_dtype's
+for the image's values, so an integer-valued image under the median or a
+quantile loss is sorted as integers, with the float64 path's output bits.
+A chunk of interior pixels takes each of its inner-row runs from the padded
+copy with one row template, built once per image, of the offsets of every
+inner-row pixel's samples; other chunks index every sample of every pixel.
 """
 
 from __future__ import annotations
@@ -44,11 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
 from .calibration import CalibArtifact
 from .errors import ValidationError
 from .levels import closed_form, closed_form_scale
-from .losses import window_estimates
+from .losses import row_dtype, window_estimates
 from .noise import NoiseKind, abs_diff_median
 from .parallel import run_chunks
 from .selector import first_rejection, threshold_table
@@ -138,9 +129,6 @@ class DenoiseConfig:
         if self.art.levels.method == "monte_carlo":
             raise ValidationError("imaging needs closed-form levels (asymptotic or exact_mean); "
                                   "monte carlo levels cannot be rebuilt for clipped borders")
-        if cfg.family.dropped_levels:
-            raise ValidationError(
-                "radii produce duplicate interior windows; calibrate on deduplicated radii")
         if not 0.0 <= self.sigma < math.inf:
             raise ValidationError(f"noise scale sigma must be finite and nonnegative, "
                                   f"got {self.sigma!r}")
@@ -171,11 +159,11 @@ def _geometry_tables(dx: np.ndarray, dy: np.ndarray, x_clips: np.ndarray,
     Returns the in-image counts of the K+1 windows, the level each stopping
     step reports, and the (K, K) unit-noise ring thresholds. Clipping drops
     a level whose window gains no in-image sample; the step into it has an
-    empty ring and +inf thresholds, and a step reports the last kept level
-    at or below it. A geometry that drops levels tests its kept steps with
-    the critical values of their original levels, made non-increasing by a
-    running minimum (floored at 1e-12), with the last kept level's pinned
-    to 1.
+    empty ring, whose NaN estimate never rejects, and a step reports the
+    last kept level at or below it. A geometry that drops levels tests its
+    kept steps with the critical values of their original levels, made
+    non-increasing by a running minimum (floored at 1e-12), with the last
+    kept level's pinned to 1.
     """
     in_x = (dx >= -x_clips[:, :1]) & (dx <= x_clips[:, 1:])
     in_y = (dy >= -y_clips[:, :1]) & (dy <= y_clips[:, 1:])
@@ -222,25 +210,12 @@ def denoise_image(image: Image, config: DenoiseConfig) -> tuple[Image, np.ndarra
                                             config.art.crit.full(family.K), scale)
     with np.errstate(invalid="ignore"):  # inf * 0 on empty rings if sigma is 0
         thr = thr * config.sigma
-    thr[np.diff(valid, axis=1) == 0] = np.inf
     thr = np.ascontiguousarray(np.moveaxis(thr, 0, -1))  # [:, :, g] is geometry g's
 
-    v = image.intensities
-    low, high = v.min(), v.max()
-    # below 2**30 (2**14) the sum of two values cannot overflow int32 (int16);
-    # a -0.0 keeps float64, whose output can carry that zero's sign
-    integer = (cfg.loss.kind in ("median", "quantile") and -2 ** 30 < low
-               and high < 2 ** 30 and np.array_equal(v, np.rint(v))
-               and not np.signbit(v[v == 0]).any())
-    if not integer:
-        dtype, missing = float, np.nan
-    else:
-        small = losses.SIMD_INT16_SORT and -2 ** 14 < low and high < 2 ** 14
-        dtype = np.int16 if small else np.int32
-        missing = np.iinfo(dtype).max
+    dtype, missing = row_dtype(image.intensities, cfg.loss)
     padded_w = w + 2 * reach
     padded = np.full((h + 2 * reach, padded_w), missing, dtype=dtype)
-    padded[reach: reach + h, reach: reach + w] = v
+    padded[reach: reach + h, reach: reach + w] = image.intensities
     flat = padded.ravel()
     offsets = (dy + reach) * padded_w + (dx + reach)
     n_x = len(x_clips)

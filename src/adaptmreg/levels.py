@@ -25,7 +25,6 @@ __all__ = [
     "Levels",
     "PairLevels",
     "normal_abs_moment",
-    "target_density",
     "closed_form",
     "closed_form_scale",
     "check_levels_loss",
@@ -152,11 +151,6 @@ def normal_abs_moment(r: float) -> float:
     return 2.0 ** (r / 2.0) * math.gamma((r + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-def target_density(noise: NoiseKind, loss: LossKind) -> float:
-    """Standardized noise density at the loss's target quantile (f0 of the asymptotics)."""
-    return density(noise, quantile_point(noise, loss.level))
-
-
 def closed_form(counts, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form levels from window sizes: window, ring and pair levels.
 
@@ -206,7 +200,7 @@ def closed_form_scale(method: str, r: float, loss: LossKind | None = None,
     for r = 2 only. "asymptotic": c = c_r * sd0, the normal-limit level of a
     single observation. The sample alpha-quantile over N points is
     asymptotically normal with variance alpha * (1 - alpha) / (f0^2 N), f0
-    the noise density at the target quantile (target_density), so
+    the noise density at the target quantile, so
     sd0 = (alpha * (1 - alpha))^(1/2) / f0; the r-th moment scale multiplies
     the standard deviation by c_r = (E|Z|^r)^(1/r).
     """
@@ -216,7 +210,7 @@ def closed_form_scale(method: str, r: float, loss: LossKind | None = None,
             raise ValidationError("exact mean levels are only available for r = 2")
         return 1.0
     check_levels_loss(method, loss)
-    f0 = target_density(noise, loss)
+    f0 = density(noise, quantile_point(noise, loss.level))
     if not f0 > 0:
         raise ValidationError("density at the target quantile must be positive")
     c_r = normal_abs_moment(r) ** (1.0 / r)

@@ -35,6 +35,7 @@ __all__ = [
     "locate",
     "locate_rows",
     "window_estimates",
+    "row_dtype",
     "betweenness_holds",
 ]
 
@@ -291,9 +292,9 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
     each read right after its sort. A sort permutes values only inside its
     span, which every later span holds whole or misses, so every order
     statistic keeps its bits. Order statistics of integers are exact in any
-    integer dtype, and the midpoint 0.5 * (a + b) of two of them is exact in
-    float64 as long as a + b does not overflow the dtype, so integer rows
-    give the same bits as the same values as float64.
+    integer dtype, and every midpoint adds its two ends in float64, where the
+    sum of two int32 values is exact, so integer rows give the same bits as
+    the same values as float64 (row_dtype picks the dtype).
 
     Full integer rows read the largest window from a narrowed stretch. By
     then window K-1, work[:, :m], and ring K-1, work[:, m:n], are sorted.
@@ -330,11 +331,11 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
             ys = work[:, a:b]
             ys.sort(axis=1)
             if full:
-                est[:, c] = ys[:, i] if i == j else 0.5 * (ys[:, i] + ys[:, j])
+                est[:, c] = ys[:, i] if i == j else 0.5 * np.add(ys[:, i], ys[:, j], dtype=float)
                 continue
             lo, hi = table[sizes[:, c]].T
             first, second = work.take(at + a + lo), work.take(at + a + hi)
-            est[:, c] = np.where(lo == hi, first, 0.5 * (first + second))
+            est[:, c] = np.where(lo == hi, first, 0.5 * np.add(first, second, dtype=float))
         if not full:
             est[sizes == 0] = np.nan
     elif full:
@@ -351,6 +352,27 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
         with np.errstate(invalid="ignore"):
             est /= sizes
     return est[:, : K + 1], est[:, K + 1:]
+
+
+def row_dtype(values: np.ndarray, loss: LossKind) -> tuple[type, float]:
+    """The dtype window_estimates sorts values in, and its missing-value marker.
+
+    Integer rows serve the median and quantile losses only, and only values
+    that are all integers, none of them -0.0 (float64 rows can carry that
+    zero's sign into an estimate). They take int16 when numpy sorts int16
+    rows with SIMD (SIMD_INT16_SORT) and every value lies in [-32768, 32766],
+    else int32 when every value lies in int32's range below its largest
+    value, which is the marker and sorts last as NaN does. Every other array
+    is sorted as float64, with NaN as the marker.
+    """
+    v = np.asarray(values, dtype=float)
+    if (loss.kind in ("median", "quantile") and np.array_equal(v, np.rint(v))
+            and not np.signbit(v[v == 0]).any()):
+        for dtype in (np.int16, np.int32) if SIMD_INT16_SORT else (np.int32,):
+            info = np.iinfo(dtype)
+            if info.min <= v.min() and v.max() < info.max:
+                return dtype, info.max
+    return float, np.nan
 
 
 def betweenness_holds(values, partition, loss: LossKind, rtol: float = 1e-12) -> bool:

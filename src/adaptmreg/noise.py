@@ -35,7 +35,6 @@ __all__ = [
     "RngStream",
     "sample_noise",
     "sample_rows",
-    "density_at_zero",
     "density",
     "cdf",
     "quantile_point",
@@ -143,11 +142,6 @@ def sample_rows(kind: NoiseKind, n: int, seed: int, lo: int, hi: int) -> np.ndar
     if len(blocks) == 1:
         return blocks[0]
     return np.concatenate(blocks) if blocks else np.empty((0, n))
-
-
-def density_at_zero(kind: NoiseKind) -> float:
-    """f(0) of the standardized (unit variance) density."""
-    return density(kind, 0.0)
 
 
 def density(kind: NoiseKind, x: float) -> float:

@@ -75,7 +75,7 @@ def test_criterion_3_two_sample_variances():
     ratio_mc = rep2.var_l_mc / rep2.var_w_mc
     ratio_formula = rep2.var_l_formula / rep2.var_w_formula
     assert abs(ratio_mc / ratio_formula - 1.0) <= 0.10
-    f0 = am.density_at_zero(kind)
+    f0 = am.density(kind, 0.0)
     assert abs(ratio_formula - (1.0 + 2.0 * 0.2 * f0)) <= 0.2 ** 2
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 3 (two-sample variances in {elapsed:.1f}s): PASS "
@@ -191,7 +191,7 @@ def test_criterion_5_moment_window_at_n101_known_unattainable(moment_ratios):
     """
     n = 101
     f0 = oracle_moments.laplace_density(0.0)
-    assert f0 == pytest.approx(am.density_at_zero(NoiseKind.laplace()),
+    assert f0 == pytest.approx(am.density(NoiseKind.laplace(), 0.0),
                                rel=1e-15)
     moments = oracle_moments.median_abs_moments(n)
     assert abs(moments[0] - 1.0) <= 1e-10, moments

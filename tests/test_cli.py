@@ -1156,3 +1156,42 @@ def test_bench_refuses_artifacts_of_another_design(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: validation: " + start) and part in err, err
         assert not (tmp_path / "b.csv").exists()
+
+
+def test_bench_refuses_artifacts_of_different_families(workdir, tmp_path, capsys):
+    """Two artifacts over one design but with different window counts exit 1, with no CSV.
+
+    The median artifact has the 17 default count levels, the mean one 16.
+    """
+    mean = tmp_path / "mean_ring.cal"
+    assert run("calibrate", "--family", "bench1d", "--loss", "mean", "--count-levels", "16",
+               "--runs", "1000", "--seed", "12", "--out", mean) == 0
+    capsys.readouterr()
+    out = tmp_path / "b.csv"
+    assert run("bench", "--example", "1", "--runs", "50", "--seed", "7", "--n", "200",
+               "--methods", "mean_ring,median_ring",
+               "--calib", f"mean_ring={mean},median_ring={workdir / 'med.cal'}",
+               "--out", out) == 1
+    assert capsys.readouterr().err == ("error: validation: calibration artifacts use "
+                                       "different window families\n")
+    assert not out.exists()
+
+
+def test_denoise_refuses_images_whose_clipped_family_collapses(disc_cal, tmp_path, capsys):
+    """In a 1x1, 2x2 or 3x3 image some pixel keeps a single window: exit 1, no output.
+
+    A 2x5 image keeps two windows at every pixel and denoises.
+    """
+    for h, w in ((1, 1), (2, 2), (3, 3), (2, 5)):
+        src, out = tmp_path / f"in{h}x{w}.pgm", tmp_path / f"out{h}x{w}.pgm"
+        write_pgm(src, np.full((h, w), 90.0) + np.arange(w), maxval=255)
+        capsys.readouterr()
+        code = run("denoise", "--in", src, "--calib", disc_cal / "d.cal", "--sigma", "1",
+                   "--out", out)
+        if (h, w) == (2, 5):
+            assert code == 0 and out.exists()
+            continue
+        assert code == 1, (h, w)
+        assert capsys.readouterr().err == ("error: validation: clipped family collapsed "
+                                           "to a single window\n"), (h, w)
+        assert not out.exists(), (h, w)

@@ -9,8 +9,7 @@ from adaptmreg import (ExperimentSpec, LossKind, NoiseKind, median_moment_study,
 from adaptmreg.experiments import (METHODS, BenchRow, TwoSampleReport, csv_text,
                                    pooled_variance_formula)
 from adaptmreg.losses import locate_rows
-from adaptmreg.noise import sample_rows
-from adaptmreg.noise import density_at_zero
+from adaptmreg.noise import density, sample_rows
 
 from oracle_select import oracle_index
 
@@ -116,7 +115,7 @@ def test_spec_validation():
 
 def test_two_sample_formulas_at_zero_shift():
     for kind in (NoiseKind.laplace(), NoiseKind.gaussian(), NoiseKind.student_t(3)):
-        f0 = density_at_zero(kind)
+        f0 = density(kind, 0.0)
         assert pooled_variance_formula(kind, 0.0) == pytest.approx(
             1.0 / (2.0 * f0 ** 2), abs=1e-12)
     # standardized Laplace: both limiting variances equal one
@@ -125,7 +124,7 @@ def test_two_sample_formulas_at_zero_shift():
 
 def test_two_sample_expansion_near_zero():
     kind = NoiseKind.laplace()
-    f0 = density_at_zero(kind)
+    f0 = density(kind, 0.0)
     delta = 0.2
     ratio = pooled_variance_formula(kind, delta) * 2.0 * f0 ** 2
     assert abs(ratio - (1.0 + 2.0 * delta * f0)) <= delta ** 2

@@ -279,8 +279,8 @@ def _integer_images() -> dict:
 def test_integer_images_match_the_float_path(disc_artifact, monkeypatch):
     """An integer image, sorted as int16 or int32, gives the float64 path's bits.
 
-    Values of magnitude below 2**14 are sorted as int16 where numpy sorts
-    int16 rows with SIMD (losses.SIMD_INT16_SORT), and as int32 otherwise.
+    Values in [-32768, 32766] are sorted as int16 where numpy sorts int16
+    rows with SIMD (losses.SIMD_INT16_SORT), and as int32 otherwise.
     I + 0.5 has no integer value, so it takes the float64 path, and its
     output is exactly out(I) + 0.5 with the same selected windows.
     """
@@ -302,16 +302,19 @@ def test_integer_images_match_the_float_path(disc_artifact, monkeypatch):
                 assert np.array_equal(khat, khat_half), name
 
 
-def test_int16_rows_need_values_below_2_14(disc_artifact, monkeypatch):
-    """|v| <= 2**14 - 1 takes int16 rows, and one value at +-2**14 keeps int32."""
+def test_int16_rows_need_values_below_int16_max(disc_artifact, monkeypatch):
+    """Values in [-32768, 32766] take int16 rows; one at 32767 or -32769 keeps int32.
+
+    32767 is the int16 missing-value marker. Midpoints of values this large
+    overflow int16 sums, so they must be added in float64.
+    """
     seen = _gathered_dtypes(monkeypatch)
     img = _integer_images()["8bit"]
-    edge = 2 ** 14 - 1
-    inside = np.where(img > 127, edge, -edge) + 0.0
+    inside = np.where(img > 127, 32766, -32768) + 0.0
     for gate in (True, False):
         monkeypatch.setattr(losses, "SIMD_INT16_SORT", gate)
         cases = [(inside, np.int16 if gate else np.int32)]
-        for value in (2 ** 14, -(2 ** 14)):
+        for value in (32767, -32769):
             over = inside.copy()
             over[5, 7] = value
             cases.append((over, np.int32))
@@ -350,16 +353,17 @@ def test_interior_row_runs_match_the_float_path(disc_artifact, monkeypatch):
 
 
 def test_only_exact_small_integers_take_the_int32_path(disc_artifact, monkeypatch):
-    """The mean loss, |v| >= 2**30 and -0.0 keep the float64 gather."""
+    """The mean loss, int32's largest value and -0.0 keep the float64 gather."""
     seen = _gathered_dtypes(monkeypatch)
     img = _integer_images()["8bit"]
     mean = _swapped(disc_artifact, am.LossKind.mean(),
                     am.levels_exact_mean(disc_artifact.config.family))
     big, negative_zero = img.copy(), img.copy()
-    big[0, 0] = 2.0 ** 30
+    big[0, 0] = 2.0 ** 31 - 1
     negative_zero[0, 0] = -0.0
     cases = ((mean, img, float), (disc_artifact, big, float),
-             (disc_artifact, negative_zero, float), (disc_artifact, img - 2.0 ** 30 + 1, np.int32))
+             (disc_artifact, negative_zero, float),
+             (disc_artifact, np.where(img > 127, 2.0 ** 31 - 2, -2.0 ** 31), np.int32))
     for art, image, want in cases:
         seen.clear()
         denoise_image(Image(image), DenoiseConfig(art, 1.0))
@@ -380,9 +384,6 @@ def test_rejects_incompatible_configs(disc_artifact):
     """Each artifact or noise scale the denoiser cannot use is refused on construction."""
     art = disc_artifact
     lv = art.levels
-    radii = np.insert(art.config.family_meta["radii"], 1, 1.6)  # 1.6 adds no pixel to 1.5
-    dup = am.build_family_2d(radii)
-    assert dup.dropped_levels and dup.K == art.config.family.K
     cases = {
         "a disc2d calibration artifact": am.load_artifact(DATA / "3e22d29_median_ring.cal"),
         "lepski rule": replace(art, config=replace(art.config, rule="lepski"),
@@ -390,8 +391,6 @@ def test_rejects_incompatible_configs(disc_artifact):
                                                               art.config.noise)),
         "closed-form levels": _swapped(art, levels=am.Levels(lv.s, lv.s_ring, "monte_carlo",
                                                              runs=10000, seed=1)),
-        "duplicate interior windows": replace(
-            art, config=replace(art.config, family_meta={"radii": radii.tolist()})),
     }
     for message, bad in cases.items():
         with pytest.raises(ValidationError, match=message):
@@ -411,6 +410,26 @@ def test_rejects_incompatible_configs(disc_artifact):
         with pytest.raises(ValidationError, match="sigma must be finite and nonnegative"):
             DenoiseConfig(art, sigma)
     assert DenoiseConfig(art, 0.0).radii == tuple(art.config.family_meta["radii"])
+
+
+def test_radii_that_add_no_pixel_move_no_output(disc_artifact):
+    """An artifact whose radii repeat a window denoises as the deduplicated one does.
+
+    The denoiser reads only the family's counts and order, which leave the
+    dropped radii out.
+    """
+    art = disc_artifact
+    radii = np.insert(art.config.family_meta["radii"], 1, 1.6)  # 1.6 adds no pixel to 1.5
+    dup = replace(art, config=replace(art.config, family_meta={"radii": radii.tolist()}))
+    family = dup.config.family
+    assert family.dropped_levels == (1,) and family.K == art.config.family.K
+    for h, w in ((13, 40), (3, 30)):
+        noise = sample_noise(NoiseKind.laplace(), h * w, RngStream(60, h * 100 + w))
+        image = Image(two_edge(w, h) + noise.reshape(h, w))
+        out, khat = denoise_image(image, DenoiseConfig(art, 1.0))
+        out_dup, khat_dup = denoise_image(image, DenoiseConfig(dup, 1.0))
+        assert np.array_equal(out.intensities, out_dup.intensities), (h, w)
+        assert np.array_equal(khat, khat_dup), (h, w)
 
 
 def test_denoise_builds_no_family(disc_artifact, tmp_path, monkeypatch):

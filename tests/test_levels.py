@@ -237,7 +237,7 @@ def test_pair_mc_is_the_step_moments_of_its_draw(small_family):
 
 
 def test_pair_asymptotic_median_shape(small_family):
-    f0 = am.density_at_zero(NoiseKind.laplace())
+    f0 = am.density(NoiseKind.laplace(), 0.0)
     pair = pair_levels_asymptotic(small_family, LossKind.median(), NoiseKind.laplace())
     mean_pair = pair_levels_exact_mean(small_family)
     tril = np.tril_indices(small_family.K)

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adaptmreg as am
-from adaptmreg import LossKind, betweenness_holds, locate
+from adaptmreg import LossKind, betweenness_holds, locate, losses
 from adaptmreg.losses import (_HUBER_BREAKS, _huber_edges, _quantile_bracket, locate_rows,
-                              window_estimates)
+                              row_dtype, window_estimates)
 
 from oracle_locate import brute_locate, grid_locate, huber_edges, huber_root_exact, rho
 
@@ -237,8 +237,8 @@ def test_window_estimates_match_scalar_locate(sizes, n_rows, loss, data):
 
 
 _MISSING = np.iinfo(np.int32).max
-# small integers make ties common; the extremes reach the int32 path's bound |v| < 2**30
-_INTS = st.one_of(st.integers(-4, 4), st.integers(-(2 ** 30) + 1, 2 ** 30 - 1))
+# small integers make ties common; the extremes reach int32 rows' bounds, below the marker
+_INTS = st.one_of(st.integers(-4, 4), st.integers(-(2 ** 31), 2 ** 31 - 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,15 +311,38 @@ def test_integer_rows_match_a_full_sort(sizes, n_rows, dtype, loss, seed):
     The largest window of full integer rows is read from a narrowed stretch;
     the families cover odd and even largest windows and brackets that reach
     below the last ring's size (nothing of window K-1 is left out). Values
-    from -3..3 make ties common; a few reach the int16 rows' bound 2**14 - 1.
+    from -3..3 make ties common; a few reach the dtype's bounds below its
+    largest value, whose midpoints overflow a sum in the dtype.
     """
     counts = np.cumsum(sizes)
     rng = np.random.default_rng(seed)
     rows = rng.integers(-3, 4, (n_rows, int(counts[-1])))
     far = rng.random(rows.shape) < 0.1
-    rows[far] = rng.integers(-(2 ** 14) + 1, 2 ** 14, far.sum())
+    info = np.iinfo(dtype)
+    rows[far] = rng.integers(info.min, info.max, far.sum())
     got = np.concatenate(window_estimates(rows.astype(dtype), counts, loss), axis=1)
     assert got.tobytes() == _sorted_reference(rows, counts, loss).tobytes()
+
+
+def test_row_dtype_takes_integers_only_where_they_keep_the_bits(monkeypatch):
+    """int16 within [-32768, 32766] where numpy sorts it with SIMD, else int32 below its max.
+
+    The mean and Huber losses, non-integers, -0.0 and int32's largest value keep float64.
+    """
+    median = LossKind.median()
+    small = np.array([-32768.0, 0.0, 32766.0])
+    monkeypatch.setattr(losses, "SIMD_INT16_SORT", True)
+    assert row_dtype(small, median) == (np.int16, 32767)
+    assert row_dtype(small, LossKind.quantile(0.3)) == (np.int16, 32767)
+    for v in (32767.0, -32769.0, 2.0 ** 31 - 2, -(2.0 ** 31)):
+        assert row_dtype(np.append(small, v), median) == (np.int32, 2 ** 31 - 1), v
+    monkeypatch.setattr(losses, "SIMD_INT16_SORT", False)
+    assert row_dtype(small, median) == (np.int32, 2 ** 31 - 1)
+    for values, loss in ((small, LossKind.mean()), (small, LossKind.huber(1.0)),
+                         (small + 0.5, median), (np.append(small, -0.0), median),
+                         (np.append(small, 2.0 ** 31 - 1), median)):
+        dtype, missing = row_dtype(values, loss)
+        assert dtype is float and np.isnan(missing), (values, loss)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, optimize, special, stats
 
 import adaptmreg as am
-from adaptmreg import NoiseKind, RngStream, density_at_zero, sample_noise
+from adaptmreg import NoiseKind, RngStream, density, sample_noise
 from adaptmreg.noise import (abs_diff_median, cdf, density, parse_noise, quantile_point,
                              sample_rows)
 from adaptmreg.parallel import CHUNK
@@ -40,7 +40,7 @@ def test_unit_variance_million_draws(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_symmetry_median_within_3_se(kind):
     x = sample_noise(kind, 10 ** 6, RngStream(2, 0))
-    se = 1.0 / (2.0 * density_at_zero(kind) * math.sqrt(x.size))
+    se = 1.0 / (2.0 * density(kind, 0.0) * math.sqrt(x.size))
     assert abs(np.median(x)) <= 3.0 * se
 
 
@@ -51,16 +51,16 @@ def test_stream_independence_correlation():
 
 
 def test_density_at_zero_frozen_values():
-    assert density_at_zero(NoiseKind.laplace()) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert density_at_zero(NoiseKind.gaussian()) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
-    assert density_at_zero(NoiseKind.student_t(3)) == pytest.approx(2 / math.pi, abs=1e-12)
+    assert density(NoiseKind.laplace(), 0.0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert density(NoiseKind.gaussian(), 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
+    assert density(NoiseKind.student_t(3), 0.0) == pytest.approx(2 / math.pi, abs=1e-12)
 
 
 def test_density_against_scipy():
-    assert density_at_zero(NoiseKind.laplace()) == pytest.approx(
+    assert density(NoiseKind.laplace(), 0.0) == pytest.approx(
         stats.laplace(scale=2 ** -0.5).pdf(0.0), abs=1e-12)
     c = math.sqrt(3.0)
-    assert density_at_zero(NoiseKind.student_t(3)) == pytest.approx(
+    assert density(NoiseKind.student_t(3), 0.0) == pytest.approx(
         c * stats.t(3).pdf(0.0), abs=1e-12)
 
 
