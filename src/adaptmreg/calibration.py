@@ -320,21 +320,38 @@ def verify_calibration(art: CalibArtifact, *, seed: int,
                        runs: int | None = None) -> tuple[float, tuple[str, ...]]:
     """Out-of-sample budget ratio achieved_lhs / budget of art, on fresh replicates.
 
-    Returns the ratio and the run-count warnings of the verification step,
-    which draws art.config.runs replicates unless runs is given. The seed must
+    Returns the ratio and the warnings of the verification step, which
+    draws art.config.runs replicates unless runs is given. The seed must
     differ from the calibration seed, otherwise the check would just reread
     the replicates the thresholds were fitted to. The replicates are
     streamed: each chunk of simulate_window_estimates gets its totals from
     _row_totals, the function the calibration's objective sums, so memory
     stays at one chunk's estimates per worker plus one float per replicate.
     A replicate's total reads its own row only, so the ratio equals the
-    objective over the whole set bit for bit.
+    objective over the whole set bit for bit. Monte Carlo level tables are
+    first redrawn from their runs and seed, and refused unless the redraw
+    gives them bit for bit; those of older estimators or noise layouts cannot
+    be redrawn and are used as stored, with a warning.
     """
     config, levels, pair = art.config, art.levels, art.pair
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
     runs = config.runs if runs is None else runs
     warnings = check_mc_runs(runs, "the verification")
+    current = (art.estimator, art.stream) == (ESTIMATOR_VERSION, STREAM_VERSION)
+    for name, lv, draw, keys in ((WINDOW_LEVELS, levels, levels_mc, ("s", "s_ring")),
+                                 (PAIR_LEVELS, pair, pair_levels_mc, ("s_pair",))):
+        if lv is None or lv.method != "monte_carlo":
+            continue
+        if not current:
+            warnings += (f"Monte Carlo levels of estimator version {art.estimator} and stream "
+                         f"version {art.stream} cannot be redrawn; they are used as stored",)
+            break
+        fresh = draw(config.family, config.loss, config.noise, lv.runs, config.r, lv.seed)
+        if not all(np.array_equal(getattr(lv, k), getattr(fresh, k), equal_nan=True)
+                   for k in keys):
+            raise ValidationError(f"{name} are not the monte_carlo levels of their "
+                                  f"{lv.runs} runs from seed {lv.seed}")
     zf = art.crit.full(levels.K)
     total = np.empty(runs)
 
@@ -374,13 +391,14 @@ class CalibArtifact:
     _zeta_to_z of it (to a relative 1e-9: np.log may round differently elsewhere);
     only the lepski rule has pair levels; the levels' methods describe the loss
     (check_levels_loss), and closed-form levels are config's (_closed_form_tables,
-    to the same 1e-9). Monte Carlo levels are kept as drawn. Asymptotic ones under
-    Student t noise need only be closed_form of the counts at some scale, read from
-    s[-1] or s_pair[0, 0]: their own scale would import scipy.stats, which quadruples
-    a short verify. The shares are finite, nonnegative and sum to at most
-    the budget alpha * s_K^r. Ring-rule zeta thresholds must meet the risk
-    hypothesis (z_k * s_k non-increasing), which the ring rule needs: a degenerate
-    budget (huge alpha) can push z below the final value.
+    to the same 1e-9). Monte Carlo levels are kept as drawn (verify_calibration
+    redraws them). Asymptotic ones under Student t noise need only be closed_form
+    of the counts at some scale, read from s[-1] or s_pair[0, 0]: their own scale
+    would import scipy.stats, which quadruples a short verify. The shares are
+    finite, nonnegative and sum to at most the budget alpha * s_K^r. Ring-rule
+    zeta thresholds must meet the risk hypothesis (z_k * s_k non-increasing),
+    which the ring rule needs: a degenerate budget (huge alpha) can push z
+    below the final value.
     """
 
     config: CalibConfig

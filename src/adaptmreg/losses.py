@@ -1,13 +1,13 @@
 """Location M-estimators: mean, median, quantile and Huber variants.
 
 Median, quantile and Huber estimates are computed in closed form, with no
-iteration: order statistics for the first two, and for Huber the root of a
-piecewise-linear score. Each row of a batch is solved on its own, so for
-these losses locate_rows gives a row bit for bit the value that locate
-gives it, whatever the rest of the batch. The mean is too, as long as each
-row is contiguous in memory: numpy sums the rows of a column-major batch
-(such as y[:, order]) in another order than a single row, so callers that
-gather columns gather them in C order, with np.take(y, order, axis=1).
+iteration: order statistics for the first two, all read by window_estimates,
+and for Huber the root of a piecewise-linear score. locate is the one-row
+case of locate_rows, which solves each row on its own, so a row's bits do
+not depend on the rest of its batch. For the mean this needs each row to be
+contiguous in memory: numpy sums the rows of a column-major batch (such as
+y[:, order]) in another order than a single row, so callers that gather
+columns gather them in C order, with np.take(y, order, axis=1).
 
 All estimators share one tie convention: when the objective has a flat
 stretch of minimizers, the midpoint of the argmin interval is returned.
@@ -31,7 +31,6 @@ from .errors import ValidationError
 
 __all__ = [
     "LossKind",
-    "LocationResult",
     "locate",
     "locate_rows",
     "window_estimates",
@@ -114,19 +113,6 @@ class LossKind:
         if self.kind == "quantile":
             return self.param
         raise ValidationError(f"the {self.kind} loss has no target quantile level")
-
-
-@dataclass(frozen=True)
-class LocationResult:
-    """Estimate plus the endpoints of the minimizing interval.
-
-    For a unique minimizer the endpoints coincide with the value; otherwise
-    value is the midpoint of [minimizer_lo, minimizer_hi].
-    """
-
-    value: float
-    minimizer_lo: float
-    minimizer_hi: float
 
 
 def _quantile_bracket(n: int, alpha: float) -> tuple[int, int]:
@@ -219,48 +205,27 @@ def _check_values(values) -> np.ndarray:
     return y
 
 
-def locate(values: Sequence[float], loss: LossKind) -> LocationResult:
-    """Location estimate minimizing sum_i rho(y_i - mu).
-
-    Mean returns the arithmetic mean. Median and quantile losses are solved
-    exactly through order statistics. The Huber estimate is the root of the
-    clipped-residual sum, solved in closed form on the linear piece that
-    holds it. Flat argmin intervals yield their midpoint.
-    """
-    y = _check_values(values)
-    if loss.kind == "mean":
-        v = float(y.mean())
-        return LocationResult(v, v, v)
-    if loss.kind in ("median", "quantile"):
-        ys = np.sort(y)
-        i, j = _quantile_bracket(y.size, loss.level)
-        lo, hi = float(ys[i]), float(ys[j])
-        return LocationResult(lo if i == j else 0.5 * (lo + hi), lo, hi)
-    left, right = _huber_edges(y[None, :], loss.param)
-    lo, hi = float(left[0]), float(right[0])
-    return LocationResult(0.5 * (lo + hi), lo, hi)
+def locate(values: Sequence[float], loss: LossKind) -> float:
+    """Location estimate minimizing sum_i rho(y_i - mu): locate_rows of values as one row."""
+    return float(locate_rows(_check_values(values)[None, :], loss)[0])
 
 
 def locate_rows(values: np.ndarray, loss: LossKind) -> np.ndarray:
-    """Row-wise locate() values for a 2-d array, same tie conventions.
+    """Each row's location estimate minimizing sum_i rho(y_i - mu), for a 2-d array.
 
-    Bit for bit those of locate(). For the mean this needs each row to be
-    contiguous in memory; on a column-major batch a mean row can differ in
-    its last bit.
+    Mean: the arithmetic mean. Median and quantile: order statistics, read by
+    window_estimates of one window. Huber: the root of the clipped-residual
+    sum, solved in closed form on the linear piece that holds it (_huber_edges).
     """
     rows = np.asarray(values, dtype=float)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValidationError("values must be a 2-d array with nonempty rows")
     if loss.kind == "mean":
         return rows.mean(axis=1)
-    if loss.kind in ("median", "quantile"):
-        i, j = _quantile_bracket(rows.shape[1], loss.level)
-        ys = np.sort(rows, axis=1)
-        if i == j:
-            return ys[:, i].copy()
-        return 0.5 * (ys[:, i] + ys[:, j])
-    left, right = _huber_edges(rows, loss.param)
-    return 0.5 * (left + right)
+    if loss.kind == "huber":
+        left, right = _huber_edges(rows, loss.param)
+        return 0.5 * (left + right)
+    return window_estimates(rows, [rows.shape[1]], loss)[0][:, 0]
 
 
 @lru_cache(maxsize=8)
@@ -307,23 +272,21 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
     a zero estimate.
     """
     K = len(counts) - 1
-    n_rows = rows.shape[0]
+    n_rows, n = rows.shape[0], int(counts[-1])
     spans = ([(0, counts[k]) for k in range(K + 1)]
              + [(counts[k], counts[k + 1]) for k in range(K)])
     est = np.empty((n_rows, 2 * K + 1))
-    full = valid is None or (valid[:, -1] == counts[-1]).all()
+    full = valid is None or (valid[:, -1] == n).all()
     if not full:
         sizes = np.concatenate([valid, np.diff(valid, axis=1)], axis=1)
+        at = np.arange(n_rows) * n  # row offsets into the flattened work copy
     if loss.kind in ("median", "quantile"):
-        n = int(counts[-1])
-        table = _bracket_table(n, loss.level)
-        at = np.arange(n_rows) * n
         # one copy of the rows, never the caller's array, sorted span by span in place
         work = rows[:, :n].copy()
         narrow = full and K >= 1 and work.dtype.kind == "i"
         for c in [*range(K + 1, 2 * K + 1), *range(K + 1)]:
             a, b = spans[c]
-            i, j = table[b - a]
+            i, j = _quantile_bracket(int(b - a), loss.level)
             if narrow and c == K:
                 m = int(counts[K - 1])
                 a, b = max(0, i - (n - m)), m + min(n - m, j + 1)
@@ -333,7 +296,7 @@ def window_estimates(rows: np.ndarray, counts, loss: LossKind, valid=None
             if full:
                 est[:, c] = ys[:, i] if i == j else 0.5 * np.add(ys[:, i], ys[:, j], dtype=float)
                 continue
-            lo, hi = table[sizes[:, c]].T
+            lo, hi = _bracket_table(n, loss.level)[sizes[:, c]].T
             first, second = work.take(at + a + lo), work.take(at + a + hi)
             est[:, c] = np.where(lo == hi, first, 0.5 * np.add(first, second, dtype=float))
         if not full:
@@ -390,7 +353,6 @@ def betweenness_holds(values, partition, loss: LossKind, rtol: float = 1e-12) ->
     merged = np.concatenate(blocks)
     if merged.size != y.size or not np.array_equal(np.sort(merged), np.arange(y.size)):
         raise ValidationError("partition blocks must be disjoint and cover all indices")
-    whole = locate(y, loss).value
-    parts = [locate(y[b], loss).value for b in blocks]
+    whole, parts = locate(y, loss), [locate(y[b], loss) for b in blocks]
     slack = rtol * (1.0 + float(np.abs(y).max()))
     return min(parts) - slack <= whole <= max(parts) + slack

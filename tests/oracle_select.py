@@ -40,9 +40,9 @@ def base_estimates(values, family: WindowFamily, loss: LossKind
     base = np.empty(K + 1)
     rings = np.empty(K)
     for k in range(K + 1):
-        base[k] = locate(y[members(family, k)], loss).value
+        base[k] = locate(y[members(family, k)], loss)
     for k in range(K):
-        rings[k] = locate(y[ring(family, k)], loss).value
+        rings[k] = locate(y[ring(family, k)], loss)
     return base, rings
 
 

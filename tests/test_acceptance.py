@@ -263,7 +263,7 @@ def test_criterion_8_locate_vs_bruteforce():
     for loss in losses:
         tol = 1e-6 if loss.kind == "mean" else 1e-12
         for vals in sets:
-            got = am.locate(vals, loss).value
+            got = am.locate(vals, loss)
             want = brute_locate(vals, loss)
             assert abs(got - want) <= tol, (vals, loss, got, want)
             checked += 1

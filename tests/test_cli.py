@@ -419,6 +419,37 @@ def test_non_canonical_monte_carlo_lepski_artifacts_refused(tmp_path, capsys, ed
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_verify_redraws_monte_carlo_levels(tmp_path, capsys):
+    """verify redraws Monte Carlo level tables from their runs and seed and refuses any other.
+
+    Doubled window or pair levels still load (the thresholds depend on ratios
+    of levels only), and doubled window levels once verified to a ratio of
+    0.175 where the real artifact gives 0.701. Tables of an older noise
+    layout cannot be redrawn, so they are used with a warning.
+    """
+    argv = ("--seed", "99", "--runs", "1000")
+    assert run("verify", "--calib", DATA / "d70d3e5_median_lepski_mc.cal", *argv) == 0
+    assert capsys.readouterr().out == "ratio: 0.7013426155602916\n"
+    art = am.load_artifact(DATA / "d70d3e5_median_lepski_mc.cal")
+    lv, pair = art.levels, art.pair
+    doubled = replace(art, levels=replace(lv, s=2 * lv.s, s_ring=2 * lv.s_ring))
+    for bad, table in ((doubled, "window levels are not the monte_carlo levels of their 1500 "
+                                 "runs from seed 14"),
+                       (replace(art, pair=replace(pair, s_pair=2 * pair.s_pair)),
+                        "pair levels are not the monte_carlo levels of their 1200 runs "
+                        "from seed 15")):
+        save_artifact(tmp_path / "bad.cal", bad)
+        am.load_artifact(tmp_path / "bad.cal")
+        assert run("verify", "--calib", tmp_path / "bad.cal", *argv) == 1
+        assert capsys.readouterr().err == f"error: validation: the {table}\n"
+    save_artifact(tmp_path / "old.cal", replace(doubled, stream=1))
+    assert run("verify", "--calib", tmp_path / "old.cal", *argv) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("ratio: ")
+    assert ("warning: Monte Carlo levels of estimator version 2 and stream version 1 cannot "
+            "be redrawn; they are used as stored\n") in out.err
+
+
 def test_quantile_mc_levels_name_the_way_out(tmp_path, capsys):
     """Non-monotone Monte Carlo levels stop the zeta search with the cause."""
     rc = run("calibrate", "--family", "bench1d", "--loss", "quantile:0.3",

@@ -31,40 +31,54 @@ def random_loss(rng):
     return LossKind.huber(float(rng.uniform(0.3, 2.0)))
 
 
+def argmin_ends(values, loss: LossKind) -> tuple[float, float]:
+    """Ends of the interval of minimizers of sum_i rho(y_i - mu), from the solvers' own reads.
+
+    Order statistics at _quantile_bracket for the median and quantiles, the
+    zero set's _huber_edges for Huber; the mean's minimizer is unique.
+    """
+    y = np.asarray(values, dtype=float)
+    if loss.kind == "mean":
+        return (locate(y, loss),) * 2
+    if loss.kind == "huber":
+        left, right = _huber_edges(y[None, :], loss.param)
+        return float(left[0]), float(right[0])
+    i, j = _quantile_bracket(y.size, loss.level)
+    ys = np.sort(y)
+    return float(ys[i]), float(ys[j])
+
+
 def test_locate_median_odd():
-    assert locate([3, 1, 2], LossKind.median()).value == 2.0
+    assert locate([3, 1, 2], LossKind.median()) == 2.0
 
 
 def test_locate_median_even_midpoint():
     # even length: mean of the two central order statistics
-    res = locate([1, 2, 3, 10], LossKind.median())
-    assert res.value == 2.5
-    assert (res.minimizer_lo, res.minimizer_hi) == (2.0, 3.0)
+    assert locate([1, 2, 3, 10], LossKind.median()) == 2.5
+    assert argmin_ends([1, 2, 3, 10], LossKind.median()) == (2.0, 3.0)
 
 
 def test_locate_quantile_against_stated_grid_oracle():
     loss = LossKind.quantile(0.25)
     expected = grid_locate([0, 1, 2, 3], loss, -1.0, 4.0, 1e-4)
     assert expected == pytest.approx(0.5, abs=1e-9)  # grid node round-off only
-    assert locate([0, 1, 2, 3], loss).value == 0.5
+    assert locate([0, 1, 2, 3], loss) == 0.5
 
 
 def test_locate_huber_root():
     # root of 2 * (-mu) + 1 = 0
-    res = locate([0, 0, 10], LossKind.huber(1.0))
-    assert res.value == pytest.approx(0.5, abs=1e-9)
+    assert locate([0, 0, 10], LossKind.huber(1.0)) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_locate_mean():
-    assert locate([1.0, 2.0, 4.0], LossKind.mean()).value == pytest.approx(7.0 / 3.0)
+    assert locate([1.0, 2.0, 4.0], LossKind.mean()) == pytest.approx(7.0 / 3.0)
 
 
 def test_median_is_quantile_half():
     rng = np.random.default_rng(5)
     for _ in range(40):
         y = rng.normal(size=int(rng.integers(1, 15)))
-        assert locate(y, LossKind.median()).value == \
-            locate(y, LossKind.quantile(0.5)).value
+        assert locate(y, LossKind.median()) == locate(y, LossKind.quantile(0.5))
 
 
 def test_locate_matches_bruteforce_small_multisets():
@@ -73,7 +87,7 @@ def test_locate_matches_bruteforce_small_multisets():
     for loss in ALL_LOSSES:
         tol = 1e-6 if loss.kind == "mean" else 1e-12
         for vals in sets:
-            got = locate(vals, loss).value
+            got = locate(vals, loss)
             want = brute_locate(vals, loss)
             assert got == pytest.approx(want, abs=tol), (vals, loss)
 
@@ -83,10 +97,9 @@ def test_interval_invariants():
     for _ in range(200):
         y = rng.normal(size=int(rng.integers(1, 12)))
         loss = random_loss(rng)
-        res = locate(y, loss)
-        assert res.minimizer_lo <= res.value <= res.minimizer_hi
-        assert res.value == pytest.approx(
-            0.5 * (res.minimizer_lo + res.minimizer_hi), abs=1e-12)
+        value, (lo, hi) = locate(y, loss), argmin_ends(y, loss)
+        assert lo <= value <= hi
+        assert value == pytest.approx(0.5 * (lo + hi), abs=1e-12)
 
 
 def test_translation_equivariance():
@@ -95,8 +108,7 @@ def test_translation_equivariance():
         y = rng.normal(size=int(rng.integers(1, 12)))
         c = float(rng.normal())
         loss = random_loss(rng)
-        assert locate(y + c, loss).value == \
-            pytest.approx(locate(y, loss).value + c, abs=1e-8)
+        assert locate(y + c, loss) == pytest.approx(locate(y, loss) + c, abs=1e-8)
 
 
 def test_scale_equivariance_except_huber():
@@ -105,8 +117,7 @@ def test_scale_equivariance_except_huber():
         y = rng.normal(size=int(rng.integers(1, 12)))
         c = float(rng.uniform(0.1, 5.0))
         for loss in (LossKind.mean(), LossKind.median(), LossKind.quantile(0.3)):
-            assert locate(c * y, loss).value == \
-                pytest.approx(c * locate(y, loss).value, abs=1e-10)
+            assert locate(c * y, loss) == pytest.approx(c * locate(y, loss), abs=1e-10)
 
 
 def test_monotone_in_data():
@@ -117,7 +128,7 @@ def test_monotone_in_data():
         i = int(rng.integers(0, y.size))
         bumped = y.copy()
         bumped[i] += float(rng.uniform(0.0, 3.0))
-        assert locate(bumped, loss).value >= locate(y, loss).value - 1e-9
+        assert locate(bumped, loss) >= locate(y, loss) - 1e-9
 
 
 def random_partition(n, rng):
@@ -151,7 +162,7 @@ def test_locate_rows_matches_scalar():
     for loss in ALL_LOSSES:
         rows = rng.normal(size=(20, int(rng.integers(1, 9))))
         got = locate_rows(rows, loss)
-        want = [locate(row, loss).value for row in rows]
+        want = [locate(row, loss) for row in rows]
         assert np.allclose(got, want, atol=1e-9)
 
 
@@ -169,7 +180,7 @@ def test_locate_one_point_argmin_matches_locate_rows_bitwise():
         rows[:4, :] = np.finfo(float).max
         for loss in (LossKind.median(), LossKind.quantile(0.25), LossKind.quantile(0.7)):
             want = locate_rows(rows, loss)
-            got = np.array([locate(row, loss).value for row in rows])
+            got = np.array([locate(row, loss) for row in rows])
             assert got.tobytes() == want.tobytes(), (n, loss)
             assert np.isfinite(got).all()
 
@@ -225,8 +236,8 @@ def test_window_estimates_match_scalar_locate(sizes, n_rows, loss, data):
     rows = np.asarray(flat, dtype=float).reshape(n_rows, -1)
     bases, rings = window_estimates(rows, counts, loss)
     assert bases.shape == (n_rows, counts.size) and rings.shape == (n_rows, counts.size - 1)
-    want_bases = [[locate(row[:c], loss).value for c in counts] for row in rows]
-    want_rings = [[locate(row[a:b], loss).value for a, b in zip(counts[:-1], counts[1:])]
+    want_bases = [[locate(row[:c], loss) for c in counts] for row in rows]
+    want_rings = [[locate(row[a:b], loss) for a, b in zip(counts[:-1], counts[1:])]
                   for row in rows]
     if loss.kind != "mean":
         assert np.array_equal(bases, np.reshape(want_bases, bases.shape))
@@ -276,7 +287,7 @@ def test_int32_rows_match_float_rows(sizes, n_rows, masked, loss, data):
         for c, (a, b) in enumerate(spans):
             kept = values[i, a:b][~missing[i, a:b]]
             if kept.size:
-                assert est[i, c] == locate(kept, loss).value
+                assert est[i, c] == locate(kept, loss)
             else:
                 assert np.isnan(est[i, c])
 
@@ -388,11 +399,38 @@ def test_locate_rows_bitwise_independent_of_batch(n, n_rows, n_other, loss, data
 
     rows, others = draw_rows(n_rows), draw_rows(n_other)
     got = locate_rows(rows, loss)
-    alone = np.array([locate(row, loss).value for row in rows])
+    alone = np.array([locate(row, loss) for row in rows])
     assert np.array_equal(got, alone)
     at = data.draw(st.integers(0, n_other))
     mixed = np.concatenate([others[:at], rows, others[at:]])
     assert np.array_equal(locate_rows(mixed, loss)[at: at + n_rows], got)
+
+
+@st.composite
+def _edge_rows(draw):
+    """1 to 4 rows of 1 to 9 values from _VALUES, +-0.0 and +-1e17."""
+    n, n_rows = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    values = st.one_of(_VALUES, st.sampled_from([0.0, -0.0, 1e17, -1e17]))
+    return np.array(draw(st.lists(values, min_size=n * n_rows,
+                                  max_size=n * n_rows))).reshape(n_rows, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_edge_rows(), loss=st.sampled_from([LossKind.mean(), LossKind.median(),
+                                                LossKind.quantile(0.3), LossKind.huber(1.345)]))
+@example(rows=np.array([[-0.0, 0.0, 1e17, -1e17], [0.0, -0.0, -0.0, 0.5]]), loss=LossKind.median())
+@example(rows=np.array([[-0.0, 0.0, 1e17, -1e17, 0.25]]), loss=LossKind.huber(1.345))
+def test_one_location_solver(rows, loss):
+    """locate_rows is window_estimates of one window, and locate its one-row case, bit for bit.
+
+    Odd and even n give one and two order statistics, quarter-integers make
+    ties, and the examples tie -0.0 with 0.0 in the middle of the row.
+    """
+    got = locate_rows(rows, loss)
+    assert got.tobytes() == window_estimates(rows, [rows.shape[1]], loss)[0][:, 0].tobytes()
+    for row, value in zip(rows, got):
+        alone = locate_rows(row[None], loss)[0]
+        assert np.float64(locate(row, loss)).tobytes() == alone.tobytes() == value.tobytes()
 
 
 def test_huber_blocks_of_rows_match_scalar():
@@ -400,7 +438,7 @@ def test_huber_blocks_of_rows_match_scalar():
     rows = np.random.default_rng(8).laplace(size=(400, 177))
     loss = LossKind.huber(1.345)
     got = locate_rows(rows, loss)
-    assert np.array_equal(got, [locate(row, loss).value for row in rows])
+    assert np.array_equal(got, [locate(row, loss) for row in rows])
     assert np.array_equal(locate_rows(rows[::-1], loss), got[::-1])
 
 
@@ -444,20 +482,19 @@ def test_huber_edges_match_reference(rows, kink, root):
 
 def test_huber_flat_stretch_ends_are_exact():
     # psi = -2 + 2 = 0 for every mu in [0 + 1, 10 - 1]
-    res = locate([0, 0, 10, 10], LossKind.huber(1.0))
-    assert (res.value, res.minimizer_lo, res.minimizer_hi) == (5.0, 1.0, 9.0)
-    res = locate([10, -2.5, 0.5, 7], LossKind.huber(0.75))
-    assert (res.minimizer_lo, res.minimizer_hi) == (0.5 + 0.75, 7 - 0.75)
+    assert locate([0, 0, 10, 10], LossKind.huber(1.0)) == 5.0
+    assert argmin_ends([0, 0, 10, 10], LossKind.huber(1.0)) == (1.0, 9.0)
+    assert argmin_ends([10, -2.5, 0.5, 7], LossKind.huber(0.75)) == (0.5 + 0.75, 7 - 0.75)
     # the middle gap equal to 2 kink leaves a single root
-    res = locate([0, 2], LossKind.huber(1.0))
-    assert (res.value, res.minimizer_lo, res.minimizer_hi) == (1.0, 1.0, 1.0)
+    assert locate([0, 2], LossKind.huber(1.0)) == 1.0
+    assert argmin_ends([0, 2], LossKind.huber(1.0)) == (1.0, 1.0)
 
 
 def test_huber_single_value_is_returned():
     for y in (3.5, -1e-300, 0.1, 1e12):
         for kink in (1e-3, 1.345, 50.0):
-            res = locate([y], LossKind.huber(kink))
-            assert (res.value, res.minimizer_lo, res.minimizer_hi) == (y, y, y)
+            assert locate([y], LossKind.huber(kink)) == y
+            assert argmin_ends([y], LossKind.huber(kink)) == (y, y)
 
 
 def test_huber_root_is_exact_under_gross_outliers_and_tiny_kinks():
@@ -470,9 +507,9 @@ def test_huber_root_is_exact_under_gross_outliers_and_tiny_kinks():
     """
     huber = LossKind.huber
     for far in (5e16, 1e17):
-        got = locate([0.1, 0.2, 0.3, far, -far], huber(1.345)).value
+        got = locate([0.1, 0.2, 0.3, far, -far], huber(1.345))
         assert got == pytest.approx(0.2, abs=1e-12)
-    assert locate([0.3, -1.2, 2.5, 0.1, -0.4, 1.7, 0.9], huber(1e-300)).value == 0.3
+    assert locate([0.3, -1.2, 2.5, 0.1, -0.4, 1.7, 0.9], huber(1e-300)) == 0.3
     rng = np.random.default_rng(1)
     for kink in (1.345, 1e-16, 1e-300):
         for n in (5, 8, 13):
@@ -513,12 +550,11 @@ _SAMPLES = st.lists(_VALUES, min_size=1, max_size=12)
 @settings(max_examples=200, deadline=None)
 @given(values=_SAMPLES, loss=st.sampled_from(ALL_LOSSES))
 def test_locate_returns_midpoint_of_minimizers(values, loss):
-    """The value is the midpoint of [minimizer_lo, minimizer_hi], both minimizers."""
-    res = locate(values, loss)
-    assert res.minimizer_lo <= res.minimizer_hi
-    assert res.value == 0.5 * (res.minimizer_lo + res.minimizer_hi)
-    objective = [float(np.sum(rho(loss, np.asarray(values) - mu)))
-                 for mu in (res.minimizer_lo, res.value, res.minimizer_hi)]
+    """The value is the midpoint of the argmin interval [lo, hi], all three minimizers."""
+    value, (lo, hi) = locate(values, loss), argmin_ends(values, loss)
+    assert lo <= hi
+    assert value == 0.5 * (lo + hi)
+    objective = [float(np.sum(rho(loss, np.asarray(values) - mu))) for mu in (lo, value, hi)]
     assert max(objective) - min(objective) <= 1e-9 * (1.0 + min(objective))
 
 
@@ -528,7 +564,7 @@ def test_locate_returns_midpoint_of_minimizers(values, loss):
 def test_locate_sign_flip_symmetry(values, loss):
     """locate(-y) = -locate(y): exactly for mean and median, to rounding for Huber."""
     y = np.asarray(values, dtype=float)
-    flipped, value = locate(-y, loss).value, locate(y, loss).value
+    flipped, value = locate(-y, loss), locate(y, loss)
     if loss.kind == "huber":
         assert abs(flipped + value) <= 1e-12 * (1.0 + np.abs(y).max())
     else:
