@@ -329,29 +329,18 @@ def verify_calibration(art: CalibArtifact, *, seed: int,
     stays at one chunk's estimates per worker plus one float per replicate.
     A replicate's total reads its own row only, so the ratio equals the
     objective over the whole set bit for bit. Monte Carlo level tables are
-    first redrawn from their runs and seed, and refused unless the redraw
-    gives them bit for bit; those of older estimators or noise layouts cannot
-    be redrawn and are used as stored, with a warning.
+    redrawn when load_artifact reads them; those of older estimators or noise
+    layouts cannot be redrawn and are used as stored, with a warning here.
     """
     config, levels, pair = art.config, art.levels, art.pair
     if seed == config.seed:
         raise ValidationError("verification needs a seed different from calibration")
     runs = config.runs if runs is None else runs
     warnings = check_mc_runs(runs, "the verification")
-    current = (art.estimator, art.stream) == (ESTIMATOR_VERSION, STREAM_VERSION)
-    for name, lv, draw, keys in ((WINDOW_LEVELS, levels, levels_mc, ("s", "s_ring")),
-                                 (PAIR_LEVELS, pair, pair_levels_mc, ("s_pair",))):
-        if lv is None or lv.method != "monte_carlo":
-            continue
-        if not current:
-            warnings += (f"Monte Carlo levels of estimator version {art.estimator} and stream "
-                         f"version {art.stream} cannot be redrawn; they are used as stored",)
-            break
-        fresh = draw(config.family, config.loss, config.noise, lv.runs, config.r, lv.seed)
-        if not all(np.array_equal(getattr(lv, k), getattr(fresh, k), equal_nan=True)
-                   for k in keys):
-            raise ValidationError(f"{name} are not the monte_carlo levels of their "
-                                  f"{lv.runs} runs from seed {lv.seed}")
+    old = (art.estimator, art.stream) != (ESTIMATOR_VERSION, STREAM_VERSION)
+    if old and "monte_carlo" in {lv.method for lv in (levels, pair) if lv}:
+        warnings += (f"Monte Carlo levels of estimator version {art.estimator} and stream "
+                     f"version {art.stream} cannot be redrawn; they are used as stored",)
     zf = art.crit.full(levels.K)
     total = np.empty(runs)
 
@@ -391,7 +380,7 @@ class CalibArtifact:
     _zeta_to_z of it (to a relative 1e-9: np.log may round differently elsewhere);
     only the lepski rule has pair levels; the levels' methods describe the loss
     (check_levels_loss), and closed-form levels are config's (_closed_form_tables,
-    to the same 1e-9). Monte Carlo levels are kept as drawn (verify_calibration
+    to the same 1e-9). Monte Carlo levels are kept as drawn (load_artifact
     redraws them). Asymptotic ones under Student t noise need only be closed_form
     of the counts at some scale, read from s[-1] or s_pair[0, 0]: their own scale
     would import scipy.stats, which quadruples a short verify. The shares are
@@ -552,8 +541,10 @@ def load_artifact(path) -> CalibArtifact:
     The config hash on the first line must match the lines after it, and the
     family, CalibConfig and CalibArtifact are rebuilt, so a loaded artifact
     passes a fresh calibration's checks. A missing estimator or stream line
-    reads as version 1. Every refusal, including the first line that differs
-    from what save_artifact writes, raises ValidationError.
+    reads as version 1. Monte Carlo level tables of the current versions are
+    redrawn from their runs and seed and must come out bit for bit. Every
+    refusal, including the first line that differs from what save_artifact
+    writes, raises ValidationError.
     """
     try:
         with open(path, "rb") as fh:
@@ -591,6 +582,17 @@ def load_artifact(path) -> CalibArtifact:
         shown = [repr(lines[i]) if i < len(lines) else "no line" for lines in (got, want)]
         raise ValidationError(f"calibration artifact {path}: line {i + 2} is {shown[0]}, "
                               f"where save_artifact writes {shown[1]}")
+    cfg = art.config
+    current = (art.estimator, art.stream) == (ESTIMATOR_VERSION, STREAM_VERSION)
+    for name, lv, draw, keys in ((WINDOW_LEVELS, art.levels, levels_mc, ("s", "s_ring")),
+                                 (PAIR_LEVELS, art.pair, pair_levels_mc, ("s_pair",))):
+        if lv is None or lv.method != "monte_carlo" or not current:
+            continue
+        fresh = draw(cfg.family, cfg.loss, cfg.noise, lv.runs, cfg.r, lv.seed)
+        if not all(np.array_equal(getattr(lv, k), getattr(fresh, k), equal_nan=True)
+                   for k in keys):
+            raise ValidationError(f"calibration artifact {path}: {name} are not the monte_carlo "
+                                  f"levels of their {lv.runs} runs from seed {lv.seed}")
     return art
 
 

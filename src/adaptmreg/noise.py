@@ -231,10 +231,8 @@ def parse_noise(text: str) -> NoiseKind:
         return NoiseKind.gaussian()
     if t.startswith("student_t"):
         rest = t[len("student_t"):]
-        if rest.startswith(":"):
-            rest = rest[1:]
         try:
-            dof = int(rest) if rest else 3
+            dof = int(rest.removeprefix(":")) if rest else 3
         except ValueError:
             raise ValidationError(f"--noise: {text!r} has no integer degrees of freedom"
                                   ) from None

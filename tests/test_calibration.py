@@ -249,6 +249,27 @@ def test_row_totals_and_shares_match_dense_reference(small_setup, rule):
             assert np.array_equal(_shares(bases, nxt, weights, thr), dense.shares(z, bare))
 
 
+@pytest.mark.parametrize("loss, rule, mode", [
+    ("median", "ring", "zeta"), ("median", "lepski", "zeta"), ("huber:1.345", "ring", "zeta"),
+    ("median", "ring", "sequential"), ("median", "lepski", "sequential"),
+], ids=["median_ring", "median_lepski", "huber_ring", "sequential_ring", "sequential_lepski"])
+def test_calibration_does_not_depend_on_the_worker_count(small_setup, tmp_path, monkeypatch,
+                                                         loss, rule, mode):
+    """An artifact is the same file at 1 and 2 workers, Monte Carlo levels (Huber) too.
+
+    Its runs span three chunks of replicates, so two workers split the draws
+    and the rows the search re-tests.
+    """
+    config = replace(small_setup[2], loss=parse_loss(loss), rule=rule, mode=mode)
+    assert config.runs > 2 * CHUNK
+    files = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
+        save_artifact(tmp_path / f"w{workers}.cal", calibrate(config))
+        files.append((tmp_path / f"w{workers}.cal").read_bytes())
+    assert files[0] == files[1]
+
+
 def test_sequential_matches_dense_reference(small_setup):
     family, levels, config = small_setup
     cfg = replace(config, mode="sequential")
@@ -575,9 +596,15 @@ def _artifacts(draw):
     most the budget, the levels stay non-increasing, closed-form levels
     describe the loss and are the ones closed_form gives for the family,
     loss, noise and r, Monte Carlo levels alone carry a run count (at least
-    1,000) and a seed, pair levels come with the lepski rule only, and
-    ring-rule zeta values meet the risk hypothesis.
+    1,000) and a seed and, under the current estimator and stream versions,
+    are the tables those redraw (load_artifact refuses others), pair levels
+    come with the lepski rule only, and ring-rule zeta values meet the risk
+    hypothesis.
     """
+    versions = {"estimator": draw(st.sampled_from(ESTIMATOR_VERSIONS)),
+                "stream": draw(st.sampled_from(STREAM_VERSIONS))}
+    redrawn = tuple(versions.values()) == (calibration.ESTIMATOR_VERSION,
+                                           calibration.STREAM_VERSION)
     family_kind = draw(st.sampled_from(["line1d", "disc2d"]))
     if family_kind == "line1d":
         counts = np.cumsum(draw(st.lists(st.integers(1, 50), min_size=2, max_size=6)))
@@ -615,15 +642,21 @@ def _artifacts(draw):
         method = draw(st.sampled_from(closed.get(loss.kind, []) + ["monte_carlo"]))
         if method != "monte_carlo":
             return {"method": method}
-        return {"method": method, "runs": draw(st.integers(MC_MIN_RUNS, 2 ** 40)),
+        top = MC_MIN_RUNS + 100 if redrawn else 2 ** 40
+        return {"method": method, "runs": draw(st.integers(MC_MIN_RUNS, top)),
                 "seed": draw(st.integers(0, 2 ** 40))}
+
+    def drawn(build, prov):
+        return build(family, loss, noise, prov["runs"], r, prov["seed"])
 
     def closed_form_tables(method):
         return closed_form(family.counts, closed_form_scale(method, r, loss, noise))
 
-    # closed-form tables are the config's own; Monte Carlo ones are drawn
+    # closed-form tables are the config's own; Monte Carlo ones are redrawn, or of old versions
     window = provenance()
-    if window["method"] == "monte_carlo":
+    if window["method"] == "monte_carlo" and redrawn:
+        levels = drawn(am.levels_mc, window)
+    elif window["method"] == "monte_carlo":
         levels = Levels(np.sort(positives(K + 1))[::-1], lower_triangle(K, 0), **window)
     else:
         levels = Levels(*closed_form_tables(window["method"])[:2], **window)
@@ -632,8 +665,11 @@ def _artifacts(draw):
     pair = None
     if rule == "lepski":
         prov = provenance()
-        pair = am.PairLevels(lower_triangle(K, 0) if prov["method"] == "monte_carlo"
-                             else closed_form_tables(prov["method"])[2], **prov)
+        if prov["method"] == "monte_carlo" and redrawn:
+            pair = drawn(am.pair_levels_mc, prov)
+        else:
+            pair = am.PairLevels(lower_triangle(K, 0) if prov["method"] == "monte_carlo"
+                                 else closed_form_tables(prov["method"])[2], **prov)
     config = CalibConfig(
         family_kind=family_kind, family_meta=meta, loss=loss, noise=noise, r=r, alpha=alpha,
         runs=draw(st.integers(1000, 10 ** 9)), seed=draw(st.integers(-(2 ** 63), 2 ** 63)),
@@ -648,9 +684,7 @@ def _artifacts(draw):
         crit = am.CriticalValues(z=np.sort(positives(K))[::-1])
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K))
     shares = _budget(config, levels) / K * np.array(fractions)
-    return am.CalibArtifact(config, crit, shares, levels, pair,
-                            estimator=draw(st.sampled_from(ESTIMATOR_VERSIONS)),
-                            stream=draw(st.sampled_from(STREAM_VERSIONS)))
+    return am.CalibArtifact(config, crit, shares, levels, pair, **versions)
 
 
 def _same(a, b) -> bool:

@@ -420,34 +420,75 @@ def test_non_canonical_monte_carlo_lepski_artifacts_refused(tmp_path, capsys, ed
 
 
 def test_verify_redraws_monte_carlo_levels(tmp_path, capsys):
-    """verify redraws Monte Carlo level tables from their runs and seed and refuses any other.
+    """Loading redraws Monte Carlo level tables from their runs and seed and refuses any other.
 
-    Doubled window or pair levels still load (the thresholds depend on ratios
-    of levels only), and doubled window levels once verified to a ratio of
-    0.175 where the real artifact gives 0.701. Tables of an older noise
-    layout cannot be redrawn, so they are used with a warning.
+    Doubled window or pair levels pass every other check (the thresholds
+    depend on ratios of levels only): doubled window levels once verified to
+    a ratio of 0.175 where the real artifact gives 0.701, and doubled pair
+    levels moved a 200-run median_lepski bench error from 0.332 to 0.796.
+    load_artifact, verify and bench refuse both. Tables of an older noise
+    layout cannot be redrawn, so they load and verify with a warning.
     """
+    real = DATA / "d70d3e5_median_lepski_mc.cal"
     argv = ("--seed", "99", "--runs", "1000")
-    assert run("verify", "--calib", DATA / "d70d3e5_median_lepski_mc.cal", *argv) == 0
+    assert run("verify", "--calib", real, *argv) == 0
     assert capsys.readouterr().out == "ratio: 0.7013426155602916\n"
-    art = am.load_artifact(DATA / "d70d3e5_median_lepski_mc.cal")
+
+    def bench(calib):
+        return run("bench", "--example", "1", "--runs", "200", "--seed", "7", "--methods",
+                   "median_lepski", "--calib", f"median_lepski={calib}",
+                   "--out", tmp_path / "b.csv")
+
+    assert bench(real) == 0
+    assert (tmp_path / "b.csv").read_text().splitlines()[1] == (
+        "1,laplace,median_lepski,0.33178437435127156,200,7")
+    (tmp_path / "b.csv").unlink()
+    art = am.load_artifact(real)
     lv, pair = art.levels, art.pair
     doubled = replace(art, levels=replace(lv, s=2 * lv.s, s_ring=2 * lv.s_ring))
-    for bad, table in ((doubled, "window levels are not the monte_carlo levels of their 1500 "
-                                 "runs from seed 14"),
-                       (replace(art, pair=replace(pair, s_pair=2 * pair.s_pair)),
-                        "pair levels are not the monte_carlo levels of their 1200 runs "
-                        "from seed 15")):
-        save_artifact(tmp_path / "bad.cal", bad)
-        am.load_artifact(tmp_path / "bad.cal")
-        assert run("verify", "--calib", tmp_path / "bad.cal", *argv) == 1
-        assert capsys.readouterr().err == f"error: validation: the {table}\n"
+    bad = tmp_path / "bad.cal"
+    for tampered, table in ((doubled, "window levels are not the monte_carlo levels of their "
+                                      "1500 runs from seed 14"),
+                            (replace(art, pair=replace(pair, s_pair=2 * pair.s_pair)),
+                             "pair levels are not the monte_carlo levels of their 1200 runs "
+                             "from seed 15")):
+        save_artifact(bad, tampered)
+        message = f"calibration artifact {bad}: the {table}"
+        with pytest.raises(am.ValidationError, match=f"^{message}$"):
+            am.load_artifact(bad)
+        capsys.readouterr()
+        assert run("verify", "--calib", bad, *argv) == 1
+        assert capsys.readouterr().err == f"error: validation: {message}\n"
+        assert bench(bad) == 1
+        assert capsys.readouterr().err == f"error: validation: {message}\n"
+        assert not (tmp_path / "b.csv").exists()
     save_artifact(tmp_path / "old.cal", replace(doubled, stream=1))
+    assert am.load_artifact(tmp_path / "old.cal").stream == 1
     assert run("verify", "--calib", tmp_path / "old.cal", *argv) == 0
     out = capsys.readouterr()
     assert out.out.startswith("ratio: ")
     assert ("warning: Monte Carlo levels of estimator version 2 and stream version 1 cannot "
             "be redrawn; they are used as stored\n") in out.err
+
+
+def test_library_calibrate_writes_the_cli_bytes(workdir, tmp_path):
+    """calibrate plus save_artifact writes the bytes of the calibrate command.
+
+    It does for closed-form median ring-rule levels (workdir's med.cal) and
+    for Monte Carlo window and pair levels with a run count of their own.
+    """
+    meta = {"n": 200, "counts": am.benchmark_counts()}
+    ring = am.CalibConfig("line1d", meta, am.LossKind.median(), am.NoiseKind.laplace(),
+                          runs=2000, seed=11)
+    save_artifact(tmp_path / "ring.cal", am.calibrate(ring))
+    assert (tmp_path / "ring.cal").read_bytes() == (workdir / "med.cal").read_bytes()
+    assert run("calibrate", "--family", "bench1d", "--loss", "median", "--rule", "lepski",
+               "--levels", "mc", "--levels-runs", "1200", "--runs", "1500", "--seed", "11",
+               "--out", tmp_path / "cli.cal") == 0
+    lepski = replace(ring, runs=1500, rule="lepski")
+    save_artifact(tmp_path / "lib.cal",
+                  am.calibrate(lepski, levels="monte_carlo", levels_runs=1200))
+    assert (tmp_path / "lib.cal").read_bytes() == (tmp_path / "cli.cal").read_bytes()
 
 
 def test_quantile_mc_levels_name_the_way_out(tmp_path, capsys):
@@ -569,25 +610,31 @@ def test_bench_trace_dump(workdir):
     assert rc == 0
     text = trace.read_text()
     assert text.startswith("# method median_ring k_hat ")
+    assert text.count("# method ") == 1  # the oracle selects nothing, so it has no trace
     assert "k j statistic threshold margin" in text
 
 
-def test_bench_trace_is_replicate_zero(tmp_path):
+def test_bench_trace_is_replicate_zero(tmp_path, monkeypatch):
     """The mean ring-rule trace reports the statistics bench computed on replicate 0.
 
     They equal |ring_k - base_j| bit for bit, with the estimates taken by
     window_estimates on replicate 0 alone in nearest-first order: bench
     averages C-ordered rows, so a mean row does not depend on its batch. And
-    k_hat is bench's choice.
+    k_hat is bench's choice. A run over three chunks at two workers writes
+    the same trace.
     """
     cal = tmp_path / "mean_ring.cal"
     assert run("calibrate", "--family", "bench1d", "--loss", "mean", "--runs", "2000",
                "--seed", "12", "--out", cal) == 0
-    trace = tmp_path / "trace.txt"
-    assert run("bench", "--example", "1", "--runs", "20", "--seed", "7",
-               "--methods", "mean_ring", "--calib", f"mean_ring={cal}",
-               "--trace", trace, "--out", tmp_path / "row.csv") == 0
-    header, columns, *records = trace.read_text().splitlines()
+    traces = []
+    for workers, runs in (("1", 20), ("2", 2 * CHUNK + 52)):
+        monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
+        traces.append(tmp_path / f"trace{workers}.txt")
+        assert run("bench", "--example", "1", "--runs", runs, "--seed", "7",
+                   "--methods", "mean_ring", "--calib", f"mean_ring={cal}",
+                   "--trace", traces[-1], "--out", tmp_path / "row.csv") == 0
+    assert traces[0].read_bytes() == traces[1].read_bytes()
+    header, columns, *records = traces[0].read_text().splitlines()
     assert columns == "k j statistic threshold margin"
 
     art = am.load_artifact(cal)
@@ -830,14 +877,15 @@ def test_bad_study_numbers_refused_before_drawing(tmp_path, capsys, monkeypatch,
     (("calibrate", "--loss", "quantile:abc", "--seed", "1", "--out", "x.cal"), "--loss"),
     (("calibrate", "--loss", "huber:", "--seed", "1", "--out", "x.cal"), "--loss"),
     (("calibrate", "--noise", "student_t:x", "--seed", "1", "--out", "x.cal"), "--noise"),
+    (("calibrate", "--noise", "student_t:", "--seed", "1", "--out", "x.cal"), "--noise"),
     (("moments", "--n-points", "1,a", "--seed", "1", "--out", "x.csv"), "--n-points"),
     (("tails", "--taus", "0,x", "--seed", "1", "--out", "x.csv"), "--taus"),
     (("denoise", "--sigma", "abc", "--out", "x.pgm"), "--sigma"),
     (("denoise", "--sigma", "inf", "--out", "x.pgm"), "sigma"),
     (("denoise", "--sigma", "nan", "--out", "x.pgm"), "sigma"),
     (("denoise", "--sigma=-1", "--out", "x.pgm"), "sigma"),
-], ids=["quantile", "huber", "student_t", "n_points", "taus", "sigma_abc", "sigma_inf",
-        "sigma_nan", "sigma_negative"])
+], ids=["quantile", "huber", "student_t", "student_t_empty", "n_points", "taus", "sigma_abc",
+        "sigma_inf", "sigma_nan", "sigma_negative"])
 def test_malformed_numbers_exit_1(disc_cal, tmp_path, capsys, monkeypatch, argv, flag):
     """A value that is not a number, or an unusable noise scale, names its flag: exit 1."""
     monkeypatch.chdir(tmp_path)

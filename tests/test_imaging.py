@@ -115,7 +115,11 @@ def test_subrectangle_reproduces_pixels(disc_artifact):
 
 
 def test_worker_count_invariance(disc_artifact, monkeypatch):
-    """Results do not depend on the worker count, also in a chunk of mixed pixels."""
+    """Results do not depend on the worker count, also in a chunk of mixed pixels.
+
+    The 40x12 image has no interior pixel and the 13x13 image one. The
+    rounded 48x48 image takes int16 rows and, with the gate off, int32 rows.
+    """
     noise = sample_noise(NoiseKind.laplace(), 48 * 48, RngStream(54, 0))
     img = two_region(48, 48) + noise.reshape(48, 48)
     reach = int(np.floor(max(disc_artifact.config.family_meta["radii"])))
@@ -124,14 +128,25 @@ def test_worker_count_invariance(disc_artifact, monkeypatch):
     # the interior's n_inner pixels come first, then the border band's
     n_inner = (48 - 2 * reach) ** 2
     assert any(lo < n_inner < hi for lo, hi in chunks)  # one chunk holds both kinds
-    image = Image(img)
-    monkeypatch.setenv("ADAPTMREG_WORKERS", "1")
-    out1, khat1 = denoise_image(image, _auto(disc_artifact, image))
-    for workers in ("2", "3"):
-        monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
-        out, khat = denoise_image(image, _auto(disc_artifact, image))
-        assert np.array_equal(out1.intensities, out.intensities)
-        assert np.array_equal(khat1, khat)
+    assert 12 - 2 * reach <= 0 < 13 - 2 * reach  # 12 rows hold no interior pixel, 13 one
+    rng = np.random.default_rng(6)
+    rounded = np.rint(20 * img + 50)
+    cases = ((img, True, float), (100 + rng.laplace(0, 9, (12, 40)), True, float),
+             (100 + rng.laplace(0, 9, (13, 13)), True, float), (rounded, True, np.int16),
+             (rounded, False, np.int32))
+    seen = _gathered_dtypes(monkeypatch)
+    for values, gate, dtype in cases:
+        monkeypatch.setattr(losses, "SIMD_INT16_SORT", gate)
+        image = Image(values)
+        monkeypatch.setenv("ADAPTMREG_WORKERS", "1")
+        seen.clear()
+        out1, khat1 = denoise_image(image, _auto(disc_artifact, image))
+        assert set(seen) == {np.dtype(dtype)}, (values.shape, gate)
+        for workers in ("2", "3"):
+            monkeypatch.setenv("ADAPTMREG_WORKERS", workers)
+            out, khat = denoise_image(image, _auto(disc_artifact, image))
+            assert np.array_equal(out1.intensities, out.intensities), (values.shape, workers)
+            assert np.array_equal(khat1, khat), (values.shape, workers)
 
 
 def _crit_subset(crit: CriticalValues, kept: np.ndarray) -> CriticalValues:

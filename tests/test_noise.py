@@ -153,8 +153,9 @@ def test_parse_noise():
     assert parse_noise("student_t") == NoiseKind.student_t(3)
     assert parse_noise("student_t:4") == NoiseKind.student_t(4)
     assert parse_noise("student_t5") == NoiseKind.student_t(5)
-    with pytest.raises(ValueError):
-        parse_noise("uniform")
+    for text in ("uniform", "student_t:", "student_t:x"):
+        with pytest.raises(ValueError):
+            parse_noise(text)
 
 
 def _row_id(kind: NoiseKind) -> str:
